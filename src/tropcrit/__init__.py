@@ -37,6 +37,7 @@ from .bs_lct import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    Job,
     eliminate,
     groebner_basis,
     homogeneity_space,

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
+    current_job,
     groebner_basis,
     quotient_basis,
     saturate,
@@ -165,7 +166,6 @@ def _square_subsystem(equations, ring, point, exact):
     n = len(ring) - 1
     if len(equations) < n:
         return None, None
-    best = None
     for subset in combinations(range(len(equations)), n):
         eqs = [equations[i] for i in subset]
         jac = _jacobian_at(eqs, ring, point, exact)
@@ -177,7 +177,7 @@ def _square_subsystem(equations, ring, point, exact):
             inv = _num_inverse(jac)
             if inv is not None:
                 return eqs, inv
-    return best, None
+    return None, None
 
 
 def _evaluate_residuals(equations, ring, series_env, order):
@@ -349,14 +349,13 @@ def series_newton_lift(
     )
 
 
-_SAT_CACHE = {}
-
-
 def _saturated_equations(equations, ring, extra=()):
-    """Generators of the t-(and unknown-)saturated ideal of the system."""
-    key = (tuple(equations), ring, tuple(extra))
-    if key in _SAT_CACHE:
-        return _SAT_CACHE[key]
+    """Generators of the t-(and unknown-)saturated ideal of the system,
+    memoized in the current job."""
+    memo = current_job().memo
+    key = (_saturated_equations, tuple(equations), ring, tuple(extra))
+    if key in memo:
+        return memo[key]
     I = Ideal(list(equations), ring)
     n = len(ring) - 1
     I = saturate(I, Polynomial.variable(CURVE_VAR, ring))
@@ -365,7 +364,7 @@ def _saturated_equations(equations, ring, extra=()):
     for f in extra:
         I = saturate(I, f)
     gens = list(I.gens)
-    _SAT_CACHE[key] = gens
+    memo[key] = gens
     return gens
 
 
@@ -388,12 +387,26 @@ def _rescaled_saturators(system, curve, ring, valuations):
     return out
 
 
+def _t0_layer(system, curve, valuations):
+    """The t = 0 layer of the saturated rescaled system, as polynomials in
+    the unknowns; returns (layer, ring of the rescaled system)."""
+    equations, ring = _substitute_curve(system, curve)
+    valuations = tuple(valuations) if valuations else (0,) * (len(ring) - 1)
+    rescaled = _rescale(equations, ring, valuations)
+    extra = _rescaled_saturators(system, curve, ring, valuations)
+    layer = []
+    for g in _saturated_equations(rescaled, ring, extra):
+        terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}
+        if terms:
+            layer.append(Polynomial(terms, ring[:-1]))
+    return layer, ring
+
+
 def branch_seeds(
     system: CriticalSystem,
     curve: DataCurve,
     valuations=None,
     rng=None,
-    budget=None,
 ):
     """Leading coefficients of all branches with the given valuation
     ansatz: solve the t = 0 layer of the saturated rescaled system.
@@ -402,30 +415,16 @@ def branch_seeds(
     (found when the layer has degree one), numeric seeds complex tuples.
     """
     rng = rng or Random(23)
-    equations, ring = _substitute_curve(system, curve)
-    n = len(ring) - 1
-    valuations = tuple(valuations) if valuations else (0,) * n
-    rescaled = _rescale(equations, ring, valuations)
-    extra = _rescaled_saturators(system, curve, ring, valuations)
-    gens = _saturated_equations(rescaled, ring, extra)
-    if not gens:
+    layer, ring = _t0_layer(system, curve, valuations)
+    if not layer:
         raise NotZeroDimensional("saturated system is trivial")
-    # t = 0 layer
-    layer = []
     unknown_ring = ring[:-1]
-    for g in gens:
-        terms = {}
-        for e, c in g.terms.items():
-            if e[-1] == 0:
-                terms[e[:-1]] = c
-        if terms:
-            layer.append(Polynomial(terms, unknown_ring))
     I0 = Ideal(layer, unknown_ring)
-    for j in range(n):
-        I0 = saturate(I0, Polynomial.variable(unknown_ring[j], unknown_ring), budget)
+    for name in unknown_ring:
+        I0 = saturate(I0, Polynomial.variable(name, unknown_ring))
     if I0.is_zero:
         raise NotZeroDimensional("t=0 layer is not zero-dimensional")
-    G = groebner_basis(I0, budget=budget)
+    G = groebner_basis(I0)
     if G.is_unit:
         return [], []
     basis = quotient_basis(G)
@@ -450,18 +449,8 @@ def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
     """
     if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
         return seed
-    equations, ring = _substitute_curve(system, curve)
-    n = len(ring) - 1
-    valuations = tuple(valuations) if valuations else (0,) * n
-    rescaled = _rescale(equations, ring, valuations)
-    gens = _saturated_equations(rescaled, ring)
+    layer, ring = _t0_layer(system, curve, valuations)
     unknown_ring = ring[:-1]
-    layer = []
-    for g in gens:
-        terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}
-        terms = {e: c for e, c in terms.items() if c}
-        if terms:
-            layer.append(Polynomial(terms, unknown_ring))
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
     target = Fraction(1, 2**bits)
@@ -470,20 +459,11 @@ def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
         vals = [eq.evaluate(env) for eq in layer]
         if all(abs(v) < target for v in vals):
             return tuple(x)
-        jac = [
-            [eq.derivative(v).evaluate(env) for v in unknown_ring] for eq in layer
-        ]
-        sub, inv = None, None
-        for subset in combinations(range(len(layer)), n):
-            m = [jac[i] for i in subset]
-            inv_try = inverse(m)
-            if inv_try is not None:
-                sub, inv = subset, inv_try
-                break
-        if inv is None:
+        eqs, inv = _square_subsystem(layer, ring, x, True)
+        if eqs is None:
             raise SingularJacobian("refinement Jacobian is singular")
-        rhs = [vals[i] for i in sub]
-        delta = [sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
+        rhs = [eq.evaluate(env) for eq in eqs]
+        delta = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
         x = [
             Fraction(round((xi - di) * scale), scale)
             for xi, di in zip(x, delta)

@@ -73,7 +73,6 @@ class BSReport:
     """Predicted intersection of the critical slopes with the
     Bernstein-Sato slopes, plus fixture comparison when available."""
 
-    bs_slope_hyperplanes: list
     intersection_with_sf: list
     fixture_slopes: list | None = None
     bs_only: list = field(default_factory=list)  # in fixture, not critical
@@ -88,10 +87,7 @@ def bs_slope_intersection(rays, fixture: BSFixture | None = None) -> BSReport:
     predicted = sorted(
         {SlopeHyperplane(normal=r.v) for r in nonneg}, key=lambda h: h.normal
     )
-    report = BSReport(
-        bs_slope_hyperplanes=predicted,
-        intersection_with_sf=predicted,
-    )
+    report = BSReport(intersection_with_sf=predicted)
     if fixture is not None:
         all_slopes = {SlopeHyperplane(normal=r.v) for r in rays}
         fslopes = set(fixture.slopes())

@@ -27,16 +27,11 @@ from .asymptotics import (
     valuation_vector,
 )
 from .bs_lct import BSFixture, bs_slope_intersection, conjecture_check
-from .groebner import Ideal
+from .groebner import Ideal, Job
+from .linalg import rank
 from .mle import VarietySpec, critical_system, ml_degree, mle_closed_form
 from .rings import Polynomial, dot
-from .tropical import (
-    TropicalEngine,
-    critical_slopes,
-    find_rigid_rays,
-    stratum_euler_char,
-    weighted_ray_sum,
-)
+from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_char
 
 VERSION = "0.1.0"
 DEFAULT_SEED = 20240
@@ -63,6 +58,7 @@ EXIT_CODES = {
     errors.AlphaNotOnHyperplane: EXIT_PRECONDITION,
     errors.NotCentral: EXIT_PRECONDITION,
     errors.NotIndecomposable: EXIT_PRECONDITION,
+    errors.NotEssential: EXIT_PRECONDITION,
     errors.MissingDiscrepancy: EXIT_PRECONDITION,
     errors.DimensionTooLarge: EXIT_PRECONDITION,
     errors.SingularJacobian: EXIT_NUMERIC,
@@ -153,6 +149,12 @@ def load_spec(source) -> VarietySpec:
                 )
             coeffs = tuple(Fraction(str(x)) for x in row[:-1])
             rows.append((coeffs, Fraction(str(row[-1]))))
+        r = rank([list(coeffs) for coeffs, _ in rows])
+        if r < len(vars):
+            raise errors.NotEssential(
+                f"arrangement is not essential: its coefficient matrix has "
+                f"rank {r} < {len(vars)}"
+            )
         arr = Arrangement(
             rows=rows,
             nvars=len(vars),
@@ -255,7 +257,6 @@ class JobConfig:
 
 WARNING_CODES = {
     "ConnectednessAssumed": "connectedness_unverified",
-    "BoundLimitedSearch": "bound_limited_search",
     "ApproximateBranch": "approximate_coefficients",
     "SquarefreeCheckFailed": "squarefree_check_failed",
 }
@@ -349,9 +350,7 @@ def _branches(spec, curve, rays, cfg, rng, notes):
                 jobs.append((vals, ray))
     for vals, ray in jobs:
         try:
-            exact, numeric = branch_seeds(
-                system, curve, valuations=vals, rng=rng, budget=cfg.budget
-            )
+            exact, numeric = branch_seeds(system, curve, valuations=vals, rng=rng)
         except errors.NotZeroDimensional:
             continue
         for seed in exact + numeric:
@@ -393,7 +392,11 @@ def _branches(spec, curve, rays, cfg, rng, notes):
 
 
 def run_report(cfg: JobConfig):
-    """Execute the requested pipeline; returns (report dict, exit code)."""
+    """Execute the requested pipeline; returns (report dict, exit code).
+
+    The whole run is one ``Job``: ``cfg.budget`` bounds the reduction
+    steps of all its Groebner calls together.
+    """
     rng = Random(cfg.seed)
     report = {
         "tool": "tropcrit",
@@ -403,13 +406,12 @@ def run_report(cfg: JobConfig):
         "warnings": [],
     }
     notes = []
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, Job(cfg.budget):
         warnings.simplefilter("always")
         spec = load_spec(cfg.spec_source)
         report["inputs"] = serialize_spec(spec)
         svars = list(spec.svars)
-        ideal = spec.to_ideal(cfg.budget)
-        engine = TropicalEngine(ideal, cfg.budget)
+        ideal = spec.to_ideal()
 
         needs_rays = cfg.command in (
             "rigid-rays",
@@ -423,7 +425,7 @@ def run_report(cfg: JobConfig):
         )
         rays = []
         if needs_rays:
-            rays = find_rigid_rays(ideal, bound=cfg.bound, engine=engine)
+            rays = find_rigid_rays(ideal, bound=cfg.bound)
             report["exhaustive_within_bound"] = cfg.bound
 
         if cfg.command in ("rigid-rays", "report"):
@@ -435,20 +437,15 @@ def run_report(cfg: JobConfig):
             ]
 
         if cfg.command in ("euler", "report"):
-            chis = [
-                stratum_euler_char(ideal, r, rng=rng, budget=cfg.budget, engine=engine)
-                for r in rays
-            ]
+            chis = [stratum_euler_char(ideal, r, rng=rng) for r in rays]
             report["rays"] = [_ray_json(r, chi) for r, chi in zip(rays, chis)]
-            report["weighted_ray_sum"] = list(
-                weighted_ray_sum(ideal, rays, rng=rng, budget=cfg.budget, engine=engine)
-            )
+            report["weighted_ray_sum"] = list(ray_sum(ideal.nvars, rays, chis))
 
         if cfg.command in ("mle", "report"):
-            degree = ml_degree(spec, rng=rng, budget=cfg.budget)
+            degree = ml_degree(spec, rng=rng)
             report["ml_degree"] = degree
             if degree == 1 and rays:
-                formula = mle_closed_form(spec, rays, rng=rng, budget=cfg.budget)
+                formula = mle_closed_form(spec, rays, rng=rng)
                 report["mle"] = {
                     "constants": [_frac_str(c) for c in formula.constants],
                     "coordinates": [

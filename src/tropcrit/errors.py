@@ -52,10 +52,6 @@ class VerificationFailed(TropcritError, RuntimeError):
     """A second-sample consistency check failed."""
 
 
-class NonRationalSolution(TropcritError, RuntimeError):
-    """A degree-one critical system produced a non-rational solution."""
-
-
 class SingularJacobian(TropcritError, RuntimeError):
     """Series lifting could not find an invertible Jacobian at the seed."""
 
@@ -74,6 +70,10 @@ class NotCentral(TropcritError, ValueError):
 
 class NotIndecomposable(TropcritError, ValueError):
     """Operation requires an indecomposable (connected-matroid) arrangement."""
+
+
+class NotEssential(TropcritError, ValueError):
+    """Arrangement functionals span fewer than all coordinate directions."""
 
 
 class MissingDiscrepancy(TropcritError, ValueError):

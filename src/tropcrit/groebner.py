@@ -5,16 +5,20 @@ weight vector is legal), block elimination orders, saturation, weighted
 initial ideals via single-variable homogenization, zero-dimensional degree
 counts through standard monomials, and homogeneity spaces.
 
-Every entry point takes an optional reduction-step ``budget`` (default
-10**6) and raises ResourceBudgetExceeded instead of running away.
+Reduction steps are counted against the current ``Job``: ``with
+Job(limit):`` makes one step budget and one set of memo tables hold for
+everything run inside it.  Outside any ``with``, each entry point gets a
+fresh ``Job()`` (10**6 steps, empty memo).  Exceeding the limit raises
+ResourceBudgetExceeded instead of running away.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
-from .linalg import nullspace, solve_linear
+from .linalg import mat_vec, nullspace, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
@@ -62,12 +66,21 @@ class Ideal:
         return f"Ideal({', '.join(map(str, self.gens))})"
 
 
-class _Budget:
-    __slots__ = ("steps", "limit")
+class Job:
+    """One run: a reduction-step budget shared by every Groebner call made
+    while the job is current, and memo tables that live as long as it.
 
-    def __init__(self, limit):
+    ``with Job(limit):`` makes the job current; ``current_job()`` returns
+    it, or a fresh default job outside any ``with``.
+    """
+
+    __slots__ = ("steps", "limit", "memo", "_tokens")
+
+    def __init__(self, limit=None):
         self.steps = 0
         self.limit = DEFAULT_BUDGET if limit is None else limit
+        self.memo = {}
+        self._tokens = []
 
     def tick(self, n=1):
         self.steps += n
@@ -75,6 +88,22 @@ class _Budget:
             raise ResourceBudgetExceeded(
                 f"reduction budget of {self.limit} steps exceeded"
             )
+
+    def __enter__(self):
+        self._tokens.append(_CURRENT_JOB.set(self))
+        return self
+
+    def __exit__(self, *exc):
+        _CURRENT_JOB.reset(self._tokens.pop())
+
+
+_CURRENT_JOB = ContextVar("tropcrit_job", default=None)
+
+
+def current_job() -> Job:
+    """The job of the innermost enclosing ``with Job(...)``, else a fresh
+    one (so calls outside a job keep a per-call default budget)."""
+    return _CURRENT_JOB.get() or Job()
 
 
 def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
@@ -280,27 +309,19 @@ class GroebnerBasis:
     def leading_terms(self):
         return list(self._lts)
 
-    def normal_form(self, f: Polynomial, budget=None) -> Polynomial:
-        return _nf_poly(f, self.elements, self._lts, self._lcs, self.order, _Budget(budget))
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        return _nf_poly(
+            f, self.elements, self._lts, self._lcs, self.order, current_job()
+        )
 
-    def contains(self, f: Polynomial, budget=None) -> bool:
-        return self.normal_form(f, budget).is_zero
-
-    def to_json(self):
-        return {
-            "elements": [str(g) for g in self.elements],
-            "reduced": self.reduced,
-            "weight": list(self.order.weight) if self.order.weight else None,
-            "blocks": [list(b) for b in self.order.blocks]
-            if self.order.blocks
-            else None,
-        }
+    def contains(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero
 
     def __repr__(self):
         return f"GroebnerBasis([{', '.join(map(str, self.elements))}])"
 
 
-def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
+def groebner_basis(ideal, order=None) -> GroebnerBasis:
     """Reduced Groebner basis of an Ideal (or list of polynomials)."""
     if isinstance(ideal, Ideal):
         gens = list(ideal.gens)
@@ -312,21 +333,21 @@ def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
         nvars = len(gens[0].vars)
     if order is None:
         order = grlex(nvars)
-    elements = _buchberger(gens, order, _Budget(budget))
+    elements = _buchberger(gens, order, current_job())
     return GroebnerBasis(elements, order)
 
 
-def normal_form(f: Polynomial, G: GroebnerBasis, budget=None) -> Polynomial:
+def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by a reduced basis."""
-    return G.normal_form(f, budget)
+    return G.normal_form(f)
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget=None) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Decide equality via the uniqueness of reduced Groebner bases."""
     if I.is_zero or J.is_zero:
         return I.is_zero and J.is_zero
-    gi = groebner_basis(I, grlex(I.nvars), budget)
-    gj = groebner_basis(J, grlex(J.nvars), budget)
+    gi = groebner_basis(I, grlex(I.nvars))
+    gj = groebner_basis(J, grlex(J.nvars))
     return list(gi.elements) == list(gj.elements)
 
 
@@ -360,18 +381,18 @@ class InitialIdealEngine:
     negated-weight refinement followed by taking initial forms.
     """
 
-    def __init__(self, ideal: Ideal, budget=None):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.nvars = ideal.nvars
         if ideal.is_zero:
             self.base = None
             self.hgens = []
             return
-        self.base = groebner_basis(ideal, grlex(self.nvars), budget)
+        self.base = groebner_basis(ideal, grlex(self.nvars))
         hvars = ideal.vars + (_HOMOG_VAR,)
         self.hgens = [_homogenize(g, hvars) for g in self.base.elements]
 
-    def initial(self, w, budget=None) -> Ideal:
+    def initial(self, w) -> Ideal:
         if len(w) != self.nvars:
             raise ValueError("weight length does not match the ring")
         if self.base is None:
@@ -383,7 +404,7 @@ class InitialIdealEngine:
         order = TermOrder(
             self.nvars + 1, weight=tuple(-x for x in w) + (0,)
         )
-        gh = _buchberger(list(self.hgens), order, _Budget(budget))
+        gh = _buchberger(list(self.hgens), order, current_job())
         inits = []
         for g in gh:
             g1 = _dehomogenize(g, self.ideal.vars)
@@ -393,9 +414,9 @@ class InitialIdealEngine:
         return Ideal(inits, self.ideal.vars)
 
 
-def initial_ideal(ideal: Ideal, w, budget=None) -> Ideal:
+def initial_ideal(ideal: Ideal, w) -> Ideal:
     """Ideal of w-minimal initial forms (min convention), any w in Z^p."""
-    return InitialIdealEngine(ideal, budget).initial(w, budget)
+    return InitialIdealEngine(ideal).initial(w)
 
 
 # -- saturation and elimination -----------------------------------------------------
@@ -404,7 +425,7 @@ def initial_ideal(ideal: Ideal, w, budget=None) -> Ideal:
 _SAT_VAR = "_y"
 
 
-def _saturate_single(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
+def _saturate_single(ideal: Ideal, f: Polynomial) -> Ideal:
     if ideal.is_zero:
         return ideal
     vars2 = (_SAT_VAR,) + ideal.vars
@@ -413,12 +434,12 @@ def _saturate_single(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
     gens2 = [g.extend_ring(vars2) for g in ideal.gens]
     y = Polynomial.variable(_SAT_VAR, vars2)
     gens2.append(Polynomial.constant(1, vars2) - y * f.extend_ring(vars2))
-    G = _buchberger(gens2, order, _Budget(budget))
+    G = _buchberger(gens2, order, current_job())
     kept = [g for g in G if 0 not in g.support_vars()]
     return Ideal([g.restrict_ring(ideal.vars) for g in kept], ideal.vars)
 
 
-def saturate(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """(I : f^infty); a monomial f is processed one variable at a time."""
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
@@ -430,15 +451,15 @@ def saturate(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
         for i, x in enumerate(e):
             if x > 0:
                 J = _saturate_single(
-                    J, Polynomial.variable(ideal.vars[i], ideal.vars), budget
+                    J, Polynomial.variable(ideal.vars[i], ideal.vars)
                 )
                 if J.is_zero:
                     return J
         return J
-    return _saturate_single(ideal, f, budget)
+    return _saturate_single(ideal, f)
 
 
-def eliminate(ideal: Ideal, keep, budget=None, restrict=True) -> Ideal:
+def eliminate(ideal: Ideal, keep, restrict=True) -> Ideal:
     """Intersection with the subring of the kept variables (block order)."""
     keep = list(keep)
     drop_idx = tuple(i for i, v in enumerate(ideal.vars) if v not in keep)
@@ -449,7 +470,7 @@ def eliminate(ideal: Ideal, keep, budget=None, restrict=True) -> Ideal:
         kept_vars = tuple(ideal.vars[i] for i in keep_idx)
         return Ideal([], kept_vars if restrict else ideal.vars)
     order = TermOrder(ideal.nvars, blocks=(drop_idx, keep_idx))
-    G = _buchberger(list(ideal.gens), order, _Budget(budget))
+    G = _buchberger(list(ideal.gens), order, current_job())
     kept = [g for g in G if not (g.support_vars() & set(drop_idx))]
     if restrict:
         kept_vars = tuple(ideal.vars[i] for i in keep_idx)
@@ -506,7 +527,7 @@ def quotient_basis(G: GroebnerBasis):
     )
 
 
-def zero_dim_degree(ideal, budget=None) -> int:
+def zero_dim_degree(ideal) -> int:
     """Vector-space dimension of the quotient = solution count with
     multiplicity; raises NotZeroDimensional when infinite."""
     if isinstance(ideal, GroebnerBasis):
@@ -516,7 +537,7 @@ def zero_dim_degree(ideal, budget=None) -> int:
             if ideal.nvars == 0:
                 return 1
             raise NotZeroDimensional("zero ideal in a positive-dim ring")
-        G = groebner_basis(ideal, grlex(ideal.nvars), budget)
+        G = groebner_basis(ideal, grlex(ideal.nvars))
     if G.is_unit:
         return 0
     return len(quotient_basis(G))
@@ -540,17 +561,13 @@ def multiplication_matrix(G: GroebnerBasis, basis, var_index):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _mat_vec_frac(m, v):
-    return [sum(m[i][k] * v[k] for k in range(len(v))) for i in range(len(m))]
-
-
 def minimal_polynomial(matrix, start):
     """Monic minimal polynomial (ascending coefficients) of the matrix on
     the Krylov space of ``start``, exact over Q."""
     vecs = [list(start)]
     rows = [list(start)]
     while True:
-        nxt = _mat_vec_frac(matrix, vecs[-1])
+        nxt = mat_vec(matrix, vecs[-1])
         # dependence test: solve for nxt in the span of the Krylov vectors
         sol = solve_linear([list(col) for col in zip(*rows)], nxt)
         if sol is not None:
@@ -665,7 +682,7 @@ def solve_zero_dim_numeric(G: GroebnerBasis, rng):
 # -- homogeneity space and dimension ---------------------------------------------
 
 
-def homogeneity_space(ideal, budget=None):
+def homogeneity_space(ideal):
     """Basis of the space of weights u for which the ideal is u-graded,
     computed from the reduced Groebner basis (exponent differences within
     each element)."""
@@ -676,7 +693,7 @@ def homogeneity_space(ideal, budget=None):
         p = ideal.nvars
         if ideal.is_zero:
             return nullspace([], ncols=p)
-        elements = groebner_basis(ideal, grlex(p), budget).elements
+        elements = groebner_basis(ideal, grlex(p)).elements
     rows = []
     for g in elements:
         exps = list(g.terms)
@@ -688,7 +705,7 @@ def homogeneity_space(ideal, budget=None):
     return nullspace(rows, ncols=p)
 
 
-def ideal_dimension(ideal, budget=None) -> int:
+def ideal_dimension(ideal) -> int:
     """Affine Krull dimension via independent variable subsets of the
     leading-term ideal (-1 for the unit ideal)."""
     from itertools import combinations
@@ -700,7 +717,7 @@ def ideal_dimension(ideal, budget=None) -> int:
         p = ideal.nvars
         if ideal.is_zero:
             return p
-        G = groebner_basis(ideal, grlex(p), budget)
+        G = groebner_basis(ideal, grlex(p))
     if G.is_unit:
         return -1
     lts = G.leading_terms

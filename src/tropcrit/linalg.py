@@ -74,27 +74,6 @@ def solve_linear(rows, rhs):
     return x
 
 
-def det(rows) -> Fraction:
-    m = _frac_rows(rows)
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        out *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return out * sign
-
-
 def inverse(rows):
     """Exact inverse, or None if singular."""
     n = len(rows)

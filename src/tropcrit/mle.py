@@ -103,7 +103,7 @@ class VarietySpec:
             return list(self.functions)
         return self.arrangement.functional_polys()
 
-    def to_ideal(self, budget=None) -> Ideal:
+    def to_ideal(self) -> Ideal:
         """Torus ideal of the (closure of the) variety; parametrizations
         and arrangements are implicitized by elimination."""
         if self.kind == "ideal":
@@ -117,7 +117,7 @@ class VarietySpec:
                 gens.append(
                     Polynomial.variable(name, ring) - f.extend_ring(ring)
                 )
-            self._implicit = eliminate(Ideal(gens, ring), list(self.coordinates), budget)
+            self._implicit = eliminate(Ideal(gens, ring), list(self.coordinates))
         return self._implicit
 
 
@@ -176,21 +176,21 @@ def _dlog_system(spec, data):
     )
 
 
-def _torus_codim(ideal: Ideal, budget=None) -> int:
+def _torus_codim(ideal: Ideal) -> int:
     e = tuple(1 for _ in ideal.vars)
-    sat = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars), budget)
+    sat = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars))
     if sat.is_zero:
         return 0
-    return ideal.nvars - ideal_dimension(sat, budget)
+    return ideal.nvars - ideal_dimension(sat)
 
 
-def _ideal_system(spec, data, formulation, budget=None):
+def _ideal_system(spec, data, formulation):
     I = spec.ideal
     coords = spec.coordinates
     p = len(coords)
     gens = list(I.gens)
     k = len(gens)
-    codim = _torus_codim(I, budget)
+    codim = _torus_codim(I)
     if formulation == "auto":
         formulation = "minors" if codim <= 2 else "lagrange"
     svars = spec.svars if data is None else ()
@@ -256,14 +256,14 @@ def _poly_det(m):
     return total
 
 
-def critical_system(spec: VarietySpec, data=None, formulation="auto", budget=None) -> CriticalSystem:
+def critical_system(spec: VarietySpec, data=None, formulation="auto") -> CriticalSystem:
     """Polynomial system of the likelihood critical points.
 
     ``data`` is a rational vector, or None for the symbolic incidence
     system in the s-variables.
     """
     if spec.kind == "ideal":
-        return _ideal_system(spec, data, formulation, budget)
+        return _ideal_system(spec, data, formulation)
     return _dlog_system(spec, data)
 
 
@@ -278,22 +278,22 @@ def sample_alpha(p, rng: Random):
     return tuple(out)
 
 
-def saturated_critical_ideal(system: CriticalSystem, budget=None) -> Ideal:
+def saturated_critical_ideal(system: CriticalSystem) -> Ideal:
     """Ideal of the system with every saturator made invertible."""
     I = Ideal(system.equations, system.ring)
     for f in system.saturators:
-        I = saturate(I, f, budget)
+        I = saturate(I, f)
         if I.is_zero:
             break
     return I
 
 
-def _critical_count(spec, alpha, formulation, budget, rng):
-    system = critical_system(spec, alpha, formulation, budget)
-    I = saturated_critical_ideal(system, budget)
+def _critical_count(spec, alpha, formulation, rng):
+    system = critical_system(spec, alpha, formulation)
+    I = saturated_critical_ideal(system)
     if I.is_zero:
         raise NotZeroDimensional("critical scheme is not zero-dimensional")
-    G = groebner_basis(I, budget=budget)
+    G = groebner_basis(I)
     if G.is_unit:
         return 0, G
     basis = quotient_basis(G)
@@ -306,7 +306,7 @@ def _critical_count(spec, alpha, formulation, budget, rng):
     return len(basis), G
 
 
-def ml_degree(spec: VarietySpec, rng=None, budget=None, formulation="auto", slopes=None) -> int:
+def ml_degree(spec: VarietySpec, rng=None, formulation="auto", slopes=None) -> int:
     """Generic critical-point count (with multiplicity), resampling a few
     times on degenerate data before giving up."""
     rng = rng or Random(DEFAULT_SEED)
@@ -316,7 +316,7 @@ def ml_degree(spec: VarietySpec, rng=None, budget=None, formulation="auto", slop
         if slopes and any(dot(h.normal, alpha) == 0 for h in slopes):
             continue
         try:
-            count, _ = _critical_count(spec, alpha, formulation, budget, rng)
+            count, _ = _critical_count(spec, alpha, formulation, rng)
             return count
         except NotZeroDimensional as exc:
             last = exc
@@ -325,7 +325,7 @@ def ml_degree(spec: VarietySpec, rng=None, budget=None, formulation="auto", slop
     )
 
 
-def torus_euler_characteristic(ideal: Ideal, rng=None, budget=None) -> int:
+def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
     """Signed-count Euler characteristic of V(ideal) on the torus.
 
     Zero-dimensional loci are counted directly; otherwise the generic
@@ -335,17 +335,17 @@ def torus_euler_characteristic(ideal: Ideal, rng=None, budget=None) -> int:
     rng = rng or Random(DEFAULT_SEED)
     p = ideal.nvars
     e = tuple(1 for _ in range(p))
-    sat = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars), budget)
+    sat = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars))
     if sat.is_zero:
         return 1 if p == 0 else 0
-    G = groebner_basis(sat, budget=budget)
+    G = groebner_basis(sat)
     if G.is_unit:
         return 0
     d = ideal_dimension(G)
     if d == 0:
         return len(quotient_basis(G))
     spec = VarietySpec(kind="ideal", ideal=sat)
-    count = ml_degree(spec, rng=rng, budget=budget)
+    count = ml_degree(spec, rng=rng)
     return count if d % 2 == 0 else -count
 
 
@@ -435,12 +435,12 @@ class MLEFormula:
         ]
 
 
-def _solve_unique_point(spec, alpha, budget, formulation="auto"):
-    system = critical_system(spec, alpha, formulation, budget)
-    I = saturated_critical_ideal(system, budget)
+def _solve_unique_point(spec, alpha, formulation="auto"):
+    system = critical_system(spec, alpha, formulation)
+    I = saturated_critical_ideal(system)
     if I.is_zero:
         raise NotZeroDimensional("critical scheme is not zero-dimensional")
-    G = groebner_basis(I, budget=budget)
+    G = groebner_basis(I)
     if G.is_unit or len(quotient_basis(G)) != 1:
         raise NotZeroDimensional("sample did not produce a single critical point")
     point = solve_degree_one(G)
@@ -451,14 +451,14 @@ def _solve_unique_point(spec, alpha, budget, formulation="auto"):
     )
 
 
-def mle_closed_form(spec: VarietySpec, rays, rng=None, budget=None) -> MLEFormula:
+def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
     """Closed-form estimator for ML-degree-one models.
 
     Exponents come from the ray coordinates; constants are fitted exactly
     at one random rational data vector and verified at a second.
     """
     rng = rng or Random(DEFAULT_SEED)
-    if ml_degree(spec, rng=rng, budget=budget) != 1:
+    if ml_degree(spec, rng=rng) != 1:
         raise MLDegreeNotOne("the model does not have maximum likelihood degree one")
     vecs = [tuple(r.v) for r in rays]
     p = spec.p
@@ -470,7 +470,7 @@ def mle_closed_form(spec: VarietySpec, rays, rng=None, budget=None) -> MLEFormul
     normals = [_sign_normalize(v) for v in vecs]
 
     def fit(alpha):
-        values = _solve_unique_point(spec, alpha, budget)
+        values = _solve_unique_point(spec, alpha)
         consts = []
         for i in range(p):
             denom = Fraction(1)

@@ -83,10 +83,6 @@ class TermOrder:
                 parts.append(sub)
         return tuple(parts)
 
-    def is_global(self) -> bool:
-        """True if 1 is the smallest monomial (termination is unconditional)."""
-        return self.weight is None or all(w >= 0 for w in self.weight)
-
 
 def grlex(nvars) -> TermOrder:
     return TermOrder(nvars)

@@ -102,16 +102,6 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order >= self.truncation_order:
-            return self
-        keep = max(0, order - self.valuation)
-        return LaurentSeries(min(self.valuation, order), list(self.coeffs[:keep]), order)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k."""
-        return LaurentSeries(self.valuation + k, list(self.coeffs), self.truncation_order + k)
-
     def __neg__(self):
         return LaurentSeries(self.valuation, [-c for c in self.coeffs], self.truncation_order)
 

@@ -18,6 +18,7 @@ from .errors import AlphaNotOnHyperplane, NotInTropicalVariety
 from .groebner import (
     Ideal,
     InitialIdealEngine,
+    current_job,
     groebner_basis,
     homogeneity_space,
     saturate,
@@ -34,10 +35,6 @@ from .rings import Polynomial, dot
 
 class ConnectednessAssumed(UserWarning):
     """Boundary strata are assumed connected; this is not verified."""
-
-
-class BoundLimitedSearch(UserWarning):
-    """Ray search is exhaustive only within the given coordinate bound."""
 
 
 @dataclass(frozen=True)
@@ -122,10 +119,9 @@ class StratumModel:
 class TropicalEngine:
     """Caches per-ideal work (base Groebner basis, per-weight results)."""
 
-    def __init__(self, ideal: Ideal, budget=None):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self.budget = budget
-        self.engine = InitialIdealEngine(ideal, budget)
+        self.engine = InitialIdealEngine(ideal)
         self.nvars = ideal.nvars
         e = tuple(1 for _ in range(self.nvars))
         self.torus_monomial = Polynomial({e: Fraction(1)}, ideal.vars)
@@ -133,10 +129,19 @@ class TropicalEngine:
         self._contains = {}
         self._rigid = {}
 
+    @classmethod
+    def of(cls, ideal: Ideal) -> "TropicalEngine":
+        """The current job's engine for this ideal, made on first use."""
+        memo = current_job().memo
+        key = (cls, ideal.vars, ideal.gens)
+        if key not in memo:
+            memo[key] = cls(ideal)
+        return memo[key]
+
     def initial(self, w) -> Ideal:
         w = tuple(int(x) for x in w)
         if w not in self._initial:
-            self._initial[w] = self.engine.initial(w, self.budget)
+            self._initial[w] = self.engine.initial(w)
         return self._initial[w]
 
     def contains(self, w) -> bool:
@@ -149,8 +154,8 @@ class TropicalEngine:
         elif any(g.is_term() for g in J.gens):
             result = False
         else:
-            S = saturate(J, self.torus_monomial, self.budget)
-            result = not (S.gens and groebner_basis(S, budget=self.budget).is_unit)
+            S = saturate(J, self.torus_monomial)
+            result = not (S.gens and groebner_basis(S).is_unit)
         self._contains[w] = result
         return result
 
@@ -165,23 +170,23 @@ class TropicalEngine:
             # the full torus: no perturbation ever changes the initial ideal
             result = False
         else:
-            basis = homogeneity_space(J, self.budget)
+            basis = homogeneity_space(J)
             result = len(basis) == 1
         self._rigid[w] = result
         return result
 
 
-def trop_contains(ideal: Ideal, w, budget=None) -> bool:
+def trop_contains(ideal: Ideal, w) -> bool:
     """True iff the saturated initial ideal at w is proper."""
-    return TropicalEngine(ideal, budget).contains(w)
+    return TropicalEngine.of(ideal).contains(w)
 
 
-def is_rigid(ideal: Ideal, w, budget=None) -> bool:
+def is_rigid(ideal: Ideal, w) -> bool:
     """True iff the homogeneity space of init_w is exactly one line."""
-    return TropicalEngine(ideal, budget).is_rigid(w)
+    return TropicalEngine.of(ideal).is_rigid(w)
 
 
-def find_rigid_rays(ideal: Ideal, bound: int = 3, budget=None, engine=None):
+def find_rigid_rays(ideal: Ideal, bound: int = 3):
     """All rigid rays with coordinates in [-bound, bound], exhaustively.
 
     Only primitive vectors are tested; the result is labeled exhaustive
@@ -189,7 +194,7 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3, budget=None, engine=None):
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    eng = engine or TropicalEngine(ideal, budget)
+    eng = TropicalEngine.of(ideal)
     p = ideal.nvars
     warnings.warn(
         "rigidity assumes connected boundary strata (not verified)",
@@ -222,14 +227,14 @@ def _stratum_vars(p):
     return tuple(f"u{i}" for i in range(1, p))
 
 
-def stratum_model(ideal: Ideal, ray: Ray, budget=None, engine=None, variant=0) -> StratumModel:
+def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> StratumModel:
     """Quotient of V(init_w) by the one-parameter subgroup of the ray.
 
     A unimodular change of torus coordinates straightens the ray to e1;
     the initial ideal becomes homogeneous in the first new variable, which
     is then set to 1.
     """
-    eng = engine or TropicalEngine(ideal, budget)
+    eng = TropicalEngine.of(ideal)
     if not eng.contains(ray.v):
         raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
     J = eng.initial(ray.v)
@@ -251,18 +256,16 @@ def stratum_model(ideal: Ideal, ray: Ray, budget=None, engine=None, variant=0) -
     )
 
 
-def stratum_euler_char(
-    ideal: Ideal, ray: Ray, rng=None, budget=None, engine=None, variant=0
-) -> int:
+def stratum_euler_char(ideal: Ideal, ray: Ray, rng=None, variant=0) -> int:
     """Euler characteristic of the open boundary stratum of the ray,
     via the signed generic critical-point count on the stratum."""
     from .mle import torus_euler_characteristic
 
-    model = stratum_model(ideal, ray, budget, engine, variant)
-    return torus_euler_characteristic(model.ideal, rng=rng, budget=budget)
+    model = stratum_model(ideal, ray, variant)
+    return torus_euler_characteristic(model.ideal, rng=rng)
 
 
-def certify_escape_direction(ideal: Ideal, ray: Ray, alpha, rng=None, budget=None, engine=None) -> bool:
+def certify_escape_direction(ideal: Ideal, ray: Ray, alpha, rng=None) -> bool:
     """Certificate that the ray is an escape direction for generic data on
     its slope hyperplane: requires rigidity and a nonzero stratum Euler
     characteristic."""
@@ -271,23 +274,25 @@ def certify_escape_direction(ideal: Ideal, ray: Ray, alpha, rng=None, budget=Non
         raise AlphaNotOnHyperplane(
             f"data vector {alpha} is not orthogonal to the ray {ray.v}"
         )
-    eng = engine or TropicalEngine(ideal, budget)
+    eng = TropicalEngine.of(ideal)
     if not eng.contains(ray.v):
         raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
     if not eng.is_rigid(ray.v):
         return False
-    return stratum_euler_char(ideal, ray, rng=rng, budget=budget, engine=eng) != 0
+    return stratum_euler_char(ideal, ray, rng=rng) != 0
 
 
-def weighted_ray_sum(ideal: Ideal, rays, rng=None, budget=None, engine=None):
+def weighted_ray_sum(ideal: Ideal, rays, rng=None):
     """Sum of stratum Euler characteristics times ray vectors (reported,
     not asserted; vanishes in every worked example)."""
-    if not rays:
-        return tuple(0 for _ in range(ideal.nvars))
-    eng = engine or TropicalEngine(ideal, budget)
-    total = [0] * ideal.nvars
-    for ray in rays:
-        chi = stratum_euler_char(ideal, ray, rng=rng, budget=budget, engine=eng)
+    chis = [stratum_euler_char(ideal, ray, rng=rng) for ray in rays]
+    return ray_sum(ideal.nvars, rays, chis)
+
+
+def ray_sum(nvars: int, rays, weights):
+    """Sum of weights times ray vectors, in Z^nvars."""
+    total = [0] * nvars
+    for ray, weight in zip(rays, weights):
         for i, x in enumerate(ray.v):
-            total[i] += chi * x
+            total[i] += weight * x
     return tuple(total)

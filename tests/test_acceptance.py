@@ -17,7 +17,7 @@ from tropcrit.asymptotics import (
 )
 from tropcrit.bs_lct import BSFixture, bs_slope_intersection, facet_defining, lct_polytope
 from tropcrit.cli import JobConfig, load_spec, run_report
-from tropcrit.groebner import homogeneity_space
+from tropcrit.groebner import Job, homogeneity_space
 from tropcrit.linalg import rank
 from tropcrit.mle import critical_system, ml_degree, mle_closed_form, sample_alpha
 from tropcrit.rings import poly_parse
@@ -150,8 +150,9 @@ def test_acceptance_5_coin_model():
     with Timer(5, 30):
         spec = load_spec(fixture("coin_model.json"))
         ideal = spec.ideal
-        engine = TropicalEngine(ideal)
-        rays = find_rigid_rays(ideal, bound=2, engine=engine)
+        with Job():
+            engine = TropicalEngine.of(ideal)
+            rays = find_rigid_rays(ideal, bound=2)
         assert {r.v for r in rays} == COIN_RAYS
         assert all(engine.is_rigid(r.v) for r in rays)
         assert ml_degree(spec) == 1
@@ -178,13 +179,13 @@ def test_acceptance_6_conic_model():
     with Timer(6, 60):
         spec = load_spec(fixture("conic_model.json"))
         ideal = spec.to_ideal()
-        engine = TropicalEngine(ideal)
-        rays = find_rigid_rays(ideal, bound=2, engine=engine)
-        assert {r.v for r in rays} == CONIC_RAYS
-        assert ml_degree(spec) == 3
-        chi = stratum_euler_char(ideal, Ray((-1, -1, -2)), engine=engine)
-        assert chi == -2
-        assert weighted_ray_sum(ideal, rays, engine=engine) == (0, 0, 0)
+        with Job():
+            rays = find_rigid_rays(ideal, bound=2)
+            assert {r.v for r in rays} == CONIC_RAYS
+            assert ml_degree(spec) == 3
+            chi = stratum_euler_char(ideal, Ray((-1, -1, -2)))
+            assert chi == -2
+            assert weighted_ray_sum(ideal, rays) == (0, 0, 0)
 
 
 def test_acceptance_7_series_lift_conic():

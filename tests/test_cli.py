@@ -174,6 +174,37 @@ def test_exit_code_resource(capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_budget_bounds_the_whole_run(capsys):
+    # 100 steps cover each Groebner call of this run on its own, but not
+    # the run as a whole; a per-call limit, or saturations memoized by the
+    # first run and handed to the second, would let the second run finish
+    args = [
+        "asymptotics",
+        "--spec",
+        fixture("conic_model.json"),
+        "--bound",
+        "2",
+        "--curve",
+        fixture("conic_curve.json"),
+    ]
+    assert main(args) == EXIT_OK
+    assert main(args + ["--budget", "100"]) == EXIT_RESOURCE
+
+
+def test_non_essential_arrangement_rejected(capsys):
+    # three parallel lines x = 0, 1, 2 in the (x, y) plane
+    spec = json.dumps(
+        {
+            "kind": "arrangement",
+            "variables": ["x", "y"],
+            "matrix": [[1, 0, 0], [1, 0, -1], [1, 0, -2]],
+        }
+    )
+    for command in ("rigid-rays", "mle"):
+        assert main([command, "--spec", spec, "--bound", "1"]) == EXIT_PRECONDITION
+    assert "not essential" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(capsys, tmp_path):
     # lct on an ideal spec without discrepancies cannot proceed
     code = main(

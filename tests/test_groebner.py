@@ -7,6 +7,7 @@ from tropcrit.errors import NotZeroDimensional, ResourceBudgetExceeded
 from tropcrit.groebner import (
     Ideal,
     InitialIdealEngine,
+    Job,
     eliminate,
     groebner_basis,
     homogeneity_space,
@@ -295,5 +296,23 @@ def test_budget_abort():
         poly_parse("a*b+b*c+c*a", vars),
         poly_parse("a*b*c-1", vars),
     ]
-    with pytest.raises(ResourceBudgetExceeded):
-        groebner_basis(gens, budget=3)
+    with pytest.raises(ResourceBudgetExceeded), Job(3):
+        groebner_basis(gens)
+
+
+def test_job_budget_spans_calls():
+    # two runs that each fit under the limit exceed it together
+    vars = ("a", "b", "c")
+    gens = [
+        poly_parse("a+b+c", vars),
+        poly_parse("a*b+b*c+c*a", vars),
+        poly_parse("a*b*c-1", vars),
+    ]
+    with Job() as job:
+        groebner_basis(gens)
+    steps = job.steps
+    assert steps > 0
+    with Job(steps):
+        groebner_basis(gens)
+        with pytest.raises(ResourceBudgetExceeded):
+            groebner_basis(gens)

@@ -13,7 +13,7 @@ from models import (
     four_lines_ideal,
 )
 from tropcrit.errors import AlphaNotOnHyperplane, NotInTropicalVariety
-from tropcrit.groebner import Ideal, ideal_dimension, saturate
+from tropcrit.groebner import Ideal, Job, ideal_dimension, saturate
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
     Ray,
@@ -188,17 +188,17 @@ def test_stratum_euler_char_conic():
 
 def test_stratum_euler_char_four_lines_e1_zero():
     I = four_lines_ideal()
-    eng = TropicalEngine(I)
-    assert eng.contains((1, 0, 0, 0))
-    ray = Ray((1, 0, 0, 0), rigid=False)
-    assert stratum_euler_char(I, ray, engine=eng) == 0
+    with Job():
+        assert TropicalEngine.of(I).contains((1, 0, 0, 0))
+        ray = Ray((1, 0, 0, 0), rigid=False)
+        assert stratum_euler_char(I, ray) == 0
 
 
 def test_stratum_euler_char_coin_points():
     I = coin_ideal()
-    eng = TropicalEngine(I)
-    for v in COIN_RAYS:
-        assert stratum_euler_char(I, Ray(v), engine=eng) == 1
+    with Job():
+        for v in COIN_RAYS:
+            assert stratum_euler_char(I, Ray(v)) == 1
 
 
 def test_stratum_euler_char_unimodular_invariance():
