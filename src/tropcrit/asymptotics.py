@@ -300,14 +300,11 @@ def series_newton_lift(
     produce exact branches; floating seeds produce floating branches with
     a residual-based acceptance test.
     """
-    equations, ring = _substitute_curve(system, curve)
+    rescaled, ring, extra, valuations = _rescaled_system(system, curve, valuations)
     n = len(ring) - 1
     seed = tuple(seed)
     if len(seed) != n:
         raise ValueError(f"seed must give {n} leading coefficients")
-    valuations = tuple(valuations) if valuations else (0,) * n
-    if len(valuations) != n:
-        raise ValueError(f"valuations must cover all {n} unknowns")
     exact = all(isinstance(x, (int, Fraction)) for x in seed)
     if exact:
         seed = tuple(Fraction(x) for x in seed)
@@ -318,8 +315,6 @@ def series_newton_lift(
             ApproximateBranch,
             stacklevel=2,
         )
-    rescaled = _rescale(equations, ring, valuations)
-    extra = _rescaled_saturators(system, curve, ring, valuations)
     if not _layer_solved(rescaled, ring, seed, exact):
         # degenerate t = 0 layer: saturate by t before judging the seed
         rescaled = _saturated_equations(rescaled, ring, extra)
@@ -368,32 +363,37 @@ def _saturated_equations(equations, ring, extra=()):
     return gens
 
 
-def _rescaled_saturators(system, curve, ring, valuations):
-    """System saturators carried through the curve substitution and the
-    valuation rescaling (their vanishing loci are spurious)."""
-    out = []
+def _rescaled_system(system, curve, valuations):
+    """The curve-substituted system under the valuation ansatz.
+
+    Returns (rescaled equations, their ring, rescaled saturators,
+    valuations); the saturators are carried through the same
+    substitution and rescaling (their vanishing loci are spurious).
+    """
+    equations, ring = _substitute_curve(system, curve)
+    n = len(ring) - 1
+    valuations = tuple(valuations) if valuations else (0,) * n
+    if len(valuations) != n:
+        raise ValueError(f"valuations must cover all {n} unknowns")
+    mapping = {
+        s: c.extend_ring(ring) for s, c in zip(system.data_vars, curve.components)
+    }
+    extra = []
     for f in system.saturators:
-        if system.data_vars and set(f.vars) & set(system.data_vars):
-            mapping = {
-                s: c.extend_ring(ring)
-                for s, c in zip(system.data_vars, curve.components)
-            }
+        if set(f.vars) & set(system.data_vars):
             f = f.subs_polys(mapping)
         else:
             f = f.extend_ring(ring)
         [g] = _rescale([f], ring, valuations) or [None]
         if g is not None and not g.is_constant():
-            out.append(g)
-    return out
+            extra.append(g)
+    return _rescale(equations, ring, valuations), ring, extra, valuations
 
 
 def _t0_layer(system, curve, valuations):
     """The t = 0 layer of the saturated rescaled system, as polynomials in
     the unknowns; returns (layer, ring of the rescaled system)."""
-    equations, ring = _substitute_curve(system, curve)
-    valuations = tuple(valuations) if valuations else (0,) * (len(ring) - 1)
-    rescaled = _rescale(equations, ring, valuations)
-    extra = _rescaled_saturators(system, curve, ring, valuations)
+    rescaled, ring, extra, _ = _rescaled_system(system, curve, valuations)
     layer = []
     for g in _saturated_equations(rescaled, ring, extra):
         terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}

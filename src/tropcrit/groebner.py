@@ -5,6 +5,11 @@ weight vector is legal), block elimination orders, saturation, weighted
 initial ideals via single-variable homogenization, zero-dimensional degree
 counts through standard monomials, and homogeneity spaces.
 
+Weighted initial ideals look up the Groebner cones computed so far first
+(Mora and Robbiano's Groebner fan): every weight in one cone shares one
+reduced homogeneous basis, so Buchberger runs only for a weight outside
+every stored cone.
+
 Reduction steps are counted against the current ``Job``: ``with
 Job(limit):`` makes one step budget and one set of memo tables hold for
 everything run inside it.  Outside any ``with``, each entry point gets a
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
 from .linalg import mat_vec, nullspace, solve_linear
@@ -377,13 +383,17 @@ class InitialIdealEngine:
     """Computes init_w(I) for arbitrary integer weights (min convention).
 
     The base Groebner basis under a degree-compatible order is computed
-    once; per-weight work is one homogeneous Groebner run under the
-    negated-weight refinement followed by taking initial forms.
+    once.  Per weight, a lookup among the Groebner cones stored so far
+    comes first: a weight inside a stored cone reuses that cone's reduced
+    homogeneous basis, and a homogeneous Groebner run under the
+    negated-weight refinement happens only on a miss, storing a new cone.
+    Initial forms of the basis elements then give init_w(I).
     """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.nvars = ideal.nvars
+        self._cones = []
         if ideal.is_zero:
             self.base = None
             self.hgens = []
@@ -404,14 +414,55 @@ class InitialIdealEngine:
         order = TermOrder(
             self.nvars + 1, weight=tuple(-x for x in w) + (0,)
         )
+        cone = self._cone_of(w) or self._new_cone(order)
+        # the order _interreduce gives the basis under this weight
+        basis = sorted(cone.basis, key=lambda item: order.key(item[0]))
+        return Ideal([g.weight_initial(w) for _, g in basis], self.ideal.vars)
+
+    def _cone_of(self, w):
+        """The stored cone holding w, moved to the front of the list."""
+        for i, cone in enumerate(self._cones):
+            if cone.holds(w):
+                if i:
+                    self._cones.insert(0, self._cones.pop(i))
+                return cone
+        return None
+
+    def _new_cone(self, order):
         gh = _buchberger(list(self.hgens), order, current_job())
-        inits = []
-        for g in gh:
-            g1 = _dehomogenize(g, self.ideal.vars)
-            init = g1.weight_initial(w)
-            if not init.is_zero:
-                inits.append(init)
-        return Ideal(inits, self.ideal.vars)
+        cone = _GroebnerCone(gh, order, self.ideal.vars)
+        self._cones.insert(0, cone)
+        return cone
+
+
+class _GroebnerCone:
+    """A reduced homogeneous basis and the weights it serves.
+
+    The basis stays the reduced basis under the order of w exactly when
+    every element keeps its leading monomial m, i.e. when w.(e - m) > 0
+    for every other term e, or w.(e - m) = 0 and the degree-lex tie-break
+    still ranks m above e.  On homogeneous input equal leading monomials
+    make it the unique reduced basis of the new order.
+    """
+
+    __slots__ = ("strict", "weak", "basis")
+
+    def __init__(self, elements, order, vars):
+        self.strict = []
+        self.weak = []
+        self.basis = []
+        for g in elements:
+            m = g.leading(order)[0]
+            for e in g.terms:
+                if e != m:
+                    d = tuple(x - y for x, y in zip(e[:-1], m[:-1]))
+                    (self.weak if m > e else self.strict).append(d)
+            self.basis.append((m, _dehomogenize(g, vars)))
+
+    def holds(self, w) -> bool:
+        return all(sum(map(mul, w, d)) > 0 for d in self.strict) and all(
+            sum(map(mul, w, d)) >= 0 for d in self.weak
+        )
 
 
 def initial_ideal(ideal: Ideal, w) -> Ideal:

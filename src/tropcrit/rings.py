@@ -404,9 +404,10 @@ class Polynomial:
         """Initial form: the terms of minimal w-weight (min convention)."""
         if not self.terms:
             return self
-        m = min(dot(w, e) for e in self.terms)
+        weights = {e: dot(w, e) for e in self.terms}
+        m = min(weights.values())
         return Polynomial(
-            {e: c for e, c in self.terms.items() if dot(w, e) == m}, self.vars
+            {e: c for e, c in self.terms.items() if weights[e] == m}, self.vars
         )
 
     def apply_exponent_map(self, matrix) -> "Polynomial":

@@ -117,7 +117,14 @@ class StratumModel:
 
 
 class TropicalEngine:
-    """Caches per-ideal work (base Groebner basis, per-weight results)."""
+    """Caches per-ideal work: the base Groebner basis and Groebner cones
+    (in the initial-ideal engine), initial ideals per weight, and the
+    membership and rigidity results per initial ideal.
+
+    Membership and rigidity depend only on init_w(I), so weights whose
+    initial ideals agree (one face of one Groebner cone) share a single
+    saturation and a single homogeneity-space run.
+    """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
@@ -145,10 +152,9 @@ class TropicalEngine:
         return self._initial[w]
 
     def contains(self, w) -> bool:
-        w = tuple(int(x) for x in w)
-        if w in self._contains:
-            return self._contains[w]
         J = self.initial(w)
+        if J.gens in self._contains:
+            return self._contains[J.gens]
         if J.is_zero:
             result = True  # the full torus
         elif any(g.is_term() for g in J.gens):
@@ -156,23 +162,23 @@ class TropicalEngine:
         else:
             S = saturate(J, self.torus_monomial)
             result = not (S.gens and groebner_basis(S).is_unit)
-        self._contains[w] = result
+        self._contains[J.gens] = result
         return result
 
     def is_rigid(self, w) -> bool:
         w = tuple(int(x) for x in w)
-        if w in self._rigid:
-            return self._rigid[w]
         if not self.contains(w):
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
         J = self.initial(w)
+        if J.gens in self._rigid:
+            return self._rigid[J.gens]
         if J.is_zero:
             # the full torus: no perturbation ever changes the initial ideal
             result = False
         else:
             basis = homogeneity_space(J)
             result = len(basis) == 1
-        self._rigid[w] = result
+        self._rigid[J.gens] = result
         return result
 
 

@@ -12,9 +12,18 @@ from tropcrit.asymptotics import (
     valuation_vector,
 )
 from tropcrit.errors import TruncationTooShort
+from tropcrit.groebner import Job
 from tropcrit.mle import CriticalSystem, critical_system
 from tropcrit.rings import poly_parse
 from tropcrit.series import poly_eval_series
+
+
+@pytest.fixture(autouse=True, scope="module")
+def shared_job():
+    """One job for the whole module, so the tests share its memo tables:
+    the conic escaping-branch saturation is computed once."""
+    with Job() as job:
+        yield job
 
 
 def conic_system():

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from models import conic_ideal, five_lines_ideal, four_lines_ideal
 from tropcrit.errors import NotZeroDimensional, ResourceBudgetExceeded
 from tropcrit.groebner import (
     Ideal,
     InitialIdealEngine,
     Job,
+    _buchberger,
+    _dehomogenize,
     eliminate,
     groebner_basis,
     homogeneity_space,
@@ -143,6 +148,35 @@ def test_initial_ideal_of_nonmember_contains_monomial():
     J = initial_ideal(I, (1, 0, 0))
     S = saturate(J, poly_parse("t0*t1*t2", COIN))
     assert groebner_basis(S).is_unit if not S.is_zero else False
+
+
+@pytest.fixture(
+    scope="module",
+    params=[coin_ideal, conic_ideal, four_lines_ideal, five_lines_ideal],
+    ids=["coin", "conic", "four_lines_ideal", "five_lines"],
+)
+def cone_engine(request):
+    """One engine per ideal for all examples, so its cone cache fills up
+    and later weights are served from stored cones."""
+    return InitialIdealEngine(request.param())
+
+
+def _initial_by_fresh_run(eng, w):
+    """init_w(I) from a Buchberger run of its own, bypassing the cones."""
+    order = TermOrder(eng.nvars + 1, weight=tuple(-x for x in w) + (0,))
+    gh = _buchberger(list(eng.hgens), order, Job())
+    vars = eng.ideal.vars
+    return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_initial_from_cone_cache_matches_fresh_run(cone_engine, data):
+    coordinate = st.one_of(st.just(0), st.integers(-4, 4))
+    p = cone_engine.nvars
+    w = tuple(data.draw(st.lists(coordinate, min_size=p, max_size=p)))
+    assume(any(w))
+    assert cone_engine.initial(w).gens == _initial_by_fresh_run(cone_engine, w).gens
 
 
 # -- saturation ------------------------------------------------------------------

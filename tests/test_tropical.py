@@ -12,6 +12,7 @@ from models import (
     conic_ideal,
     four_lines_ideal,
 )
+from tropcrit import groebner, tropical
 from tropcrit.errors import AlphaNotOnHyperplane, NotInTropicalVariety
 from tropcrit.groebner import Ideal, Job, ideal_dimension, saturate
 from tropcrit.rings import Polynomial, poly_parse
@@ -97,6 +98,41 @@ def test_find_rigid_rays_zero_ideal_empty():
     # one-dimensional torus: the full homogeneity space must not be
     # mistaken for a one-dimensional one
     assert find_rigid_rays(Ideal([], ("t1",)), bound=2) == []
+
+
+def test_ray_search_runs_buchberger_once_per_cone(monkeypatch):
+    # weights in a stored Groebner cone reuse its basis, so a larger box
+    # meets no new cones (8 for this ideal) and runs no more Buchberger
+    runs = []
+    real = groebner._buchberger
+
+    def counting(gens, order, budget):
+        if order.weight is not None:
+            runs.append(order.weight)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    counts = []
+    for bound in (2, 4):
+        runs.clear()
+        with Job():
+            find_rigid_rays(four_lines_ideal(), bound=bound)
+        counts.append(len(runs))
+    assert 0 < counts[0] == counts[1]
+
+
+def test_contains_saturates_once_per_initial_ideal(monkeypatch):
+    saturated = []
+    real = tropical.saturate
+
+    def recording(ideal, f):
+        saturated.append(ideal.gens)
+        return real(ideal, f)
+
+    monkeypatch.setattr(tropical, "saturate", recording)
+    with Job():
+        find_rigid_rays(four_lines_ideal(), bound=3)
+    assert saturated and len(saturated) == len(set(saturated))
 
 
 def test_rays_recheck_independently():
