@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import mul
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
@@ -194,7 +195,14 @@ def _interreduce(polys, order, budget):
 
 def _buchberger(gens, order, budget):
     """Reduced Groebner basis of the generator list (sugar selection, both
-    Buchberger criteria, global step budget)."""
+    Buchberger criteria, global step budget).
+
+    Each pair is queued once, when its younger element joins the basis, in
+    a heap ordered by (sugar, order key of the lcm, i, j).  A pair's
+    selection data never changes, so the heap's minimum is the minimum
+    over all pending pairs.  The ``pending`` set only serves the chain
+    criterion.
+    """
     key = order.key
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -207,11 +215,18 @@ def _buchberger(gens, order, budget):
     lcs = []
     sugars = []
     pending = set()
+    queue = []
 
     def add(f, sugar):
         i = len(G)
         lt, lc = f.leading(order)
         for j in range(i):
+            lcm = mono_lcm(lts[j], lt)
+            pair_sugar = max(
+                sugars[j] + sum(mono_div(lcm, lts[j])),
+                sugar + sum(mono_div(lcm, lt)),
+            )
+            heappush(queue, (pair_sugar, key(lcm), j, i, lcm))
             pending.add((j, i))
         G.append(f)
         lts.append(lt)
@@ -230,24 +245,8 @@ def _buchberger(gens, order, budget):
                 return [Polynomial.constant(1, g.vars)]
             add(f.monic(order), s)
 
-    def pair_data(i, j):
-        lcm = mono_lcm(lts[i], lts[j])
-        sugar = max(
-            sugars[i] + sum(mono_div(lcm, lts[i])),
-            sugars[j] + sum(mono_div(lcm, lts[j])),
-        )
-        return sugar, key(lcm), lcm
-
-    while pending:
-        best = None
-        best_rank = None
-        for i, j in pending:
-            sugar, k, lcm = pair_data(i, j)
-            rank = (sugar, k, i, j)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = (i, j, lcm, sugar)
-        i, j, lcm, sugar = best
+    while queue:
+        sugar, _, i, j, lcm = heappop(queue)
         pending.discard((i, j))
         # product criterion
         if lcm == mono_mul(lts[i], lts[j]):

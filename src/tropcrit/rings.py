@@ -4,7 +4,8 @@ Monomials are plain int tuples (negative entries allowed for Laurent
 monomials).  Polynomials map exponent tuples to nonzero Fractions and are
 immutable after construction.  Term orders compare by an optional weight
 vector first (max convention, as used by the Groebner engine) and then by
-a fixed global tiebreak, degree-then-lexicographic on exponent tuples.
+a fixed global tiebreak, degree-then-lexicographic on exponent tuples;
+each order memoizes the keys of the monomials it has compared.
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ class TermOrder:
     genuine global order on homogeneous input, which is the only place the
     engine uses it.  ``blocks`` gives an elimination order: earlier blocks
     dominate, degree-then-lex within each block.
+
+    An order never changes after construction, so ``key`` computes each
+    monomial's key once and memoizes it for the life of the order.
     """
 
-    __slots__ = ("nvars", "weight", "blocks")
+    __slots__ = ("nvars", "weight", "blocks", "_keys")
 
     def __init__(self, nvars, weight=None, blocks=None):
         self.nvars = nvars
@@ -68,8 +72,13 @@ class TermOrder:
             if sorted(seen) != list(range(nvars)):
                 raise ValueError("blocks must partition the variables")
         self.blocks = blocks
+        self._keys = {}
 
     def key(self, e: Mono):
+        try:
+            return self._keys[e]
+        except KeyError:
+            pass
         parts = []
         if self.weight is not None:
             parts.append(dot(self.weight, e))
@@ -81,7 +90,8 @@ class TermOrder:
                 sub = tuple(e[i] for i in blk)
                 parts.append(sum(sub))
                 parts.append(sub)
-        return tuple(parts)
+        k = self._keys[e] = tuple(parts)
+        return k
 
 
 def grlex(nvars) -> TermOrder:

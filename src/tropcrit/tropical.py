@@ -123,7 +123,8 @@ class TropicalEngine:
 
     Membership and rigidity depend only on init_w(I), so weights whose
     initial ideals agree (one face of one Groebner cone) share a single
-    saturation and a single homogeneity-space run.
+    saturation and a single homogeneity-space run.  They are keyed by the
+    set of generators, whose listing order follows the weight's term order.
     """
 
     def __init__(self, ideal: Ideal):
@@ -153,8 +154,9 @@ class TropicalEngine:
 
     def contains(self, w) -> bool:
         J = self.initial(w)
-        if J.gens in self._contains:
-            return self._contains[J.gens]
+        gens = frozenset(J.gens)
+        if gens in self._contains:
+            return self._contains[gens]
         if J.is_zero:
             result = True  # the full torus
         elif any(g.is_term() for g in J.gens):
@@ -162,7 +164,7 @@ class TropicalEngine:
         else:
             S = saturate(J, self.torus_monomial)
             result = not (S.gens and groebner_basis(S).is_unit)
-        self._contains[J.gens] = result
+        self._contains[gens] = result
         return result
 
     def is_rigid(self, w) -> bool:
@@ -170,15 +172,16 @@ class TropicalEngine:
         if not self.contains(w):
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
         J = self.initial(w)
-        if J.gens in self._rigid:
-            return self._rigid[J.gens]
+        gens = frozenset(J.gens)
+        if gens in self._rigid:
+            return self._rigid[gens]
         if J.is_zero:
             # the full torus: no perturbation ever changes the initial ideal
             result = False
         else:
             basis = homogeneity_space(J)
             result = len(basis) == 1
-        self._rigid[J.gens] = result
+        self._rigid[gens] = result
         return result
 
 

@@ -191,6 +191,22 @@ def test_budget_bounds_the_whole_run(capsys):
     assert main(args + ["--budget", "100"]) == EXIT_RESOURCE
 
 
+def test_budget_boundary_is_the_exact_step_total(capsys):
+    # the run takes exactly 2,232 reduction steps; reducing other pairs,
+    # or the same pairs in another order, moves the boundary
+    args = [
+        "asymptotics",
+        "--spec",
+        fixture("conic_model.json"),
+        "--curve",
+        fixture("conic_curve.json"),
+        "--bound",
+        "2",
+    ]
+    assert main(args + ["--budget", "2232"]) == EXIT_OK
+    assert main(args + ["--budget", "2231"]) == EXIT_RESOURCE
+
+
 def test_non_essential_arrangement_rejected(capsys):
     # three parallel lines x = 0, 1, 2 in the (x, y) plane
     spec = json.dumps(

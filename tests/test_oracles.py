@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -17,7 +19,7 @@ from models import four_lines_arrangement
 from tropcrit.arrangement import Arrangement, chi_complement, intersection_lattice
 from tropcrit.groebner import Ideal, groebner_basis
 from tropcrit.mle import VarietySpec, ml_degree
-from tropcrit.rings import Polynomial, grlex
+from tropcrit.rings import Polynomial, TermOrder, grlex
 
 
 def to_sympy(poly, symbols):
@@ -77,6 +79,42 @@ def test_reduced_basis_matches_sympy_grlex():
             )
             assert list(mine.elements) == converted
         checked += 1
+
+
+_XYZ = ("x", "y", "z")
+_generated_poly = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
+    st.integers(-5, 5).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: Polynomial(terms, _XYZ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(_generated_poly, min_size=1, max_size=3),
+    orders=st.sampled_from(
+        [
+            (grlex(3), "grlex"),
+            (TermOrder(3, blocks=((0,), (1,), (2,))), "lex"),
+        ]
+    ),
+)
+def test_reduced_basis_matches_sympy_generated(gens, orders):
+    order, sympy_order = orders
+    symbols = sympy.symbols("x y z")
+    mine = groebner_basis(gens, order)
+    theirs = sympy.groebner(
+        [to_sympy(g, symbols) for g in gens], *symbols, order=sympy_order
+    )
+    if mine.is_unit:
+        assert list(theirs.exprs) == [1]
+    else:
+        converted = sorted(
+            (from_sympy(e, symbols, _XYZ).monic(order) for e in theirs.exprs),
+            key=lambda p: order.key(p.leading(order)[0]),
+        )
+        assert list(mine.elements) == converted
 
 
 def test_elimination_matches_sympy():
