@@ -345,20 +345,23 @@ def series_newton_lift(
 
 
 def _saturated_equations(equations, ring, extra=()):
-    """Generators of the t-(and unknown-)saturated ideal of the system,
-    memoized in the current job."""
+    """Generators of the system's ideal saturated by every variable of the
+    ring (unknowns, aux and t) and by the saturators in ``extra``,
+    memoized in the current job.
+
+    One saturation by the product of the ring's variables and the
+    non-monomial saturators does it, since (I : f^infty) : g^infty =
+    I : (fg)^infty; a monomial saturator adds no variable to the product.
+    """
     memo = current_job().memo
     key = (_saturated_equations, tuple(equations), ring, tuple(extra))
     if key in memo:
         return memo[key]
-    I = Ideal(list(equations), ring)
-    n = len(ring) - 1
-    I = saturate(I, Polynomial.variable(CURVE_VAR, ring))
-    for j in range(n):
-        I = saturate(I, Polynomial.variable(ring[j], ring))
+    product = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
     for f in extra:
-        I = saturate(I, f)
-    gens = list(I.gens)
+        if not f.is_term():
+            product = product * f
+    gens = list(saturate(Ideal(list(equations), ring), product).gens)
     memo[key] = gens
     return gens
 
@@ -419,9 +422,8 @@ def branch_seeds(
     if not layer:
         raise NotZeroDimensional("saturated system is trivial")
     unknown_ring = ring[:-1]
-    I0 = Ideal(layer, unknown_ring)
-    for name in unknown_ring:
-        I0 = saturate(I0, Polynomial.variable(name, unknown_ring))
+    torus = Polynomial({(1,) * len(unknown_ring): Fraction(1)}, unknown_ring)
+    I0 = saturate(Ideal(layer, unknown_ring), torus)
     if I0.is_zero:
         raise NotZeroDimensional("t=0 layer is not zero-dimensional")
     G = groebner_basis(I0)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .arrangement import Arrangement, matroid_connected
 from .errors import DimensionTooLarge, MissingDiscrepancy, NotIndecomposable
-from .linalg import rank, solve_linear
+from .linalg import rank, rref
 from .rings import dot
 from .tropical import SlopeHyperplane
 
@@ -111,6 +111,7 @@ class LCTPolytope:
     inequalities: list  # (normal tuple of ints, k Fraction)
     dimension: int
     _vertices: list | None = field(default=None, repr=False)
+    _rays: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for a, k in self.inequalities:
@@ -141,11 +142,7 @@ class LCTPolytope:
         rows = self.constraints()
         found = []
         for subset in combinations(range(len(rows)), p):
-            m = [rows[i][0] for i in subset]
-            if rank(m) < p:
-                continue
-            b = [rows[i][1] for i in subset]
-            x = solve_linear(m, b)
+            x = _unique_solution([rows[i][0] + [rows[i][1]] for i in subset])
             if x is None:
                 continue
             if all(dot(row, x) <= rhs for row, rhs in rows):
@@ -155,39 +152,35 @@ class LCTPolytope:
         self._vertices = sorted(found)
         return self._vertices
 
-    def recession_rays(self, face: int | None = None):
-        """Extreme rays of the recession cone (of the face cut by
-        inequality ``face``, if given), via the simplex cross-section."""
+    def recession_rays(self):
+        """Extreme rays of the recession cone, via the simplex
+        cross-section (entries summing to 1), computed once.
+
+        The recession cone of the face cut by a.s <= k is the face of this
+        cone cut out by a.d = 0, so its extreme rays are the rays here
+        with a.d = 0.
+        """
+        if self._rays is not None:
+            return self._rays
         p = self.dimension
         if p > MAX_VERTEX_DIM:
             raise DimensionTooLarge(
                 f"vertex enumeration is capped at dimension {MAX_VERTEX_DIM}"
             )
         rows = [row for row, _ in self.constraints()]
-        eqs = []
-        if face is not None:
-            eqs.append([Fraction(x) for x in self.inequalities[face][0]])
-        norm = [Fraction(1)] * p
+        norm = [Fraction(1)] * p + [Fraction(1)]
         found = []
-        need = p - 1 - len(eqs)
-        if need < 0:
-            return []
-        for subset in combinations(range(len(rows)), need):
-            m = [rows[i] for i in subset] + eqs + [norm]
-            if rank(m) < p:
-                continue
-            b = [Fraction(0)] * (p - 1) + [Fraction(1)]
-            d = solve_linear(m, b)
+        for subset in combinations(range(len(rows)), p - 1):
+            d = _unique_solution([rows[i] + [Fraction(0)] for i in subset] + [norm])
             if d is None:
                 continue
             if any(dot(row, d) > 0 for row in rows):
                 continue
-            if any(dot(e, d) != 0 for e in eqs):
-                continue
             pt = tuple(d)
             if pt not in found:
                 found.append(pt)
-        return sorted(found)
+        self._rays = sorted(found)
+        return self._rays
 
     def dim(self) -> int:
         verts = self.vertices()
@@ -197,6 +190,16 @@ class LCTPolytope:
         rows = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
         rows += [list(d) for d in self.recession_rays()]
         return rank(rows) if rows else 0
+
+
+def _unique_solution(augmented):
+    """The solution of a square system given as rows [A | b], or None when
+    A is singular: A is invertible exactly when the pivots are its
+    columns 0..p-1."""
+    red, pivots = rref(augmented)
+    if pivots != list(range(len(augmented))):
+        return None
+    return [row[-1] for row in red]
 
 
 def facet_defining(poly: LCTPolytope, which: int) -> bool:
@@ -212,7 +215,7 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
         return False
     v0 = on_face[0]
     rows = [[x - y for x, y in zip(v, v0)] for v in on_face[1:]]
-    rows += [list(d) for d in poly.recession_rays(face=which)]
+    rows += [list(d) for d in poly.recession_rays() if dot(a, d) == 0]
     face_dim = rank(rows) if rows else 0
     return face_dim == poly.dimension - 1
 

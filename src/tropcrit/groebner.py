@@ -490,22 +490,20 @@ def _saturate_single(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^infty); a monomial f is processed one variable at a time."""
+    """(I : f^infty) by one elimination of y from I + (1 - y*f).
+
+    A monomial f is replaced by the squarefree monomial of its support,
+    which has the same saturation; a constant f leaves I unchanged.
+    """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
     if ideal.is_zero:
         return ideal
     if f.is_term():
         ((e, _),) = f.terms.items()
-        J = ideal
-        for i, x in enumerate(e):
-            if x > 0:
-                J = _saturate_single(
-                    J, Polynomial.variable(ideal.vars[i], ideal.vars)
-                )
-                if J.is_zero:
-                    return J
-        return J
+        if not any(e):
+            return ideal
+        f = Polynomial({tuple(int(x > 0) for x in e): Fraction(1)}, f.vars)
     return _saturate_single(ideal, f)
 
 

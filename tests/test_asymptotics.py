@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from models import conic_spec, four_lines_spec
+from tropcrit import groebner
 from tropcrit.asymptotics import (
     DataCurve,
+    _rescaled_system,
+    _saturated_equations,
     branch_seeds,
     refine_seed_exact,
     series_newton_lift,
@@ -105,6 +108,26 @@ def test_conic_escaping_seeds():
     expected = sorted([float(A_EXACT), float((-9 - sqrt33()) / 24)])
     for got, want in zip(reals, expected):
         assert abs(got - want) < 1e-9
+
+
+def test_saturated_equations_is_one_groebner_run(monkeypatch):
+    # t, both unknowns and the three saturators in one saturation by their
+    # product: one run on a memo miss, where a chain takes 1 + 2 + 3
+    runs = []
+    real = groebner._buchberger
+
+    def counting(gens, order, budget):
+        runs.append(order)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    rescaled, ring, extra, _ = _rescaled_system(
+        conic_system(), conic_curve(), (-1, -1)
+    )
+    assert len(extra) == 3
+    with Job():
+        _saturated_equations(rescaled, ring, extra)
+    assert len(runs) == 1
 
 
 def test_conic_escaping_branch_leading_coefficients():

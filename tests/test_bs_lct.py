@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
@@ -22,6 +25,8 @@ from tropcrit.errors import (
     MissingDiscrepancy,
     NotIndecomposable,
 )
+from tropcrit.linalg import rank, solve_linear
+from tropcrit.rings import dot
 from tropcrit.tropical import Ray, SlopeHyperplane
 
 
@@ -223,3 +228,79 @@ def test_intersection_is_set_identity_with_nonneg_slopes():
         }
         expected = {h.normal for h in slopes if h.normal in nonneg_normals}
         assert {h.normal for h in report.intersection_with_sf} == expected
+
+
+def face_recession_rays(poly, face):
+    """Extreme rays of the recession cone of one face, enumerated on that
+    face alone: p - 2 tight constraints, a.d = 0 and entries summing to 1."""
+    p = poly.dimension
+    if p < 2:
+        return []
+    rows = [row for row, _ in poly.constraints()]
+    a = [Fraction(x) for x in poly.inequalities[face][0]]
+    norm = [Fraction(1)] * p
+    found = []
+    for subset in combinations(range(len(rows)), p - 2):
+        m = [rows[i] for i in subset] + [a, norm]
+        if rank(m) < p:
+            continue
+        d = solve_linear(m, [Fraction(0)] * (p - 1) + [Fraction(1)])
+        if any(dot(row, d) > 0 for row in rows) or dot(a, d) != 0:
+            continue
+        if tuple(d) not in found:
+            found.append(tuple(d))
+    return sorted(found)
+
+
+def rank_then_solve_vertices(poly):
+    """Vertices by a rank test, then an exact solve, per set of p
+    constraints."""
+    p = poly.dimension
+    rows = poly.constraints()
+    found = set()
+    for subset in combinations(range(len(rows)), p):
+        m = [rows[i][0] for i in subset]
+        if rank(m) < p:
+            continue
+        x = solve_linear(m, [rows[i][1] for i in subset])
+        if all(dot(row, x) <= rhs for row, rhs in rows):
+            found.add(tuple(x))
+    return sorted(found)
+
+
+def facet_by_face_enumeration(poly, which):
+    a, k = poly.inequalities[which]
+    on_face = [v for v in rank_then_solve_vertices(poly) if dot(a, v) == k]
+    if not on_face:
+        return False
+    rows = [[x - y for x, y in zip(v, on_face[0])] for v in on_face[1:]]
+    rows += [list(d) for d in face_recession_rays(poly, which)]
+    return (rank(rows) if rows else 0) == poly.dimension - 1
+
+
+@st.composite
+def nonneg_polytopes(draw):
+    p = draw(st.integers(2, 3))
+    normals = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, 2) for _ in range(p))).filter(any),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    ks = draw(st.lists(st.integers(1, 3), min_size=len(normals), max_size=len(normals)))
+    return LCTPolytope(
+        inequalities=[(a, Fraction(k)) for a, k in zip(normals, ks)], dimension=p
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly=nonneg_polytopes())
+def test_facet_defining_matches_per_face_enumeration(poly):
+    # the recession rays of a face are the polytope's rays with a.d = 0,
+    # so one enumeration, made once, serves every face
+    assert poly.vertices() == rank_then_solve_vertices(poly)
+    for which in range(len(poly.inequalities)):
+        assert facet_defining(poly, which) == facet_by_face_enumeration(poly, which)
+    assert poly.recession_rays() is poly.recession_rays()

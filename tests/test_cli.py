@@ -192,8 +192,9 @@ def test_budget_bounds_the_whole_run(capsys):
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
-    # the run takes exactly 2,232 reduction steps; reducing other pairs,
-    # or the same pairs in another order, moves the boundary
+    # the run takes exactly 985 reduction steps, with each saturation one
+    # Groebner run; reducing other pairs, or the same pairs in another
+    # order, or saturating by a chain of runs, moves the boundary
     args = [
         "asymptotics",
         "--spec",
@@ -203,8 +204,8 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
         "--bound",
         "2",
     ]
-    assert main(args + ["--budget", "2232"]) == EXIT_OK
-    assert main(args + ["--budget", "2231"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "985"]) == EXIT_OK
+    assert main(args + ["--budget", "984"]) == EXIT_RESOURCE
 
 
 def test_non_essential_arrangement_rejected(capsys):

@@ -214,6 +214,23 @@ def test_saturate_idempotent():
     assert ideal_equal(S1, S2)
 
 
+def test_monomial_saturation_is_one_groebner_run(monkeypatch):
+    # I : (x*y*z^2)^infty = I : (x*y*z)^infty in one elimination, not one
+    # per variable of the support
+    runs = []
+    real = groebner._buchberger
+
+    def counting(gens, order, budget):
+        runs.append(order)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    vars = ("x", "y", "z")
+    I = Ideal([poly_parse("x^2*y-x*z", vars), poly_parse("y*z^2-x", vars)])
+    saturate(I, poly_parse("x*y*z^2", vars))
+    assert len(runs) == 1
+
+
 # -- elimination -------------------------------------------------------------------
 
 

@@ -10,15 +10,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from models import four_lines_arrangement
+from models import CONIC_RAYS, conic_spec, four_lines_arrangement
 from tropcrit.arrangement import Arrangement, chi_complement, intersection_lattice
-from tropcrit.groebner import Ideal, groebner_basis
-from tropcrit.mle import VarietySpec, ml_degree
+from tropcrit.asymptotics import (
+    DataCurve,
+    _rescaled_system,
+    _saturated_equations,
+)
+from tropcrit.groebner import Ideal, Job, _saturate_single, groebner_basis, saturate
+from tropcrit.mle import VarietySpec, critical_system, ml_degree
 from tropcrit.rings import Polynomial, TermOrder, grlex
 
 
@@ -115,6 +120,80 @@ def test_reduced_basis_matches_sympy_generated(gens, orders):
             key=lambda p: order.key(p.leading(order)[0]),
         )
         assert list(mine.elements) == converted
+
+
+def chain_saturation(ideal, f):
+    """I : f^infty with a monomial f taken one variable at a time: one
+    elimination per variable of its support."""
+    if not f.is_term():
+        return _saturate_single(ideal, f)
+    ((e, _),) = f.terms.items()
+    for name, x in zip(ideal.vars, e):
+        if x:
+            ideal = _saturate_single(ideal, Polynomial.variable(name, ideal.vars))
+    return ideal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(_generated_poly, min_size=1, max_size=3),
+    exponents=st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
+)
+def test_saturate_matches_chain_and_sympy_generated(gens, exponents):
+    ideal = Ideal(gens, _XYZ)
+    m = Polynomial({exponents: 1}, _XYZ)
+    mine = saturate(ideal, m)
+    assert mine.gens == chain_saturation(ideal, m).gens
+    # sympy: eliminate a tag variable from I + (1 - tag*m)
+    symbols = sympy.symbols("x y z")
+    tag = sympy.Symbol("tag")
+    elim = sympy.groebner(
+        [to_sympy(g, symbols) for g in ideal.gens] + [1 - tag * to_sympy(m, symbols)],
+        tag,
+        *symbols,
+        order="lex",
+    )
+    kept = [e for e in elim.exprs if tag not in e.free_symbols]
+    theirs = sympy.groebner(kept, *symbols, order="grlex")
+    basis = groebner_basis(mine)
+    if basis.is_unit:
+        assert list(theirs.exprs) == [1]
+    else:
+        order = grlex(3)
+        converted = sorted(
+            (from_sympy(e, symbols, _XYZ).monic(order) for e in theirs.exprs),
+            key=lambda p: order.key(p.leading(order)[0]),
+        )
+        assert list(basis.elements) == converted
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    ray=st.sampled_from(sorted(CONIC_RAYS)),
+    value=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    velocity=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_saturated_equations_match_chain_on_generated_conic_curves(
+    ray, value, velocity
+):
+    # a linear data curve entering the ray's slope hyperplane at t = 0,
+    # under the valuation ansatz of the ray (the coordinates t1, t2 are the
+    # unknowns x, y of the conic parametrization)
+    assume(sum(a * b for a, b in zip(velocity, ray)) != 0)
+    pivot = next(i for i, x in enumerate(ray) if x)
+    value = [Fraction(a) for a in value]
+    value[pivot] = -sum(value[i] * ray[i] for i in range(3) if i != pivot) / ray[pivot]
+    curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
+    system = critical_system(conic_spec(), None)
+    rescaled, ring, extra, _ = _rescaled_system(system, curve, ray[:2])
+    # the chain: t, then every unknown, then every saturator
+    chain = Ideal(rescaled, ring)
+    for name in ring[-1:] + ring[:-1]:
+        chain = chain_saturation(chain, Polynomial.variable(name, ring))
+    for f in extra:
+        chain = chain_saturation(chain, f)
+    with Job():
+        assert _saturated_equations(rescaled, ring, extra) == list(chain.gens)
 
 
 def test_elimination_matches_sympy():
