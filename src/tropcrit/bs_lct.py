@@ -7,7 +7,8 @@ fixtures for comparison; no D-module computation happens here.
 
 The LCT polytope collects inequalities a.s <= k over nonnegative rays
 (s >= 0 implied); facets are detected by exhaustive vertex enumeration
-with exact arithmetic.
+with exact arithmetic, and the recession rays, unit vectors off the
+normals' supports, come in closed form.
 """
 
 from __future__ import annotations
@@ -153,33 +154,24 @@ class LCTPolytope:
         return self._vertices
 
     def recession_rays(self):
-        """Extreme rays of the recession cone, via the simplex
-        cross-section (entries summing to 1), computed once.
+        """Extreme rays of the recession cone {d >= 0 : a.d <= 0}, computed
+        once.
 
-        The recession cone of the face cut by a.s <= k is the face of this
-        cone cut out by a.d = 0, so its extreme rays are the rays here
-        with a.d = 0.
+        The normals are nonnegative, so a.d <= 0 forces d_j = 0 on the
+        support of a: the cone is the orthant face spanned by the unit
+        vectors e_j with j outside every normal's support.  These rays
+        have a.d = 0 for every inequality, so they are also the recession
+        rays of every face.
         """
         if self._rays is not None:
             return self._rays
         p = self.dimension
-        if p > MAX_VERTEX_DIM:
-            raise DimensionTooLarge(
-                f"vertex enumeration is capped at dimension {MAX_VERTEX_DIM}"
-            )
-        rows = [row for row, _ in self.constraints()]
-        norm = [Fraction(1)] * p + [Fraction(1)]
-        found = []
-        for subset in combinations(range(len(rows)), p - 1):
-            d = _unique_solution([rows[i] + [Fraction(0)] for i in subset] + [norm])
-            if d is None:
-                continue
-            if any(dot(row, d) > 0 for row in rows):
-                continue
-            pt = tuple(d)
-            if pt not in found:
-                found.append(pt)
-        self._rays = sorted(found)
+        used = {j for a, _ in self.inequalities for j, x in enumerate(a) if x}
+        self._rays = sorted(
+            tuple(Fraction(int(i == j)) for i in range(p))
+            for j in range(p)
+            if j not in used
+        )
         return self._rays
 
     def dim(self) -> int:
@@ -205,8 +197,9 @@ def _unique_solution(augmented):
 def facet_defining(poly: LCTPolytope, which: int) -> bool:
     """Is the face cut by inequality ``which`` of affine dimension p-1?
 
-    Unbounded faces contribute their recession directions to the affine
-    hull; every nonempty face of this pointed polyhedron has a vertex.
+    Unbounded faces contribute their recession directions, the
+    polytope's recession rays, to the affine hull; every nonempty face of
+    this pointed polyhedron has a vertex.
     """
     a, k = poly.inequalities[which]
     verts = poly.vertices()
@@ -215,7 +208,7 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
         return False
     v0 = on_face[0]
     rows = [[x - y for x, y in zip(v, v0)] for v in on_face[1:]]
-    rows += [list(d) for d in poly.recession_rays() if dot(a, d) == 0]
+    rows += [list(d) for d in poly.recession_rays()]
     face_dim = rank(rows) if rows else 0
     return face_dim == poly.dimension - 1
 

@@ -1,5 +1,10 @@
 """Buchberger-based Groebner engine over the rationals.
 
+The kernel computes over the integers: polynomials are kept primitive
+over Z and reduced by pseudo-division, and ``Fraction`` appears only at
+its boundary, in the monic reduced bases it returns and the exact
+remainders of ``GroebnerBasis.normal_form``.
+
 Supports weight-refined orders (used on homogenized input only, where any
 weight vector is legal), block elimination orders, saturation, weighted
 initial ideals via single-variable homogenization, zero-dimensional degree
@@ -22,6 +27,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from operator import mul
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
@@ -113,28 +119,64 @@ def current_job() -> Job:
     return _CURRENT_JOB.get() or Job()
 
 
+def _integral(terms):
+    """(integer terms, d): the coefficients times their common
+    denominator d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _primitive(terms, lt):
+    """Integer terms divided by their content, signed so that the
+    coefficient of the leading monomial ``lt`` is positive."""
+    g = gcd(*terms.values())
+    if terms[lt] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {e: c // g for e, c in terms.items()}
+
+
 def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
-    """Multivariate division; returns (remainder dict, sugar of result)."""
+    """Multivariate division over Z by pseudo-division.
+
+    ``terms`` and the ``reducers`` map monomials to ints, and ``lcs`` holds
+    the reducers' leading coefficients.  To cancel a term c*m by a reducer
+    g with leading coefficient a, the pending terms and the remainder are
+    scaled by a/h, h = gcd(a, c), and (c/h)*q*g is subtracted.  Returns
+    (remainder, sugar of the result, multiplier), where the multiplier is
+    the product of the scalings: remainder / multiplier is the remainder
+    of the same division over Q, which takes the same steps.
+    """
     key = order.key
     p = dict(terms)
     r = {}
+    mult = 1
     while p:
         m = max(p, key=key)
         c = p.pop(m)
-        for i, g in enumerate(reducers):
-            if mono_divides(lts[i], m):
+        for i, lt in enumerate(lts):
+            if mono_divides(lt, m):
                 budget.tick()
-                q = mono_div(m, lts[i])
-                f = c / lcs[i]
+                a = lcs[i]
+                h = gcd(a, c)
+                if h != a:
+                    k = a // h
+                    mult *= k
+                    p = {e: x * k for e, x in p.items()}
+                    if r:
+                        r = {e: x * k for e, x in r.items()}
+                f = c // h
+                q = mono_div(m, lt)
                 if sugar is not None:
                     sugar = max(sugar, sugars[i] + sum(q))
                 # subtracted terms are order-smaller than m, so they can
                 # only collide with entries still in p, never with r
-                for e, gc in g.terms.items():
-                    if e == lts[i]:
+                for e, gc in reducers[i].items():
+                    if e == lt:
                         continue
                     me = mono_mul(e, q)
-                    s = p.get(me, Fraction(0)) - f * gc
+                    s = p.get(me, 0) - f * gc
                     if s:
                         p[me] = s
                     else:
@@ -142,29 +184,23 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
                 break
         else:
             r[m] = c
-    return r, sugar
+    return r, sugar, mult
 
 
-def _nf_poly(f, reducers, lts, lcs, order, budget):
-    terms, _ = _reduce_terms(f.terms, reducers, lts, lcs, None, order, budget)
-    out = Polynomial.__new__(Polynomial)
-    out.terms = terms
-    out.vars = f.vars
-    return out
+def _interreduce(polys, vars, order, budget):
+    """Minimal then tail-reduced basis, canonically sorted.
 
-
-def _interreduce(polys, order, budget):
-    """Minimal then tail-reduced monic basis, canonically sorted.
-
-    Domination is checked in both directions: under a weight-refined
-    order a divisor monomial need not be order-smaller.
+    Takes primitive integer term dicts and emits monic Fraction
+    polynomials over ``vars``.  Domination is checked in both directions:
+    under a weight-refined order a divisor monomial need not be
+    order-smaller.
     """
     key = order.key
-    polys = [p for p in polys if not p.is_zero]
+    polys = [p for p in polys if p]
     if not polys:
         return []
-    polys.sort(key=lambda p: key(p.leading(order)[0]))
-    all_lts = [p.leading(order)[0] for p in polys]
+    polys.sort(key=lambda p: key(max(p, key=key)))
+    all_lts = [max(p, key=key) for p in polys]
     minimal = []
     lts = []
     for i, p in enumerate(polys):
@@ -180,15 +216,19 @@ def _interreduce(polys, order, budget):
         if not dominated:
             minimal.append(p)
             lts.append(all_lts[i])
-    lcs = [p.leading(order)[1] for p in minimal]
+    lcs = [p[lt] for p, lt in zip(minimal, lts)]
     result = []
     for i, p in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         olts = lts[:i] + lts[i + 1 :]
         olcs = lcs[:i] + lcs[i + 1 :]
-        r = _nf_poly(p, others, olts, olcs, order, budget)
-        if not r.is_zero:
-            result.append(r.monic(order))
+        r, _, _ = _reduce_terms(p, others, olts, olcs, None, order, budget)
+        # no other leading monomial divides lts[i], so it leads r too
+        a = r[lts[i]]
+        out = Polynomial.__new__(Polynomial)
+        out.terms = {e: Fraction(c, a) for e, c in r.items()}
+        out.vars = vars
+        result.append(out)
     result.sort(key=lambda p: key(p.leading(order)[0]))
     return result
 
@@ -196,6 +236,14 @@ def _interreduce(polys, order, budget):
 def _buchberger(gens, order, budget):
     """Reduced Groebner basis of the generator list (sugar selection, both
     Buchberger criteria, global step budget).
+
+    The kernel runs on primitive integer term dicts: each generator is
+    cleared of denominators and divided by its content, S-polynomials
+    cross-multiply the leading coefficients, and a remainder joins the
+    basis after its content is divided out.  These are scalar multiples
+    of the polynomials a kernel over Q would hold, so the same pairs are
+    reduced by the same reducers in the same order; ``_interreduce``
+    returns monic Fraction polynomials.
 
     Each pair is queued once, when its younger element joins the basis, in
     a heap ordered by (sugar, order key of the lcm, i, j).  A pair's
@@ -207,9 +255,11 @@ def _buchberger(gens, order, budget):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
+    vars = gens[0].vars
     for g in gens:
         if g.is_constant():
-            return [Polynomial.constant(1, g.vars)]
+            return [Polynomial.constant(1, vars)]
+    one = (0,) * len(vars)
     G = []
     lts = []
     lcs = []
@@ -217,46 +267,47 @@ def _buchberger(gens, order, budget):
     pending = set()
     queue = []
 
-    def add(f, sugar):
+    def add(r, sugar):
+        """False when the remainder r is a constant (the unit ideal)."""
+        if len(r) == 1 and one in r:
+            return False
+        lt = max(r, key=key)
+        f = _primitive(r, lt)
         i = len(G)
-        lt, lc = f.leading(order)
         for j in range(i):
-            lcm = mono_lcm(lts[j], lt)
+            lcm_ = mono_lcm(lts[j], lt)
             pair_sugar = max(
-                sugars[j] + sum(mono_div(lcm, lts[j])),
-                sugar + sum(mono_div(lcm, lt)),
+                sugars[j] + sum(mono_div(lcm_, lts[j])),
+                sugar + sum(mono_div(lcm_, lt)),
             )
-            heappush(queue, (pair_sugar, key(lcm), j, i, lcm))
+            heappush(queue, (pair_sugar, key(lcm_), j, i, lcm_))
             pending.add((j, i))
         G.append(f)
         lts.append(lt)
-        lcs.append(lc)
+        lcs.append(f[lt])
         sugars.append(sugar)
+        return True
 
     for g in sorted(gens, key=lambda p: key(p.leading(order)[0])):
-        r, s = _reduce_terms(
-            g.terms, G, lts, lcs, sugars, order, budget, sugar=g.total_degree()
+        r, s, _ = _reduce_terms(
+            _integral(g.terms)[0], G, lts, lcs, sugars, order, budget,
+            sugar=g.total_degree(),
         )
-        if r:
-            f = Polynomial.__new__(Polynomial)
-            f.terms = r
-            f.vars = g.vars
-            if f.is_constant():
-                return [Polynomial.constant(1, g.vars)]
-            add(f.monic(order), s)
+        if r and not add(r, s):
+            return [Polynomial.constant(1, vars)]
 
     while queue:
-        sugar, _, i, j, lcm = heappop(queue)
+        sugar, _, i, j, lcm_ = heappop(queue)
         pending.discard((i, j))
         # product criterion
-        if lcm == mono_mul(lts[i], lts[j]):
+        if lcm_ == mono_mul(lts[i], lts[j]):
             continue
         # chain criterion
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if mono_divides(lts[k], lcm):
+            if mono_divides(lts[k], lcm_):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -264,47 +315,46 @@ def _buchberger(gens, order, budget):
                     break
         if skip:
             continue
-        fi, fj = G[i], G[j]
-        s_terms = {}
-        qi = mono_div(lcm, lts[i])
-        qj = mono_div(lcm, lts[j])
-        inv_i = Fraction(1) / lcs[i]
-        inv_j = Fraction(1) / lcs[j]
-        for e, c in fi.terms.items():
-            me = mono_mul(e, qi)
-            s_terms[me] = s_terms.get(me, Fraction(0)) + c * inv_i
-        for e, c in fj.terms.items():
+        # S-polynomial (lc_j/h) qi fi - (lc_i/h) qj fj, h = gcd(lc_i, lc_j)
+        h = gcd(lcs[i], lcs[j])
+        ci = lcs[j] // h
+        cj = lcs[i] // h
+        qi = mono_div(lcm_, lts[i])
+        qj = mono_div(lcm_, lts[j])
+        s_terms = {mono_mul(e, qi): c * ci for e, c in G[i].items()}
+        for e, c in G[j].items():
             me = mono_mul(e, qj)
-            s = s_terms.get(me, Fraction(0)) - c * inv_j
+            s = s_terms.get(me, 0) - c * cj
             if s:
                 s_terms[me] = s
             else:
                 s_terms.pop(me, None)
         budget.tick()
-        r, s_sugar = _reduce_terms(
+        r, s_sugar, _ = _reduce_terms(
             s_terms, G, lts, lcs, sugars, order, budget, sugar=sugar
         )
-        if r:
-            f = Polynomial.__new__(Polynomial)
-            f.terms = r
-            f.vars = gens[0].vars
-            if f.is_constant():
-                return [Polynomial.constant(1, gens[0].vars)]
-            add(f.monic(order), s_sugar)
-    return _interreduce(G, order, budget)
+        if r and not add(r, s_sugar):
+            return [Polynomial.constant(1, vars)]
+    return _interreduce(G, vars, order, budget)
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with its order; membership via normal_form."""
+    """Reduced Groebner basis with its order; membership via normal_form.
 
-    __slots__ = ("order", "elements", "reduced", "_lts", "_lcs")
+    The elements are monic Fraction polynomials.  Cleared of denominators,
+    a monic polynomial is primitive over Z with a positive leading
+    coefficient; these integer reducers are made once, here.
+    """
+
+    __slots__ = ("order", "elements", "reduced", "_lts", "_reducers", "_lcs")
 
     def __init__(self, elements, order, reduced=True):
         self.order = order
         self.elements = tuple(elements)
         self.reduced = reduced
         self._lts = [g.leading(order)[0] for g in self.elements]
-        self._lcs = [g.leading(order)[1] for g in self.elements]
+        self._reducers = [_integral(g.terms)[0] for g in self.elements]
+        self._lcs = [g[lt] for g, lt in zip(self._reducers, self._lts)]
 
     @property
     def is_unit(self) -> bool:
@@ -315,9 +365,22 @@ class GroebnerBasis:
         return list(self._lts)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return _nf_poly(
-            f, self.elements, self._lts, self._lcs, self.order, current_job()
+        """Remainder of f on division by the basis, exact over Q.
+
+        f is cleared of denominators and divided over Z by the integer
+        reducers; the remainder is then divided by that denominator and by
+        the division's multiplier.
+        """
+        terms, d = _integral(f.terms)
+        r, _, mult = _reduce_terms(
+            terms, self._reducers, self._lts, self._lcs, None, self.order,
+            current_job(),
         )
+        d *= mult
+        out = Polynomial.__new__(Polynomial)
+        out.terms = {e: Fraction(c, d) for e, c in r.items()}
+        out.vars = f.vars
+        return out
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -503,7 +566,7 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         ((e, _),) = f.terms.items()
         if not any(e):
             return ideal
-        f = Polynomial({tuple(int(x > 0) for x in e): Fraction(1)}, f.vars)
+        f = Polynomial({tuple(int(x != 0) for x in e): Fraction(1)}, f.vars)
     return _saturate_single(ideal, f)
 
 

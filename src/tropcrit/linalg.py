@@ -1,39 +1,72 @@
-"""Exact linear algebra over the rationals and integer lattice utilities."""
+"""Exact linear algebra over the rationals and integer lattice utilities.
+
+``rref``, and with it rank, nullspace, solve and inverse, eliminates
+fraction-free on primitive integer rows and returns Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+_ZERO = Fraction(0)
+
+
+def _integer_row(row):
+    """A row of exact numbers (ints, Fractions, floats) times the lcm of
+    its denominators."""
+    ratios = [x.as_integer_ratio() for x in row]
+    d = lcm(*(q for _, q in ratios))
+    return [n * (d // q) for n, q in ratios]
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = _frac_rows(rows)
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Fraction-free: the rows (ints, Fractions or floats, taken exactly) are
+    scaled to primitive integer rows first.  Clearing entry x of row i
+    against pivot a of row r replaces row i by (a/h) row_i - (x/h) row_r,
+    h = gcd(a, x), and divides out its content.  Each pivot row is divided
+    by its pivot once, at the end, into Fractions; the result is the unique
+    reduced form.
+    """
+    m = [_primitive(_integer_row(row)) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        a = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            x = m[i][c]
+            if i != r and x:
+                h = gcd(a, x)
+                ai, xi = a // h, x // h
+                m[i] = _primitive([ai * u - xi * v for u, v in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    # rows past the last pivot row are zero
+    out = [
+        [Fraction(x, row[c]) if x else _ZERO for x in row]
+        for row, c in zip(m, pivots)
+    ]
+    out += [[_ZERO] * ncols for _ in range(len(m) - r)]
+    return out, pivots
 
 
 def rank(rows) -> int:
@@ -77,7 +110,9 @@ def solve_linear(rows, rhs):
 def inverse(rows):
     """Exact inverse, or None if singular."""
     n = len(rows)
-    aug = [list(_frac_rows([row])[0]) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)
+    ]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

@@ -304,3 +304,26 @@ def test_facet_defining_matches_per_face_enumeration(poly):
     for which in range(len(poly.inequalities)):
         assert facet_defining(poly, which) == facet_by_face_enumeration(poly, which)
     assert poly.recession_rays() is poly.recession_rays()
+
+
+def enumerated_recession_rays(poly):
+    """Extreme rays of the recession cone through the simplex
+    cross-section: p - 1 tight constraints and entries summing to 1."""
+    p = poly.dimension
+    rows = [row for row, _ in poly.constraints()]
+    norm = [Fraction(1)] * p
+    found = set()
+    for subset in combinations(range(len(rows)), p - 1):
+        m = [rows[i] for i in subset] + [norm]
+        if rank(m) < p:
+            continue
+        d = solve_linear(m, [Fraction(0)] * (p - 1) + [Fraction(1)])
+        if all(dot(row, d) <= 0 for row in rows):
+            found.add(tuple(d))
+    return sorted(found)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly=nonneg_polytopes())
+def test_recession_rays_closed_form_matches_enumeration(poly):
+    assert poly.recession_rays() == enumerated_recession_rays(poly)

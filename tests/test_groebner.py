@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -214,6 +216,15 @@ def test_saturate_idempotent():
     assert ideal_equal(S1, S2)
 
 
+def test_saturate_by_laurent_monomial_uses_its_support():
+    # a negative exponent still puts its variable in the support
+    vars = ("x", "y")
+    I = Ideal([poly_parse("x*y-x", vars)])
+    for e in [(1, 0), (-1, 0), (-1, 1)]:
+        S = saturate(I, Polynomial({e: 1}, vars))
+        assert list(S.gens) == [poly_parse("y-1", vars)]
+
+
 def test_monomial_saturation_is_one_groebner_run(monkeypatch):
     # I : (x*y*z^2)^infty = I : (x*y*z)^infty in one elimination, not one
     # per variable of the support
@@ -386,3 +397,41 @@ def test_job_budget_spans_calls():
         groebner_basis(gens)
         with pytest.raises(ResourceBudgetExceeded):
             groebner_basis(gens)
+
+
+_XYZ = ("x", "y", "z")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(
+        st.tuples(
+            st.integers(1, 6),
+            st.dictionaries(
+                st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
+                st.integers(-5, 5).filter(bool),
+                min_size=1,
+                max_size=3,
+            ),
+        ).map(lambda ft: Polynomial({e: ft[0] * c for e, c in ft[1].items()}, _XYZ)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_kernel_basis_is_primitive_over_z(gens):
+    # every polynomial the kernel keeps, generators with a common factor
+    # included, has coprime integer coefficients and a positive leading one
+    kept = []
+    real = groebner._interreduce
+
+    def spy(polys, *args):
+        kept.extend(polys)
+        return real(polys, *args)
+
+    order = TermOrder(3)
+    with patch.object(groebner, "_interreduce", spy):
+        groebner_basis(gens, order)
+    for p in kept:
+        assert all(type(c) is int for c in p.values())
+        assert math.gcd(*p.values()) == 1
+        assert p[max(p, key=order.key)] > 0

@@ -122,6 +122,50 @@ def test_reduced_basis_matches_sympy_generated(gens, orders):
         assert list(mine.elements) == converted
 
 
+def _generated_rational_poly(max_terms, max_exp):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exp) for _ in _XYZ)),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)),
+        min_size=1,
+        max_size=max_terms,
+    ).map(lambda terms: Polynomial(terms, _XYZ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(_generated_rational_poly(3, 2), min_size=1, max_size=3),
+    orders=st.sampled_from(
+        [
+            (grlex(3), "grlex"),
+            (TermOrder(3, blocks=((0,), (1,), (2,))), "lex"),
+        ]
+    ),
+    f=_generated_rational_poly(6, 3),
+)
+def test_rational_basis_and_normal_form_match_sympy_generated(gens, orders, f):
+    # the integer kernel on rational input: the same monic reduced basis
+    # as sympy over QQ, and the same exact remainder, unscaled
+    order, sympy_order = orders
+    symbols = sympy.symbols("x y z")
+    mine = groebner_basis(gens, order)
+    theirs = sympy.groebner(
+        [to_sympy(g, symbols) for g in gens],
+        *symbols,
+        order=sympy_order,
+        domain="QQ",
+    )
+    if mine.is_unit:
+        assert list(theirs.exprs) == [1]
+    else:
+        converted = sorted(
+            (from_sympy(e, symbols, _XYZ) for e in theirs.exprs),
+            key=lambda p: order.key(p.leading(order)[0]),
+        )
+        assert list(mine.elements) == converted
+    _, remainder = theirs.reduce(to_sympy(f, symbols))
+    assert mine.normal_form(f) == from_sympy(remainder, symbols, _XYZ)
+
+
 def chain_saturation(ideal, f):
     """I : f^infty with a monomial f taken one variable at a time: one
     elimination per variable of its support."""
