@@ -5,6 +5,12 @@ the symbolic critical system; branches are Laurent-series solutions in t.
 Branches with nonzero valuations (escaping branches) are handled by the
 valuation ansatz x_i = t^{v_i} X_i followed by clearing and, when the
 t = 0 layer is degenerate, saturating by t before the Hensel lift.
+
+The Hensel lift solves for one coefficient order at a time.  It reads the
+residuals from a ``series.RelaxedEvaluator``, which computes each series
+coefficient of the system once, in one scalar type per lift: ``Fraction``
+for exact seeds, ``complex`` for floating ones.  numpy is imported only
+for floating seeds.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .groebner import (
 from .linalg import inverse
 from .mle import CriticalSystem, VarietySpec
 from .rings import Polynomial, dot
-from .series import LaurentSeries, poly_eval_series
+from .series import LaurentSeries, RelaxedEvaluator, poly_eval_series
 
 CURVE_VAR = "t"
 DEFAULT_ORDER = 8
@@ -162,29 +168,17 @@ def _num_inverse(rows):
 
 
 def _square_subsystem(equations, ring, point, exact):
-    """Equations with an invertible Jacobian at the seed, or None."""
+    """Indices of equations with an invertible Jacobian at the seed, and
+    the inverse; (None, None) if there are none."""
     n = len(ring) - 1
     if len(equations) < n:
         return None, None
     for subset in combinations(range(len(equations)), n):
-        eqs = [equations[i] for i in subset]
-        jac = _jacobian_at(eqs, ring, point, exact)
-        if exact:
-            inv = inverse(jac)
-            if inv is not None:
-                return eqs, inv
-        else:
-            inv = _num_inverse(jac)
-            if inv is not None:
-                return eqs, inv
+        jac = _jacobian_at([equations[i] for i in subset], ring, point, exact)
+        inv = inverse(jac) if exact else _num_inverse(jac)
+        if inv is not None:
+            return subset, inv
     return None, None
-
-
-def _evaluate_residuals(equations, ring, series_env, order):
-    out = []
-    for eq in equations:
-        out.append(poly_eval_series(eq, series_env, order + 1))
-    return out
 
 
 def _abs_poly(eq):
@@ -200,60 +194,55 @@ def _abs_env(env):
     return out
 
 
-def _residuals_vanish(equations, env, order, exact):
-    """Exact residuals must be zero; floating residuals are compared to the
-    magnitude of the terms feeding each coefficient."""
-    failures = []
-    abs_env = None if exact else _abs_env(env)
-    for eq in equations:
-        r = poly_eval_series(eq, env, order + 1)
-        if exact:
-            if not r.is_zero:
-                failures.append(r.valuation)
-            continue
-        mag = poly_eval_series(_abs_poly(eq), abs_env, order + 1)
-        for k in range(min(r.truncation_order, order + 1)):
-            c = abs(complex(r.coeff(k)))
-            m = abs(complex(mag.coeff(k))) if k < mag.truncation_order else 0.0
-            if c > RESIDUAL_RTOL * max(1.0, m):
-                failures.append(k)
-                break
-    return failures
-
-
 def _hensel(equations, ring, seed, order, exact):
     """Order-by-order linear lift; the Jacobian at the seed must be
-    invertible for the supplied (square) system."""
-    import numpy as np
+    invertible for some square subsystem.
 
+    One ``RelaxedEvaluator`` over the whole system gives residual
+    coefficient k of the subsystem at step k, with x_k still 0, and the
+    final residuals of every equation; each coefficient of each power and
+    term is computed once it is final.  The lift runs in one scalar type:
+    ``Fraction`` for an exact seed, ``complex`` for a floating one (the
+    numpy solve is converted back), ``float`` for the magnitudes that
+    floating residuals are judged against.
+    """
     n = len(ring) - 1
-    eqs, inv = _square_subsystem(equations, ring, seed, exact)
-    if eqs is None:
+    subset, inv = _square_subsystem(equations, ring, seed, exact)
+    if subset is None:
         raise SingularJacobian("no square subsystem with invertible Jacobian")
-    coeffs = [[seed[j]] + [Fraction(0) if exact else 0.0] * order for j in range(n)]
-
-    def env(upto):
-        e = {
-            ring[j]: LaurentSeries(0, coeffs[j][: upto + 1], upto + 1)
-            for j in range(n)
-        }
-        e[CURVE_VAR] = LaurentSeries.t_power(1, upto + 1)
-        return e
-
+    scalar = Fraction if exact else complex
+    zero = scalar(0)
+    coeffs = [[seed[j]] + [zero] * order for j in range(n)]
+    inputs = dict(zip(ring, coeffs))
+    inputs[CURVE_VAR] = [zero, scalar(1)] + [zero] * order
+    residuals = RelaxedEvaluator(equations, inputs, scalar)
+    if not exact:
+        import numpy as np
     for k in range(1, order + 1):
-        residuals = _evaluate_residuals(eqs, ring, env(k), k)
-        rhs = [r.coeff(k) if k < r.truncation_order else 0 for r in residuals]
+        rhs = [r[k] for r in residuals.coefficients(k + 1, subset)]
         if exact:
-            delta = [
-                -sum(inv[i][j] * Fraction(rhs[j]) for j in range(n))
-                for i in range(n)
-            ]
+            delta = [-sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
         else:
-            delta = list(-(inv @ np.array([complex(x) for x in rhs])))
+            delta = [complex(x) for x in -(inv @ np.array(rhs))]
         for j in range(n):
             coeffs[j][k] = delta[j]
     # final residual check against the FULL system
-    failures = _residuals_vanish(equations, env(order), order, exact)
+    final = residuals.coefficients(order + 1)
+    if exact:
+        bad = [[c != 0 for c in r] for r in final]
+    else:
+        # floating residuals are compared to the magnitude of the terms
+        # feeding each coefficient
+        magnitudes = RelaxedEvaluator(
+            [_abs_poly(eq) for eq in equations],
+            {name: [abs(c) for c in cs] for name, cs in inputs.items()},
+            float,
+        ).coefficients(order + 1)
+        bad = [
+            [abs(c) > RESIDUAL_RTOL * max(1.0, m) for c, m in zip(r, mag)]
+            for r, mag in zip(final, magnitudes)
+        ]
+    failures = [row.index(True) for row in bad if True in row]
     if failures:
         raise NoConvergence(
             f"residual of order {min(failures)} does not vanish"
@@ -461,10 +450,10 @@ def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
         vals = [eq.evaluate(env) for eq in layer]
         if all(abs(v) < target for v in vals):
             return tuple(x)
-        eqs, inv = _square_subsystem(layer, ring, x, True)
-        if eqs is None:
+        subset, inv = _square_subsystem(layer, ring, x, True)
+        if subset is None:
             raise SingularJacobian("refinement Jacobian is singular")
-        rhs = [eq.evaluate(env) for eq in eqs]
+        rhs = [layer[i].evaluate(env) for i in subset]
         delta = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
         x = [
             Fraction(round((xi - di) * scale), scale)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DimensionMismatch, PolyParseError
 
@@ -34,10 +33,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Mono) -> int:
-    return sum(a)
 
 
 def dot(u, v):
@@ -437,17 +432,6 @@ class Polynomial:
             else:
                 res.pop(d, None)
         return Polynomial(res, self.vars)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integral, primitive, sign of lead kept."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
 
     # -- printing -------------------------------------------------------------
 

@@ -5,6 +5,14 @@ is tagged exact only while every coefficient is rational.  The field
 ``truncation_order`` is the first unknown exponent: a series knows its
 coefficients for exponents valuation .. truncation_order-1 and prints as
 ``c_v*t^v + ... + O(t^N)``.
+
+``poly_eval_series`` evaluates a polynomial at complete series.
+``RelaxedEvaluator`` evaluates a polynomial system at power series whose
+coefficients arrive one at a time, as in a Hensel lift: it computes each
+coefficient of each power and term once it is final, and keeps it
+(relaxed evaluation; van der Hoeven, "Relax, but don't be too lazy",
+JSC 2002).  Both do the same arithmetic in the same order, so their
+floating results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -247,3 +255,110 @@ def poly_eval_series(f: Polynomial, env: dict, truncation_order: int) -> Laurent
             acc = acc * powers[key]
         total = total + acc
     return total
+
+
+
+
+_CONSTANT, _SCALE, _PRODUCT, _SUM = range(4)
+
+
+class RelaxedEvaluator:
+    """Polynomials evaluated at power series whose coefficients arrive one
+    at a time.
+
+    ``inputs`` maps each variable of the polynomials to the caller's list
+    of its coefficients c_0, c_1, ...; the evaluator reads the lists in
+    place, so the caller may fill them in as a lift proceeds.  ``scalar``
+    (``Fraction``, ``complex`` or ``float``, the type of the input
+    coefficients) converts the polynomial coefficients once.  Exponents
+    must be nonnegative.
+
+    The arithmetic is that of ``poly_eval_series``.  One node per power
+    x^e is the left fold x^(e-1) * x, shared by all the polynomials; one
+    node per term prefix c * x^a * y^b ... multiplies in the variable
+    order of the ring; a polynomial sums its terms in dict order.  A
+    product's coefficient k is the convolution ``LaurentSeries.__mul__``
+    computes: ascending index of the left factor, zero left factors
+    skipped, summed from zero.
+
+    Every node keeps the coefficients it computed.  The last of them is
+    provisional, because the caller may still change that coefficient of
+    an input (a lift computes residual k with x_k still 0); the next call
+    recomputes it, final by then, and goes on from there.
+    """
+
+    def __init__(self, polys, inputs, scalar):
+        self._zero = scalar(0)
+        self._inputs = list(inputs.values())
+        self._nodes = []  # (kind, left, right, out), in dependency order
+        self._polys = []  # (out, indices of the nodes it needs)
+        powers = {}  # (variable, e) -> (out, indices of the nodes it needs)
+        for f in polys:
+            needs = set()
+            terms = []
+            for e, c in f.terms.items():
+                if any(x < 0 for x in e):
+                    raise ValueError("relaxed evaluation needs nonnegative exponents")
+                chain = None
+                for name, x in zip(f.vars, e):
+                    if x:
+                        power = self._power(name, inputs[name], x, powers, needs)
+                        if chain is None:
+                            chain = self._node(_SCALE, scalar(c), power, needs)
+                        else:
+                            chain = self._node(_PRODUCT, chain, power, needs)
+                if chain is None:
+                    chain = self._node(_CONSTANT, scalar(c), None, needs)
+                terms.append(chain)
+            self._polys.append((self._node(_SUM, terms, None, needs), needs))
+
+    def _node(self, kind, left, right, needs):
+        out = []
+        needs.add(len(self._nodes))
+        self._nodes.append((kind, left, right, out))
+        return out
+
+    def _power(self, name, base, e, powers, needs):
+        """x^e as a left fold of products by x, one node per exponent."""
+        if e == 1:
+            return base
+        if (name, e) not in powers:
+            own = set()
+            prev = self._power(name, base, e - 1, powers, own)
+            powers[name, e] = (self._node(_PRODUCT, prev, base, own), own)
+        out, own = powers[name, e]
+        needs |= own
+        return out
+
+    def coefficients(self, n, which=None):
+        """Coefficients 0 .. n-1 of the polynomials numbered in ``which``
+        (all by default), one list per polynomial.
+
+        The input coefficients below n-1 must be final; coefficient n-1 is
+        provisional until the next call.
+        """
+        if any(len(c) < n for c in self._inputs):
+            raise ValueError(f"every input needs {n} coefficients")
+        which = range(len(self._polys)) if which is None else which
+        needs = set().union(*(self._polys[i][1] for i in which))
+        zero = self._zero
+        for index in sorted(needs):
+            kind, left, right, out = self._nodes[index]
+            start = max(min(len(out), n) - 1, 0)
+            del out[start:]
+            for k in range(start, n):
+                if kind == _PRODUCT:
+                    s = zero
+                    for a, b in zip(left, right[k::-1]):
+                        if a:
+                            s = s + a * b
+                elif kind == _SCALE:
+                    s = zero + left * right[k]
+                elif kind == _SUM:
+                    s = zero
+                    for term in left:
+                        s = s + term[k]
+                else:
+                    s = left if k == 0 else zero
+                out.append(s)
+        return [self._polys[i][0][:n] for i in which]

@@ -5,20 +5,28 @@ import pytest
 
 from models import conic_spec, four_lines_spec
 from tropcrit import groebner
+from tropcrit import asymptotics, series
 from tropcrit.asymptotics import (
+    CURVE_VAR,
+    RESIDUAL_RTOL,
     DataCurve,
+    _abs_env,
+    _abs_poly,
+    _hensel,
+    _layer_solved,
     _rescaled_system,
     _saturated_equations,
+    _square_subsystem,
     branch_seeds,
     refine_seed_exact,
     series_newton_lift,
     valuation_vector,
 )
-from tropcrit.errors import TruncationTooShort
+from tropcrit.errors import NoConvergence, TruncationTooShort
 from tropcrit.groebner import Job
 from tropcrit.mle import CriticalSystem, critical_system
 from tropcrit.rings import poly_parse
-from tropcrit.series import poly_eval_series
+from tropcrit.series import LaurentSeries, poly_eval_series
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -252,3 +260,105 @@ def test_truncation_too_short_detected():
     # a genuinely resolved floating series
     ok = LaurentSeries(-1, [0.5, 1e-13], 1)
     assert _series_order(ok, exact=False) == -1
+
+
+def reference_hensel(equations, ring, seed, order, exact):
+    """The order-by-order lift as it was before relaxed evaluation: every
+    step re-evaluates the residuals from scratch with poly_eval_series."""
+    import numpy as np
+
+    n = len(ring) - 1
+    subset, inv = _square_subsystem(equations, ring, seed, exact)
+    eqs = [equations[i] for i in subset]
+    coeffs = [[seed[j]] + [Fraction(0) if exact else 0.0] * order for j in range(n)]
+
+    def env(upto):
+        e = {
+            ring[j]: LaurentSeries(0, coeffs[j][: upto + 1], upto + 1)
+            for j in range(n)
+        }
+        e[CURVE_VAR] = LaurentSeries.t_power(1, upto + 1)
+        return e
+
+    for k in range(1, order + 1):
+        residuals = [poly_eval_series(eq, env(k), k + 1) for eq in eqs]
+        rhs = [r.coeff(k) if k < r.truncation_order else 0 for r in residuals]
+        if exact:
+            delta = [
+                -sum(inv[i][j] * Fraction(rhs[j]) for j in range(n))
+                for i in range(n)
+            ]
+        else:
+            delta = list(-(inv @ np.array([complex(x) for x in rhs])))
+        for j in range(n):
+            coeffs[j][k] = delta[j]
+    final = env(order)
+    abs_env = None if exact else _abs_env(final)
+    failures = []
+    for eq in equations:
+        r = poly_eval_series(eq, final, order + 1)
+        if exact:
+            if not r.is_zero:
+                failures.append(r.valuation)
+            continue
+        mag = poly_eval_series(_abs_poly(eq), abs_env, order + 1)
+        for k in range(min(r.truncation_order, order + 1)):
+            c = abs(complex(r.coeff(k)))
+            m = abs(complex(mag.coeff(k))) if k < mag.truncation_order else 0.0
+            if c > RESIDUAL_RTOL * max(1.0, m):
+                failures.append(k)
+                break
+    if failures:
+        raise NoConvergence(f"residual of order {min(failures)} does not vanish")
+    return coeffs
+
+
+def conic_lift_cases():
+    """(seed, valuations) of the conic branches: the exact interior seed
+    and the two floating escaping seeds."""
+    _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
+    cases = [((Fraction(3), Fraction(-3)), (0, 0))]
+    cases += [(tuple(complex(x) for x in s), (-1, -1)) for s in numeric]
+    return cases
+
+
+def lift_outcome(lift, seed, valuations, order):
+    """Coefficients of the lift on the system series_newton_lift hands to
+    _hensel for this seed, or the message of its NoConvergence."""
+    rescaled, ring, extra, _ = _rescaled_system(conic_system(), conic_curve(), valuations)
+    exact = all(isinstance(x, Fraction) for x in seed)
+    if (
+        not _layer_solved(rescaled, ring, seed, exact)
+        or _square_subsystem(rescaled, ring, seed, exact)[0] is None
+    ):
+        rescaled = _saturated_equations(rescaled, ring, extra)
+    try:
+        return lift(rescaled, ring, seed, order, exact)
+    except NoConvergence as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("order", [5, 12])
+def test_hensel_equals_reference_loop(order):
+    for seed, valuations in conic_lift_cases():
+        got = lift_outcome(_hensel, seed, valuations, order)
+        want = lift_outcome(reference_hensel, seed, valuations, order)
+        assert got == want
+        assert not isinstance(got, str)  # every conic branch lifts
+
+
+def test_lift_makes_no_poly_eval_series_call(monkeypatch):
+    calls = []
+    real = series.poly_eval_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "poly_eval_series", counting)
+    monkeypatch.setattr(asymptotics, "poly_eval_series", counting)
+    for seed, valuations in conic_lift_cases():
+        series_newton_lift(
+            conic_system(), conic_curve(), seed=seed, order=12, valuations=valuations
+        )
+    assert calls == []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,3 +367,27 @@ def test_warnings_in_report():
     report, _ = run_report(cfg)
     codes = {w["code"] for w in report["warnings"]}
     assert "connectedness_unverified" in codes
+
+
+def test_exact_asymptotics_run_does_not_import_numpy(tmp_path):
+    # numpy serves only floating seeds; an exact-only run must not pay for
+    # importing it, so run one in a fresh interpreter and look
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["3", "2+t", "-2+t", "5"]}))
+    code = (
+        "import sys\n"
+        "from tropcrit.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print('numpy imported' if 'numpy' in sys.modules else 'numpy absent')\n"
+    )
+    argv = ["asymptotics", "--spec", fixture("four_lines.json"), "--curve", str(curve)]
+    argv += ["--out", str(tmp_path / "report.json")]
+    src = str(Path(tropcrit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    branches = json.loads((tmp_path / "report.json").read_text())["branches"]
+    assert branches and all(b["exact"] for b in branches)
+    assert done.stdout.splitlines()[-1] == "numpy absent"

@@ -1,11 +1,19 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcrit.errors import SeriesInversionError
-from tropcrit.rings import poly_parse
-from tropcrit.series import LaurentSeries, poly_eval_series, series_arith
+from tropcrit.rings import Polynomial, poly_parse
+from tropcrit.series import (
+    LaurentSeries,
+    RelaxedEvaluator,
+    poly_eval_series,
+    series_arith,
+)
 
 
 def test_inverse_monomials_cancel():
@@ -98,3 +106,73 @@ def test_from_polynomial_in_t():
     p = poly_parse("2+t-3*t^2", ("t",))
     s = LaurentSeries.from_polynomial(p, 5)
     assert [s.coeff(k) for k in range(5)] == [2, 1, -3, 0, 0]
+
+
+def same_scalar(a, b) -> bool:
+    """Exact values equal; floating values equal bit for bit."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    a, b = complex(a), complex(b)
+    return struct.pack("<dd", a.real, a.imag) == struct.pack("<dd", b.real, b.imag)
+
+
+SCALARS = {
+    Fraction: st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    complex: st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False),
+    float: st.floats(min_value=0, max_value=50),
+}
+
+
+@st.composite
+def relaxed_cases(draw):
+    """Polynomials in 2-3 variables plus t, nonnegative exponents, and
+    series for the variables; zero coefficients are drawn on purpose."""
+    scalar = draw(st.sampled_from(sorted(SCALARS, key=str)))
+    names = ("x", "y", "z")[: draw(st.integers(2, 3))] + ("t",)
+    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = draw(
+        st.lists(
+            st.dictionaries(exponents, coefficient, min_size=1, max_size=5).map(
+                lambda terms: Polynomial(terms, names)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    order = draw(st.integers(1, 7))
+    value = st.one_of(st.just(scalar(0)), SCALARS[scalar].map(scalar))
+    series = {
+        name: draw(st.lists(value, min_size=order, max_size=order))
+        for name in names[:-1]
+    }
+    return scalar, polys, series, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(relaxed_cases())
+def test_relaxed_evaluator_matches_poly_eval_series(case):
+    """At every step of a lift, with the newest coefficient of each input
+    still 0, and at the end, every coefficient equals poly_eval_series."""
+    scalar, polys, series, order = case
+    zero = scalar(0)
+    inputs = {name: [zero] * order for name in series}
+    inputs["t"] = [zero, scalar(1)] + [zero] * order
+    evaluator = RelaxedEvaluator(polys, inputs, scalar)
+    for k in range(order + 1):
+        n = min(k + 1, order)
+        got = evaluator.coefficients(n)
+        env = {name: LaurentSeries(0, c[:n], n) for name, c in inputs.items()}
+        for f, coeffs in zip(polys, got):
+            want = poly_eval_series(f, env, n)
+            assert len(coeffs) == n
+            assert all(same_scalar(want.coeff(j), c) for j, c in enumerate(coeffs))
+        if k < order:
+            for name, c in series.items():
+                inputs[name][k] = c[k]
+
+
+def test_relaxed_evaluator_rejects_negative_exponents():
+    f = poly_parse("x^-1*t + 1", ("x", "t"))
+    with pytest.raises(ValueError):
+        RelaxedEvaluator([f], {"x": [Fraction(1)], "t": [Fraction(0)]}, Fraction)
