@@ -56,8 +56,8 @@ from .mle import (
     mle_closed_form,
     torus_euler_characteristic,
 )
-from .rings import Polynomial, WeightOrder, poly_parse, weight_compare
-from .series import LaurentSeries, series_arith
+from .rings import Polynomial, poly_parse
+from .series import LaurentSeries
 from .tropical import (
     Ray,
     SlopeHyperplane,

@@ -46,16 +46,18 @@ class Arrangement:
             nvars = len(rows[0][0]) if rows else 0
         self.nvars = nvars
         self.vars = tuple(vars) if vars else tuple(f"x{i+1}" for i in range(nvars))
-        for coeffs, _ in rows:
+        for i, (coeffs, _) in enumerate(rows):
             if len(coeffs) != nvars:
                 raise ValueError("functional length does not match nvars")
             if not any(coeffs):
-                raise ValueError("functional must involve the variables")
-        for (a1, c1), (a2, c2) in combinations(rows, 2):
+                raise ValueError(f"functional {i} must involve the variables")
+        for (i, (a1, c1)), (j, (a2, c2)) in combinations(enumerate(rows), 2):
             m1 = [list(a1) + [c1]]
             m2 = [list(a2) + [c2]]
             if rank(m1 + m2) == 1:
-                raise ValueError("proportional functionals are not allowed")
+                raise ValueError(
+                    f"functionals {i} and {j} are proportional, which is not allowed"
+                )
         self.rows = rows
         self.projective_closure = bool(projective_closure)
 

@@ -103,14 +103,38 @@ def _expect(obj, key, pointer, types=None):
     return val
 
 
+def _parse_json(text, what, pointer):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise errors.SpecValidationError(f"{what} is not valid JSON: {exc}", pointer)
+
+
+def _load_json(path, pointer):
+    """The JSON document in a file; an unreadable file or invalid JSON is
+    a validation error at ``pointer``."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise errors.SpecValidationError(f"cannot read {path}: {exc.strerror}", pointer)
+    return _parse_json(text, path, pointer)
+
+
+def _rational(x, pointer):
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise errors.SpecValidationError(f"{x!r} is not a rational number", pointer)
+
+
 def load_spec(source) -> VarietySpec:
     """Parse a variety spec from a JSON object, string or file path."""
     if isinstance(source, str):
         if source.lstrip().startswith("{"):
-            obj = json.loads(source)
+            obj = _parse_json(source, "inline spec", "/spec")
         else:
-            with open(source) as fh:
-                obj = json.load(fh)
+            obj = _load_json(source, "/spec")
     else:
         obj = source
     if not isinstance(obj, dict):
@@ -147,20 +171,23 @@ def load_spec(source) -> VarietySpec:
                     f"row must have {len(vars)+1} entries (coefficients + constant)",
                     f"/matrix/{i}",
                 )
-            coeffs = tuple(Fraction(str(x)) for x in row[:-1])
-            rows.append((coeffs, Fraction(str(row[-1]))))
+            entries = [_rational(x, f"/matrix/{i}/{j}") for j, x in enumerate(row)]
+            rows.append((tuple(entries[:-1]), entries[-1]))
         r = rank([list(coeffs) for coeffs, _ in rows])
         if r < len(vars):
             raise errors.NotEssential(
                 f"arrangement is not essential: its coefficient matrix has "
                 f"rank {r} < {len(vars)}"
             )
-        arr = Arrangement(
-            rows=rows,
-            nvars=len(vars),
-            projective_closure=obj.get("projective_closure", True),
-            vars=vars,
-        )
+        try:
+            arr = Arrangement(
+                rows=rows,
+                nvars=len(vars),
+                projective_closure=obj.get("projective_closure", True),
+                vars=vars,
+            )
+        except ValueError as exc:
+            raise errors.SpecValidationError(str(exc), "/matrix")
         return VarietySpec(kind="arrangement", arrangement=arr)
     raise errors.SpecValidationError(f"unknown kind {kind!r}", "/kind")
 
@@ -191,8 +218,7 @@ def serialize_spec(spec: VarietySpec):
 
 
 def load_curve(path) -> DataCurve:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path, "/curve")
     comps = _expect(obj, "components", "", list)
     try:
         return DataCurve.parse(comps)
@@ -201,8 +227,7 @@ def load_curve(path) -> DataCurve:
 
 
 def load_k_map(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path, "/k")
     out = {}
     for i, item in enumerate(_expect(obj, "rays", "", list)):
         ray = tuple(int(x) for x in _expect(item, "ray", f"/rays/{i}", list))
@@ -231,7 +256,13 @@ class JobConfig:
         if self.budget is None:
             env = os.environ.get("TROPCRIT_BUDGET")
             if env is not None:
-                self.budget = int(env)
+                try:
+                    self.budget = int(env)
+                except ValueError:
+                    raise errors.SpecValidationError(
+                        f"TROPCRIT_BUDGET must be an integer, got {env!r}",
+                        "/options/budget",
+                    )
         if self.bound < 1:
             raise errors.SpecValidationError("bound must be >= 1", "/options/bound")
         if self.order < 1:
@@ -470,7 +501,9 @@ def run_report(cfg: JobConfig):
 
         if cfg.command in ("bs-slopes", "report"):
             fixture = (
-                BSFixture.load(cfg.bs_fixture_path) if cfg.bs_fixture_path else None
+                BSFixture.from_json(_load_json(cfg.bs_fixture_path, "/bs_fixture"))
+                if cfg.bs_fixture_path
+                else None
             )
             bs = bs_slope_intersection(rays, fixture=fixture)
             entry = {

@@ -5,10 +5,12 @@ over Z and reduced by pseudo-division, and ``Fraction`` appears only at
 its boundary, in the monic reduced bases it returns and the exact
 remainders of ``GroebnerBasis.normal_form``.
 
-Supports weight-refined orders (used on homogenized input only, where any
-weight vector is legal), block elimination orders, saturation, weighted
-initial ideals via single-variable homogenization, zero-dimensional degree
-counts through standard monomials, and homogeneity spaces.
+Every run is under one kind of order, an integer-matrix ``TermOrder``:
+grlex, a weight row refined by degree (used on homogenized input only,
+where any weight vector is legal), or a block elimination order.  On top
+of it sit saturation, weighted initial ideals via single-variable
+homogenization, zero-dimensional degree counts through standard
+monomials, and homogeneity spaces.
 
 Weighted initial ideals look up the Groebner cones computed so far first
 (Mora and Robbiano's Groebner fan): every weight in one cone shares one
@@ -35,6 +37,7 @@ from .linalg import mat_vec, nullspace, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
+    block_order,
     grlex,
     mono_div,
     mono_divides,
@@ -346,12 +349,11 @@ class GroebnerBasis:
     coefficient; these integer reducers are made once, here.
     """
 
-    __slots__ = ("order", "elements", "reduced", "_lts", "_reducers", "_lcs")
+    __slots__ = ("order", "elements", "_lts", "_reducers", "_lcs")
 
-    def __init__(self, elements, order, reduced=True):
+    def __init__(self, elements, order):
         self.order = order
         self.elements = tuple(elements)
-        self.reduced = reduced
         self._lts = [g.leading(order)[0] for g in self.elements]
         self._reducers = [_integral(g.terms)[0] for g in self.elements]
         self._lcs = [g[lt] for g, lt in zip(self._reducers, self._lts)]
@@ -473,9 +475,7 @@ class InitialIdealEngine:
             return Ideal(list(self.base.elements), self.ideal.vars)
         if self.base.is_unit:
             return Ideal([Polynomial.constant(1, self.ideal.vars)], self.ideal.vars)
-        order = TermOrder(
-            self.nvars + 1, weight=tuple(-x for x in w) + (0,)
-        )
+        order = TermOrder([tuple(-x for x in w) + (0,), (1,) * (self.nvars + 1)])
         cone = self._cone_of(w) or self._new_cone(order)
         # the order _interreduce gives the basis under this weight
         basis = sorted(cone.basis, key=lambda item: order.key(item[0]))
@@ -502,9 +502,10 @@ class _GroebnerCone:
 
     The basis stays the reduced basis under the order of w exactly when
     every element keeps its leading monomial m, i.e. when w.(e - m) > 0
-    for every other term e, or w.(e - m) = 0 and the degree-lex tie-break
-    still ranks m above e.  On homogeneous input equal leading monomials
-    make it the unique reduced basis of the new order.
+    for every other term e, or w.(e - m) = 0 and the order's tie-break
+    (its key without the weight entry) still ranks m above e.  On
+    homogeneous input equal leading monomials make it the unique reduced
+    basis of the new order.
     """
 
     __slots__ = ("strict", "weak", "basis")
@@ -513,12 +514,14 @@ class _GroebnerCone:
         self.strict = []
         self.weak = []
         self.basis = []
+        key = order.key
         for g in elements:
             m = g.leading(order)[0]
             for e in g.terms:
                 if e != m:
                     d = tuple(x - y for x, y in zip(e[:-1], m[:-1]))
-                    (self.weak if m > e else self.strict).append(d)
+                    tied_above = key(m)[1:] > key(e)[1:]
+                    (self.weak if tied_above else self.strict).append(d)
             self.basis.append((m, _dehomogenize(g, vars)))
 
     def holds(self, w) -> bool:
@@ -543,7 +546,7 @@ def _saturate_single(ideal: Ideal, f: Polynomial) -> Ideal:
         return ideal
     vars2 = (_SAT_VAR,) + ideal.vars
     n = len(vars2)
-    order = TermOrder(n, blocks=((0,), tuple(range(1, n))))
+    order = block_order(n, ((0,), tuple(range(1, n))))
     gens2 = [g.extend_ring(vars2) for g in ideal.gens]
     y = Polynomial.variable(_SAT_VAR, vars2)
     gens2.append(Polynomial.constant(1, vars2) - y * f.extend_ring(vars2))
@@ -570,23 +573,20 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     return _saturate_single(ideal, f)
 
 
-def eliminate(ideal: Ideal, keep, restrict=True) -> Ideal:
+def eliminate(ideal: Ideal, keep) -> Ideal:
     """Intersection with the subring of the kept variables (block order)."""
     keep = list(keep)
     drop_idx = tuple(i for i, v in enumerate(ideal.vars) if v not in keep)
     keep_idx = tuple(i for i, v in enumerate(ideal.vars) if v in keep)
     if not drop_idx:
         return ideal
+    kept_vars = tuple(ideal.vars[i] for i in keep_idx)
     if ideal.is_zero:
-        kept_vars = tuple(ideal.vars[i] for i in keep_idx)
-        return Ideal([], kept_vars if restrict else ideal.vars)
-    order = TermOrder(ideal.nvars, blocks=(drop_idx, keep_idx))
+        return Ideal([], kept_vars)
+    order = block_order(ideal.nvars, (drop_idx, keep_idx))
     G = _buchberger(list(ideal.gens), order, current_job())
     kept = [g for g in G if not (g.support_vars() & set(drop_idx))]
-    if restrict:
-        kept_vars = tuple(ideal.vars[i] for i in keep_idx)
-        return Ideal([g.restrict_ring(kept_vars) for g in kept], kept_vars)
-    return Ideal(kept, ideal.vars)
+    return Ideal([g.restrict_ring(kept_vars) for g in kept], kept_vars)
 
 
 # -- zero-dimensional machinery ---------------------------------------------------

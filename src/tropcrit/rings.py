@@ -2,16 +2,17 @@
 
 Monomials are plain int tuples (negative entries allowed for Laurent
 monomials).  Polynomials map exponent tuples to nonzero Fractions and are
-immutable after construction.  Term orders compare by an optional weight
-vector first (max convention, as used by the Groebner engine) and then by
-a fixed global tiebreak, degree-then-lexicographic on exponent tuples;
-each order memoizes the keys of the monomials it has compared.
+immutable after construction.  A term order is an integer matrix (max
+convention, as used by the Groebner engine): monomials compare by their
+dot products with its rows, then by their exponent tuples.  ``grlex``
+and ``block_order`` build the orders the engine uses; each order
+memoizes the keys of the monomials it has compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, PolyParseError
 
@@ -39,34 +40,23 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def grlex_key(e: Mono):
-    """Sort key for degree-then-lexicographic order (larger key = larger)."""
-    return (sum(e), e)
-
-
 class TermOrder:
-    """Monomial order used by the Groebner engine: leading term = max key.
+    """Integer-matrix monomial order: the leading term has the max key.
 
-    ``weight`` prepends a weight comparison (max convention); it is only a
-    genuine global order on homogeneous input, which is the only place the
-    engine uses it.  ``blocks`` gives an elimination order: earlier blocks
-    dominate, degree-then-lex within each block.
+    A monomial's key is its dot product with each row in turn, followed
+    by the exponent tuple itself, so every order is total (Robbiano,
+    "Term orderings on the polynomial ring", EUROCAL 1985).  A row with
+    negative entries makes a global order only on homogeneous input,
+    which is the only place the engine uses one.
 
     An order never changes after construction, so ``key`` computes each
     monomial's key once and memoizes it for the life of the order.
     """
 
-    __slots__ = ("nvars", "weight", "blocks", "_keys")
+    __slots__ = ("rows", "_keys")
 
-    def __init__(self, nvars, weight=None, blocks=None):
-        self.nvars = nvars
-        self.weight = tuple(weight) if weight is not None else None
-        if blocks is not None:
-            blocks = tuple(tuple(b) for b in blocks)
-            seen = [i for blk in blocks for i in blk]
-            if sorted(seen) != list(range(nvars)):
-                raise ValueError("blocks must partition the variables")
-        self.blocks = blocks
+    def __init__(self, rows):
+        self.rows = tuple(rows)
         self._keys = {}
 
     def key(self, e: Mono):
@@ -74,50 +64,33 @@ class TermOrder:
             return self._keys[e]
         except KeyError:
             pass
-        parts = []
-        if self.weight is not None:
-            parts.append(dot(self.weight, e))
-        if self.blocks is None:
-            parts.append(sum(e))
-            parts.append(e)
-        else:
-            for blk in self.blocks:
-                sub = tuple(e[i] for i in blk)
-                parts.append(sum(sub))
-                parts.append(sub)
-        k = self._keys[e] = tuple(parts)
+        k = [sum(map(mul, r, e)) for r in self.rows]
+        k.append(e)
+        k = self._keys[e] = tuple(k)
         return k
 
 
 def grlex(nvars) -> TermOrder:
-    return TermOrder(nvars)
+    """Degree, then lexicographic on exponent tuples."""
+    return TermOrder([(1,) * nvars])
 
 
-@dataclass(frozen=True)
-class WeightOrder:
-    """Weight vector with the fixed global tiebreak, min convention.
+def block_order(nvars, blocks) -> TermOrder:
+    """Elimination order: earlier blocks dominate, degree then lex within
+    each block.
 
-    Smaller compares as "more initial": first by w-weight of the exponent
-    vector, ties broken degree-then-lexicographically.
+    Each block gets a row of ones on its variables, and every block but
+    the last also gets its unit rows; ties within the last block fall to
+    the exponent tuple, i.e. lex in variable index order.
     """
-
-    weight: tuple
-    tiebreak: str = "grlex"
-
-
-def weight_compare(a: Mono, b: Mono, order: WeightOrder) -> int:
-    """-1 if a is more initial than b under ``order``, 0 if equal, else 1."""
-    if len(a) != len(b) or len(a) != len(order.weight):
-        raise DimensionMismatch(
-            f"monomial/weight lengths differ: {len(a)}, {len(b)}, {len(order.weight)}"
-        )
-    ka = (dot(order.weight, a), grlex_key(a))
-    kb = (dot(order.weight, b), grlex_key(b))
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    if sorted(i for blk in blocks for i in blk) != list(range(nvars)):
+        raise ValueError("blocks must partition the variables")
+    rows = []
+    for k, blk in enumerate(blocks):
+        rows.append(tuple(int(i in blk) for i in range(nvars)))
+        if k < len(blocks) - 1:
+            rows.extend(tuple(int(i == j) for i in range(nvars)) for j in blk)
+    return TermOrder(rows)
 
 
 def _as_fraction(c):
@@ -454,7 +427,8 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        key = grlex(len(self.vars)).key
+        items = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
         out = self._term_str(*items[0])
         for e, c in items[1:]:
             s = self._term_str(e, c)

@@ -25,10 +25,6 @@ from .rings import Polynomial
 _EXACT_TYPES = (int, Fraction)
 
 
-def _is_zero_scalar(c) -> bool:
-    return c == 0
-
-
 class LaurentSeries:
     __slots__ = ("valuation", "coeffs", "truncation_order", "exact")
 
@@ -37,7 +33,7 @@ class LaurentSeries:
         if truncation_order - valuation != len(coeffs):
             raise ValueError("coefficient list does not match truncation window")
         # strip leading exact zeros so the valuation is honest
-        while coeffs and _is_zero_scalar(coeffs[0]):
+        while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
             valuation += 1
         exact = all(isinstance(c, _EXACT_TYPES) for c in coeffs)
@@ -141,7 +137,7 @@ class LaurentSeries:
         return (-self) + other
 
     def scale(self, c) -> "LaurentSeries":
-        if _is_zero_scalar(c):
+        if c == 0:
             return LaurentSeries.zero(self.truncation_order)
         return LaurentSeries(self.valuation, [c * x for x in self.coeffs], self.truncation_order)
 
@@ -163,7 +159,7 @@ class LaurentSeries:
         n = order - val
         acc = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
-            if _is_zero_scalar(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 k = i + j
@@ -206,7 +202,7 @@ class LaurentSeries:
             return f"O(t^{self.truncation_order})"
         out = ""
         for i, c in enumerate(self.coeffs):
-            if _is_zero_scalar(c):
+            if c == 0:
                 continue
             k = self.valuation + i
             body = str(c)
@@ -224,17 +220,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self})"
-
-
-def series_arith(a: LaurentSeries, b: LaurentSeries | None, op: str) -> LaurentSeries:
-    """Dispatch add / mul / invert (invert ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.invert()
-    raise ValueError(f"unknown series operation {op!r}")
 
 
 def poly_eval_series(f: Polynomial, env: dict, truncation_order: int) -> LaurentSeries:

@@ -225,6 +225,66 @@ def test_non_essential_arrangement_rejected(capsys):
     assert "not essential" in capsys.readouterr().err
 
 
+def test_env_var_budget_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("TROPCRIT_BUDGET", "abc")
+    code = main(["rigid-rays", "--spec", fixture("coin_model.json"), "--bound", "1"])
+    assert code == EXIT_VALIDATION
+    assert "[at /options/budget]" in capsys.readouterr().err
+
+
+def test_arrangement_entry_not_rational(capsys):
+    spec = json.dumps(
+        {
+            "kind": "arrangement",
+            "variables": ["x", "y"],
+            "matrix": [[1, 0, 0], [0, "a", 0], [1, 1, -1]],
+        }
+    )
+    assert main(["rigid-rays", "--spec", spec, "--bound", "1"]) == EXIT_VALIDATION
+    assert "[at /matrix/1/1]" in capsys.readouterr().err
+
+
+def test_spec_not_json(capsys, tmp_path):
+    text = '{"kind": "ideal",'
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for source in (text, str(bad)):
+        assert main(["rigid-rays", "--spec", source, "--bound", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "[at /spec]" in err
+
+
+def test_missing_input_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        (["rigid-rays", "--spec", missing], "/spec"),
+        (
+            ["asymptotics", "--spec", fixture("conic_model.json"), "--curve", missing],
+            "/curve",
+        ),
+        (
+            ["bs-slopes", "--spec", fixture("coin_model.json"), "--bs-fixture", missing],
+            "/bs_fixture",
+        ),
+    ]
+    for args, pointer in cases:
+        assert main(args + ["--bound", "1"]) == EXIT_VALIDATION
+        assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+def test_proportional_arrangement_rows_rejected(capsys):
+    # x = 0 and 2x = 0 are one line; the rows still have full rank
+    spec = json.dumps(
+        {
+            "kind": "arrangement",
+            "variables": ["x", "y"],
+            "matrix": [[1, 0, 0], [0, 1, 0], [2, 0, 0]],
+        }
+    )
+    assert main(["rigid-rays", "--spec", spec, "--bound", "1"]) == EXIT_VALIDATION
+    assert "functionals 0 and 2 are proportional" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(capsys, tmp_path):
     # lct on an ideal spec without discrepancies cannot proceed
     code = main(

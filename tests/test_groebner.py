@@ -32,7 +32,7 @@ from tropcrit.groebner import (
     zero_dim_degree,
 )
 from tropcrit.mle import critical_system, saturated_critical_ideal
-from tropcrit.rings import Polynomial, TermOrder, poly_parse
+from tropcrit.rings import Polynomial, TermOrder, block_order, grlex, poly_parse
 
 COIN = ("t0", "t1", "t2")
 
@@ -48,7 +48,7 @@ def coin_ideal():
 
 def test_containment_collapse():
     vars = ("x",)
-    order = TermOrder(1, blocks=((0,),))
+    order = block_order(1, ((0,),))
     G = groebner_basis([poly_parse("x^2-1", vars), poly_parse("x-1", vars)], order)
     assert list(G.elements) == [poly_parse("x-1", vars)]
 
@@ -167,7 +167,7 @@ def cone_engine(request):
 
 def _initial_by_fresh_run(eng, w):
     """init_w(I) from a Buchberger run of its own, bypassing the cones."""
-    order = TermOrder(eng.nvars + 1, weight=tuple(-x for x in w) + (0,))
+    order = TermOrder([tuple(-x for x in w) + (0,), (1,) * (eng.nvars + 1)])
     gh = _buchberger(list(eng.hgens), order, Job())
     vars = eng.ideal.vars
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
@@ -280,7 +280,7 @@ def test_zero_dim_degree_linear_change_invariance():
 
 def test_quotient_basis_and_multiplication_matrix():
     vars = ("x",)
-    G = groebner_basis([poly_parse("x^2-2", vars)], TermOrder(1))
+    G = groebner_basis([poly_parse("x^2-2", vars)], grlex(1))
     basis = quotient_basis(G)
     assert basis == [(0,), (1,)]
     m = multiplication_matrix(G, basis, 0)
@@ -428,7 +428,7 @@ def test_kernel_basis_is_primitive_over_z(gens):
         kept.extend(polys)
         return real(polys, *args)
 
-    order = TermOrder(3)
+    order = grlex(3)
     with patch.object(groebner, "_interreduce", spy):
         groebner_basis(gens, order)
     for p in kept:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropcrit.errors import DimensionMismatch, PolyParseError
-from tropcrit.rings import Polynomial, WeightOrder, grlex, poly_parse, weight_compare
+from tropcrit.errors import PolyParseError
+from tropcrit.rings import Polynomial, TermOrder, block_order, grlex, poly_parse
 
 COIN = ("t0", "t1", "t2")
 
@@ -51,51 +53,6 @@ def test_roundtrip_random_polynomials():
             terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         f = Polynomial(terms, vars)
         assert poly_parse(str(f), vars) == f
-
-
-def test_weight_compare_tie_broken_by_grlex():
-    w = WeightOrder((2, 1, 0))
-    a = (1, 0, 1)  # t0*t2
-    b = (0, 2, 0)  # t1^2
-    # both have weight 2; grlex tiebreak decides, antisymmetrically
-    assert weight_compare(a, b, w) == -weight_compare(b, a, w) != 0
-
-
-def test_weight_compare_reflexive():
-    w = WeightOrder((2, 1, 0))
-    assert weight_compare((1, 2, 3), (1, 2, 3), w) == 0
-
-
-def test_weight_compare_min_convention():
-    w = WeightOrder((2, 1, 0))
-    # the constant monomial has weight 0 < 2, hence is more initial
-    assert weight_compare((0, 0, 0), (1, 0, 0), w) == -1
-
-
-def test_weight_compare_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        weight_compare((1, 0), (0, 1, 0), WeightOrder((1, 1, 1)))
-
-
-def test_weight_zero_reduces_to_tiebreak():
-    rng = random.Random(3)
-    w0 = WeightOrder((0, 0, 0))
-    order = grlex(3)
-    for _ in range(50):
-        a = tuple(rng.randint(0, 4) for _ in range(3))
-        b = tuple(rng.randint(0, 4) for _ in range(3))
-        got = weight_compare(a, b, w0)
-        expect = (order.key(a) > order.key(b)) - (order.key(a) < order.key(b))
-        assert got == expect
-
-
-def test_weight_compare_antisymmetric_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        w = WeightOrder(tuple(rng.randint(-3, 3) for _ in range(4)))
-        a = tuple(rng.randint(0, 4) for _ in range(4))
-        b = tuple(rng.randint(0, 4) for _ in range(4))
-        assert weight_compare(a, b, w) == -weight_compare(b, a, w)
 
 
 def test_ring_axioms_random():
@@ -149,3 +106,59 @@ def test_evaluate_exact():
     f = poly_parse("t0*t2-(t0+t1)*t1", COIN)
     v = f.evaluate({"t0": Fraction(1), "t1": Fraction(2), "t2": Fraction(3)})
     assert v == Fraction(1 * 3 - 3 * 2)
+
+
+def _weight_blocks_key(e, weight=None, blocks=None):
+    """Reference key of a weight-then-blocks order: the weight, then per
+    block its degree and its exponents, degree-then-lex in one block by
+    default."""
+    parts = []
+    if weight is not None:
+        parts.append(sum(w * x for w, x in zip(weight, e)))
+    for blk in blocks or (range(len(e)),):
+        sub = tuple(e[i] for i in blk)
+        parts += [sum(sub), sub]
+    return tuple(parts)
+
+
+def _draw_order(data, kind):
+    """(matrix order, reference-key options) of one kind on 1-6 variables."""
+    n = data.draw(st.integers(1, 6))
+    if kind == "grlex":
+        return grlex(n), {}
+    if kind == "weight":
+        w = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+        return TermOrder([w, (1,) * n]), {"weight": w}
+    if kind == "lex":
+        blocks = [(i,) for i in range(n)]
+    else:
+        perm = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = [tuple(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+        # the matrix key breaks ties in the last block in index order
+        blocks[-1] = tuple(sorted(blocks[-1]))
+    return block_order(n, blocks), {"blocks": blocks}
+
+
+@pytest.mark.parametrize("kind", ["grlex", "weight", "lex", "blocks"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matrix_order_matches_weight_blocks_key(kind, data):
+    order, options = _draw_order(data, kind)
+    n = len(order.rows[0])
+    # small exponents make ties in degree and weight common
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    monos = data.draw(st.lists(mono, min_size=2, max_size=10))
+    for a in monos:
+        for b in monos:
+            ka, kb = order.key(a), order.key(b)
+            ra = _weight_blocks_key(a, **options)
+            rb = _weight_blocks_key(b, **options)
+            assert (ka > kb) - (ka < kb) == (ra > rb) - (ra < rb)
+
+
+def test_block_order_rejects_non_partition():
+    with pytest.raises(ValueError):
+        block_order(3, ((0,), (1,)))
+    with pytest.raises(ValueError):
+        block_order(2, ((0, 1), (1,)))
