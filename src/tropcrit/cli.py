@@ -128,6 +128,22 @@ def _rational(x, pointer):
         raise errors.SpecValidationError(f"{x!r} is not a rational number", pointer)
 
 
+def _polynomials(texts, vars, pointer):
+    """Parse a list of polynomial strings; the pointer of a bad entry is
+    ``pointer/i``."""
+    polys = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise errors.SpecValidationError(
+                f"{text!r} is not a polynomial string", f"{pointer}/{i}"
+            )
+        try:
+            polys.append(Polynomial.parse(text, vars))
+        except errors.PolyParseError as exc:
+            raise errors.SpecValidationError(str(exc), f"{pointer}/{i}")
+    return polys
+
+
 def load_spec(source) -> VarietySpec:
     """Parse a variety spec from a JSON object, string or file path."""
     if isinstance(source, str):
@@ -143,22 +159,12 @@ def load_spec(source) -> VarietySpec:
     if kind == "ideal":
         vars = tuple(_expect(obj, "variables", "", list))
         gens = _expect(obj, "generators", "", list)
-        polys = []
-        for i, text in enumerate(gens):
-            try:
-                polys.append(Polynomial.parse(text, vars))
-            except errors.PolyParseError as exc:
-                raise errors.SpecValidationError(str(exc), f"/generators/{i}")
+        polys = _polynomials(gens, vars, "/generators")
         return VarietySpec(kind="ideal", ideal=Ideal(polys, vars))
     if kind == "parametrization":
         params = tuple(_expect(obj, "parameters", "", list))
         texts = _expect(obj, "functions", "", list)
-        funcs = []
-        for i, text in enumerate(texts):
-            try:
-                funcs.append(Polynomial.parse(text, params))
-            except errors.PolyParseError as exc:
-                raise errors.SpecValidationError(str(exc), f"/functions/{i}")
+        funcs = _polynomials(texts, params, "/functions")
         coords = tuple(obj.get("coordinates") or ())
         return VarietySpec(kind="parametrization", functions=funcs, coordinates=coords)
     if kind == "arrangement":
@@ -224,6 +230,33 @@ def load_curve(path) -> DataCurve:
         return DataCurve.parse(comps)
     except errors.PolyParseError as exc:
         raise errors.SpecValidationError(str(exc), "/components")
+
+
+def load_bs_fixture(path) -> BSFixture:
+    """The Bernstein-Sato factors of a fixture file, checked against
+    ``BS_FIXTURE_SCHEMA`` with pointers under /bs_fixture."""
+    obj = _load_json(path, "/bs_fixture")
+    if not isinstance(obj, dict):
+        raise errors.SpecValidationError(
+            "BS fixture must be a JSON object", "/bs_fixture"
+        )
+    for i, item in enumerate(_expect(obj, "factors", "/bs_fixture", list)):
+        at = f"/bs_fixture/factors/{i}"
+        if not isinstance(item, dict):
+            raise errors.SpecValidationError("factor must be a JSON object", at)
+        normal = _expect(item, "normal", at, list)
+        if not all(type(x) is int for x in normal) or not any(normal):
+            raise errors.SpecValidationError(
+                "normal must be a nonzero integer vector", f"{at}/normal"
+            )
+        offsets = item.get("offsets")
+        if offsets is not None and not isinstance(offsets, list):
+            raise errors.SpecValidationError(
+                "offsets must be a list of rationals", f"{at}/offsets"
+            )
+        for j, k in enumerate(offsets or ()):
+            _rational(k, f"{at}/offsets/{j}")
+    return BSFixture.from_json(obj)
 
 
 def load_k_map(path):
@@ -501,7 +534,7 @@ def run_report(cfg: JobConfig):
 
         if cfg.command in ("bs-slopes", "report"):
             fixture = (
-                BSFixture.from_json(_load_json(cfg.bs_fixture_path, "/bs_fixture"))
+                load_bs_fixture(cfg.bs_fixture_path)
                 if cfg.bs_fixture_path
                 else None
             )

@@ -15,7 +15,10 @@ monomials, and homogeneity spaces.
 Weighted initial ideals look up the Groebner cones computed so far first
 (Mora and Robbiano's Groebner fan): every weight in one cone shares one
 reduced homogeneous basis, so Buchberger runs only for a weight outside
-every stored cone.
+every stored cone.  The lookup also names the face of the cone that holds
+the weight, by the basis terms the weight ties with their leading
+monomials; init_w(I) is the same on the relative interior of a face, so
+callers can key per-weight answers by the face.
 
 Reduction steps are counted against the current ``Job``: ``with
 Job(limit):`` makes one step budget and one set of memo tables hold for
@@ -447,72 +450,83 @@ class InitialIdealEngine:
     """Computes init_w(I) for arbitrary integer weights (min convention).
 
     The base Groebner basis under a degree-compatible order is computed
-    once.  Per weight, a lookup among the Groebner cones stored so far
-    comes first: a weight inside a stored cone reuses that cone's reduced
-    homogeneous basis, and a homogeneous Groebner run under the
-    negated-weight refinement happens only on a miss, storing a new cone.
-    Initial forms of the basis elements then give init_w(I).
+    once.  ``face(w)`` looks w up among the Groebner cones stored so far
+    and returns the cone that holds it with w's tie pattern in that cone;
+    a homogeneous Groebner run under the negated-weight refinement happens
+    only on a miss, storing a new cone.  The pair names the face of the
+    Groebner fan whose relative interior holds w, and init_w(I) is the
+    same for every weight of one face.  ``initial(w)`` takes it from the
+    initial forms of the cone's basis.
     """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.nvars = ideal.nvars
         self._cones = []
-        if ideal.is_zero:
-            self.base = None
-            self.hgens = []
-            return
         self.base = groebner_basis(ideal, grlex(self.nvars))
+        # init_w(I) = I for every w when I is the zero or the unit ideal
+        self._fixed = ideal.is_zero or self.base.is_unit
         hvars = ideal.vars + (_HOMOG_VAR,)
         self.hgens = [_homogenize(g, hvars) for g in self.base.elements]
 
-    def initial(self, w) -> Ideal:
+    def face(self, w):
+        """(cone, tie pattern) of the face holding w, or (None, ()) where
+        init_w(I) = I: at w = 0 and for the zero and unit ideals.  A hit
+        moves its cone to the front of the list."""
         if len(w) != self.nvars:
             raise ValueError("weight length does not match the ring")
-        if self.base is None:
-            return Ideal([], self.ideal.vars)
-        if all(x == 0 for x in w):
-            return Ideal(list(self.base.elements), self.ideal.vars)
-        if self.base.is_unit:
-            return Ideal([Polynomial.constant(1, self.ideal.vars)], self.ideal.vars)
-        order = TermOrder([tuple(-x for x in w) + (0,), (1,) * (self.nvars + 1)])
-        cone = self._cone_of(w) or self._new_cone(order)
+        if self._fixed or not any(w):
+            return None, ()
+        cones = self._cones
+        for i, cone in enumerate(cones):
+            ties = cone.ties(w)
+            if ties is not None:
+                if i:
+                    cones.insert(0, cones.pop(i))
+                return cone, ties
+        order = _weight_order(w)
+        gh = _buchberger(list(self.hgens), order, current_job())
+        cone = _GroebnerCone(gh, order, self.ideal.vars)
+        cones.insert(0, cone)
+        return cone, cone.ties(w)
+
+    def initial(self, w) -> Ideal:
+        cone, _ = self.face(w)
+        if cone is None:
+            return Ideal(self.base.elements, self.ideal.vars)
+        order = _weight_order(w)
         # the order _interreduce gives the basis under this weight
         basis = sorted(cone.basis, key=lambda item: order.key(item[0]))
         return Ideal([g.weight_initial(w) for _, g in basis], self.ideal.vars)
 
-    def _cone_of(self, w):
-        """The stored cone holding w, moved to the front of the list."""
-        for i, cone in enumerate(self._cones):
-            if cone.holds(w):
-                if i:
-                    self._cones.insert(0, self._cones.pop(i))
-                return cone
-        return None
 
-    def _new_cone(self, order):
-        gh = _buchberger(list(self.hgens), order, current_job())
-        cone = _GroebnerCone(gh, order, self.ideal.vars)
-        self._cones.insert(0, cone)
-        return cone
+def _weight_order(w):
+    """The homogeneous order of a weight: -w on the torus variables,
+    refined by degree."""
+    return TermOrder([tuple(-x for x in w) + (0,), (1,) * (len(w) + 1)])
 
 
 class _GroebnerCone:
-    """A reduced homogeneous basis and the weights it serves.
+    """A reduced homogeneous basis, the weights it serves and its faces.
 
     The basis stays the reduced basis under the order of w exactly when
     every element keeps its leading monomial m, i.e. when w.(e - m) > 0
     for every other term e, or w.(e - m) = 0 and the order's tie-break
     (its key without the weight entry) still ranks m above e.  On
     homogeneous input equal leading monomials make it the unique reduced
-    basis of the new order.
+    basis of the new order, so the stored cones never overlap.
+
+    The initial form at w of an element is m plus its terms with
+    w.(e - m) = 0, and only a ``weak`` difference can be zero.  So the
+    weak differences orthogonal to w, the tie pattern, fix init_w(I): it
+    is constant on the relative interior of each face of the cone.
     """
 
     __slots__ = ("strict", "weak", "basis")
 
     def __init__(self, elements, order, vars):
-        self.strict = []
-        self.weak = []
+        strict = {}
+        weak = {}
         self.basis = []
         key = order.key
         for g in elements:
@@ -521,13 +535,25 @@ class _GroebnerCone:
                 if e != m:
                     d = tuple(x - y for x, y in zip(e[:-1], m[:-1]))
                     tied_above = key(m)[1:] > key(e)[1:]
-                    (self.weak if tied_above else self.strict).append(d)
+                    (weak if tied_above else strict)[d] = None
             self.basis.append((m, _dehomogenize(g, vars)))
+        self.strict = tuple(strict)
+        self.weak = tuple(weak)
 
-    def holds(self, w) -> bool:
-        return all(sum(map(mul, w, d)) > 0 for d in self.strict) and all(
-            sum(map(mul, w, d)) >= 0 for d in self.weak
-        )
+    def ties(self, w):
+        """None for a w outside the cone, else the indices of the weak
+        differences d with w.d = 0, in one pass over the dot products."""
+        for d in self.strict:
+            if sum(map(mul, w, d)) <= 0:
+                return None
+        tied = []
+        for i, d in enumerate(self.weak):
+            x = sum(map(mul, w, d))
+            if x < 0:
+                return None
+            if not x:
+                tied.append(i)
+        return tuple(tied)
 
 
 def initial_ideal(ideal: Ideal, w) -> Ideal:

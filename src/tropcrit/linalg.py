@@ -134,10 +134,7 @@ def mat_vec(a, v):
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def make_primitive(v):

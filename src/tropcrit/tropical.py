@@ -118,13 +118,14 @@ class StratumModel:
 
 class TropicalEngine:
     """Caches per-ideal work: the base Groebner basis and Groebner cones
-    (in the initial-ideal engine), initial ideals per weight, and the
-    membership and rigidity results per initial ideal.
+    (in the initial-ideal engine), and membership and rigidity.
 
-    Membership and rigidity depend only on init_w(I), so weights whose
-    initial ideals agree (one face of one Groebner cone) share a single
-    saturation and a single homogeneity-space run.  They are keyed by the
-    set of generators, whose listing order follows the weight's term order.
+    Membership and rigidity depend only on init_w(I), which is constant on
+    each face of a Groebner cone.  A weight is looked up by its face, the
+    (cone, tie pattern) pair of the initial-ideal engine, and init_w(I) is
+    built only for a face not seen before.  The answers are keyed by the
+    generator set of init_w(I), so two faces with the same initial ideal
+    share one saturation and one homogeneity-space run.
     """
 
     def __init__(self, ideal: Ideal):
@@ -133,7 +134,7 @@ class TropicalEngine:
         self.nvars = ideal.nvars
         e = tuple(1 for _ in range(self.nvars))
         self.torus_monomial = Polynomial({e: Fraction(1)}, ideal.vars)
-        self._initial = {}
+        self._faces = {}
         self._contains = {}
         self._rigid = {}
 
@@ -147,41 +148,44 @@ class TropicalEngine:
         return memo[key]
 
     def initial(self, w) -> Ideal:
-        w = tuple(int(x) for x in w)
-        if w not in self._initial:
-            self._initial[w] = self.engine.initial(w)
-        return self._initial[w]
+        return self.engine.initial(w)
 
-    def contains(self, w) -> bool:
-        J = self.initial(w)
-        gens = frozenset(J.gens)
-        if gens in self._contains:
-            return self._contains[gens]
-        if J.is_zero:
-            result = True  # the full torus
-        elif any(g.is_term() for g in J.gens):
-            result = False
-        else:
-            S = saturate(J, self.torus_monomial)
-            result = not (S.gens and groebner_basis(S).is_unit)
-        self._contains[gens] = result
+    def _face_initial(self, w):
+        """init_w(I) and its generator set, built once per face of w."""
+        face = self.engine.face(w)
+        known = self._faces.get(face)
+        if known is None:
+            J = self.engine.initial(w)
+            known = self._faces[face] = (J, frozenset(J.gens))
+        return known
+
+    def _member(self, J, gens) -> bool:
+        result = self._contains.get(gens)
+        if result is None:
+            if J.is_zero:
+                result = True  # the full torus
+            elif any(g.is_term() for g in J.gens):
+                result = False
+            else:
+                S = saturate(J, self.torus_monomial)
+                result = not (S.gens and groebner_basis(S).is_unit)
+            self._contains[gens] = result
         return result
 
+    def contains(self, w) -> bool:
+        return self._member(*self._face_initial(w))
+
     def is_rigid(self, w) -> bool:
-        w = tuple(int(x) for x in w)
-        if not self.contains(w):
+        J, gens = self._face_initial(w)
+        if not self._member(J, gens):
+            w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
-        J = self.initial(w)
-        gens = frozenset(J.gens)
-        if gens in self._rigid:
-            return self._rigid[gens]
-        if J.is_zero:
-            # the full torus: no perturbation ever changes the initial ideal
-            result = False
-        else:
-            basis = homogeneity_space(J)
-            result = len(basis) == 1
-        self._rigid[gens] = result
+        result = self._rigid.get(gens)
+        if result is None:
+            # a zero init_w(I) is the full torus, which no perturbation of
+            # w changes
+            result = not J.is_zero and len(homogeneity_space(J)) == 1
+            self._rigid[gens] = result
         return result
 
 

@@ -3,9 +3,9 @@
 from itertools import combinations
 
 from tropcrit.arrangement import Arrangement, matroid_flats
-from tropcrit.groebner import Ideal
+from tropcrit.groebner import Ideal, Job, _buchberger, _dehomogenize
 from tropcrit.mle import VarietySpec
-from tropcrit.rings import poly_parse
+from tropcrit.rings import TermOrder, poly_parse
 
 COIN_VARS = ("t0", "t1", "t2")
 FOUR_VARS = ("t1", "t2", "t3", "t4")
@@ -182,3 +182,12 @@ def oracle_flacets(vectors):
         ):
             out.append(f)
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+def initial_by_fresh_run(eng, w) -> Ideal:
+    """init_w(I) for an InitialIdealEngine from a Buchberger run of its
+    own, bypassing the engine's Groebner cones."""
+    order = TermOrder([tuple(-x for x in w) + (0,), (1,) * (eng.nvars + 1)])
+    gh = _buchberger(list(eng.hgens), order, Job())
+    vars = eng.ideal.vars
+    return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)

@@ -272,6 +272,51 @@ def test_missing_input_file(capsys, tmp_path):
         assert f"[at {pointer}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, pointer",
+    [
+        ({}, "/bs_fixture"),
+        ([], "/bs_fixture"),
+        ({"factors": [{"offsets": [1]}]}, "/bs_fixture/factors/0"),
+        ({"factors": [{"normal": ["a", 1, 0]}]}, "/bs_fixture/factors/0/normal"),
+        ({"factors": [{"normal": [0, 0, 0]}]}, "/bs_fixture/factors/0/normal"),
+        (
+            {
+                "factors": [
+                    {"normal": [2, 1, 0], "offsets": [1]},
+                    {"normal": [0, 1, 1], "offsets": ["x"]},
+                ]
+            },
+            "/bs_fixture/factors/1/offsets/0",
+        ),
+    ],
+    ids=["empty", "not-object", "no-normal", "bad-normal", "zero-normal", "bad-offset"],
+)
+def test_bad_bs_fixture_rejected(capsys, tmp_path, document, pointer):
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps(document))
+    args = ["bs-slopes", "--spec", fixture("coin_model.json"), "--bs-fixture", str(path)]
+    assert main(args + ["--bound", "1"]) == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"kind": "ideal", "variables": ["x"], "generators": [3]}, "/generators/0"),
+        (
+            {"kind": "parametrization", "parameters": ["x"], "functions": ["x", None]},
+            "/functions/1",
+        ),
+    ],
+    ids=["generator", "function"],
+)
+def test_non_string_polynomial_rejected(capsys, spec, pointer):
+    code = main(["rigid-rays", "--spec", json.dumps(spec), "--bound", "1"])
+    assert code == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
+
+
 def test_proportional_arrangement_rows_rejected(capsys):
     # x = 0 and 2x = 0 are one line; the rows still have full rank
     spec = json.dumps(

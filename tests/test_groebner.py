@@ -7,15 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from models import conic_ideal, conic_spec, five_lines_ideal, four_lines_ideal
+from models import (
+    conic_ideal,
+    conic_spec,
+    five_lines_ideal,
+    four_lines_ideal,
+    initial_by_fresh_run,
+)
 from tropcrit import groebner
 from tropcrit.errors import NotZeroDimensional, ResourceBudgetExceeded
 from tropcrit.groebner import (
     Ideal,
     InitialIdealEngine,
     Job,
-    _buchberger,
-    _dehomogenize,
     eliminate,
     groebner_basis,
     homogeneity_space,
@@ -32,7 +36,7 @@ from tropcrit.groebner import (
     zero_dim_degree,
 )
 from tropcrit.mle import critical_system, saturated_critical_ideal
-from tropcrit.rings import Polynomial, TermOrder, block_order, grlex, poly_parse
+from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
 
 COIN = ("t0", "t1", "t2")
 
@@ -165,14 +169,6 @@ def cone_engine(request):
     return InitialIdealEngine(request.param())
 
 
-def _initial_by_fresh_run(eng, w):
-    """init_w(I) from a Buchberger run of its own, bypassing the cones."""
-    order = TermOrder([tuple(-x for x in w) + (0,), (1,) * (eng.nvars + 1)])
-    gh = _buchberger(list(eng.hgens), order, Job())
-    vars = eng.ideal.vars
-    return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_initial_from_cone_cache_matches_fresh_run(cone_engine, data):
@@ -180,7 +176,7 @@ def test_initial_from_cone_cache_matches_fresh_run(cone_engine, data):
     p = cone_engine.nvars
     w = tuple(data.draw(st.lists(coordinate, min_size=p, max_size=p)))
     assume(any(w))
-    assert cone_engine.initial(w).gens == _initial_by_fresh_run(cone_engine, w).gens
+    assert cone_engine.initial(w).gens == initial_by_fresh_run(cone_engine, w).gens
 
 
 # -- saturation ------------------------------------------------------------------

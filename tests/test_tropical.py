@@ -3,6 +3,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
@@ -10,11 +12,21 @@ from models import (
     FOUR_LINES_RAYS,
     coin_ideal,
     conic_ideal,
+    five_lines_ideal,
     four_lines_ideal,
+    initial_by_fresh_run,
 )
 from tropcrit import groebner, tropical
 from tropcrit.errors import AlphaNotOnHyperplane, NotInTropicalVariety
-from tropcrit.groebner import Ideal, Job, ideal_dimension, saturate
+from tropcrit.groebner import (
+    Ideal,
+    InitialIdealEngine,
+    Job,
+    groebner_basis,
+    homogeneity_space,
+    ideal_dimension,
+    saturate,
+)
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
     Ray,
@@ -137,6 +149,58 @@ def test_contains_saturates_once_per_initial_ideal(monkeypatch):
     with Job():
         find_rigid_rays(four_lines_ideal(), bound=3)
     assert saturated and len(saturated) == len(set(saturated))
+
+
+def test_box_search_builds_each_face_once(monkeypatch):
+    # init_w(I) is constant on each face of a Groebner cone, so the box
+    # search builds it once per (cone, tie pattern), not once per weight
+    faces = []
+    real = InitialIdealEngine.initial
+
+    def recording(self, w):
+        faces.append(self.face(w))
+        return real(self, w)
+
+    monkeypatch.setattr(InitialIdealEngine, "initial", recording)
+    with Job():
+        find_rigid_rays(four_lines_ideal(), bound=4)
+    assert faces and len(faces) == len(set(faces))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[coin_ideal, conic_ideal, four_lines_ideal, five_lines_ideal],
+    ids=["coin", "conic", "four_lines_ideal", "five_lines"],
+)
+def shared_engine(request):
+    """One engine per ideal for all examples, so later weights are
+    answered from the memo of the faces met before."""
+    return TropicalEngine(request.param())
+
+
+def _fresh_answers(eng, w):
+    """(membership, rigidity) of w from a Buchberger run of its own, a
+    saturation by the torus monomial and the homogeneity space."""
+    J = initial_by_fresh_run(eng.engine, w)
+    S = saturate(J, eng.torus_monomial)
+    member = S.is_zero or not groebner_basis(S).is_unit
+    return member, member and len(homogeneity_space(J)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_face_keyed_answers_match_fresh_route(shared_engine, data):
+    coordinate = st.one_of(st.just(0), st.integers(-4, 4))
+    p = shared_engine.nvars
+    w = tuple(data.draw(st.lists(coordinate, min_size=p, max_size=p)))
+    assume(any(w))
+    member, rigid = _fresh_answers(shared_engine, w)
+    assert shared_engine.contains(w) == member
+    if member:
+        assert shared_engine.is_rigid(w) == rigid
+    else:
+        with pytest.raises(NotInTropicalVariety):
+            shared_engine.is_rigid(w)
 
 
 def test_rays_recheck_independently():
