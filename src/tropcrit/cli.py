@@ -232,9 +232,10 @@ def load_curve(path) -> DataCurve:
         raise errors.SpecValidationError(str(exc), "/components")
 
 
-def load_bs_fixture(path) -> BSFixture:
+def load_bs_fixture(path, size) -> BSFixture:
     """The Bernstein-Sato factors of a fixture file, checked against
-    ``BS_FIXTURE_SCHEMA`` with pointers under /bs_fixture."""
+    ``BS_FIXTURE_SCHEMA`` with pointers under /bs_fixture; every normal
+    has ``size`` entries, one per coordinate."""
     obj = _load_json(path, "/bs_fixture")
     if not isinstance(obj, dict):
         raise errors.SpecValidationError(
@@ -245,9 +246,14 @@ def load_bs_fixture(path) -> BSFixture:
         if not isinstance(item, dict):
             raise errors.SpecValidationError("factor must be a JSON object", at)
         normal = _expect(item, "normal", at, list)
-        if not all(type(x) is int for x in normal) or not any(normal):
+        if (
+            len(normal) != size
+            or not all(type(x) is int for x in normal)
+            or not any(normal)
+        ):
             raise errors.SpecValidationError(
-                "normal must be a nonzero integer vector", f"{at}/normal"
+                f"normal must be a nonzero integer vector of length {size}",
+                f"{at}/normal",
             )
         offsets = item.get("offsets")
         if offsets is not None and not isinstance(offsets, list):
@@ -475,6 +481,9 @@ def run_report(cfg: JobConfig):
         spec = load_spec(cfg.spec_source)
         report["inputs"] = serialize_spec(spec)
         svars = list(spec.svars)
+        fixture = None
+        if cfg.command in ("bs-slopes", "report") and cfg.bs_fixture_path:
+            fixture = load_bs_fixture(cfg.bs_fixture_path, len(svars))
         ideal = spec.to_ideal()
 
         needs_rays = cfg.command in (
@@ -533,11 +542,6 @@ def run_report(cfg: JobConfig):
             report["branches"] = _branches(spec, curve, rays, cfg, rng, notes)
 
         if cfg.command in ("bs-slopes", "report"):
-            fixture = (
-                load_bs_fixture(cfg.bs_fixture_path)
-                if cfg.bs_fixture_path
-                else None
-            )
             bs = bs_slope_intersection(rays, fixture=fixture)
             entry = {
                 "intersection_with_critical_slopes": [

@@ -280,6 +280,7 @@ def test_missing_input_file(capsys, tmp_path):
         ({"factors": [{"offsets": [1]}]}, "/bs_fixture/factors/0"),
         ({"factors": [{"normal": ["a", 1, 0]}]}, "/bs_fixture/factors/0/normal"),
         ({"factors": [{"normal": [0, 0, 0]}]}, "/bs_fixture/factors/0/normal"),
+        ({"factors": [{"normal": [1, 0]}]}, "/bs_fixture/factors/0/normal"),
         (
             {
                 "factors": [
@@ -290,7 +291,15 @@ def test_missing_input_file(capsys, tmp_path):
             "/bs_fixture/factors/1/offsets/0",
         ),
     ],
-    ids=["empty", "not-object", "no-normal", "bad-normal", "zero-normal", "bad-offset"],
+    ids=[
+        "empty",
+        "not-object",
+        "no-normal",
+        "bad-normal",
+        "zero-normal",
+        "short-normal",
+        "bad-offset",
+    ],
 )
 def test_bad_bs_fixture_rejected(capsys, tmp_path, document, pointer):
     path = tmp_path / "bs.json"
