@@ -9,8 +9,10 @@ t = 0 layer is degenerate, saturating by t before the Hensel lift.
 The Hensel lift solves for one coefficient order at a time.  It reads the
 residuals from a ``series.RelaxedEvaluator``, which computes each series
 coefficient of the system once, in one scalar type per lift: ``Fraction``
-for exact seeds, ``complex`` for floating ones.  numpy is imported only
-for floating seeds.
+for exact seeds, ``complex`` for floating ones.  Floating seeds and their
+lifts are computed in pure Python: the t = 0 layer by
+``groebner.solve_zero_dim_numeric``, the Jacobian inverse by pivoted
+Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .groebner import (
     solve_degree_one,
     solve_zero_dim_numeric,
 )
-from .linalg import inverse
+from .linalg import complex_gauss_jordan, inverse
 from .mle import CriticalSystem, VarietySpec
 from .rings import Polynomial, dot
 from .series import LaurentSeries, RelaxedEvaluator, poly_eval_series
@@ -157,14 +159,25 @@ def _jacobian_at(equations, ring, point, exact):
 
 
 def _num_inverse(rows):
-    import numpy as np
-
-    m = np.array([[complex(x) for x in row] for row in rows])
-    if m.shape[0] != m.shape[1]:
+    """Floating inverse by pivoted Gauss-Jordan elimination, or None for a
+    non-square matrix or one with |det| < 1e-12 max(1, max|m|^n)."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         return None
-    if abs(np.linalg.det(m)) < 1e-12 * max(1.0, np.abs(m).max() ** m.shape[0]):
+    aug = [
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)
+    ]
+    pivots, red = complex_gauss_jordan(aug, n, n)
+    det = 1.0
+    for _, _, a in pivots:
+        det *= abs(a)
+    size = max((abs(complex(x)) for row in rows for x in row), default=0.0)
+    if len(pivots) < n or det < 1e-12 * max(1.0, size**n):
         return None
-    return np.linalg.inv(m)
+    inv = [None] * n
+    for r, c, _ in pivots:
+        inv[c] = red[r][n:]
+    return inv
 
 
 def _square_subsystem(equations, ring, point, exact):
@@ -202,8 +215,8 @@ def _hensel(equations, ring, seed, order, exact):
     coefficient k of the subsystem at step k, with x_k still 0, and the
     final residuals of every equation; each coefficient of each power and
     term is computed once it is final.  The lift runs in one scalar type:
-    ``Fraction`` for an exact seed, ``complex`` for a floating one (the
-    numpy solve is converted back), ``float`` for the magnitudes that
+    ``Fraction`` for an exact seed, ``complex`` for a floating one (whose
+    inverse ``_num_inverse`` computes), ``float`` for the magnitudes that
     floating residuals are judged against.
     """
     n = len(ring) - 1
@@ -216,14 +229,9 @@ def _hensel(equations, ring, seed, order, exact):
     inputs = dict(zip(ring, coeffs))
     inputs[CURVE_VAR] = [zero, scalar(1)] + [zero] * order
     residuals = RelaxedEvaluator(equations, inputs, scalar)
-    if not exact:
-        import numpy as np
     for k in range(1, order + 1):
         rhs = [r[k] for r in residuals.coefficients(k + 1, subset)]
-        if exact:
-            delta = [-sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
-        else:
-            delta = [complex(x) for x in -(inv @ np.array(rhs))]
+        delta = [-sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
         for j in range(n):
             coeffs[j][k] = delta[j]
     # final residual check against the FULL system
@@ -404,7 +412,8 @@ def branch_seeds(
     ansatz: solve the t = 0 layer of the saturated rescaled system.
 
     Returns (exact_seeds, numeric_seeds); exact seeds are rational tuples
-    (found when the layer has degree one), numeric seeds complex tuples.
+    (found when the layer has degree one), numeric seeds complex tuples,
+    one per distinct point in the order of ``solve_zero_dim_numeric``.
     """
     rng = rng or Random(23)
     layer, ring = _t0_layer(system, curve, valuations)
@@ -421,15 +430,7 @@ def branch_seeds(
     basis = quotient_basis(G)
     if len(basis) == 1:
         return [solve_degree_one(G)], []
-    numeric = solve_zero_dim_numeric(G, rng)
-    # cluster duplicates (multiplicities)
-    unique = []
-    for s in numeric:
-        if not any(
-            max(abs(a - b) for a, b in zip(s, u)) < 1e-7 * _scale(s) for u in unique
-        ):
-            unique.append(s)
-    return [], unique
+    return [], solve_zero_dim_numeric(G, rng)
 
 
 def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):

@@ -265,12 +265,24 @@ def load_bs_fixture(path, size) -> BSFixture:
     return BSFixture.from_json(obj)
 
 
-def load_k_map(path):
+def load_k_map(path, size):
+    """The discrepancies of a --k file, ray -> k, checked against
+    ``K_SCHEMA`` with pointers under /k; every ray is an integer vector of
+    ``size`` entries, one per coordinate, and every k a rational."""
     obj = _load_json(path, "/k")
+    if not isinstance(obj, dict):
+        raise errors.SpecValidationError("k map must be a JSON object", "/k")
     out = {}
-    for i, item in enumerate(_expect(obj, "rays", "", list)):
-        ray = tuple(int(x) for x in _expect(item, "ray", f"/rays/{i}", list))
-        out[ray] = Fraction(str(_expect(item, "k", f"/rays/{i}")))
+    for i, item in enumerate(_expect(obj, "rays", "/k", list)):
+        at = f"/k/rays/{i}"
+        if not isinstance(item, dict):
+            raise errors.SpecValidationError("ray entry must be a JSON object", at)
+        ray = _expect(item, "ray", at, list)
+        if len(ray) != size or not all(type(x) is int for x in ray):
+            raise errors.SpecValidationError(
+                f"ray must be an integer vector of length {size}", f"{at}/ray"
+            )
+        out[tuple(ray)] = _rational(_expect(item, "k", at), f"{at}/k")
     return out
 
 
@@ -484,6 +496,9 @@ def run_report(cfg: JobConfig):
         fixture = None
         if cfg.command in ("bs-slopes", "report") and cfg.bs_fixture_path:
             fixture = load_bs_fixture(cfg.bs_fixture_path, len(svars))
+        kmap = None
+        if cfg.command in ("lct", "report") and cfg.k_path:
+            kmap = load_k_map(cfg.k_path, len(svars))
         ideal = spec.to_ideal()
 
         needs_rays = cfg.command in (
@@ -558,7 +573,6 @@ def run_report(cfg: JobConfig):
             report["bs"] = entry
 
         if cfg.command in ("lct", "report"):
-            kmap = load_k_map(cfg.k_path) if cfg.k_path else None
             arrangement = (
                 spec.arrangement if spec.kind == "arrangement" else None
             )

@@ -29,14 +29,15 @@ ResourceBudgetExceeded instead of running away.
 
 from __future__ import annotations
 
+import cmath
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import mul
+from operator import add, le, mul, sub
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
-from .linalg import mat_vec, nullspace, solve_linear
+from .linalg import complex_gauss_jordan, mat_vec, nullspace, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
@@ -143,6 +144,15 @@ def _primitive(terms, lt):
     return {e: c // g for e, c in terms.items()}
 
 
+def _support(m):
+    """Bitmask of the positions of a monomial's positive exponents: a
+    monomial whose mask has a bit outside m's support cannot divide m."""
+    s = 0
+    for x in m:
+        s = 2 * s + (x > 0)
+    return s
+
+
 def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
     """Multivariate division over Z by pseudo-division.
 
@@ -152,17 +162,21 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
     scaled by a/h, h = gcd(a, c), and (c/h)*q*g is subtracted.  Returns
     (remainder, sugar of the result, multiplier), where the multiplier is
     the product of the scalings: remainder / multiplier is the remainder
-    of the same division over Q, which takes the same steps.
+    of the same division over Q, which takes the same steps.  Each term
+    goes to the first reducer whose leading monomial divides it, tested
+    only where that monomial's support mask lies in the term's.
     """
     key = order.key
+    masks = [_support(lt) for lt in lts]
     p = dict(terms)
     r = {}
     mult = 1
     while p:
         m = max(p, key=key)
         c = p.pop(m)
+        absent = ~_support(m)
         for i, lt in enumerate(lts):
-            if mono_divides(lt, m):
+            if not masks[i] & absent and all(map(le, lt, m)):
                 budget.tick()
                 a = lcs[i]
                 h = gcd(a, c)
@@ -173,7 +187,7 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
                     if r:
                         r = {e: x * k for e, x in r.items()}
                 f = c // h
-                q = mono_div(m, lt)
+                q = tuple(map(sub, m, lt))
                 if sugar is not None:
                     sugar = max(sugar, sugars[i] + sum(q))
                 # subtracted terms are order-smaller than m, so they can
@@ -181,7 +195,7 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
                 for e, gc in reducers[i].items():
                     if e == lt:
                         continue
-                    me = mono_mul(e, q)
+                    me = tuple(map(add, e, q))
                     s = p.get(me, 0) - f * gc
                     if s:
                         p[me] = s
@@ -748,14 +762,96 @@ def derivative_univ(a):
     return [a[i] * i for i in range(1, len(a))]
 
 
-def squarefree_check(G: GroebnerBasis, basis, rng) -> bool:
-    """Radicality heuristic: the minimal polynomial of a random linear form
-    should be squarefree of degree equal to the quotient dimension."""
-    vars = G.elements[0].vars
-    p = len(vars)
+def _quotient_univ(a, b):
+    """Exact quotient of univariate coefficient lists (ascending)."""
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] / b[db]
+        for i in range(db + 1):
+            a[k + i] -= c * b[i]
+    return q
+
+
+def _exact_value_and_slope(a, z):
+    """p(z) and p'(z) for rational coefficients ``a`` (ascending) at the
+    floating point z, computed exactly and then rounded."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    vr = vi = dr = di = Fraction(0)
+    for c in reversed(a):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + c, vr * y + vi * x
+    return complex(vr, vi), complex(dr, di)
+
+
+def complex_roots(a):
+    """Roots of a squarefree univariate polynomial with rational
+    coefficients (ascending, degree >= 1), in floating point.
+
+    Aberth-Ehrlich iteration on the rounded coefficients, from points on
+    a circle of the roots' size, then two Newton steps per root on the
+    exact polynomial: close roots are ill-conditioned in the rounded
+    coefficients, not in the exact ones.  A root that is its conjugate's
+    nearest root is real and loses its imaginary part; two roots nearest
+    to each other's conjugates become an exact conjugate pair.  The roots
+    are sorted by real part, then imaginary part.
+    """
+    c = [float(x) for x in a]
+    d = len(c) - 1
+    c = [x / c[d] for x in c]
+
+    def value_and_slope(z):
+        v, dv = 0j, 0j
+        for x in reversed(c):
+            dv = dv * z + v
+            v = v * z + x
+        return v, dv
+
+    radius = max(abs(c[k]) ** (1 / (d - k)) for k in range(d)) or 1.0
+    z = [radius * cmath.exp(1j * (2 * cmath.pi * k / d + 0.4)) for k in range(d)]
+    for _ in range(200):
+        moved = False
+        for k in range(d):
+            v, dv = value_and_slope(z[k])
+            pull = sum(1 / (z[k] - z[j]) for j in range(d) if j != k)
+            denominator = dv - v * pull
+            if v and denominator:
+                step = v / denominator
+                z[k] -= step
+                moved = moved or abs(step) > 1e-15 * radius
+        if not moved:
+            break
+    for k in range(d):
+        for _ in range(2):
+            v, dv = _exact_value_and_slope(a, z[k])
+            if not (v and dv):
+                break
+            z[k] -= v / dv
+    roots = list(z)
+    mates = [
+        min(range(d), key=lambda j: abs(z[j] - z[k].conjugate())) for k in range(d)
+    ]
+    for k, j in enumerate(mates):
+        if j == k:
+            roots[k] = complex(z[k].real)
+        elif mates[j] == k:
+            re, im = (z[k].real + z[j].real) / 2, (z[k].imag - z[j].imag) / 2
+            roots[k] = complex(re, im)
+    return sorted(roots, key=lambda r: (r.real, r.imag))
+
+
+def _random_form(G: GroebnerBasis, basis, rng):
+    """(multiplication matrices, matrix of a random linear form, its minimal
+    polynomial) on the quotient algebra A = Q[x]/I with standard monomials
+    ``basis``.
+
+    The form's p integer coefficients are drawn from ``rng`` in [-20, 20].
+    Its minimal polynomial is taken on the Krylov space of 1, which is the
+    minimal polynomial in A: q(M) 1 = q(form) is zero exactly when q(M) is.
+    """
+    p = len(G.elements[0].vars)
     n = len(basis)
-    if n <= 1:
-        return True
     mats = [multiplication_matrix(G, basis, i) for i in range(p)]
     coeffs = [rng.randint(-20, 20) for _ in range(p)]
     m = [
@@ -764,8 +860,16 @@ def squarefree_check(G: GroebnerBasis, basis, rng) -> bool:
     ]
     one = basis.index((0,) * p)
     start = [Fraction(i == one) for i in range(n)]
-    mp = minimal_polynomial(m, start)
-    if len(mp) - 1 != n:
+    return mats, m, minimal_polynomial(m, start)
+
+
+def squarefree_check(G: GroebnerBasis, basis, rng) -> bool:
+    """Radicality heuristic: the minimal polynomial of a random linear form
+    should be squarefree of degree equal to the quotient dimension."""
+    if len(basis) <= 1:
+        return True
+    _, _, mp = _random_form(G, basis, rng)
+    if len(mp) - 1 != len(basis):
         return False
     g = poly_gcd_univ(mp, derivative_univ(mp))
     return len(g) == 1
@@ -785,34 +889,46 @@ def solve_degree_one(G: GroebnerBasis):
 
 
 def solve_zero_dim_numeric(G: GroebnerBasis, rng):
-    """Numeric solutions (complex tuples, with multiplicity repeats) via
-    eigenvectors of a random multiplication matrix."""
-    import numpy as np
+    """Numeric solutions of a zero-dimensional system, one complex tuple
+    per distinct point.
 
-    vars = G.elements[0].vars
-    p = len(vars)
+    The values of a random linear form at the points are the roots of its
+    minimal polynomial on A = Q[x]/I (the univariate half of a rational
+    univariate representation), found in floating point from the exact
+    squarefree part.  Each root lambda gives its point through a left null
+    vector w of M - lambda I, a common left eigenvector of the
+    multiplication matrices: x_i = (w M_i)_k / w_k at the largest entry
+    w_k.  The points come in the order of ``complex_roots``: by the form's
+    value, real part first.  The form is assumed to separate the points
+    and each eigenvalue to have one eigenvector, which holds for generic
+    forms on reduced and curvilinear schemes.
+    """
     basis = quotient_basis(G)
     n = len(basis)
     if n == 0:
         return []
-    mats = [multiplication_matrix(G, basis, i) for i in range(p)]
-    coeffs = [rng.randint(-20, 20) for _ in range(p)]
-    m = np.array(
-        [
-            [float(sum(coeffs[k] * mats[k][i][j] for k in range(p))) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    mats_np = [np.array([[float(x) for x in row] for row in mat]) for mat in mats]
-    _, vecs = np.linalg.eig(m.T)
+    mats, m, mp = _random_form(G, basis, rng)
+    squarefree = _quotient_univ(mp, poly_gcd_univ(mp, derivative_univ(mp)))
+    mats = [[[float(x) for x in row] for row in mat] for mat in mats]
+    transposed = [[float(x) for x in col] for col in zip(*m)]
     sols = []
-    for c in range(n):
-        w = vecs[:, c]
-        k = int(np.argmax(np.abs(w)))
-        point = []
-        for i in range(p):
-            point.append(complex((w @ mats_np[i])[k] / w[k]))
-        sols.append(tuple(point))
+    for lam in complex_roots(squarefree):
+        shifted = [
+            [x - lam if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(transposed)
+        ]
+        pivots, red = complex_gauss_jordan(shifted, n, n - 1)
+        free = min(set(range(n)) - {c for _, c, _ in pivots})
+        w = [0j] * n
+        w[free] = 1 + 0j
+        for r, c, _ in pivots:
+            w[c] = -red[r][free]
+        k = max(range(n), key=lambda i: abs(w[i]))
+        sols.append(
+            tuple(
+                sum(w[j] * mat[j][k] for j in range(n)) / w[k] for mat in mats
+            )
+        )
     return sols
 
 

@@ -2,6 +2,8 @@
 
 ``rref``, and with it rank, nullspace, solve and inverse, eliminates
 fraction-free on primitive integer rows and returns Fractions.
+``complex_gauss_jordan`` is the one floating routine: pivoted elimination
+for the inverses and null vectors of floating branch seeds.
 """
 
 from __future__ import annotations
@@ -128,6 +130,42 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+
+
+# -- floating complex elimination ---------------------------------------------
+
+
+def complex_gauss_jordan(rows, ncols, steps):
+    """Gauss-Jordan elimination of complex rows with complete pivoting.
+
+    Takes up to ``steps`` pivots from the first ``ncols`` columns, each the
+    entry of largest modulus among the rows and columns not pivoted yet,
+    and stops early at an exact zero.  Returns (pivots, m): the (row,
+    column, pivot value) triples in turn, and the reduced rows, each pivot
+    row divided by its pivot and its pivot column cleared in every other
+    row.
+    """
+    m = [[complex(x) for x in row] for row in rows]
+    rows_left = list(range(len(m)))
+    cols_left = list(range(ncols))
+    pivots = []
+    for _ in range(min(steps, len(rows_left), ncols)):
+        r, c = max(
+            ((i, j) for i in rows_left for j in cols_left),
+            key=lambda ij: abs(m[ij[0]][ij[1]]),
+        )
+        a = m[r][c]
+        if not a:
+            break
+        prow = m[r] = [x / a for x in m[r]]
+        for i, row in enumerate(m):
+            x = row[c]
+            if i != r and x:
+                m[i] = [u - x * v for u, v in zip(row, prow)]
+        rows_left.remove(r)
+        cols_left.remove(c)
+        pivots.append((r, c, a))
+    return pivots, m
 
 
 # -- integer lattice helpers ---------------------------------------------------

@@ -14,6 +14,7 @@ from tropcrit.asymptotics import (
     _abs_poly,
     _hensel,
     _layer_solved,
+    _num_inverse,
     _rescaled_system,
     _saturated_equations,
     _square_subsystem,
@@ -265,8 +266,6 @@ def test_truncation_too_short_detected():
 def reference_hensel(equations, ring, seed, order, exact):
     """The order-by-order lift as it was before relaxed evaluation: every
     step re-evaluates the residuals from scratch with poly_eval_series."""
-    import numpy as np
-
     n = len(ring) - 1
     subset, inv = _square_subsystem(equations, ring, seed, exact)
     eqs = [equations[i] for i in subset]
@@ -283,13 +282,8 @@ def reference_hensel(equations, ring, seed, order, exact):
     for k in range(1, order + 1):
         residuals = [poly_eval_series(eq, env(k), k + 1) for eq in eqs]
         rhs = [r.coeff(k) if k < r.truncation_order else 0 for r in residuals]
-        if exact:
-            delta = [
-                -sum(inv[i][j] * Fraction(rhs[j]) for j in range(n))
-                for i in range(n)
-            ]
-        else:
-            delta = list(-(inv @ np.array([complex(x) for x in rhs])))
+        rhs = [Fraction(x) if exact else complex(x) for x in rhs]
+        delta = [-sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
         for j in range(n):
             coeffs[j][k] = delta[j]
     final = env(order)
@@ -362,3 +356,38 @@ def test_lift_makes_no_poly_eval_series_call(monkeypatch):
             conic_system(), conic_curve(), seed=seed, order=12, valuations=valuations
         )
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [2, 4]],
+        [[1j, 1], [1, -1j]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+        [[1e-7, 0], [0, 1e-7]],
+        [[2, 0, 1], [0, 1, 0], [4, 0, 2 + 1e-14]],
+        [[1, 2, 3], [4, 5, 6]],
+    ],
+    ids=["singular", "singular-complex", "near-singular", "tiny-det", "3x3", "wide"],
+)
+def test_num_inverse_rejects_singular_jacobians(rows):
+    # |det| < 1e-12 max(1, max|m|^n) counts as singular
+    assert _num_inverse(rows) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 1j], [0, 3]],
+        [[1e3, 0], [0, 1e3]],
+        [[0, 1, 2], [1, 0, 3], [4, -3, 8]],
+        [[0.5 + 0.5j, 2], [1, 1e-3]],
+    ],
+)
+def test_num_inverse_inverts_regular_jacobians(rows):
+    inv = _num_inverse(rows)
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            product = sum(inv[i][k] * rows[k][j] for k in range(n))
+            assert abs(product - (i == j)) < 1e-12

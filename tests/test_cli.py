@@ -453,10 +453,36 @@ def test_asymptotics_precision_refines_leading(capsys):
     )
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    refined = [b for b in report["branches"] if "refined_leading" in b]
-    assert refined
-    lead = refined[0]["refined_leading"][0]
-    assert lead.startswith("-0.13564322") or lead.startswith("-0.1356432")
+    refined = {
+        tuple(b["refined_leading"])
+        for b in report["branches"]
+        if "refined_leading" in b
+    }
+    # the two real escaping branches, each refined to 160 bits (48 digits)
+    assert refined == {
+        (
+            "-0.135643223060915472506224522157544611740822314250",
+            "0.114356776939084527493775477842455388259177685749",
+        ),
+        (
+            "-0.614356776939084527493775477842455388259177685749",
+            "-0.364356776939084527493775477842455388259177685749",
+        ),
+    }
+
+
+def test_close_seeds_lift_at_order_12(capsys, tmp_path):
+    # the random form of the default seed takes close values at two t = 0
+    # points, so the roots of its minimal polynomial are ill-conditioned
+    # in the rounded coefficients; seeds read from those roots fail to
+    # lift at order 1 unless the roots are polished on the exact polynomial
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["5", "3", "t"]}))
+    args = ["asymptotics", "--spec", fixture("conic_model.json"), "--curve", str(curve)]
+    assert main(args + ["--bound", "2", "--order", "12"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["branches"]) == 3
+    assert not [w for w in report["warnings"] if "failed to lift" in w["message"]]
 
 
 def test_env_var_budget(monkeypatch):
@@ -483,18 +509,16 @@ def test_warnings_in_report():
     assert "connectedness_unverified" in codes
 
 
-def test_exact_asymptotics_run_does_not_import_numpy(tmp_path):
-    # numpy serves only floating seeds; an exact-only run must not pay for
-    # importing it, so run one in a fresh interpreter and look
-    curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps({"components": ["3", "2+t", "-2+t", "5"]}))
+def asymptotics_in_fresh_interpreter(tmp_path, spec, curve, *options):
+    """Run ``asymptotics`` in a new interpreter; (its branches, whether it
+    imported numpy)."""
     code = (
         "import sys\n"
         "from tropcrit.cli import main\n"
         "main(sys.argv[1:])\n"
         "print('numpy imported' if 'numpy' in sys.modules else 'numpy absent')\n"
     )
-    argv = ["asymptotics", "--spec", fixture("four_lines.json"), "--curve", str(curve)]
+    argv = ["asymptotics", "--spec", spec, "--curve", curve, *options]
     argv += ["--out", str(tmp_path / "report.json")]
     src = str(Path(tropcrit.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -503,5 +527,43 @@ def test_exact_asymptotics_run_does_not_import_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     branches = json.loads((tmp_path / "report.json").read_text())["branches"]
+    return branches, done.stdout.splitlines()[-1] == "numpy imported"
+
+
+def test_exact_asymptotics_run_does_not_import_numpy(tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["3", "2+t", "-2+t", "5"]}))
+    branches, imported = asymptotics_in_fresh_interpreter(
+        tmp_path, fixture("four_lines.json"), str(curve)
+    )
     assert branches and all(b["exact"] for b in branches)
-    assert done.stdout.splitlines()[-1] == "numpy absent"
+    assert not imported
+
+
+def test_floating_asymptotics_run_does_not_import_numpy(tmp_path):
+    # floating seeds are solved and lifted in pure Python too
+    spec, curve = fixture("conic_model.json"), fixture("conic_curve.json")
+    branches, imported = asymptotics_in_fresh_interpreter(
+        tmp_path, spec, curve, "--bound", "2"
+    )
+    assert any(not b["exact"] for b in branches)
+    assert not imported
+
+
+@pytest.mark.parametrize(
+    "document, pointer",
+    [
+        ({"rays": [{"ray": ["a", 0, 0, 1], "k": 1}]}, "/k/rays/0/ray"),
+        ({"rays": [{"ray": [1.5, 0, 0, 1], "k": 1}]}, "/k/rays/0/ray"),
+        ({"rays": [{"ray": [True, 0, 0, 1], "k": 1}]}, "/k/rays/0/ray"),
+        ({"rays": [{"ray": [1, 0], "k": 1}]}, "/k/rays/0/ray"),
+        ({"rays": [{"ray": [1, 0, 0, 1], "k": "abc"}]}, "/k/rays/0/k"),
+    ],
+    ids=["string-entry", "float-entry", "bool-entry", "short-ray", "bad-k"],
+)
+def test_bad_k_map_rejected(capsys, tmp_path, document, pointer):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(document))
+    args = ["lct", "--spec", fixture("four_lines.json"), "--k", str(path)]
+    assert main(args + ["--bound", "1"]) == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
