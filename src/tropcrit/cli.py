@@ -268,7 +268,8 @@ def load_bs_fixture(path, size) -> BSFixture:
 def load_k_map(path, size):
     """The discrepancies of a --k file, ray -> k, checked against
     ``K_SCHEMA`` with pointers under /k; every ray is an integer vector of
-    ``size`` entries, one per coordinate, and every k a rational."""
+    ``size`` entries, one per coordinate, and every k a positive
+    rational."""
     obj = _load_json(path, "/k")
     if not isinstance(obj, dict):
         raise errors.SpecValidationError("k map must be a JSON object", "/k")
@@ -282,7 +283,10 @@ def load_k_map(path, size):
             raise errors.SpecValidationError(
                 f"ray must be an integer vector of length {size}", f"{at}/ray"
             )
-        out[tuple(ray)] = _rational(_expect(item, "k", at), f"{at}/k")
+        k = _rational(_expect(item, "k", at), f"{at}/k")
+        if k <= 0:
+            raise errors.SpecValidationError("k must be positive", f"{at}/k")
+        out[tuple(ray)] = k
     return out
 
 

@@ -29,11 +29,10 @@ ResourceBudgetExceeded instead of running away.
 
 from __future__ import annotations
 
-import cmath
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import cos, gcd, lcm, pi, sin
 from operator import add, le, mul, sub
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
@@ -809,7 +808,8 @@ def complex_roots(a):
         return v, dv
 
     radius = max(abs(c[k]) ** (1 / (d - k)) for k in range(d)) or 1.0
-    z = [radius * cmath.exp(1j * (2 * cmath.pi * k / d + 0.4)) for k in range(d)]
+    angles = [2 * pi * k / d + 0.4 for k in range(d)]
+    z = [radius * complex(cos(t), sin(t)) for t in angles]
     for _ in range(200):
         moved = False
         for k in range(d):

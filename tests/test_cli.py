@@ -558,8 +558,16 @@ def test_floating_asymptotics_run_does_not_import_numpy(tmp_path):
         ({"rays": [{"ray": [True, 0, 0, 1], "k": 1}]}, "/k/rays/0/ray"),
         ({"rays": [{"ray": [1, 0], "k": 1}]}, "/k/rays/0/ray"),
         ({"rays": [{"ray": [1, 0, 0, 1], "k": "abc"}]}, "/k/rays/0/k"),
+        ({"rays": [{"ray": [0, 1, 0, 0], "k": -1}]}, "/k/rays/0/k"),
     ],
-    ids=["string-entry", "float-entry", "bool-entry", "short-ray", "bad-k"],
+    ids=[
+        "string-entry",
+        "float-entry",
+        "bool-entry",
+        "short-ray",
+        "bad-k",
+        "negative-k",
+    ],
 )
 def test_bad_k_map_rejected(capsys, tmp_path, document, pointer):
     path = tmp_path / "k.json"

@@ -247,12 +247,12 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
         assert _saturated_equations(rescaled, ring, extra) == list(chain.gens)
 
 
-_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+_rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    reals=st.lists(_roots, min_size=1, max_size=3, unique=True),
+    reals=st.lists(_rational_roots, min_size=1, max_size=3, unique=True),
     double=st.booleans(),
     pair=st.one_of(
         st.none(),
@@ -266,18 +266,27 @@ _roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
     ),
     seed=st.integers(0, 2**16),
 )
-@example(reals=[Fraction(1)], double=True, pair=None, g=(0, 1, 0), matrix=(1, 0, 0, 1), seed=4)
-@example(reals=[Fraction(2)], double=False, pair=(0, 1), g=(1, 0, 1), matrix=(1, 1, 0, 1), seed=4)
-def test_solve_zero_dim_numeric_matches_sympy_roots(reals, double, pair, g, matrix, seed):
+@example(  # a double root
+    reals=[Fraction(1)], double=True, pair=None, g=(0, 1, 0), matrix=(1, 0, 0, 1),
+    seed=4,
+)
+@example(  # a complex-conjugate pair
+    reals=[Fraction(2)], double=False, pair=(0, 1), g=(1, 0, 1), matrix=(1, 1, 0, 1),
+    seed=4,
+)
+def test_solve_zero_dim_numeric_matches_sympy_roots(
+    reals, double, pair, g, matrix, seed
+):
     # points (s, g(s)) at the roots s of u in the coordinates s = a x + b y,
     # t = c x + d y; the ideal is (u(s), t - g(s)), so the distinct points
     # are sympy's roots of u mapped back to (x, y)
     a, b, c, d = matrix
     s_text, t_text = f"({a}*x+{b}*y)", f"({c}*x+{d}*y)"
     s = sympy.Symbol("s")
-    u = sympy.Mul(*(s - sympy.Rational(r.numerator, r.denominator) for r in reals))
+    roots = [sympy.Rational(r.numerator, r.denominator) for r in reals]
+    u = sympy.Mul(*(s - r for r in roots))
     if double:
-        u *= s - sympy.Rational(reals[0].numerator, reals[0].denominator)
+        u *= s - roots[0]
     if pair:
         u *= s**2 + pair[0] * s + pair[1]
     u_text = "+".join(
@@ -286,14 +295,17 @@ def test_solve_zero_dim_numeric_matches_sympy_roots(reals, double, pair, g, matr
     )
     g_text = f"{g[0]}+{g[1]}*{s_text}+{g[2]}*{s_text}^2"
     vars = ("x", "y")
-    G = groebner_basis([poly_parse(u_text, vars), poly_parse(f"{t_text}-({g_text})", vars)])
+    G = groebner_basis(
+        [poly_parse(u_text, vars), poly_parse(f"{t_text}-({g_text})", vars)]
+    )
+    det = a * d - b * c
     expected = []
     for root in sympy.roots(sympy.Poly(u, s)):
         sv = complex(sympy.N(root, 30))
         tv = g[0] + g[1] * sv + g[2] * sv**2
-        det = a * d - b * c
         expected.append(((d * sv - b * tv) / det, (a * tv - c * sv) / det))
-    # the solver draws one integer form from the rng; it must separate the points
+    # the solver's random form, p integers drawn from its rng, must
+    # separate the points
     rng = random.Random(seed)
     form = [rng.randint(-20, 20) for _ in vars]
     values = [form[0] * x + form[1] * y for x, y in expected]
@@ -302,9 +314,9 @@ def test_solve_zero_dim_numeric_matches_sympy_roots(reals, double, pair, g, matr
     points = solve_zero_dim_numeric(G, random.Random(seed))
     assert len(points) == len(expected)
     for point in points:
-        scale = max(1.0, *(abs(z) for z in point))
+        tol = 1e-9 * max(1.0, *(abs(z) for z in point))
         [match] = [
-            e for e in expected if max(abs(z - w) for z, w in zip(point, e)) < 1e-9 * scale
+            e for e in expected if max(abs(z - w) for z, w in zip(point, e)) < tol
         ]
         # real points come out real, complex ones in exactly conjugate pairs
         if all(abs(w.imag) < 1e-12 for w in match):
