@@ -598,7 +598,11 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """(I : f^infty) by one elimination of y from I + (1 - y*f).
 
     A monomial f is replaced by the squarefree monomial of its support,
-    which has the same saturation; a constant f leaves I unchanged.
+    which has the same saturation, and each generator of I is first
+    divided by its monomial factor in the variables of that support (a
+    unit modulo the saturation), so the run starts from lower degrees; a
+    constant f leaves I unchanged.  The result is the reduced basis of
+    the saturation under grlex, whatever the route.
     """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
@@ -606,9 +610,13 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         return ideal
     if f.is_term():
         ((e, _),) = f.terms.items()
-        if not any(e):
+        support = [i for i, x in enumerate(e) if x]
+        if not support:
             return ideal
         f = Polynomial({tuple(int(x != 0) for x in e): Fraction(1)}, f.vars)
+        gens = [g.strip_monomial(support) for g in ideal.gens]
+        if any(s is not g for s, g in zip(gens, ideal.gens)):
+            ideal = Ideal(gens, ideal.vars)
     return _saturate_single(ideal, f)
 
 

@@ -12,7 +12,7 @@ memoizes the keys of the monomials it has compared.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .errors import DimensionMismatch, PolyParseError
 
@@ -377,6 +377,21 @@ class Polynomial:
             return self
         up = tuple(-s for s in shift)
         return Polynomial({mono_mul(e, up): c for e, c in self.terms.items()}, self.vars)
+
+    def strip_monomial(self, support=None) -> "Polynomial":
+        """Divide by the largest monomial factor in the variables at the
+        indices in ``support`` (every variable by default), a unit on the
+        torus of those variables; returns self when there is none."""
+        if not self.terms:
+            return self
+        low = [min(column) for column in zip(*self.terms)]
+        if support is not None:
+            low = [x if i in support else 0 for i, x in enumerate(low)]
+        if not any(low):
+            return self
+        return Polynomial(
+            {tuple(map(sub, e, low)): c for e, c in self.terms.items()}, self.vars
+        )
 
     def weight_initial(self, w) -> "Polynomial":
         """Initial form: the terms of minimal w-weight (min convention)."""

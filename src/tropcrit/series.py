@@ -11,18 +11,46 @@ coefficients for exponents valuation .. truncation_order-1 and prints as
 coefficients arrive one at a time, as in a Hensel lift: it computes each
 coefficient of each power and term once it is final, and keeps it
 (relaxed evaluation; van der Hoeven, "Relax, but don't be too lazy",
-JSC 2002).  Both do the same arithmetic in the same order, so their
-floating results agree bit for bit.
+JSC 2002).  Both do the same floating arithmetic in the same order, so
+their floating results agree bit for bit.  On exact operands both sum
+each convolution (and the evaluator each sum of terms) as integer
+numerators over one common denominator, normalised once per
+coefficient: ``Fraction`` arithmetic would normalise after every
+product and every partial sum, which is most of the cost of an exact
+lift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SeriesInversionError
 from .rings import Polynomial
 
 _EXACT_TYPES = (int, Fraction)
+
+
+def _exact_dot(left, right):
+    """Sum of a*b over the pairs of two rational sequences, as one
+    Fraction: the integer numerator products are summed over the lcm of
+    the denominator products and normalised once, instead of once per
+    product and once per partial sum."""
+    nums = []
+    dens = []
+    for a, b in zip(left, right):
+        if a and b:
+            nums.append(a.numerator * b.numerator)
+            dens.append(a.denominator * b.denominator)
+    d = lcm(*dens)
+    return Fraction(sum([n * (d // e) for n, e in zip(nums, dens)]), d)
+
+
+def _exact_sum(values):
+    """Sum of rational values over their common denominator, normalised
+    once."""
+    d = lcm(*[v.denominator for v in values])
+    return Fraction(sum([v.numerator * (d // v.denominator) for v in values]), d)
 
 
 class LaurentSeries:
@@ -157,6 +185,11 @@ class LaurentSeries:
         )
         val = self.valuation + other.valuation
         n = order - val
+        if self.exact and other.exact:
+            a, b = self.coeffs, other.coeffs
+            return LaurentSeries(
+                val, [_exact_dot(a, b[k::-1]) for k in range(n)], order
+            )
         acc = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -264,7 +297,10 @@ class RelaxedEvaluator:
     order of the ring; a polynomial sums its terms in dict order.  A
     product's coefficient k is the convolution ``LaurentSeries.__mul__``
     computes: ascending index of the left factor, zero left factors
-    skipped, summed from zero.
+    skipped, summed from zero.  With ``scalar=Fraction`` a product's and
+    a polynomial's coefficients are summed over one common denominator
+    instead (``_exact_dot``, ``_exact_sum``); the ``complex`` and
+    ``float`` paths keep the arithmetic and order above.
 
     Every node keeps the coefficients it computed.  The last of them is
     provisional, because the caller may still change that coefficient of
@@ -274,6 +310,7 @@ class RelaxedEvaluator:
 
     def __init__(self, polys, inputs, scalar):
         self._zero = scalar(0)
+        self._exact = scalar is Fraction
         self._inputs = list(inputs.values())
         self._nodes = []  # (kind, left, right, out), in dependency order
         self._polys = []  # (out, indices of the nodes it needs)
@@ -327,22 +364,29 @@ class RelaxedEvaluator:
         which = range(len(self._polys)) if which is None else which
         needs = set().union(*(self._polys[i][1] for i in which))
         zero = self._zero
+        exact = self._exact
         for index in sorted(needs):
             kind, left, right, out = self._nodes[index]
             start = max(min(len(out), n) - 1, 0)
             del out[start:]
             for k in range(start, n):
                 if kind == _PRODUCT:
-                    s = zero
-                    for a, b in zip(left, right[k::-1]):
-                        if a:
-                            s = s + a * b
+                    if exact:
+                        s = _exact_dot(left, right[k::-1])
+                    else:
+                        s = zero
+                        for a, b in zip(left, right[k::-1]):
+                            if a:
+                                s = s + a * b
                 elif kind == _SCALE:
                     s = zero + left * right[k]
                 elif kind == _SUM:
-                    s = zero
-                    for term in left:
-                        s = s + term[k]
+                    if exact:
+                        s = _exact_sum([term[k] for term in left])
+                    else:
+                        s = zero
+                        for term in left:
+                            s = s + term[k]
                 else:
                     s = left if k == 0 else zero
                 out.append(s)

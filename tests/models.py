@@ -1,11 +1,18 @@
 """Shared model fixtures and independent oracles for the test suite."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from tropcrit.arrangement import Arrangement, matroid_flats
-from tropcrit.groebner import Ideal, Job, _buchberger, _dehomogenize
+from tropcrit.groebner import (
+    Ideal,
+    Job,
+    _buchberger,
+    _dehomogenize,
+    _saturate_single,
+)
 from tropcrit.mle import VarietySpec
-from tropcrit.rings import TermOrder, poly_parse
+from tropcrit.rings import Polynomial, TermOrder, poly_parse
 
 COIN_VARS = ("t0", "t1", "t2")
 FOUR_VARS = ("t1", "t2", "t3", "t4")
@@ -191,3 +198,36 @@ def initial_by_fresh_run(eng, w) -> Ideal:
     gh = _buchberger(list(eng.hgens), order, Job())
     vars = eng.ideal.vars
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
+
+
+def product_saturation(equations, ring, extra):
+    """The rescaled system saturated by one run: a single Rabinowitsch
+    elimination by the product of every ring variable and the non-monomial
+    saturators, on the equations as given (no monomial factor divided
+    out)."""
+    product = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
+    for f in extra:
+        if not f.is_term():
+            product = product * f
+    return list(_saturate_single(Ideal(list(equations), ring), product).gens)
+
+
+def naive_poly_eval(f, series, n):
+    """Coefficients 0 .. n-1 of f at power series given by their
+    coefficient lists, by schoolbook products and sums in Fraction
+    arithmetic, one term at a time."""
+
+    def times(a, b):
+        return [
+            sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(n)
+        ]
+
+    total = [Fraction(0)] * n
+    for e, c in f.terms.items():
+        acc = [Fraction(c)] + [Fraction(0)] * (n - 1)
+        for name, x in zip(f.vars, e):
+            for _ in range(x):
+                acc = times(acc, series[name])
+        total = [a + b for a, b in zip(total, acc)]
+    return total

@@ -2,8 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from models import conic_spec, four_lines_spec
+from models import (
+    COIN_RAYS,
+    CONIC_RAYS,
+    coin_spec,
+    conic_spec,
+    four_lines_spec,
+    product_saturation,
+)
 from tropcrit import groebner
 from tropcrit import asymptotics, series
 from tropcrit.asymptotics import (
@@ -119,9 +128,11 @@ def test_conic_escaping_seeds():
         assert abs(got - want) < 1e-9
 
 
-def test_saturated_equations_is_one_groebner_run(monkeypatch):
-    # t, both unknowns and the three saturators in one saturation by their
-    # product: one run on a memo miss, where a chain takes 1 + 2 + 3
+def test_saturated_equations_takes_two_cheaper_groebner_runs(monkeypatch):
+    # t, both unknowns and the three saturators: one run by the non-monomial
+    # saturators, one by the torus monomial, on equations stripped of their
+    # monomial content; fewer steps than one run by the whole product, and
+    # the same reduced basis
     runs = []
     real = groebner._buchberger
 
@@ -129,14 +140,63 @@ def test_saturated_equations_is_one_groebner_run(monkeypatch):
         runs.append(order)
         return real(gens, order, budget)
 
-    monkeypatch.setattr(groebner, "_buchberger", counting)
     rescaled, ring, extra, _ = _rescaled_system(
         conic_system(), conic_curve(), (-1, -1)
     )
     assert len(extra) == 3
+    with Job() as product_job:
+        want = product_saturation(rescaled, ring, extra)
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    with Job() as job:
+        got = _saturated_equations(rescaled, ring, extra)
+    assert len(runs) <= 2
+    assert job.steps < product_job.steps
+    assert got == want
+
+
+def _valuation_cases():
+    """(system, ray, valuations of its unknowns): the conic (unknowns x, y
+    equal to the coordinates t1, t2) and the coin model (unknowns the
+    coordinates, a monomial saturator only), at valuation 0 and at each
+    rigid ray."""
+    conic = critical_system(conic_spec(), None)
+    coin = critical_system(coin_spec(), None, formulation="minors")
+    cases = [("conic", conic, None, None), ("coin", coin, None, None)]
+    cases += [("conic", conic, ray, ray[:2]) for ray in sorted(CONIC_RAYS)]
+    cases += [("coin", coin, ray, ray) for ray in sorted(COIN_RAYS)]
+    return [
+        pytest.param(
+            system,
+            ray,
+            valuations,
+            id=f"{name}-{''.join(map(str, ray)) if ray else 'interior'}",
+        )
+        for name, system, ray, valuations in cases
+    ]
+
+
+@pytest.mark.parametrize("system, ray, valuations", _valuation_cases())
+@settings(max_examples=5, deadline=None)
+@given(
+    value=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    velocity=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_saturated_equations_match_product_route(
+    system, ray, valuations, value, velocity
+):
+    # a linear data curve with integer coefficients, entering the ray's
+    # slope hyperplane at t = 0 when a ray is given
+    value = [Fraction(a) for a in value]
+    if ray is not None:
+        assume(sum(a * b for a, b in zip(velocity, ray)) != 0)
+        pivot = next(i for i, x in enumerate(ray) if x)
+        rest = sum(value[i] * ray[i] for i in range(3) if i != pivot)
+        value[pivot] = -rest / ray[pivot]
+    curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
     with Job():
-        _saturated_equations(rescaled, ring, extra)
-    assert len(runs) == 1
+        rescaled, ring, extra, _ = _rescaled_system(system, curve, valuations)
+        want = product_saturation(rescaled, ring, extra)
+        assert _saturated_equations(rescaled, ring, extra) == want
 
 
 def test_conic_escaping_branch_leading_coefficients():

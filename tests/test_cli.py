@@ -195,9 +195,10 @@ def test_budget_bounds_the_whole_run(capsys):
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
-    # the run takes exactly 985 reduction steps, with each saturation one
-    # Groebner run; reducing other pairs, or the same pairs in another
-    # order, or saturating by a chain of runs, moves the boundary
+    # the run takes exactly 551 reduction steps; reducing other pairs, or
+    # the same pairs in another order, or saturating by another chain of
+    # runs or without first dividing out monomial factors, moves the
+    # boundary
     args = [
         "asymptotics",
         "--spec",
@@ -207,8 +208,8 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
         "--bound",
         "2",
     ]
-    assert main(args + ["--budget", "985"]) == EXIT_OK
-    assert main(args + ["--budget", "984"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "551"]) == EXIT_OK
+    assert main(args + ["--budget", "550"]) == EXIT_RESOURCE
 
 
 def test_non_essential_arrangement_rejected(capsys):

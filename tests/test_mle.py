@@ -15,7 +15,8 @@ from models import (
 )
 from tropcrit.arrangement import chi_complement
 from tropcrit.errors import MLDegreeNotOne
-from tropcrit.groebner import Ideal
+from tropcrit import mle
+from tropcrit.groebner import Ideal, Job
 from tropcrit.mle import (
     VarietySpec,
     critical_system,
@@ -184,6 +185,35 @@ def test_torus_euler_characteristic_direct_cases():
     I2 = Ideal([poly_parse("t2-(t1+1+t1^-1)", ("t1", "t2")).laurent_normalize()])
     chi = torus_euler_characteristic(I2)
     assert chi in (-2, -1, 0)  # sanity bound; exact value checked elsewhere
+
+
+def test_torus_euler_characteristic_saturates_once(monkeypatch):
+    # the stratum's critical system needs the codimension of sat, which the
+    # Euler characteristic already computed: no saturation is run again on
+    # its own result, and one dimension count, however often ml_degree
+    # samples
+    saturations = []
+    dimensions = []
+    real_saturate = mle.saturate
+    real_dimension = mle.ideal_dimension
+
+    def counting_saturate(I, f):
+        out = real_saturate(I, f)
+        saturations.append((I.gens, out.gens))
+        return out
+
+    def counting_dimension(G):
+        dimensions.append(G)
+        return real_dimension(G)
+
+    monkeypatch.setattr(mle, "saturate", counting_saturate)
+    monkeypatch.setattr(mle, "ideal_dimension", counting_dimension)
+    with Job():
+        chi = torus_euler_characteristic(four_lines_ideal_spec().ideal)
+    assert chi == chi_complement(four_lines_arrangement())
+    for k, (gens, _) in enumerate(saturations):
+        assert gens not in [out for _, out in saturations[:k]]
+    assert len(dimensions) == 1
 
 
 # -- closed-form estimators ---------------------------------------------------------------

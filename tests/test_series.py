@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from models import naive_poly_eval
 from tropcrit.errors import SeriesInversionError
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.series import (
@@ -169,6 +170,79 @@ def test_relaxed_evaluator_matches_poly_eval_series(case):
         if k < order:
             for name, c in series.items():
                 inputs[name][k] = c[k]
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=60)
+
+
+@st.composite
+def exact_cases(draw):
+    """Rational polynomials in 2-3 variables plus t and rational series
+    with denominators up to 60; zero coefficients are drawn on purpose."""
+    names = ("x", "y", "z")[: draw(st.integers(2, 3))] + ("t",)
+    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    polys = draw(
+        st.lists(
+            st.dictionaries(exponents, _rationals, min_size=1, max_size=5).map(
+                lambda terms: Polynomial(terms, names)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    order = draw(st.integers(1, 7))
+    value = st.one_of(st.just(Fraction(0)), _rationals)
+    series = {
+        name: draw(st.lists(value, min_size=order, max_size=order))
+        for name in names[:-1]
+    }
+    series["t"] = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    return polys, series, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_cases())
+def test_exact_evaluation_matches_schoolbook_fractions(case):
+    """The common-denominator sums of the exact relaxed evaluator and of
+    poly_eval_series equal schoolbook Fraction arithmetic, at every step
+    of a lift and at the end."""
+    polys, series, order = case
+    wants = [naive_poly_eval(f, series, order) for f in polys]
+    inputs = {name: [Fraction(0)] * (order + 2) for name in series}
+    evaluator = RelaxedEvaluator(polys, inputs, Fraction)
+    for n in range(1, order + 1):
+        for name, c in series.items():
+            inputs[name][n - 1] = c[n - 1]
+        got = evaluator.coefficients(n)
+        assert got == [want[:n] for want in wants]
+    env = {name: LaurentSeries(0, c[:order], order) for name, c in series.items()}
+    for f, want in zip(polys, wants):
+        assert [poly_eval_series(f, env, order).coeff(k) for k in range(order)] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.lists(_rationals, min_size=1, max_size=6),
+    b=st.lists(_rationals, min_size=1, max_size=6),
+    va=st.integers(-3, 3),
+    vb=st.integers(-3, 3),
+)
+def test_exact_product_matches_schoolbook_convolution(a, b, va, vb):
+    x = LaurentSeries(va, a, va + len(a))
+    y = LaurentSeries(vb, b, vb + len(b))
+    product = x * y
+    order = min(x.truncation_order + y.valuation, y.truncation_order + x.valuation)
+    assert product.truncation_order == order
+    for k in range(x.valuation + y.valuation, order):
+        want = sum(
+            (
+                x.coeff(i) * y.coeff(k - i)
+                for i in range(x.valuation, x.truncation_order)
+                if y.valuation <= k - i < y.truncation_order
+            ),
+            Fraction(0),
+        )
+        assert product.coeff(k) == want
 
 
 def test_relaxed_evaluator_rejects_negative_exponents():
