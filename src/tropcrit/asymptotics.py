@@ -24,6 +24,8 @@ from itertools import combinations
 from random import Random
 
 from .errors import (
+    AlphaNotOnHyperplane,
+    CurveNotGeneric,
     NoConvergence,
     NotZeroDimensional,
     SingularJacobian,
@@ -32,7 +34,6 @@ from .errors import (
 from .groebner import (
     Ideal,
     current_job,
-    groebner_basis,
     quotient_basis,
     saturate,
     solve_degree_one,
@@ -70,18 +71,13 @@ class DataCurve:
     def value_at_zero(self):
         return tuple(c.constant_coeff() for c in self.components)
 
-    def derivative_at_zero(self):
-        return tuple(
-            c.derivative(CURVE_VAR).constant_coeff() for c in self.components
-        )
-
     def validate(self, ray=None, slopes=None, rng=None):
         """Value at t=0 on the ray's hyperplane, transverse approach, and
         a generic point off every given slope at one random rational t."""
         a0 = self.value_at_zero()
         if ray is not None:
             if dot(a0, ray.v) != 0:
-                raise ValueError(
+                raise AlphaNotOnHyperplane(
                     f"curve value {a0} at t=0 is not on the hyperplane of {ray.v}"
                 )
             pairing = Polynomial.zero((CURVE_VAR,))
@@ -89,14 +85,16 @@ class DataCurve:
                 pairing = pairing + c * v
             slope = pairing.derivative(CURVE_VAR).constant_coeff()
             if slope == 0:
-                raise ValueError("curve does not cross the hyperplane transversely")
+                raise CurveNotGeneric(
+                    "curve does not cross the hyperplane transversely"
+                )
         if slopes:
             rng = rng or Random(7)
             t0 = Fraction(rng.randint(1, 997), rng.randint(1, 997))
             val = tuple(c.evaluate({CURVE_VAR: t0}) for c in self.components)
             for h in slopes:
                 if dot(h.normal, val) == 0:
-                    raise ValueError(
+                    raise CurveNotGeneric(
                         f"curve is not generic: lies on {h} at t={t0}"
                     )
 
@@ -448,10 +446,9 @@ def branch_seeds(
         raise NotZeroDimensional("saturated system is trivial")
     unknown_ring = ring[:-1]
     torus = Polynomial({(1,) * len(unknown_ring): Fraction(1)}, unknown_ring)
-    I0 = saturate(Ideal(layer, unknown_ring), torus)
-    if I0.is_zero:
+    G = saturate(Ideal(layer, unknown_ring), torus)
+    if G.is_zero:
         raise NotZeroDimensional("t=0 layer is not zero-dimensional")
-    G = groebner_basis(I0)
     if G.is_unit:
         return [], []
     basis = quotient_basis(G)

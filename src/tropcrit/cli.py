@@ -20,6 +20,7 @@ from random import Random
 from . import errors
 from .arrangement import Arrangement
 from .asymptotics import (
+    CURVE_VAR,
     DataCurve,
     branch_seeds,
     refine_seed_exact,
@@ -56,6 +57,7 @@ EXIT_CODES = {
     errors.MLDegreeNotOne: EXIT_PRECONDITION,
     errors.NotInTropicalVariety: EXIT_PRECONDITION,
     errors.AlphaNotOnHyperplane: EXIT_PRECONDITION,
+    errors.CurveNotGeneric: EXIT_PRECONDITION,
     errors.NotCentral: EXIT_PRECONDITION,
     errors.NotIndecomposable: EXIT_PRECONDITION,
     errors.NotEssential: EXIT_PRECONDITION,
@@ -144,6 +146,23 @@ def _polynomials(texts, vars, pointer):
     return polys
 
 
+def _names(obj, key, taken=(), size=None):
+    """The names listed at ``key``: distinct strings other than the names
+    in ``taken``, and ``size`` of them when a size is given."""
+    names = _expect(obj, key, "", list)
+    if (
+        not all(isinstance(x, str) for x in names)
+        or len({*names, *taken}) != len(names) + len(taken)
+        or size not in (None, len(names))
+    ):
+        count = "" if size is None else f"{size} "
+        other = f" other than {', '.join(taken)}" if taken else ""
+        raise errors.SpecValidationError(
+            f"{key} must be {count}distinct name strings{other}", f"/{key}"
+        )
+    return tuple(names)
+
+
 def load_spec(source) -> VarietySpec:
     """Parse a variety spec from a JSON object, string or file path."""
     if isinstance(source, str):
@@ -157,18 +176,20 @@ def load_spec(source) -> VarietySpec:
         raise errors.SpecValidationError("spec must be a JSON object", "")
     kind = _expect(obj, "kind", "", str)
     if kind == "ideal":
-        vars = tuple(_expect(obj, "variables", "", list))
+        vars = _names(obj, "variables")
         gens = _expect(obj, "generators", "", list)
         polys = _polynomials(gens, vars, "/generators")
         return VarietySpec(kind="ideal", ideal=Ideal(polys, vars))
     if kind == "parametrization":
-        params = tuple(_expect(obj, "parameters", "", list))
+        params = _names(obj, "parameters")
         texts = _expect(obj, "functions", "", list)
         funcs = _polynomials(texts, params, "/functions")
-        coords = tuple(obj.get("coordinates") or ())
+        coords = ()
+        if obj.get("coordinates") is not None:
+            coords = _names(obj, "coordinates", params, len(texts))
         return VarietySpec(kind="parametrization", functions=funcs, coordinates=coords)
     if kind == "arrangement":
-        vars = tuple(_expect(obj, "variables", "", list))
+        vars = _names(obj, "variables")
         matrix = _expect(obj, "matrix", "", list)
         rows = []
         for i, row in enumerate(matrix):
@@ -179,6 +200,11 @@ def load_spec(source) -> VarietySpec:
                 )
             entries = [_rational(x, f"/matrix/{i}/{j}") for j, x in enumerate(row)]
             rows.append((tuple(entries[:-1]), entries[-1]))
+        closure = obj.get("projective_closure", True)
+        if not isinstance(closure, bool):
+            raise errors.SpecValidationError(
+                "projective_closure must be true or false", "/projective_closure"
+            )
         r = rank([list(coeffs) for coeffs, _ in rows])
         if r < len(vars):
             raise errors.NotEssential(
@@ -189,7 +215,7 @@ def load_spec(source) -> VarietySpec:
             arr = Arrangement(
                 rows=rows,
                 nvars=len(vars),
-                projective_closure=obj.get("projective_closure", True),
+                projective_closure=closure,
                 vars=vars,
             )
         except ValueError as exc:
@@ -223,13 +249,20 @@ def serialize_spec(spec: VarietySpec):
     }
 
 
-def load_curve(path) -> DataCurve:
+def load_curve(path, size) -> DataCurve:
+    """The data curve of a --curve file, checked against ``CURVE_SCHEMA``
+    with pointers under /curve: ``size`` polynomials in t, one per
+    coordinate."""
     obj = _load_json(path, "/curve")
-    comps = _expect(obj, "components", "", list)
-    try:
-        return DataCurve.parse(comps)
-    except errors.PolyParseError as exc:
-        raise errors.SpecValidationError(str(exc), "/components")
+    if not isinstance(obj, dict):
+        raise errors.SpecValidationError("curve must be a JSON object", "/curve")
+    comps = _expect(obj, "components", "/curve", list)
+    if len(comps) != size:
+        raise errors.SpecValidationError(
+            f"curve must have {size} components, one per coordinate",
+            "/curve/components",
+        )
+    return DataCurve(tuple(_polynomials(comps, (CURVE_VAR,), "/curve/components")))
 
 
 def load_bs_fixture(path, size) -> BSFixture:
@@ -503,6 +536,12 @@ def run_report(cfg: JobConfig):
         kmap = None
         if cfg.command in ("lct", "report") and cfg.k_path:
             kmap = load_k_map(cfg.k_path, len(svars))
+        if cfg.command == "asymptotics":
+            if not cfg.curve_path:
+                raise errors.SpecValidationError(
+                    "asymptotics requires --curve", "/curve"
+                )
+            curve = load_curve(cfg.curve_path, len(svars))
         ideal = spec.to_ideal()
 
         needs_rays = cfg.command in (
@@ -547,11 +586,6 @@ def run_report(cfg: JobConfig):
                 }
 
         if cfg.command == "asymptotics":
-            if not cfg.curve_path:
-                raise errors.SpecValidationError(
-                    "asymptotics requires --curve", "/curve"
-                )
-            curve = load_curve(cfg.curve_path)
             slopes = critical_slopes(rays)
             alpha0 = curve.value_at_zero()
             on = [r for r in rays if dot(alpha0, r.v) == 0]

@@ -40,6 +40,11 @@ class AlphaNotOnHyperplane(TropcritError, ValueError):
     """The data vector does not lie on the slope hyperplane of the ray."""
 
 
+class CurveNotGeneric(TropcritError, ValueError):
+    """The data curve meets its slope hyperplane tangentially at t = 0, or
+    lies on a critical slope hyperplane."""
+
+
 class DegenerateSample(TropcritError, RuntimeError):
     """Random data vectors kept producing degenerate critical systems."""
 

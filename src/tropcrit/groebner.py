@@ -12,6 +12,11 @@ of it sit saturation, weighted initial ideals via single-variable
 homogenization, zero-dimensional degree counts through standard
 monomials, and homogeneity spaces.
 
+A reduced basis is a ``GroebnerBasis``, an ``Ideal`` that knows its
+order.  ``saturate`` and ``eliminate`` return the reduced grlex basis
+their elimination run computed, and ``groebner_basis`` returns a basis
+under the requested order as it is, so no caller rebuilds a basis.
+
 Weighted initial ideals look up the Groebner cones computed so far first
 (Mora and Robbiano's Groebner fan): every weight in one cone shares one
 reduced homogeneous basis, so Buchberger runs only for a weight outside
@@ -357,26 +362,29 @@ def _buchberger(gens, order, budget):
     return _interreduce(G, vars, order, budget)
 
 
-class GroebnerBasis:
-    """Reduced Groebner basis with its order; membership via normal_form.
+class GroebnerBasis(Ideal):
+    """Reduced Groebner basis under ``order``: an Ideal over ``vars``
+    whose generators are the monic Fraction basis elements, sorted by
+    leading monomial; membership via normal_form.
 
-    The elements are monic Fraction polynomials.  Cleared of denominators,
-    a monic polynomial is primitive over Z with a positive leading
-    coefficient; these integer reducers are made once, here.
+    Cleared of denominators, a monic polynomial is primitive over Z with
+    a positive leading coefficient; these integer reducers are made once,
+    here.
     """
 
-    __slots__ = ("order", "elements", "_lts", "_reducers", "_lcs")
+    __slots__ = ("order", "_lts", "_reducers", "_lcs")
 
-    def __init__(self, elements, order):
+    def __init__(self, elements, order, vars):
+        self.gens = tuple(elements)
+        self.vars = tuple(vars)
         self.order = order
-        self.elements = tuple(elements)
-        self._lts = [g.leading(order)[0] for g in self.elements]
-        self._reducers = [_integral(g.terms)[0] for g in self.elements]
+        self._lts = [g.leading(order)[0] for g in self.gens]
+        self._reducers = [_integral(g.terms)[0] for g in self.gens]
         self._lcs = [g[lt] for g, lt in zip(self._reducers, self._lts)]
 
     @property
     def is_unit(self) -> bool:
-        return any(g.is_constant() and not g.is_zero for g in self.elements)
+        return any(g.is_constant() for g in self.gens)
 
     @property
     def leading_terms(self):
@@ -404,23 +412,26 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero
 
     def __repr__(self):
-        return f"GroebnerBasis([{', '.join(map(str, self.elements))}])"
+        return f"GroebnerBasis([{', '.join(map(str, self.gens))}])"
 
 
 def groebner_basis(ideal, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of an Ideal (or list of polynomials)."""
+    """Reduced Groebner basis of an Ideal (or list of polynomials) under
+    ``order``, grlex by default; a GroebnerBasis under that order is
+    returned as it is, and an ideal without generators needs no run."""
     if isinstance(ideal, Ideal):
-        gens = list(ideal.gens)
-        nvars = ideal.nvars
+        gens, vars = ideal.gens, ideal.vars
     else:
         gens = list(ideal)
         if not gens:
             raise ValueError("need at least one generator (or pass an Ideal)")
-        nvars = len(gens[0].vars)
+        vars = gens[0].vars
     if order is None:
-        order = grlex(nvars)
-    elements = _buchberger(gens, order, current_job())
-    return GroebnerBasis(elements, order)
+        order = grlex(len(vars))
+    if isinstance(ideal, GroebnerBasis) and ideal.order.rows == order.rows:
+        return ideal
+    elements = _buchberger(gens, order, current_job()) if gens else []
+    return GroebnerBasis(elements, order, vars)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -430,11 +441,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Decide equality via the uniqueness of reduced Groebner bases."""
-    if I.is_zero or J.is_zero:
-        return I.is_zero and J.is_zero
-    gi = groebner_basis(I, grlex(I.nvars))
-    gj = groebner_basis(J, grlex(J.nvars))
-    return list(gi.elements) == list(gj.elements)
+    return groebner_basis(I).gens == groebner_basis(J).gens
 
 
 # -- weighted initial ideals ------------------------------------------------------
@@ -480,7 +487,7 @@ class InitialIdealEngine:
         # init_w(I) = I for every w when I is the zero or the unit ideal
         self._fixed = ideal.is_zero or self.base.is_unit
         hvars = ideal.vars + (_HOMOG_VAR,)
-        self.hgens = [_homogenize(g, hvars) for g in self.base.elements]
+        self.hgens = [_homogenize(g, hvars) for g in self.base.gens]
 
     def face(self, w):
         """(cone, tie pattern) of the face holding w, or (None, ()) where
@@ -506,7 +513,7 @@ class InitialIdealEngine:
     def initial(self, w) -> Ideal:
         cone, _ = self.face(w)
         if cone is None:
-            return Ideal(self.base.elements, self.ideal.vars)
+            return Ideal(self.base.gens, self.ideal.vars)
         order = _weight_order(w)
         # the order _interreduce gives the basis under this weight
         basis = sorted(cone.basis, key=lambda item: order.key(item[0]))
@@ -580,39 +587,47 @@ def initial_ideal(ideal: Ideal, w) -> Ideal:
 _SAT_VAR = "_y"
 
 
-def _saturate_single(ideal: Ideal, f: Polynomial) -> Ideal:
-    if ideal.is_zero:
-        return ideal
+def _saturate_single(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
+    if ideal.is_zero or f.is_constant():
+        return groebner_basis(ideal)
     vars2 = (_SAT_VAR,) + ideal.vars
-    n = len(vars2)
-    order = block_order(n, ((0,), tuple(range(1, n))))
     gens2 = [g.extend_ring(vars2) for g in ideal.gens]
     y = Polynomial.variable(_SAT_VAR, vars2)
     gens2.append(Polynomial.constant(1, vars2) - y * f.extend_ring(vars2))
-    G = _buchberger(gens2, order, current_job())
-    kept = [g for g in G if 0 not in g.support_vars()]
-    return Ideal([g.restrict_ring(ideal.vars) for g in kept], ideal.vars)
+    return _elimination_basis(gens2, vars2, (0,))
 
 
-def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^infty) by one elimination of y from I + (1 - y*f).
+def _elimination_basis(gens, vars, drop) -> GroebnerBasis:
+    """The ideal of ``gens`` intersected with the subring of the variables
+    whose indices are not in ``drop``, as its reduced grlex basis: the
+    elements of the reduced block-order basis free of the dropped
+    variables (the Elimination Theorem; Cox, Little and O'Shea, ch. 3
+    section 1), which the block order ranks as grlex does."""
+    keep = tuple(i for i in range(len(vars)) if i not in drop)
+    G = _buchberger(gens, block_order(len(vars), (drop, keep)), current_job())
+    kept_vars = tuple(vars[i] for i in keep)
+    kept = [g for g in G if not g.support_vars() & set(drop)]
+    return GroebnerBasis(
+        [g.restrict_ring(kept_vars) for g in kept], grlex(len(keep)), kept_vars
+    )
+
+
+def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
+    """(I : f^infty) by one elimination of y from I + (1 - y*f), as its
+    reduced grlex basis on every route.
 
     A monomial f is replaced by the squarefree monomial of its support,
     which has the same saturation, and each generator of I is first
     divided by its monomial factor in the variables of that support (a
-    unit modulo the saturation), so the run starts from lower degrees; a
-    constant f leaves I unchanged.  The result is the reduced basis of
-    the saturation under grlex, whatever the route.
+    unit modulo the saturation), so the run starts from lower degrees.  A
+    constant f, or the zero ideal, leaves I unchanged: the result is the
+    basis of I, which is I itself when I already is a grlex basis.
     """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
-    if ideal.is_zero:
-        return ideal
     if f.is_term():
         ((e, _),) = f.terms.items()
         support = [i for i, x in enumerate(e) if x]
-        if not support:
-            return ideal
         f = Polynomial({tuple(int(x != 0) for x in e): Fraction(1)}, f.vars)
         gens = [g.strip_monomial(support) for g in ideal.gens]
         if any(s is not g for s, g in zip(gens, ideal.gens)):
@@ -620,20 +635,14 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     return _saturate_single(ideal, f)
 
 
-def eliminate(ideal: Ideal, keep) -> Ideal:
-    """Intersection with the subring of the kept variables (block order)."""
-    keep = list(keep)
-    drop_idx = tuple(i for i, v in enumerate(ideal.vars) if v not in keep)
-    keep_idx = tuple(i for i, v in enumerate(ideal.vars) if v in keep)
-    if not drop_idx:
-        return ideal
-    kept_vars = tuple(ideal.vars[i] for i in keep_idx)
-    if ideal.is_zero:
-        return Ideal([], kept_vars)
-    order = block_order(ideal.nvars, (drop_idx, keep_idx))
-    G = _buchberger(list(ideal.gens), order, current_job())
-    kept = [g for g in G if not (g.support_vars() & set(drop_idx))]
-    return Ideal([g.restrict_ring(kept_vars) for g in kept], kept_vars)
+def eliminate(ideal: Ideal, keep) -> GroebnerBasis:
+    """Intersection with the subring of the kept variables, as its reduced
+    grlex basis: the kept elements of one block-order run."""
+    keep = set(keep)
+    drop = tuple(i for i, v in enumerate(ideal.vars) if v not in keep)
+    if not drop:
+        return groebner_basis(ideal)
+    return _elimination_basis(list(ideal.gens), ideal.vars, drop)
 
 
 # -- zero-dimensional machinery ---------------------------------------------------
@@ -644,9 +653,7 @@ def quotient_basis(G: GroebnerBasis):
     if G.is_unit:
         return []
     lts = G.leading_terms
-    if not lts:
-        raise NotZeroDimensional("the zero ideal has infinite quotient")
-    p = len(G.elements[0].vars)
+    p = G.nvars
     bounds = []
     for i in range(p):
         pure = [
@@ -688,23 +695,13 @@ def quotient_basis(G: GroebnerBasis):
 def zero_dim_degree(ideal) -> int:
     """Vector-space dimension of the quotient = solution count with
     multiplicity; raises NotZeroDimensional when infinite."""
-    if isinstance(ideal, GroebnerBasis):
-        G = ideal
-    else:
-        if ideal.is_zero:
-            if ideal.nvars == 0:
-                return 1
-            raise NotZeroDimensional("zero ideal in a positive-dim ring")
-        G = groebner_basis(ideal, grlex(ideal.nvars))
-    if G.is_unit:
-        return 0
-    return len(quotient_basis(G))
+    return len(quotient_basis(groebner_basis(ideal)))
 
 
 def multiplication_matrix(G: GroebnerBasis, basis, var_index):
     """Matrix of multiplication by a variable on the quotient basis."""
     idx = {m: k for k, m in enumerate(basis)}
-    vars = G.elements[0].vars
+    vars = G.vars
     n = len(basis)
     cols = []
     for m in basis:
@@ -858,7 +855,7 @@ def _random_form(G: GroebnerBasis, basis, rng):
     Its minimal polynomial is taken on the Krylov space of 1, which is the
     minimal polynomial in A: q(M) 1 = q(form) is zero exactly when q(M) is.
     """
-    p = len(G.elements[0].vars)
+    p = G.nvars
     n = len(basis)
     mats = [multiplication_matrix(G, basis, i) for i in range(p)]
     coeffs = [rng.randint(-20, 20) for _ in range(p)]
@@ -885,7 +882,7 @@ def squarefree_check(G: GroebnerBasis, basis, rng) -> bool:
 
 def solve_degree_one(G: GroebnerBasis):
     """Exact coordinates of the unique solution of a degree-1 system."""
-    vars = G.elements[0].vars
+    vars = G.vars
     basis = quotient_basis(G)
     if len(basis) != 1:
         raise ValueError(f"system has degree {len(basis)}, not 1")
@@ -947,23 +944,13 @@ def homogeneity_space(ideal):
     """Basis of the space of weights u for which the ideal is u-graded,
     computed from the reduced Groebner basis (exponent differences within
     each element)."""
-    if isinstance(ideal, GroebnerBasis):
-        elements = ideal.elements
-        p = len(elements[0].vars) if elements else 0
-    else:
-        p = ideal.nvars
-        if ideal.is_zero:
-            return nullspace([], ncols=p)
-        elements = groebner_basis(ideal, grlex(p)).elements
     rows = []
-    for g in elements:
+    for g in groebner_basis(ideal).gens:
         exps = list(g.terms)
         e0 = exps[0]
         for e in exps[1:]:
             rows.append([Fraction(x - y) for x, y in zip(e, e0)])
-    if not rows:
-        return nullspace([], ncols=p)
-    return nullspace(rows, ncols=p)
+    return nullspace(rows, ncols=ideal.nvars)
 
 
 def ideal_dimension(ideal) -> int:
@@ -971,18 +958,11 @@ def ideal_dimension(ideal) -> int:
     leading-term ideal (-1 for the unit ideal)."""
     from itertools import combinations
 
-    if isinstance(ideal, GroebnerBasis):
-        G = ideal
-        p = len(G.elements[0].vars)
-    else:
-        p = ideal.nvars
-        if ideal.is_zero:
-            return p
-        G = groebner_basis(ideal, grlex(p))
+    G = groebner_basis(ideal)
     if G.is_unit:
         return -1
-    lts = G.leading_terms
-    supports = [frozenset(i for i, x in enumerate(m) if x) for m in lts]
+    p = G.nvars
+    supports = [frozenset(i for i, x in enumerate(m) if x) for m in G.leading_terms]
     for size in range(p, -1, -1):
         for S in combinations(range(p), size):
             sset = set(S)

@@ -24,6 +24,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     current_job,
     groebner_basis,
@@ -178,11 +179,12 @@ def _dlog_system(spec, data):
 
 
 def _torus_saturation(ideal: Ideal):
-    """(sat, G, d): the saturation of the ideal by the torus monomial, its
-    grlex basis (None for the zero ideal) and its dimension (-1 for the
-    unit ideal), memoized in the current job.
+    """(G, d): the reduced grlex basis of the saturation of the ideal by
+    the torus monomial, as ``saturate`` returns it, and its dimension (the
+    number of variables for the zero ideal, -1 for the unit ideal),
+    memoized in the current job.
 
-    The entry is also recorded for sat itself, which is its own
+    The entry is also recorded for G itself, which is its own
     saturation, so the critical system of a stratum's saturated ideal
     reuses it instead of saturating again.
     """
@@ -190,22 +192,9 @@ def _torus_saturation(ideal: Ideal):
     key = (_torus_saturation, ideal.gens, ideal.vars)
     if key not in memo:
         e = tuple(1 for _ in ideal.vars)
-        sat = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars))
-        if sat.is_zero:
-            entry = (sat, None, ideal.nvars)
-        else:
-            G = groebner_basis(sat)
-            entry = (sat, G, ideal_dimension(G))
-        memo[key] = entry
-        memo[_torus_saturation, sat.gens, sat.vars] = entry
+        G = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars))
+        memo[key] = memo[_torus_saturation, G.gens, G.vars] = (G, ideal_dimension(G))
     return memo[key]
-
-
-def _torus_codim(ideal: Ideal) -> int:
-    sat, _, d = _torus_saturation(ideal)
-    if sat.is_zero:
-        return 0
-    return ideal.nvars - d
 
 
 def _ideal_system(spec, data, formulation):
@@ -214,7 +203,7 @@ def _ideal_system(spec, data, formulation):
     p = len(coords)
     gens = list(I.gens)
     k = len(gens)
-    codim = _torus_codim(I)
+    codim = I.nvars - _torus_saturation(I)[1]
     if formulation == "auto":
         formulation = "minors" if codim <= 2 else "lagrange"
     svars = spec.svars if data is None else ()
@@ -302,8 +291,9 @@ def sample_alpha(p, rng: Random):
     return tuple(out)
 
 
-def saturated_critical_ideal(system: CriticalSystem) -> Ideal:
-    """Ideal of the system with every saturator made invertible.
+def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
+    """Reduced grlex basis of the system's ideal with every saturator made
+    invertible, as the last saturation returns it.
 
     One saturation per saturator: with the data variables in the ring, a
     single saturation by their product is far slower (2,216 against 362
@@ -314,15 +304,14 @@ def saturated_critical_ideal(system: CriticalSystem) -> Ideal:
         I = saturate(I, f)
         if I.is_zero:
             break
-    return I
+    return groebner_basis(I)
 
 
 def _critical_count(spec, alpha, formulation, rng):
     system = critical_system(spec, alpha, formulation)
-    I = saturated_critical_ideal(system)
-    if I.is_zero:
+    G = saturated_critical_ideal(system)
+    if G.is_zero:
         raise NotZeroDimensional("critical scheme is not zero-dimensional")
-    G = groebner_basis(I)
     if G.is_unit:
         return 0, G
     basis = quotient_basis(G)
@@ -362,14 +351,14 @@ def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
     (-1)^dim.  Assumes the usual smoothness caveats.
     """
     rng = rng or Random(DEFAULT_SEED)
-    sat, G, d = _torus_saturation(ideal)
-    if sat.is_zero:
+    G, d = _torus_saturation(ideal)
+    if G.is_zero:
         return 1 if ideal.nvars == 0 else 0
     if G.is_unit:
         return 0
     if d == 0:
         return len(quotient_basis(G))
-    spec = VarietySpec(kind="ideal", ideal=sat)
+    spec = VarietySpec(kind="ideal", ideal=G)
     count = ml_degree(spec, rng=rng)
     return count if d % 2 == 0 else -count
 
@@ -462,10 +451,9 @@ class MLEFormula:
 
 def _solve_unique_point(spec, alpha, formulation="auto"):
     system = critical_system(spec, alpha, formulation)
-    I = saturated_critical_ideal(system)
-    if I.is_zero:
+    G = saturated_critical_ideal(system)
+    if G.is_zero:
         raise NotZeroDimensional("critical scheme is not zero-dimensional")
-    G = groebner_basis(I)
     if G.is_unit or len(quotient_basis(G)) != 1:
         raise NotZeroDimensional("sample did not produce a single critical point")
     point = solve_degree_one(G)

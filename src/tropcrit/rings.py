@@ -259,13 +259,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def mul_term(self, e: Mono, c) -> "Polynomial":
-        c = _as_fraction(c)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {mono_mul(m, e): k * c for m, k in self.terms.items()} if c else {}
-        out.vars = self.vars
-        return out
-
     # -- leading data --------------------------------------------------------
 
     def leading(self, order: TermOrder):

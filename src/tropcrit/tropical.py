@@ -19,7 +19,6 @@ from .groebner import (
     Ideal,
     InitialIdealEngine,
     current_job,
-    groebner_basis,
     homogeneity_space,
     saturate,
 )
@@ -167,8 +166,7 @@ class TropicalEngine:
             elif any(g.is_term() for g in J.gens):
                 result = False
             else:
-                S = saturate(J, self.torus_monomial)
-                result = not (S.gens and groebner_basis(S).is_unit)
+                result = not saturate(J, self.torus_monomial).is_unit
             self._contains[gens] = result
         return result
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tropcrit
+from tropcrit import cli, groebner
 from tropcrit.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -20,6 +21,7 @@ from tropcrit.cli import (
     serialize_spec,
 )
 from tropcrit.errors import SpecValidationError
+from tropcrit.rings import grlex
 
 FIXTURES = Path(tropcrit.__file__).parent / "fixtures"
 
@@ -192,6 +194,31 @@ def test_budget_bounds_the_whole_run(capsys):
     ]
     assert main(args) == EXIT_OK
     assert main(args + ["--budget", "100"]) == EXIT_RESOURCE
+
+
+def test_report_runs_no_buchberger_on_a_reduced_basis(monkeypatch, capsys):
+    # saturations and eliminations return the reduced grlex basis they
+    # computed, so no caller runs Buchberger to rebuild it; init_w(I) in
+    # homogeneity_space is not always its own reduced basis and keeps its run
+    real = groebner._buchberger
+    reruns = []
+
+    def recording(gens, order, budget):
+        out = real(gens, order, budget)
+        caller = sys._getframe(2).f_code.co_name
+        if (
+            out
+            and caller != "homogeneity_space"
+            and order.rows == grlex(len(out[0].vars)).rows
+            and len(out) == len(gens)
+            and all(g in out for g in gens)
+        ):
+            reruns.append(caller)
+        return out
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    assert main(["report", "--spec", fixture("four_lines.json")]) == EXIT_OK
+    assert reruns == []
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
@@ -575,4 +602,99 @@ def test_bad_k_map_rejected(capsys, tmp_path, document, pointer):
     path.write_text(json.dumps(document))
     args = ["lct", "--spec", fixture("four_lines.json"), "--k", str(path)]
     assert main(args + ["--bound", "1"]) == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, pointer",
+    [
+        (5, "/curve"),
+        ({}, "/curve"),
+        ({"components": [3, "t", "1"]}, "/curve/components/0"),
+        ({"components": ["t", "1+t^", "1"]}, "/curve/components/1"),
+        ({"components": ["-t", "1"]}, "/curve/components"),
+        ({"components": ["-t", "1", "2", "3"]}, "/curve/components"),
+    ],
+    ids=[
+        "not-object",
+        "no-components",
+        "non-string-component",
+        "bad-component",
+        "too-few-components",
+        "too-many-components",
+    ],
+)
+def test_bad_curve_rejected(capsys, tmp_path, document, pointer):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(document))
+    args = ["asymptotics", "--spec", fixture("conic_model.json"), "--curve", str(path)]
+    assert main(args + ["--bound", "2"]) == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+def test_asymptotics_without_curve_rejected_before_ray_search(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the ray search ran before the curve was checked")
+
+    monkeypatch.setattr(cli, "find_rigid_rays", no_search)
+    assert main(["asymptotics", "--spec", fixture("conic_model.json")]) == EXIT_VALIDATION
+    assert "[at /curve]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        (["1+t", "2", "t^2"], "transversely"),
+        (["-1-t", "1", "t"], "not generic"),
+    ],
+    ids=["tangent", "on-slope-hyperplane"],
+)
+def test_curve_breaking_a_precondition_exits_5(capsys, tmp_path, components, message):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"components": components}))
+    args = ["asymptotics", "--spec", fixture("conic_model.json"), "--curve", str(path)]
+    assert main(args + ["--bound", "2"]) == EXIT_PRECONDITION
+    assert message in capsys.readouterr().err
+
+
+TWO_FUNCTIONS = {"kind": "parametrization", "parameters": ["x"], "functions": ["x", "1-x"]}
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"kind": "ideal", "variables": ["x", "x"], "generators": ["x-1"]}, "/variables"),
+        ({"kind": "ideal", "variables": ["x", 3], "generators": ["x-1"]}, "/variables"),
+        ({**TWO_FUNCTIONS, "parameters": ["x", "x"]}, "/parameters"),
+        ({**TWO_FUNCTIONS, "coordinates": ["a"]}, "/coordinates"),
+        ({**TWO_FUNCTIONS, "coordinates": ["a", "a"]}, "/coordinates"),
+        ({**TWO_FUNCTIONS, "coordinates": ["a", "x"]}, "/coordinates"),
+        (
+            {"kind": "arrangement", "variables": ["x", "x"], "matrix": [[1, 0, 0], [0, 1, 0]]},
+            "/variables",
+        ),
+        (
+            {
+                "kind": "arrangement",
+                "variables": ["x", "y"],
+                "matrix": [[1, 0, 0], [0, 1, 0], [1, 1, -1]],
+                "projective_closure": "no",
+            },
+            "/projective_closure",
+        ),
+    ],
+    ids=[
+        "duplicate-variables",
+        "non-string-variable",
+        "duplicate-parameters",
+        "too-few-coordinates",
+        "duplicate-coordinates",
+        "coordinate-is-parameter",
+        "duplicate-arrangement-variables",
+        "closure-not-bool",
+    ],
+)
+def test_bad_spec_names_rejected(capsys, spec, pointer):
+    code = main(["rigid-rays", "--spec", json.dumps(spec), "--bound", "1"])
+    assert code == EXIT_VALIDATION
     assert f"[at {pointer}]" in capsys.readouterr().err

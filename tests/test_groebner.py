@@ -17,6 +17,7 @@ from models import (
 from tropcrit import groebner
 from tropcrit.errors import NotZeroDimensional, ResourceBudgetExceeded
 from tropcrit.groebner import (
+    GroebnerBasis,
     Ideal,
     InitialIdealEngine,
     Job,
@@ -54,24 +55,24 @@ def test_containment_collapse():
     vars = ("x",)
     order = block_order(1, ((0,),))
     G = groebner_basis([poly_parse("x^2-1", vars), poly_parse("x-1", vars)], order)
-    assert list(G.elements) == [poly_parse("x-1", vars)]
+    assert list(G.gens) == [poly_parse("x-1", vars)]
 
 
 def test_coin_basis_membership_and_s_pairs():
     I = coin_ideal()
     G = groebner_basis(I)
-    assert len(G.elements) == 2
+    assert len(G.gens) == 2
     for g in I.gens:
         assert G.contains(g)
     # S-polynomial of the two basis elements reduces to zero
-    a, b = G.elements
+    a, b = G.gens
     assert G.contains(a * b)
 
 
 def test_unit_ideal():
     G = groebner_basis([poly_parse("1", COIN)])
     assert G.is_unit
-    assert list(G.elements) == [poly_parse("1", COIN)]
+    assert list(G.gens) == [poly_parse("1", COIN)]
 
 
 def test_normal_form_member_is_zero():
@@ -238,6 +239,33 @@ def test_monomial_saturation_is_one_groebner_run(monkeypatch):
     assert len(runs) == 1
 
 
+def test_saturate_and_eliminate_return_their_reduced_basis(monkeypatch):
+    # every route returns the reduced grlex basis it computed, which
+    # groebner_basis hands back as it is, with no run
+    vars = ("x", "y")
+    I = Ideal([poly_parse("x^2*y-x", vars), poly_parse("x*y^2-y+1", vars)])
+    zero = Ideal([], vars)
+    results = [
+        saturate(I, poly_parse("x*y", vars)),
+        saturate(I, poly_parse("x+y", vars)),
+        saturate(I, poly_parse("3", vars)),
+        saturate(zero, poly_parse("x", vars)),
+        eliminate(I, ["y"]),
+        eliminate(zero, ["x"]),
+    ]
+    for G in results:
+        assert G.gens == groebner_basis(Ideal(G.gens, G.vars)).gens
+    assert results[2].gens == groebner_basis(I).gens
+    assert results[3].is_zero and results[3].vars == vars
+    assert results[5].is_zero and results[5].vars == ("x",)
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: runs.append(args))
+    for G in results:
+        assert isinstance(G, GroebnerBasis)
+        assert groebner_basis(G) is G
+    assert not runs
+
+
 # -- elimination -------------------------------------------------------------------
 
 
@@ -249,8 +277,10 @@ def test_eliminate_parabola():
 
 
 def test_eliminate_keep_all():
-    I = coin_ideal()
-    assert eliminate(I, list(COIN)) is I
+    # nothing to eliminate: the reduced basis of I, and a basis is its own
+    G = eliminate(coin_ideal(), list(COIN))
+    assert G.gens == groebner_basis(coin_ideal()).gens
+    assert eliminate(G, list(COIN)) is G
 
 
 # -- degree counts -------------------------------------------------------------------
@@ -346,6 +376,13 @@ def test_ideal_dimension():
     assert ideal_dimension(Ideal([poly_parse("x^2-1", ("x", "y"))])) == 1
     assert ideal_dimension(Ideal([poly_parse("1", ("x", "y"))])) == -1
     assert ideal_dimension(Ideal([], ("x", "y"))) == 2
+
+
+def test_zero_ideal_basis_keeps_its_ring():
+    G = groebner_basis(Ideal([], ("x", "y")))
+    assert G.is_zero and G.vars == ("x", "y")
+    assert ideal_dimension(G) == 2
+    assert len(homogeneity_space(G)) == 2
 
 
 def test_budget_abort():

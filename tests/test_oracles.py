@@ -23,6 +23,7 @@ from tropcrit.asymptotics import (
     _saturated_equations,
 )
 from tropcrit.groebner import (
+    GroebnerBasis,
     Ideal,
     Job,
     _saturate_single,
@@ -89,7 +90,7 @@ def test_reduced_basis_matches_sympy_grlex():
                 (from_sympy(e, symbols, vars).monic(order) for e in theirs.exprs),
                 key=lambda p: order.key(p.leading(order)[0]),
             )
-            assert list(mine.elements) == converted
+            assert list(mine.gens) == converted
         checked += 1
 
 
@@ -126,7 +127,7 @@ def test_reduced_basis_matches_sympy_generated(gens, orders):
             (from_sympy(e, symbols, _XYZ).monic(order) for e in theirs.exprs),
             key=lambda p: order.key(p.leading(order)[0]),
         )
-        assert list(mine.elements) == converted
+        assert list(mine.gens) == converted
 
 
 def _generated_rational_poly(max_terms, max_exp):
@@ -168,21 +169,22 @@ def test_rational_basis_and_normal_form_match_sympy_generated(gens, orders, f):
             (from_sympy(e, symbols, _XYZ) for e in theirs.exprs),
             key=lambda p: order.key(p.leading(order)[0]),
         )
-        assert list(mine.elements) == converted
+        assert list(mine.gens) == converted
     _, remainder = theirs.reduce(to_sympy(f, symbols))
     assert mine.normal_form(f) == from_sympy(remainder, symbols, _XYZ)
 
 
 def chain_saturation(ideal, f):
     """I : f^infty with a monomial f taken one variable at a time: one
-    elimination per variable of its support."""
+    elimination per variable of its support; the reduced grlex basis of I
+    for a constant f."""
     if not f.is_term():
         return _saturate_single(ideal, f)
     ((e, _),) = f.terms.items()
     for name, x in zip(ideal.vars, e):
         if x:
             ideal = _saturate_single(ideal, Polynomial.variable(name, ideal.vars))
-    return ideal
+    return groebner_basis(ideal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,10 +192,13 @@ def chain_saturation(ideal, f):
     gens=st.lists(_generated_poly, min_size=1, max_size=3),
     exponents=st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
 )
+@example(gens=[Polynomial({(0, 0, 0): -1}, _XYZ)], exponents=(0, 0, 0))
 def test_saturate_matches_chain_and_sympy_generated(gens, exponents):
     ideal = Ideal(gens, _XYZ)
     m = Polynomial({exponents: 1}, _XYZ)
     mine = saturate(ideal, m)
+    assert isinstance(mine, GroebnerBasis)
+    assert groebner_basis(mine) is mine
     assert mine.gens == chain_saturation(ideal, m).gens
     # sympy: eliminate a tag variable from I + (1 - tag*m)
     symbols = sympy.symbols("x y z")
@@ -215,7 +220,7 @@ def test_saturate_matches_chain_and_sympy_generated(gens, exponents):
             (from_sympy(e, symbols, _XYZ).monic(order) for e in theirs.exprs),
             key=lambda p: order.key(p.leading(order)[0]),
         )
-        assert list(basis.elements) == converted
+        assert list(basis.gens) == converted
 
 
 @settings(max_examples=10, deadline=None)
