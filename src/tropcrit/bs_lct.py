@@ -6,9 +6,8 @@ variety.  Externally computed Bernstein-Sato factor lists are loaded as
 fixtures for comparison; no D-module computation happens here.
 
 The LCT polytope collects inequalities a.s <= k over nonnegative rays
-(s >= 0 implied); facets are detected by exhaustive vertex enumeration
-with exact arithmetic, and the recession rays, unit vectors off the
-normals' supports, come in closed form.
+(s >= 0 implied); an inequality is facet-defining exactly when it is
+irredundant, which one exact simplex run per inequality decides.
 """
 
 from __future__ import annotations
@@ -16,15 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .arrangement import Arrangement, matroid_connected
-from .errors import DimensionTooLarge, MissingDiscrepancy, NotIndecomposable
-from .linalg import rank, rref
-from .rings import dot
+from .errors import MissingDiscrepancy, NotIndecomposable
+from .groebner import current_job
 from .tropical import SlopeHyperplane
-
-MAX_VERTEX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,6 @@ class LCTPolytope:
 
     inequalities: list  # (normal tuple of ints, k Fraction)
     dimension: int
-    _vertices: list | None = field(default=None, repr=False)
-    _rays: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for a, k in self.inequalities:
@@ -121,96 +114,59 @@ class LCTPolytope:
             if k <= 0:
                 raise ValueError("discrepancy values must be positive")
 
-    def constraints(self):
-        """All constraints as (row, rhs) of row . s <= rhs."""
-        p = self.dimension
-        rows = [([Fraction(x) for x in a], Fraction(k)) for a, k in self.inequalities]
-        for i in range(p):
-            e = [Fraction(0)] * p
-            e[i] = Fraction(-1)
-            rows.append((e, Fraction(0)))
-        return rows
-
-    def vertices(self):
-        """Exhaustive basis enumeration with exact solves."""
-        if self._vertices is not None:
-            return self._vertices
-        p = self.dimension
-        if p > MAX_VERTEX_DIM:
-            raise DimensionTooLarge(
-                f"vertex enumeration is capped at dimension {MAX_VERTEX_DIM}"
-            )
-        rows = self.constraints()
-        found = []
-        for subset in combinations(range(len(rows)), p):
-            x = _unique_solution([rows[i][0] + [rows[i][1]] for i in subset])
-            if x is None:
-                continue
-            if all(dot(row, x) <= rhs for row, rhs in rows):
-                pt = tuple(x)
-                if pt not in found:
-                    found.append(pt)
-        self._vertices = sorted(found)
-        return self._vertices
-
-    def recession_rays(self):
-        """Extreme rays of the recession cone {d >= 0 : a.d <= 0}, computed
-        once.
-
-        The normals are nonnegative, so a.d <= 0 forces d_j = 0 on the
-        support of a: the cone is the orthant face spanned by the unit
-        vectors e_j with j outside every normal's support.  These rays
-        have a.d = 0 for every inequality, so they are also the recession
-        rays of every face.
-        """
-        if self._rays is not None:
-            return self._rays
-        p = self.dimension
-        used = {j for a, _ in self.inequalities for j, x in enumerate(a) if x}
-        self._rays = sorted(
-            tuple(Fraction(int(i == j)) for i in range(p))
-            for j in range(p)
-            if j not in used
-        )
-        return self._rays
-
-    def dim(self) -> int:
-        verts = self.vertices()
-        if not verts:
-            return -1
-        v0 = verts[0]
-        rows = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-        rows += [list(d) for d in self.recession_rays()]
-        return rank(rows) if rows else 0
-
-
-def _unique_solution(augmented):
-    """The solution of a square system given as rows [A | b], or None when
-    A is singular: A is invertible exactly when the pivots are its
-    columns 0..p-1."""
-    red, pivots = rref(augmented)
-    if pivots != list(range(len(augmented))):
-        return None
-    return [row[-1] for row in red]
-
 
 def facet_defining(poly: LCTPolytope, which: int) -> bool:
-    """Is the face cut by inequality ``which`` of affine dimension p-1?
+    """Is the face cut by inequality ``which`` a facet?
 
-    Unbounded faces contribute their recession directions, the
-    polytope's recession rays, to the affine hull; every nonempty face of
-    this pointed polyhedron has a vertex.
+    Every k is positive, so P contains eps*(1,...,1) and is
+    full-dimensional; an inequality of a full-dimensional polyhedron
+    defines a facet exactly when it is irredundant, that is when some
+    point meeting every other inequality violates it (Schrijver, Theory
+    of Linear and Integer Programming, section 8.4).  Inequalities that
+    are positive multiples of this one cut the same halfspace and are
+    left out.  So maximize a.s over s >= 0 and the other inequalities
+    with an exact tableau simplex: the origin is a feasible start, since
+    every right-hand side is positive, and Bland's rule (lowest-index
+    entering and leaving variables; Bland, Math. Oper. Res. 1977) makes
+    it terminate.  The answer is yes at the first pivot whose value
+    passes k, or when the program is unbounded.  Each pivot ticks the
+    current job's budget.
     """
     a, k = poly.inequalities[which]
-    verts = poly.vertices()
-    on_face = [v for v in verts if dot(a, v) == k]
-    if not on_face:
-        return False
-    v0 = on_face[0]
-    rows = [[x - y for x, y in zip(v, v0)] for v in on_face[1:]]
-    rows += [list(d) for d in poly.recession_rays()]
-    face_dim = rank(rows) if rows else 0
-    return face_dim == poly.dimension - 1
+    p = poly.dimension
+    # row r says: basic variable basis[r] = rhs - row . (nonbasic variables)
+    rows = [
+        [Fraction(x) for x in b] + [Fraction(kb)]
+        for b, kb in poly.inequalities
+        if any(x * kb != y * k for x, y in zip(a, b))
+    ]
+    cost = [Fraction(-x) for x in a] + [Fraction(0)]  # last entry: a.s
+    nonbasic = list(range(p))
+    basis = list(range(p, p + len(rows)))
+    job = current_job()
+    while True:
+        entering = [c for c in range(p) if cost[c] < 0]
+        if not entering:
+            return False
+        c = min(entering, key=nonbasic.__getitem__)
+        bounding = [r for r, row in enumerate(rows) if row[c] > 0]
+        if not bounding:
+            return True
+        r = min(bounding, key=lambda r: (rows[r][-1] / rows[r][c], basis[r]))
+        job.tick()
+        pivot_row = rows[r]
+        inv = 1 / pivot_row[c]
+        pivot_row[:] = [x * inv for x in pivot_row]
+        pivot_row[c] = inv
+        for row in rows + [cost]:
+            f = row[c]
+            if row is pivot_row or not f:
+                continue
+            row[:] = [x - f * y for x, y in zip(row, pivot_row)]
+            row[c] = -f * inv
+        basis[r], nonbasic[c] = nonbasic[c], basis[r]
+        if cost[-1] > k:
+            return True
 
 
 def _support_flat_rank(arr: Arrangement, ray_vec):

@@ -30,7 +30,13 @@ from .asymptotics import (
 from .bs_lct import BSFixture, bs_slope_intersection, conjecture_check
 from .groebner import Ideal, Job
 from .linalg import rank
-from .mle import VarietySpec, critical_system, ml_degree, mle_closed_form
+from .mle import (
+    VarietySpec,
+    critical_system,
+    default_coordinates,
+    ml_degree,
+    mle_closed_form,
+)
 from .rings import Polynomial, dot
 from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_char
 
@@ -62,7 +68,6 @@ EXIT_CODES = {
     errors.NotIndecomposable: EXIT_PRECONDITION,
     errors.NotEssential: EXIT_PRECONDITION,
     errors.MissingDiscrepancy: EXIT_PRECONDITION,
-    errors.DimensionTooLarge: EXIT_PRECONDITION,
     errors.SingularJacobian: EXIT_NUMERIC,
     errors.NoConvergence: EXIT_NUMERIC,
     errors.TruncationTooShort: EXIT_NUMERIC,
@@ -181,16 +186,23 @@ def load_spec(source) -> VarietySpec:
         polys = _polynomials(gens, vars, "/generators")
         return VarietySpec(kind="ideal", ideal=Ideal(polys, vars))
     if kind == "parametrization":
-        params = _names(obj, "parameters")
         texts = _expect(obj, "functions", "", list)
-        funcs = _polynomials(texts, params, "/functions")
-        coords = ()
-        if obj.get("coordinates") is not None:
+        if obj.get("coordinates") is None:
+            coords = default_coordinates(len(texts))
+            params = _names(obj, "parameters", coords)
+        else:
+            params = _names(obj, "parameters")
             coords = _names(obj, "coordinates", params, len(texts))
+        funcs = _polynomials(texts, params, "/functions")
+        for i, f in enumerate(funcs):
+            if f.is_zero:
+                raise errors.SpecValidationError(
+                    "parametrization functions must be nonzero", f"/functions/{i}"
+                )
         return VarietySpec(kind="parametrization", functions=funcs, coordinates=coords)
     if kind == "arrangement":
-        vars = _names(obj, "variables")
         matrix = _expect(obj, "matrix", "", list)
+        vars = _names(obj, "variables", default_coordinates(len(matrix)))
         rows = []
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != len(vars) + 1:

@@ -85,10 +85,6 @@ class MissingDiscrepancy(TropcritError, ValueError):
     """No discrepancy value available for a ray outside arrangement mode."""
 
 
-class DimensionTooLarge(TropcritError, ValueError):
-    """Exhaustive vertex enumeration is capped at ambient dimension 8."""
-
-
 class SpecValidationError(TropcritError, ValueError):
     """Input JSON does not match the published schema."""
 

@@ -52,6 +52,11 @@ def _svar_name(coord: str) -> str:
     return "s_" + coord
 
 
+def default_coordinates(n: int) -> tuple:
+    """The coordinate names t1..tn of a spec that names none."""
+    return tuple(f"t{i+1}" for i in range(n))
+
+
 @dataclass
 class VarietySpec:
     """A very affine variety in one of three presentations."""
@@ -79,11 +84,11 @@ class VarietySpec:
                 raise ValueError("parametrization functions must be nonzero")
             self.params = tuple(self.functions[0].vars)
             if not self.coordinates:
-                self.coordinates = tuple(f"t{i+1}" for i in range(len(self.functions)))
+                self.coordinates = default_coordinates(len(self.functions))
         else:
             self.params = self.arrangement.vars
             if not self.coordinates:
-                self.coordinates = tuple(f"t{i+1}" for i in range(self.arrangement.size))
+                self.coordinates = default_coordinates(self.arrangement.size)
 
     @property
     def p(self) -> int:

@@ -65,14 +65,18 @@ def four_lines_ideal_spec() -> VarietySpec:
     return VarietySpec(kind="ideal", ideal=four_lines_ideal())
 
 
-def five_lines_ideal() -> Ideal:
-    """Torus ideal of the projective closure of x*y*(x-y)*(x-1)*(y-1)."""
-    arrangement = Arrangement(
+def five_lines_arrangement() -> Arrangement:
+    """The projective closure of x*y*(x-y)*(x-1)*(y-1)."""
+    return Arrangement(
         rows=[((1, 0), 0), ((0, 1), 0), ((1, -1), 0), ((1, 0), -1), ((0, 1), -1)],
         nvars=2,
         projective_closure=True,
     )
-    return VarietySpec(kind="arrangement", arrangement=arrangement).to_ideal()
+
+
+def five_lines_ideal() -> Ideal:
+    """Torus ideal of the projective closure of x*y*(x-y)*(x-1)*(y-1)."""
+    return VarietySpec(kind="arrangement", arrangement=five_lines_arrangement()).to_ideal()
 
 
 def conic_functions():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from models import (
     COIN_RAYS,
     FOUR_LINES_RAYS,
+    five_lines_arrangement,
     four_lines_arrangement,
 )
-from tropcrit.arrangement import Arrangement
+from tropcrit.arrangement import Arrangement, flacet_rays
 from tropcrit.bs_lct import (
     BSFixture,
     LCTPolytope,
@@ -21,10 +22,11 @@ from tropcrit.bs_lct import (
     qfa_nonneg_certificate,
 )
 from tropcrit.errors import (
-    DimensionTooLarge,
     MissingDiscrepancy,
     NotIndecomposable,
+    ResourceBudgetExceeded,
 )
+from tropcrit.groebner import Job
 from tropcrit.linalg import rank, solve_linear
 from tropcrit.rings import dot
 from tropcrit.tropical import Ray, SlopeHyperplane
@@ -106,8 +108,8 @@ def test_qfa_certificate():
 
 def test_lct_single_ray_slab():
     poly = lct_polytope([Ray((1, 0))], k={(1, 0): 1})
-    verts = poly.vertices()
-    assert poly.dim() == 2 or (1, 0) in {tuple(map(int, v)) for v in verts}
+    assert poly.inequalities == [((1, 0), Fraction(1))]
+    assert poly.dimension == 2
     assert facet_defining(poly, 0)
 
 
@@ -147,12 +149,20 @@ def test_facet_defining_rescaling_invariance():
     assert facet_defining(a, 1) == facet_defining(b, 1)
 
 
-def test_vertex_enumeration_dimension_cap():
+def test_facet_defining_beyond_eight_coordinates():
+    # nine coordinates: the simplex run has no dimension cap
     poly = LCTPolytope(
         inequalities=[(tuple([1] * 9), Fraction(1))], dimension=9
     )
-    with pytest.raises(DimensionTooLarge):
-        poly.vertices()
+    assert facet_defining(poly, 0)
+    assert facet_by_face_enumeration(poly, 0, rank_then_solve_vertices(poly))
+
+
+def test_conjecture_check_respects_the_job_budget():
+    arr = four_lines_arrangement(projective=True)
+    rays = [Ray(v) for v in sorted(FOUR_LINES_RAYS) if all(x >= 0 for x in v)]
+    with Job(1), pytest.raises(ResourceBudgetExceeded):
+        conjecture_check(rays, arrangement=arr)
 
 
 def central(rows, n):
@@ -230,13 +240,22 @@ def test_intersection_is_set_identity_with_nonneg_slopes():
         assert {h.normal for h in report.intersection_with_sf} == expected
 
 
+def constraints(poly):
+    """All constraints of the polytope as (row, rhs) of row . s <= rhs."""
+    p = poly.dimension
+    rows = [([Fraction(x) for x in a], Fraction(k)) for a, k in poly.inequalities]
+    for i in range(p):
+        rows.append(([Fraction(-int(i == j)) for j in range(p)], Fraction(0)))
+    return rows
+
+
 def face_recession_rays(poly, face):
     """Extreme rays of the recession cone of one face, enumerated on that
     face alone: p - 2 tight constraints, a.d = 0 and entries summing to 1."""
     p = poly.dimension
     if p < 2:
         return []
-    rows = [row for row, _ in poly.constraints()]
+    rows = [row for row, _ in constraints(poly)]
     a = [Fraction(x) for x in poly.inequalities[face][0]]
     norm = [Fraction(1)] * p
     found = []
@@ -256,7 +275,7 @@ def rank_then_solve_vertices(poly):
     """Vertices by a rank test, then an exact solve, per set of p
     constraints."""
     p = poly.dimension
-    rows = poly.constraints()
+    rows = constraints(poly)
     found = set()
     for subset in combinations(range(len(rows)), p):
         m = [rows[i][0] for i in subset]
@@ -268,9 +287,11 @@ def rank_then_solve_vertices(poly):
     return sorted(found)
 
 
-def facet_by_face_enumeration(poly, which):
+def facet_by_face_enumeration(poly, which, vertices):
+    """Does the face of inequality ``which`` have affine dimension p - 1,
+    with its vertices among ``vertices`` and its own recession rays?"""
     a, k = poly.inequalities[which]
-    on_face = [v for v in rank_then_solve_vertices(poly) if dot(a, v) == k]
+    on_face = [v for v in vertices if dot(a, v) == k]
     if not on_face:
         return False
     rows = [[x - y for x, y in zip(v, on_face[0])] for v in on_face[1:]]
@@ -278,9 +299,17 @@ def facet_by_face_enumeration(poly, which):
     return (rank(rows) if rows else 0) == poly.dimension - 1
 
 
+def assert_facets_match_enumeration(poly):
+    vertices = rank_then_solve_vertices(poly)
+    for which in range(len(poly.inequalities)):
+        assert facet_defining(poly, which) == facet_by_face_enumeration(
+            poly, which, vertices
+        )
+
+
 @st.composite
 def nonneg_polytopes(draw):
-    p = draw(st.integers(2, 3))
+    p = draw(st.integers(2, 5))
     normals = draw(
         st.lists(
             st.tuples(*(st.integers(0, 2) for _ in range(p))).filter(any),
@@ -289,41 +318,44 @@ def nonneg_polytopes(draw):
             unique=True,
         )
     )
-    ks = draw(st.lists(st.integers(1, 3), min_size=len(normals), max_size=len(normals)))
+    ks = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4),
+            min_size=len(normals),
+            max_size=len(normals),
+        )
+    )
+    inequalities = list(zip(normals, ks))
+    # copies of drawn inequalities, scaled by positive integers: the same
+    # halfspaces listed again
+    for i, c in draw(
+        st.lists(
+            st.tuples(st.integers(0, len(normals) - 1), st.integers(1, 3)),
+            max_size=2,
+        )
+    ):
+        a, k = inequalities[i]
+        inequalities.append((tuple(c * x for x in a), c * k))
+    order = draw(st.permutations(range(len(inequalities))))
     return LCTPolytope(
-        inequalities=[(a, Fraction(k)) for a, k in zip(normals, ks)], dimension=p
+        inequalities=[inequalities[i] for i in order], dimension=p
     )
 
 
 @settings(max_examples=80, deadline=None)
 @given(poly=nonneg_polytopes())
 def test_facet_defining_matches_per_face_enumeration(poly):
-    # the recession rays of a face are the polytope's rays with a.d = 0,
-    # so one enumeration, made once, serves every face
-    assert poly.vertices() == rank_then_solve_vertices(poly)
-    for which in range(len(poly.inequalities)):
-        assert facet_defining(poly, which) == facet_by_face_enumeration(poly, which)
-    assert poly.recession_rays() is poly.recession_rays()
+    assert_facets_match_enumeration(poly)
 
 
-def enumerated_recession_rays(poly):
-    """Extreme rays of the recession cone through the simplex
-    cross-section: p - 1 tight constraints and entries summing to 1."""
-    p = poly.dimension
-    rows = [row for row, _ in poly.constraints()]
-    norm = [Fraction(1)] * p
-    found = set()
-    for subset in combinations(range(len(rows)), p - 1):
-        m = [rows[i] for i in subset] + [norm]
-        if rank(m) < p:
-            continue
-        d = solve_linear(m, [Fraction(0)] * (p - 1) + [Fraction(1)])
-        if all(dot(row, d) <= 0 for row in rows):
-            found.add(tuple(d))
-    return sorted(found)
-
-
-@settings(max_examples=80, deadline=None)
-@given(poly=nonneg_polytopes())
-def test_recession_rays_closed_form_matches_enumeration(poly):
-    assert poly.recession_rays() == enumerated_recession_rays(poly)
+@pytest.mark.parametrize(
+    "arr",
+    [four_lines_arrangement(projective=True), five_lines_arrangement()],
+    ids=["four_lines", "five_lines"],
+)
+def test_facet_defining_matches_enumeration_on_flacet_rays(arr):
+    # k is the rank of each ray's support flat
+    rays = [r for r in flacet_rays(arr) if all(x >= 0 for x in r.v)]
+    poly = lct_polytope(rays, arrangement=arr)
+    assert len(poly.inequalities) == len(rays) >= 4
+    assert_facets_match_enumeration(poly)

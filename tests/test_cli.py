@@ -658,6 +658,7 @@ def test_curve_breaking_a_precondition_exits_5(capsys, tmp_path, components, mes
 
 
 TWO_FUNCTIONS = {"kind": "parametrization", "parameters": ["x"], "functions": ["x", "1-x"]}
+FIVE_LINES = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
 
 
 @pytest.mark.parametrize(
@@ -669,8 +670,14 @@ TWO_FUNCTIONS = {"kind": "parametrization", "parameters": ["x"], "functions": ["
         ({**TWO_FUNCTIONS, "coordinates": ["a"]}, "/coordinates"),
         ({**TWO_FUNCTIONS, "coordinates": ["a", "a"]}, "/coordinates"),
         ({**TWO_FUNCTIONS, "coordinates": ["a", "x"]}, "/coordinates"),
+        ({**TWO_FUNCTIONS, "parameters": ["t1"], "functions": ["t1", "1-t1"]}, "/parameters"),
+        ({**TWO_FUNCTIONS, "functions": ["x", "0"]}, "/functions/1"),
         (
             {"kind": "arrangement", "variables": ["x", "x"], "matrix": [[1, 0, 0], [0, 1, 0]]},
+            "/variables",
+        ),
+        (
+            {"kind": "arrangement", "variables": ["t1", "t2"], "matrix": FIVE_LINES},
             "/variables",
         ),
         (
@@ -690,7 +697,10 @@ TWO_FUNCTIONS = {"kind": "parametrization", "parameters": ["x"], "functions": ["
         "too-few-coordinates",
         "duplicate-coordinates",
         "coordinate-is-parameter",
+        "parameter-is-default-coordinate",
+        "zero-function",
         "duplicate-arrangement-variables",
+        "variable-is-default-coordinate",
         "closure-not-bool",
     ],
 )
