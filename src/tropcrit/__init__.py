@@ -21,6 +21,7 @@ from .asymptotics import (
     DataCurve,
     SeriesSolution,
     branch_seeds,
+    branches,
     series_newton_lift,
     valuation_vector,
 )
@@ -63,13 +64,11 @@ from .tropical import (
     SlopeHyperplane,
     StratumModel,
     TropicalEngine,
-    certify_escape_direction,
     critical_slopes,
     find_rigid_rays,
     is_rigid,
     stratum_euler_char,
     stratum_model,
-    trop_contains,
     weighted_ray_sum,
 )
 

@@ -6,6 +6,13 @@ Branches with nonzero valuations (escaping branches) are handled by the
 valuation ansatz x_i = t^{v_i} X_i followed by clearing and, when the
 t = 0 layer is degenerate, saturating by t before the Hensel lift.
 
+``branches`` is the library entry the CLI calls: it checks the curve
+against the critical slopes, runs one valuation ansatz for the interior
+branches and one per rigid ray whose hyperplane holds alpha(0), lifts
+every seed of each, lifts again at twice the order when the valuation
+vector cannot be certified, and refines floating leading coefficients in
+exact arithmetic when asked for more than 53 bits.
+
 The Hensel lift solves for one coefficient order at a time.  It reads the
 residuals from a ``series.RelaxedEvaluator``, which computes each series
 coefficient of the system once, in one scalar type per lift: ``Fraction``
@@ -40,9 +47,10 @@ from .groebner import (
     solve_zero_dim_numeric,
 )
 from .linalg import complex_gauss_jordan, inverse
-from .mle import CriticalSystem, VarietySpec
+from .mle import CriticalSystem, VarietySpec, critical_system
 from .rings import Polynomial, dot
 from .series import LaurentSeries, RelaxedEvaluator, poly_eval_series
+from .tropical import Ray, critical_slopes
 
 CURVE_VAR = "t"
 DEFAULT_ORDER = 8
@@ -104,7 +112,6 @@ class SeriesSolution:
     """Branch of critical points as truncated Laurent series."""
 
     branch: tuple  # LaurentSeries per unknown
-    valuations: tuple  # leading orders of the unknowns
     exact: bool
     residual_order: int  # residuals vanish (numerically) below this order
 
@@ -322,18 +329,12 @@ def series_newton_lift(
         if not _layer_solved(rescaled, ring, seed, exact):
             raise NoConvergence("seed does not solve the saturated layer")
         coeffs = _hensel(rescaled, ring, seed, order, exact)
-    branch = []
-    for j in range(n):
-        series = LaurentSeries(
-            valuations[j], coeffs[j], valuations[j] + order + 1
-        )
-        branch.append(series)
-    vals = tuple(
-        b.valuation if not b.is_zero else b.truncation_order for b in branch
+    branch = tuple(
+        LaurentSeries(valuations[j], coeffs[j], valuations[j] + order + 1)
+        for j in range(n)
     )
     return SeriesSolution(
-        branch=tuple(branch),
-        valuations=vals,
+        branch=branch,
         exact=exact,
         residual_order=order + 1,
     )
@@ -534,3 +535,95 @@ def _series_order(series: LaurentSeries, exact: bool, magnitude=None) -> int:
         if m > NUMERIC_ZERO * bound:
             return k
     raise TruncationTooShort("no numerically nonzero coefficient found")
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One lifted branch of critical points along a data curve."""
+
+    unknown_valuations: tuple  # the valuation ansatz of its job
+    ray: Ray | None  # the ray of an escaping job; None for interior ones
+    solution: SeriesSolution
+    valuation_vector: tuple
+    refined_leading: tuple | None  # rational leading coefficients, if refined
+
+
+def _unknown_valuations(spec: VarietySpec, ray):
+    """Valuation ansatz for the unknowns induced by a ray in data space,
+    and notes on the unknowns it leaves at valuation 0."""
+    if spec.kind == "ideal":
+        return tuple(ray), []
+    vals = [0] * len(spec.unknowns)
+    matched = set()
+    notes = []
+    for i, f in enumerate(spec.tuple_polys()):
+        if f.is_term() and f.total_degree() == 1:
+            ((e, c),) = f.terms.items()
+            j = next(k for k, x in enumerate(e) if x)
+            vals[j] = ray[i]
+            matched.add(j)
+    for j, name in enumerate(spec.unknowns):
+        if j not in matched:
+            notes.append(
+                f"no coordinate function equals unknown {name}; valuation 0 assumed"
+            )
+    return tuple(vals), notes
+
+
+def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53, rng=None):
+    """Series branches of the critical points along a data curve.
+
+    Returns (branches, notes).  The curve is checked against the first
+    ray whose hyperplane holds alpha(0) and against every critical slope
+    of the rays.  Seeds come from the interior job (valuation zero) and
+    from one escaping job per such ray with a nonzero ansatz; each seed is
+    lifted to ``order``, and to twice the order when that is too short to
+    certify the valuation vector.  With ``bits`` above 53 the real leading
+    coefficients of a floating branch are refined to about 2^-bits.  A
+    seed that fails to lift becomes a note.
+    """
+    rng = rng or Random(23)
+    alpha0 = curve.value_at_zero()
+    on = [r for r in rays if dot(alpha0, r.v) == 0]
+    if on:
+        curve.validate(ray=on[0], slopes=critical_slopes(rays), rng=rng)
+    system = critical_system(
+        spec, None, formulation="minors" if spec.kind == "ideal" else "auto"
+    )
+    notes = []
+    jobs = [((0,) * len(spec.unknowns), None)]
+    for ray in on:
+        vals, warn = _unknown_valuations(spec, ray.v)
+        notes.extend(warn)
+        if any(vals):
+            jobs.append((vals, ray))
+    out = []
+    for vals, ray in jobs:
+        try:
+            exact, numeric = branch_seeds(system, curve, valuations=vals, rng=rng)
+        except NotZeroDimensional:
+            continue
+        for seed in exact + numeric:
+            try:
+                sol = series_newton_lift(
+                    system, curve, seed=seed, order=order, valuations=vals
+                )
+            except (SingularJacobian, NoConvergence) as exc:
+                notes.append(f"branch at {vals} failed to lift: {exc}")
+                continue
+            try:
+                vv = valuation_vector(sol, spec)
+            except TruncationTooShort:
+                sol = series_newton_lift(
+                    system, curve, seed=seed, order=2 * order, valuations=vals
+                )
+                vv = valuation_vector(sol, spec)
+            refined = None
+            if not sol.exact and bits > 53:
+                refined = refine_seed_exact(
+                    system, curve, seed, valuations=vals, bits=bits
+                )
+                if not all(isinstance(r, Fraction) for r in refined):
+                    refined = None
+            out.append(Branch(vals, ray, sol, vv, refined))
+    return out, notes

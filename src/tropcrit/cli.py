@@ -19,25 +19,17 @@ from random import Random
 
 from . import errors
 from .arrangement import Arrangement
-from .asymptotics import (
-    CURVE_VAR,
-    DataCurve,
-    branch_seeds,
-    refine_seed_exact,
-    series_newton_lift,
-    valuation_vector,
+from .asymptotics import CURVE_VAR, DataCurve, branches
+from .bs_lct import (
+    BSFixture,
+    bs_slope_intersection,
+    conjecture_check,
+    qfa_nonneg_certificate,
 )
-from .bs_lct import BSFixture, bs_slope_intersection, conjecture_check
 from .groebner import Ideal, Job
 from .linalg import rank
-from .mle import (
-    VarietySpec,
-    critical_system,
-    default_coordinates,
-    ml_degree,
-    mle_closed_form,
-)
-from .rings import Polynomial, dot
+from .mle import VarietySpec, default_coordinates, ml_degree, mle_closed_form
+from .rings import Polynomial
 from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_char
 
 VERSION = "0.1.0"
@@ -187,6 +179,10 @@ def load_spec(source) -> VarietySpec:
         return VarietySpec(kind="ideal", ideal=Ideal(polys, vars))
     if kind == "parametrization":
         texts = _expect(obj, "functions", "", list)
+        if not texts:
+            raise errors.SpecValidationError(
+                "a parametrization needs at least one function", "/functions"
+            )
         if obj.get("coordinates") is None:
             coords = default_coordinates(len(texts))
             params = _names(obj, "parameters", coords)
@@ -441,85 +437,27 @@ def frac_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}." + "".join(frac_digits)
 
 
+def _branch_json(branch, precision):
+    sol = branch.solution
+    entry = {
+        "unknown_valuations": list(branch.unknown_valuations),
+        "series": [_series_json(s) for s in sol.branch],
+        "valuation_vector": list(branch.valuation_vector),
+        "exact": sol.exact,
+        "residual_order": sol.residual_order,
+        "nonnegative_certificate": qfa_nonneg_certificate(branch.valuation_vector),
+    }
+    if branch.ray is not None:
+        entry["ray"] = list(branch.ray.v)
+    if branch.refined_leading is not None:
+        digits = max(1, precision * 30 // 100)
+        entry["refined_leading"] = [
+            frac_decimal(r, digits) for r in branch.refined_leading
+        ]
+    return entry
+
+
 # -- pipeline ----------------------------------------------------------------------
-
-
-def _unknown_valuations(spec: VarietySpec, ray):
-    """Valuation ansatz for the unknowns induced by a ray in data space."""
-    if spec.kind == "ideal":
-        return tuple(ray), []
-    vals = [0] * len(spec.unknowns)
-    matched = set()
-    notes = []
-    for i, f in enumerate(spec.tuple_polys()):
-        if f.is_term() and f.total_degree() == 1:
-            ((e, c),) = f.terms.items()
-            j = next(k for k, x in enumerate(e) if x)
-            vals[j] = ray[i]
-            matched.add(j)
-    for j, name in enumerate(spec.unknowns):
-        if j not in matched:
-            notes.append(
-                f"no coordinate function equals unknown {name}; valuation 0 assumed"
-            )
-    return tuple(vals), notes
-
-
-def _branches(spec, curve, rays, cfg, rng, notes):
-    system = critical_system(
-        spec, None, formulation="minors" if spec.kind == "ideal" else "auto"
-    )
-    alpha0 = curve.value_at_zero()
-    out = []
-    # interior branches (valuation zero ansatz)
-    jobs = [((0,) * len(spec.unknowns), None)]
-    for ray in rays:
-        if dot(alpha0, ray.v) == 0:
-            vals, warn = _unknown_valuations(spec, ray.v)
-            notes.extend(warn)
-            if any(vals):
-                jobs.append((vals, ray))
-    for vals, ray in jobs:
-        try:
-            exact, numeric = branch_seeds(system, curve, valuations=vals, rng=rng)
-        except errors.NotZeroDimensional:
-            continue
-        for seed in exact + numeric:
-            try:
-                sol = series_newton_lift(
-                    system, curve, seed=seed, order=cfg.order, valuations=vals
-                )
-            except (errors.SingularJacobian, errors.NoConvergence) as exc:
-                notes.append(f"branch at {vals} failed to lift: {exc}")
-                continue
-            try:
-                vv = valuation_vector(sol, spec)
-            except errors.TruncationTooShort:
-                sol = series_newton_lift(
-                    system, curve, seed=seed, order=2 * cfg.order, valuations=vals
-                )
-                vv = valuation_vector(sol, spec)
-            entry = {
-                "unknown_valuations": list(vals),
-                "series": [_series_json(s) for s in sol.branch],
-                "valuation_vector": list(vv),
-                "exact": sol.exact,
-                "residual_order": sol.residual_order,
-                "nonnegative_certificate": all(v >= 0 for v in vv),
-            }
-            if ray is not None:
-                entry["ray"] = list(ray.v)
-            if not sol.exact and cfg.precision > 53:
-                refined = refine_seed_exact(
-                    system, curve, seed, valuations=vals, bits=cfg.precision
-                )
-                if all(isinstance(r, Fraction) for r in refined):
-                    digits = max(1, cfg.precision * 30 // 100)
-                    entry["refined_leading"] = [
-                        frac_decimal(r, digits) for r in refined
-                    ]
-            out.append(entry)
-    return out
 
 
 def run_report(cfg: JobConfig):
@@ -555,21 +493,8 @@ def run_report(cfg: JobConfig):
                 )
             curve = load_curve(cfg.curve_path, len(svars))
         ideal = spec.to_ideal()
-
-        needs_rays = cfg.command in (
-            "rigid-rays",
-            "slopes",
-            "euler",
-            "asymptotics",
-            "bs-slopes",
-            "lct",
-            "report",
-            "mle",
-        )
-        rays = []
-        if needs_rays:
-            rays = find_rigid_rays(ideal, bound=cfg.bound)
-            report["exhaustive_within_bound"] = cfg.bound
+        rays = find_rigid_rays(ideal, bound=cfg.bound)
+        report["exhaustive_within_bound"] = cfg.bound
 
         if cfg.command in ("rigid-rays", "report"):
             report["rays"] = [_ray_json(r) for r in rays]
@@ -598,13 +523,12 @@ def run_report(cfg: JobConfig):
                 }
 
         if cfg.command == "asymptotics":
-            slopes = critical_slopes(rays)
-            alpha0 = curve.value_at_zero()
-            on = [r for r in rays if dot(alpha0, r.v) == 0]
-            if on:
-                curve.validate(ray=on[0], slopes=slopes, rng=rng)
+            found, branch_notes = branches(
+                spec, curve, rays, cfg.order, cfg.precision, rng
+            )
+            notes.extend(branch_notes)
             report["curve"] = {"components": [str(c) for c in curve.components]}
-            report["branches"] = _branches(spec, curve, rays, cfg, rng, notes)
+            report["branches"] = [_branch_json(b, cfg.precision) for b in found]
 
         if cfg.command in ("bs-slopes", "report"):
             bs = bs_slope_intersection(rays, fixture=fixture)

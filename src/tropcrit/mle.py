@@ -11,7 +11,7 @@ data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -27,6 +27,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     current_job,
+    eliminate,
     groebner_basis,
     ideal_dimension,
     quotient_basis,
@@ -67,7 +68,6 @@ class VarietySpec:
     params: tuple = ()
     arrangement: Arrangement | None = None
     coordinates: tuple = ()
-    _implicit: Ideal | None = field(default=None, repr=False)
 
     def __post_init__(self):
         populated = [
@@ -115,17 +115,12 @@ class VarietySpec:
         and arrangements are implicitized by elimination."""
         if self.kind == "ideal":
             return self.ideal
-        if self._implicit is None:
-            from .groebner import eliminate
-
-            ring = self.coordinates + tuple(self.unknowns)
-            gens = []
-            for name, f in zip(self.coordinates, self.tuple_polys()):
-                gens.append(
-                    Polynomial.variable(name, ring) - f.extend_ring(ring)
-                )
-            self._implicit = eliminate(Ideal(gens, ring), list(self.coordinates))
-        return self._implicit
+        ring = self.coordinates + tuple(self.unknowns)
+        gens = [
+            Polynomial.variable(name, ring) - f.extend_ring(ring)
+            for name, f in zip(self.coordinates, self.tuple_polys())
+        ]
+        return eliminate(Ideal(gens, ring), list(self.coordinates))
 
 
 @dataclass
@@ -454,41 +449,44 @@ class MLEFormula:
         ]
 
 
-def _solve_unique_point(spec, alpha, formulation="auto"):
-    system = critical_system(spec, alpha, formulation)
-    G = saturated_critical_ideal(system)
-    if G.is_zero:
-        raise NotZeroDimensional("critical scheme is not zero-dimensional")
-    if G.is_unit or len(quotient_basis(G)) != 1:
-        raise NotZeroDimensional("sample did not produce a single critical point")
-    point = solve_degree_one(G)
-    values = dict(zip(system.ring, point))
-    return tuple(
-        f.evaluate({v: values[v] for v in system.unknowns})
-        for f in spec.tuple_polys()
-    )
-
-
 def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
     """Closed-form estimator for ML-degree-one models.
 
     Exponents come from the ray coordinates; constants are fitted exactly
-    at one random rational data vector and verified at a second.
+    at one random rational data vector and verified at a second.  Each
+    sample is one critical-point count, whose basis also gives the
+    critical point; a count other than one raises ``MLDegreeNotOne``, and
+    the first sample decides that before the rays are checked.
     """
     rng = rng or Random(DEFAULT_SEED)
-    if ml_degree(spec, rng=rng) != 1:
-        raise MLDegreeNotOne("the model does not have maximum likelihood degree one")
     vecs = [tuple(r.v) for r in rays]
     p = spec.p
     total = tuple(sum(v[i] for v in vecs) for i in range(p))
-    if any(total):
-        raise ValueError(
-            f"rigid rays must sum to zero for a degree-one model, got {total}"
-        )
     normals = [_sign_normalize(v) for v in vecs]
-
-    def fit(alpha):
-        values = _solve_unique_point(spec, alpha)
+    samples = []
+    attempts = 0
+    while len(samples) < 2 and attempts < 5 * MAX_RESAMPLE:
+        attempts += 1
+        alpha = sample_alpha(p, rng)
+        if any(dot(v, alpha) == 0 for v in vecs) or alpha in [a for a, _ in samples]:
+            continue
+        try:
+            count, G = _critical_count(spec, alpha, "auto", rng)
+        except NotZeroDimensional:
+            continue
+        if count != 1:
+            raise MLDegreeNotOne(
+                "the model does not have maximum likelihood degree one"
+            )
+        if any(total):
+            raise ValueError(
+                f"rigid rays must sum to zero for a degree-one model, got {total}"
+            )
+        point = dict(zip(G.vars, solve_degree_one(G)))
+        values = [
+            f.evaluate({v: point[v] for v in spec.unknowns})
+            for f in spec.tuple_polys()
+        ]
         consts = []
         for i in range(p):
             denom = Fraction(1)
@@ -496,22 +494,7 @@ def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
                 if v[i]:
                     denom *= Fraction(dot(normals[tau], alpha)) ** v[i]
             consts.append(values[i] / denom)
-        return consts
-
-    def generic(alpha):
-        return all(dot(v, alpha) != 0 for v in vecs)
-
-    samples = []
-    attempts = 0
-    while len(samples) < 2 and attempts < 5 * MAX_RESAMPLE:
-        attempts += 1
-        alpha = sample_alpha(p, rng)
-        if not generic(alpha) or alpha in [a for a, _ in samples]:
-            continue
-        try:
-            samples.append((alpha, fit(alpha)))
-        except NotZeroDimensional:
-            continue
+        samples.append((alpha, consts))
     if len(samples) < 2:
         raise DegenerateSample("could not fit constants at two generic samples")
     (_, c1), (_, c2) = samples

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import AlphaNotOnHyperplane, NotInTropicalVariety
+from .errors import NotInTropicalVariety
 from .groebner import (
     Ideal,
     InitialIdealEngine,
@@ -29,7 +29,7 @@ from .linalg import (
     unimodular_variant,
     vec_gcd,
 )
-from .rings import Polynomial, dot
+from .rings import Polynomial
 
 
 class ConnectednessAssumed(UserWarning):
@@ -187,11 +187,6 @@ class TropicalEngine:
         return result
 
 
-def trop_contains(ideal: Ideal, w) -> bool:
-    """True iff the saturated initial ideal at w is proper."""
-    return TropicalEngine.of(ideal).contains(w)
-
-
 def is_rigid(ideal: Ideal, w) -> bool:
     """True iff the homogeneity space of init_w is exactly one line."""
     return TropicalEngine.of(ideal).is_rigid(w)
@@ -274,23 +269,6 @@ def stratum_euler_char(ideal: Ideal, ray: Ray, rng=None, variant=0) -> int:
 
     model = stratum_model(ideal, ray, variant)
     return torus_euler_characteristic(model.ideal, rng=rng)
-
-
-def certify_escape_direction(ideal: Ideal, ray: Ray, alpha, rng=None) -> bool:
-    """Certificate that the ray is an escape direction for generic data on
-    its slope hyperplane: requires rigidity and a nonzero stratum Euler
-    characteristic."""
-    alpha = tuple(Fraction(a) for a in alpha)
-    if dot(alpha, ray.v) != 0:
-        raise AlphaNotOnHyperplane(
-            f"data vector {alpha} is not orthogonal to the ray {ray.v}"
-        )
-    eng = TropicalEngine.of(ideal)
-    if not eng.contains(ray.v):
-        raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
-    if not eng.is_rigid(ray.v):
-        return False
-    return stratum_euler_char(ideal, ray, rng=rng) != 0
 
 
 def weighted_ray_sum(ideal: Ideal, rays, rng=None):

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import tropcrit
 from tropcrit import cli, groebner
+from tropcrit.asymptotics import branches
 from tropcrit.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -22,6 +24,7 @@ from tropcrit.cli import (
 )
 from tropcrit.errors import SpecValidationError
 from tropcrit.rings import grlex
+from tropcrit.tropical import find_rigid_rays
 
 FIXTURES = Path(tropcrit.__file__).parent / "fixtures"
 
@@ -499,6 +502,30 @@ def test_asymptotics_precision_refines_leading(capsys):
     }
 
 
+def test_branches_render_to_the_reported_branches():
+    # the library entry gives the CLI's answer: rendered, its branches and
+    # notes are those of the report
+    cfg = JobConfig(
+        command="asymptotics",
+        spec_source=fixture("conic_model.json"),
+        bound=2,
+        order=4,
+        precision=160,
+        curve_path=fixture("conic_curve.json"),
+    )
+    report, _ = run_report(cfg)
+    with groebner.Job():
+        spec = load_spec(cfg.spec_source)
+        curve = cli.load_curve(cfg.curve_path, spec.p)
+        rays = find_rigid_rays(spec.to_ideal(), bound=2)
+        found, notes = branches(
+            spec, curve, rays, order=4, bits=160, rng=Random(cfg.seed)
+        )
+    assert [cli._branch_json(b, 160) for b in found] == report["branches"]
+    assert notes == [w["message"] for w in report["warnings"] if w["code"] == "note"]
+    assert any("refined_leading" in b for b in report["branches"])
+
+
 def test_close_seeds_lift_at_order_12(capsys, tmp_path):
     # the random form of the default seed takes close values at two t = 0
     # points, so the roots of its minimal polynomial are ill-conditioned
@@ -672,6 +699,7 @@ FIVE_LINES = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
         ({**TWO_FUNCTIONS, "coordinates": ["a", "x"]}, "/coordinates"),
         ({**TWO_FUNCTIONS, "parameters": ["t1"], "functions": ["t1", "1-t1"]}, "/parameters"),
         ({**TWO_FUNCTIONS, "functions": ["x", "0"]}, "/functions/1"),
+        ({**TWO_FUNCTIONS, "functions": []}, "/functions"),
         (
             {"kind": "arrangement", "variables": ["x", "x"], "matrix": [[1, 0, 0], [0, 1, 0]]},
             "/variables",
@@ -699,6 +727,7 @@ FIVE_LINES = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
         "coordinate-is-parameter",
         "parameter-is-default-coordinate",
         "zero-function",
+        "no-functions",
         "duplicate-arrangement-variables",
         "variable-is-default-coordinate",
         "closure-not-bool",

@@ -313,3 +313,20 @@ def test_mle_closed_form_rejects_unbalanced_rays():
     rays = [Ray(v) for v in sorted(FOUR_LINES_RAYS) if v != (0, 1, 0, 0)]
     with pytest.raises(ValueError):
         mle_closed_form(four_lines_spec(), rays)
+
+
+def test_mle_closed_form_counts_once_per_sample(monkeypatch):
+    # each sample's critical count also gives its critical point: two
+    # samples, two saturated critical ideals, no separate degree run
+    systems = []
+    real = mle.saturated_critical_ideal
+
+    def counting(system):
+        systems.append(system)
+        return real(system)
+
+    monkeypatch.setattr(mle, "saturated_critical_ideal", counting)
+    formula = mle_closed_form(four_lines_spec(), four_lines_rays())
+    assert formula.constants == [1, 1, 1, -1]
+    assert len(systems) == 2
+

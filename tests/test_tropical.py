@@ -17,7 +17,7 @@ from models import (
     initial_by_fresh_run,
 )
 from tropcrit import groebner, tropical
-from tropcrit.errors import AlphaNotOnHyperplane, NotInTropicalVariety
+from tropcrit.errors import NotInTropicalVariety
 from tropcrit.groebner import (
     Ideal,
     InitialIdealEngine,
@@ -32,28 +32,26 @@ from tropcrit.tropical import (
     Ray,
     SlopeHyperplane,
     TropicalEngine,
-    certify_escape_direction,
     critical_slopes,
     find_rigid_rays,
     is_rigid,
     stratum_euler_char,
     stratum_model,
-    trop_contains,
     weighted_ray_sum,
 )
 
 
 def test_trop_contains_coin_ray():
-    assert trop_contains(coin_ideal(), (2, 1, 0))
+    assert TropicalEngine.of(coin_ideal()).contains((2, 1, 0))
 
 
 def test_trop_contains_coin_nonray():
-    assert not trop_contains(coin_ideal(), (1, 0, 0))
+    assert not TropicalEngine.of(coin_ideal()).contains((1, 0, 0))
 
 
 def test_trop_contains_unit_initial():
     I = Ideal([poly_parse("t1-1", ("t1",))])
-    assert not trop_contains(I, (1,))
+    assert not TropicalEngine.of(I).contains((1,))
 
 
 def test_trop_contains_rescaling_invariance():
@@ -206,7 +204,7 @@ def test_face_keyed_answers_match_fresh_route(shared_engine, data):
 def test_rays_recheck_independently():
     I = coin_ideal()
     for ray in find_rigid_rays(I, bound=2):
-        assert trop_contains(I, ray.v)
+        assert TropicalEngine.of(I).contains(ray.v)
         assert is_rigid(I, ray.v)
 
 
@@ -310,25 +308,6 @@ def test_stratum_euler_char_unimodular_invariance():
     base = stratum_euler_char(I, Ray((-1, -1, -2)), variant=0)
     for variant in (1, 2):
         assert stratum_euler_char(I, Ray((-1, -1, -2)), variant=variant) == base
-
-
-# -- escape certificates ----------------------------------------------------------------
-
-
-def test_certify_escape_conic():
-    alpha = (Fraction(2), Fraction(1), Fraction(-3, 2))
-    assert certify_escape_direction(conic_ideal(), Ray((-1, -1, -2)), alpha)
-
-
-def test_certify_escape_four_lines_e1_false():
-    alpha = (Fraction(0), Fraction(2), Fraction(5), Fraction(7))
-    ray = Ray((1, 0, 0, 0), rigid=False)
-    assert not certify_escape_direction(four_lines_ideal(), ray, alpha)
-
-
-def test_certify_escape_alpha_off_hyperplane():
-    with pytest.raises(AlphaNotOnHyperplane):
-        certify_escape_direction(conic_ideal(), Ray((-1, -1, -2)), (1, 1, 1))
 
 
 # -- weighted sums ---------------------------------------------------------------------
