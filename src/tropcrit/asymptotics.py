@@ -6,12 +6,9 @@ Branches with nonzero valuations (escaping branches) are handled by the
 valuation ansatz x_i = t^{v_i} X_i followed by clearing and, when the
 t = 0 layer is degenerate, saturating by t before the Hensel lift.
 
-``branches`` is the library entry the CLI calls: it checks the curve
-against the critical slopes, runs one valuation ansatz for the interior
-branches and one per rigid ray whose hyperplane holds alpha(0), lifts
-every seed of each, lifts again at twice the order when the valuation
-vector cannot be certified, and refines floating leading coefficients in
-exact arithmetic when asked for more than 53 bits.
+``branches`` is the library entry the CLI calls: for one curve and the
+rigid rays it chooses the valuation ansaetze, seeds and lifts each, and
+returns the branches the ``asymptotics`` report renders.
 
 The Hensel lift solves for one coefficient order at a time.  It reads the
 residuals from a ``series.RelaxedEvaluator``, which computes each series
