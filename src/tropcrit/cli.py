@@ -53,6 +53,7 @@ EXIT_CODES = {
     errors.DegenerateSample: EXIT_DEGENERATE,
     errors.NotZeroDimensional: EXIT_DEGENERATE,
     errors.MLDegreeNotOne: EXIT_PRECONDITION,
+    errors.UnbalancedRays: EXIT_PRECONDITION,
     errors.NotInTropicalVariety: EXIT_PRECONDITION,
     errors.AlphaNotOnHyperplane: EXIT_PRECONDITION,
     errors.CurveNotGeneric: EXIT_PRECONDITION,

@@ -53,6 +53,10 @@ class MLDegreeNotOne(TropcritError, ValueError):
     """Closed-form estimator requested for a model of ML degree != 1."""
 
 
+class UnbalancedRays(TropcritError, ValueError):
+    """The rigid rays given for a degree-one model do not sum to zero."""
+
+
 class VerificationFailed(TropcritError, RuntimeError):
     """A second-sample consistency check failed."""
 

@@ -41,7 +41,7 @@ from math import cos, gcd, lcm, pi, sin
 from operator import add, le, mul, sub
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
-from .linalg import complex_gauss_jordan, mat_vec, nullspace, solve_linear
+from .linalg import complex_gauss_jordan, mat_vec, nullspace, rref, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
@@ -612,6 +612,36 @@ def _elimination_basis(gens, vars, drop) -> GroebnerBasis:
     )
 
 
+def _linear_saturation(gens, vars, support) -> GroebnerBasis:
+    """I : m^infty for generators of degree at most one and a monomial m
+    with the given support, as its reduced grlex basis, by one ``rref``.
+
+    A linear ideal is prime or the unit ideal, so I : m^infty is I itself
+    unless m lies in I, which for a prime I means that a variable of m's
+    support does; then it is the unit ideal.  The coefficient matrix has
+    the columns x1, ..., xn, 1, grlex's order on monomials of degree at
+    most one, so each pivot is its row's leading monomial.  A pivot in the
+    constant column puts 1 in I, and an rref row equal to e_i puts x_i in
+    I.  Otherwise the monic rref rows, sorted by ascending leading
+    monomial, are the reduced grlex basis of I.  Each pivot counts as one
+    step of the current job.
+    """
+    n = len(vars)
+    columns = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    columns.append((0,) * n)
+    red, pivots = rref([[g.terms.get(e, 0) for e in columns] for g in gens])
+    current_job().tick(len(pivots))
+    rows = red[: len(pivots)]
+    if n in pivots or any(
+        c in support and sum(map(bool, row)) == 1 for row, c in zip(rows, pivots)
+    ):
+        elements = [Polynomial.constant(1, vars)]
+    else:
+        # pivots ascend by column, so leading monomials descend
+        elements = [Polynomial(dict(zip(columns, row)), vars) for row in rows[::-1]]
+    return GroebnerBasis(elements, grlex(n), vars)
+
+
 def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     """(I : f^infty) by one elimination of y from I + (1 - y*f), as its
     reduced grlex basis on every route.
@@ -619,9 +649,12 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     A monomial f is replaced by the squarefree monomial of its support,
     which has the same saturation, and each generator of I is first
     divided by its monomial factor in the variables of that support (a
-    unit modulo the saturation), so the run starts from lower degrees.  A
-    constant f, or the zero ideal, leaves I unchanged: the result is the
-    basis of I, which is I itself when I already is a grlex basis.
+    unit modulo the saturation), so the run starts from lower degrees.
+    When every generator then has degree at most one, I is linear, hence
+    prime or the unit ideal, and one ``rref`` replaces the elimination
+    (``_linear_saturation``).  A constant f, or the zero ideal, leaves I
+    unchanged: the result is the basis of I, which is I itself when I
+    already is a grlex basis.
     """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
@@ -630,6 +663,8 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
         support = [i for i, x in enumerate(e) if x]
         f = Polynomial({tuple(int(x != 0) for x in e): Fraction(1)}, f.vars)
         gens = [g.strip_monomial(support) for g in ideal.gens]
+        if gens and support and all(g.total_degree() <= 1 for g in gens):
+            return _linear_saturation(gens, ideal.vars, support)
         if any(s is not g for s, g in zip(gens, ideal.gens)):
             ideal = Ideal(gens, ideal.vars)
     return _saturate_single(ideal, f)

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSample,
     MLDegreeNotOne,
     NotZeroDimensional,
+    UnbalancedRays,
     VerificationFailed,
 )
 from .groebner import (
@@ -343,12 +344,35 @@ def ml_degree(spec: VarietySpec, rng=None, formulation="auto", slopes=None) -> i
     )
 
 
+def _linear_parametrization(G: GroebnerBasis) -> VarietySpec:
+    """The linear space V(G) of a reduced grlex basis of degree one,
+    parametrized by its own coordinates: the variables that lead no
+    element are the parameters, and each leading variable is the affine
+    expression in them that its element sets it to."""
+    leading = {lt.index(1): g for lt, g in zip(G.leading_terms, G.gens)}
+    params = tuple(v for i, v in enumerate(G.vars) if i not in leading)
+    functions = []
+    for i, v in enumerate(G.vars):
+        x = Polynomial.variable(v, G.vars)
+        if i in leading:
+            x = x - leading[i]
+        functions.append(x.restrict_ring(params))
+    return VarietySpec(kind="parametrization", functions=functions, coordinates=G.vars)
+
+
 def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
     """Signed-count Euler characteristic of V(ideal) on the torus.
 
     Zero-dimensional loci are counted directly; otherwise the generic
     critical-point count of the coordinate tuple is used, with sign
     (-1)^dim.  Assumes the usual smoothness caveats.
+
+    The count is the ML degree of the saturated ideal G, which depends on
+    the variety only (Huh 2013), so any presentation may count it.  When
+    G is linear, the critical points are counted in the linear space's
+    own coordinates (``_linear_parametrization``): the dlog system in its
+    d parameters replaces the minors or Lagrange system of G in all p
+    torus coordinates.
     """
     rng = rng or Random(DEFAULT_SEED)
     G, d = _torus_saturation(ideal)
@@ -358,7 +382,10 @@ def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
         return 0
     if d == 0:
         return len(quotient_basis(G))
-    spec = VarietySpec(kind="ideal", ideal=G)
+    if all(g.total_degree() <= 1 for g in G.gens):
+        spec = _linear_parametrization(G)
+    else:
+        spec = VarietySpec(kind="ideal", ideal=G)
     count = ml_degree(spec, rng=rng)
     return count if d % 2 == 0 else -count
 
@@ -479,8 +506,9 @@ def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
                 "the model does not have maximum likelihood degree one"
             )
         if any(total):
-            raise ValueError(
-                f"rigid rays must sum to zero for a degree-one model, got {total}"
+            raise UnbalancedRays(
+                f"rigid rays must sum to zero for a degree-one model, got "
+                f"{total}; rays outside the search bound (--bound) are missing"
             )
         point = dict(zip(G.vars, solve_degree_one(G)))
         values = [

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from tropcrit.arrangement import Arrangement, matroid_flats
 from tropcrit.groebner import (
     Ideal,
@@ -108,6 +110,71 @@ FOUR_LINES_RAYS = {
     (-1, -1, -1, -1),
 }
 CONIC_RAYS = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -2)}
+
+
+# -- generated essential line arrangements -----------------------------------------
+#
+# The preconditions of perfbench/gen.py, checked with a rank of their own so
+# that a defect in tropcrit's linear algebra cannot bend them.
+
+
+def _rank(rows) -> int:
+    """Rank of a small rational matrix by fraction-exact elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _essential(matrix) -> bool:
+    """Rows [a_1, .., a_n, c] with full-rank functionals, no zero
+    functional and no two proportional rows."""
+    n = len(matrix[0]) - 1
+    if any(not any(row[:n]) for row in matrix):
+        return False
+    if any(_rank([r1, r2]) < 2 for r1, r2 in combinations(matrix, 2)):
+        return False
+    return _rank([row[:n] for row in matrix]) == n
+
+
+def _indecomposable(matrix) -> bool:
+    """Connected matroid of the projective closure (the line at infinity
+    last): no proper split S | E-S with r(S) + r(E-S) = r(E)."""
+    vectors = [list(row) for row in matrix] + [[0] * (len(matrix[0]) - 1) + [1]]
+    total = _rank(vectors)
+    idx = range(len(vectors))
+    for k in range(1, len(vectors)):
+        for part in combinations(idx, k):
+            rest = [vectors[i] for i in idx if i not in part]
+            if _rank([vectors[i] for i in part]) + _rank(rest) == total:
+                return False
+    return True
+
+
+def essential_arrangements(min_lines=4, max_lines=5):
+    """Strategy: essential, indecomposable affine line arrangements with
+    their projective closure, integer coefficients in [-2, 2]."""
+    row = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    return (
+        st.integers(min_lines, max_lines)
+        .flatmap(lambda n: st.lists(row, min_size=n, max_size=n))
+        .filter(lambda m: _essential(m) and _indecomposable(m))
+        .map(
+            lambda m: Arrangement(
+                rows=[(tuple(r[:2]), r[2]) for r in m],
+                nvars=2,
+                projective_closure=True,
+            )
+        )
+    )
 
 
 # -- brute-force poset-product oracle ------------------------------------------------

@@ -242,6 +242,23 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
     assert main(args + ["--budget", "550"]) == EXIT_RESOURCE
 
 
+def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
+    # the four_lines report takes exactly 355 steps: the reductions of its
+    # Groebner runs plus one per pivot of each linear saturation
+    args = ["report", "--spec", fixture("four_lines.json")]
+    assert main(args + ["--budget", "355"]) == EXIT_OK
+    assert main(args + ["--budget", "354"]) == EXIT_RESOURCE
+
+
+def test_mle_rays_not_summing_to_zero_within_bound(capsys):
+    # the coin's rays (2, 1, 0) and (-2, -2, -1) lie outside bound 1, so
+    # the rays found do not sum to zero
+    args = ["mle", "--spec", fixture("coin_model.json"), "--bound", "1"]
+    assert main(args) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "got (0, 1, 1)" in err and "--bound" in err
+
+
 def test_non_essential_arrangement_rejected(capsys):
     # three parallel lines x = 0, 1, 2 in the (x, y) plane
     spec = json.dumps(

@@ -239,6 +239,41 @@ def test_monomial_saturation_is_one_groebner_run(monkeypatch):
     assert len(runs) == 1
 
 
+def test_linear_saturation_is_one_rref(monkeypatch):
+    # generators of degree one once their monomial factors on the support
+    # are divided out span a prime ideal, decided by one rref with no
+    # Buchberger run: I itself, or the unit ideal once I holds a variable
+    # of the support
+    vars = ("x", "y", "z")
+    I = Ideal([poly_parse("x*y-x*z-2*x", vars), poly_parse("2*x+y-1", vars)])
+    unit = Ideal([poly_parse("y-2*z", vars), poly_parse("x+y-2*z", vars)])
+    expected = [poly_parse("y-z-2", vars), poly_parse("x+1/2*z+1/2", vars)]
+    by_runs = [
+        groebner._saturate_single(I, poly_parse("x", vars)),
+        groebner._saturate_single(unit, poly_parse("y", vars)),
+    ]
+    monkeypatch.setattr(groebner, "_buchberger", None)
+    for m in ("x^2", "x*z"):
+        assert list(saturate(I, poly_parse(m, vars)).gens) == expected
+    assert saturate(unit, poly_parse("x", vars)).is_unit
+    assert saturate(unit, poly_parse("y", vars)).gens == by_runs[1].gens
+    assert by_runs[0].gens == tuple(expected)
+
+
+def test_linear_saturation_counts_a_step_per_pivot():
+    # one rref of a rank-2 matrix: two pivots, two steps of the job
+    vars = ("x", "y", "z")
+    I = Ideal([poly_parse("x+y-1", vars), poly_parse("y-z", vars)])
+    m = poly_parse("x*y*z", vars)
+    with Job() as job:
+        saturate(I, m)
+    assert job.steps == 2
+    with Job(2):
+        saturate(I, m)
+    with pytest.raises(ResourceBudgetExceeded), Job(1):
+        saturate(I, m)
+
+
 def test_saturate_and_eliminate_return_their_reduced_basis(monkeypatch):
     # every route returns the reduced grlex basis it computed, which
     # groebner_basis hands back as it is, with no run

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from models import (
     COIN_RAYS,
@@ -9,16 +10,20 @@ from models import (
     coin_spec,
     conic_ideal,
     conic_spec,
+    essential_arrangements,
+    five_lines_arrangement,
     four_lines_arrangement,
     four_lines_ideal_spec,
     four_lines_spec,
 )
 from tropcrit.arrangement import chi_complement
-from tropcrit.errors import MLDegreeNotOne
+from tropcrit.errors import MLDegreeNotOne, UnbalancedRays
 from tropcrit import mle
 from tropcrit.groebner import Ideal, Job
 from tropcrit.mle import (
     VarietySpec,
+    _linear_parametrization,
+    _torus_saturation,
     critical_system,
     ml_degree,
     mle_closed_form,
@@ -27,7 +32,7 @@ from tropcrit.mle import (
     torus_euler_characteristic,
 )
 from tropcrit.rings import Polynomial, poly_parse
-from tropcrit.tropical import Ray
+from tropcrit.tropical import Ray, find_rigid_rays, stratum_model
 
 
 # -- critical systems --------------------------------------------------------------
@@ -187,11 +192,9 @@ def test_torus_euler_characteristic_direct_cases():
     assert chi in (-2, -1, 0)  # sanity bound; exact value checked elsewhere
 
 
-def test_torus_euler_characteristic_saturates_once(monkeypatch):
-    # the stratum's critical system needs the codimension of sat, which the
-    # Euler characteristic already computed: no saturation is run again on
-    # its own result, and one dimension count, however often ml_degree
-    # samples
+def _record_saturations(monkeypatch):
+    """(saturations, dimensions): every (ideal gens, saturator, result gens)
+    of mle.saturate and every ideal mle.ideal_dimension is asked about."""
     saturations = []
     dimensions = []
     real_saturate = mle.saturate
@@ -199,7 +202,7 @@ def test_torus_euler_characteristic_saturates_once(monkeypatch):
 
     def counting_saturate(I, f):
         out = real_saturate(I, f)
-        saturations.append((I.gens, out.gens))
+        saturations.append((I.gens, f, out.gens))
         return out
 
     def counting_dimension(G):
@@ -208,12 +211,68 @@ def test_torus_euler_characteristic_saturates_once(monkeypatch):
 
     monkeypatch.setattr(mle, "saturate", counting_saturate)
     monkeypatch.setattr(mle, "ideal_dimension", counting_dimension)
+    return saturations, dimensions
+
+
+def test_torus_euler_characteristic_saturates_once(monkeypatch):
+    # the stratum's critical system needs the codimension of sat, which the
+    # Euler characteristic already computed: no saturation is run again on
+    # its own result, and one dimension count, however often ml_degree
+    # samples (a nonlinear conic stratum, counted in its own ideal)
+    saturations, dimensions = _record_saturations(monkeypatch)
+    stratum = stratum_model(conic_ideal(), Ray((0, 0, 1))).ideal
+    with Job():
+        chi = torus_euler_characteristic(stratum)
+    assert chi == -3
+    for k, (gens, _, _) in enumerate(saturations):
+        assert gens not in [out for _, _, out in saturations[:k]]
+    assert len(dimensions) == 1
+
+
+def test_linear_torus_euler_characteristic_saturates_each_pair_once(monkeypatch):
+    # a linear ideal is counted by the dlog system of its parametrization,
+    # which saturates by one coordinate function after another, each on the
+    # last result: still no (ideal, saturator) pair twice, and one
+    # dimension count
+    saturations, dimensions = _record_saturations(monkeypatch)
     with Job():
         chi = torus_euler_characteristic(four_lines_ideal_spec().ideal)
     assert chi == chi_complement(four_lines_arrangement())
-    for k, (gens, _) in enumerate(saturations):
-        assert gens not in [out for _, out in saturations[:k]]
+    pairs = [(gens, f) for gens, f, _ in saturations]
+    assert len(pairs) > 1 and len(pairs) == len(set(pairs))
     assert len(dimensions) == 1
+
+
+def _assert_linear_strata_counts_agree(arr):
+    """On every rigid-ray stratum of the arrangement, the saturated ideal G
+    is linear and positive-dimensional, and the critical points counted in
+    its own coordinates number ml_degree of G itself."""
+    ideal = VarietySpec(kind="arrangement", arrangement=arr).to_ideal()
+    with Job():
+        rays = find_rigid_rays(ideal, bound=1)
+        assert rays
+        for ray in rays:
+            G, d = _torus_saturation(stratum_model(ideal, ray).ideal)
+            assert d > 0 and all(g.total_degree() <= 1 for g in G.gens)
+            parametrized = ml_degree(_linear_parametrization(G))
+            assert parametrized == ml_degree(VarietySpec(kind="ideal", ideal=G))
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@pytest.mark.parametrize(
+    "arr",
+    [four_lines_arrangement(), five_lines_arrangement()],
+    ids=["four_lines", "five_lines"],
+)
+def test_linear_stratum_count_matches_ideal_count(arr):
+    _assert_linear_strata_counts_agree(arr)
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=20, deadline=None)
+@given(arr=essential_arrangements())
+def test_linear_stratum_count_matches_ideal_count_generated(arr):
+    _assert_linear_strata_counts_agree(arr)
 
 
 # -- closed-form estimators ---------------------------------------------------------------
@@ -311,7 +370,7 @@ def test_mle_closed_form_rejects_unbalanced_rays():
     # rays of a degree-one model must sum to zero for the estimator to be
     # homogeneous; a truncated ray list is refused
     rays = [Ray(v) for v in sorted(FOUR_LINES_RAYS) if v != (0, 1, 0, 0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnbalancedRays, match=r"got \(0, -1, 0, 0\)"):
         mle_closed_form(four_lines_spec(), rays)
 
 

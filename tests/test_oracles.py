@@ -187,9 +187,30 @@ def chain_saturation(ideal, f):
     return groebner_basis(ideal)
 
 
+# linear forms in x, y, z times a monomial: after the monomial factor on
+# the saturator's support is divided out, many are linear and take the
+# rref route of ``saturate``
+_generated_linear = st.tuples(
+    st.tuples(*(st.integers(0, 1) for _ in _XYZ)),
+    st.dictionaries(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]),
+        st.integers(-5, 5).filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+).map(
+    lambda ft: Polynomial(
+        {tuple(a + b for a, b in zip(ft[0], e)): c for e, c in ft[1].items()}, _XYZ
+    )
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    gens=st.lists(_generated_poly, min_size=1, max_size=3),
+    gens=st.one_of(
+        st.lists(_generated_poly, min_size=1, max_size=3),
+        st.lists(_generated_linear, min_size=1, max_size=3),
+    ),
     exponents=st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
 )
 @example(gens=[Polynomial({(0, 0, 0): -1}, _XYZ)], exponents=(0, 0, 0))
