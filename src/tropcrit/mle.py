@@ -298,10 +298,14 @@ def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
 
     One saturation per saturator: with the data variables in the ring, a
     single saturation by their product is far slower (2,216 against 362
-    reduction steps on the symbolic conic system).
+    reduction steps on the symbolic conic system).  A constant saturator,
+    such as a coordinate fixed on a linear stratum, is a unit already and
+    needs none.
     """
     I = Ideal(system.equations, system.ring)
     for f in system.saturators:
+        if f.is_constant():
+            continue
         I = saturate(I, f)
         if I.is_zero:
             break

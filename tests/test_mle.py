@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from models import (
     COIN_RAYS,
@@ -243,10 +243,15 @@ def test_linear_torus_euler_characteristic_saturates_each_pair_once(monkeypatch)
     assert len(dimensions) == 1
 
 
-def _assert_linear_strata_counts_agree(arr):
-    """On every rigid-ray stratum of the arrangement, the saturated ideal G
-    is linear and positive-dimensional, and the critical points counted in
-    its own coordinates number ml_degree of G itself."""
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=20, deadline=None)
+@given(arr=essential_arrangements())
+@example(arr=four_lines_arrangement())
+@example(arr=five_lines_arrangement())
+def test_linear_stratum_count_matches_ideal_count(arr):
+    # on every rigid-ray stratum of an arrangement the saturated ideal G is
+    # linear and positive-dimensional, and the critical points counted in
+    # its own coordinates number ml_degree of G itself
     ideal = VarietySpec(kind="arrangement", arrangement=arr).to_ideal()
     with Job():
         rays = find_rigid_rays(ideal, bound=1)
@@ -256,23 +261,6 @@ def _assert_linear_strata_counts_agree(arr):
             assert d > 0 and all(g.total_degree() <= 1 for g in G.gens)
             parametrized = ml_degree(_linear_parametrization(G))
             assert parametrized == ml_degree(VarietySpec(kind="ideal", ideal=G))
-
-
-@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
-@pytest.mark.parametrize(
-    "arr",
-    [four_lines_arrangement(), five_lines_arrangement()],
-    ids=["four_lines", "five_lines"],
-)
-def test_linear_stratum_count_matches_ideal_count(arr):
-    _assert_linear_strata_counts_agree(arr)
-
-
-@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
-@settings(max_examples=20, deadline=None)
-@given(arr=essential_arrangements())
-def test_linear_stratum_count_matches_ideal_count_generated(arr):
-    _assert_linear_strata_counts_agree(arr)
 
 
 # -- closed-form estimators ---------------------------------------------------------------
