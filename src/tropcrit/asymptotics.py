@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from random import Random
 
 from .errors import (
     AlphaNotOnHyperplane,
@@ -76,7 +75,7 @@ class DataCurve:
     def value_at_zero(self):
         return tuple(c.constant_coeff() for c in self.components)
 
-    def validate(self, ray=None, slopes=None, rng=None):
+    def validate(self, ray=None, slopes=None):
         """Value at t=0 on the ray's hyperplane, transverse approach, and
         a generic point off every given slope at one random rational t."""
         a0 = self.value_at_zero()
@@ -94,7 +93,7 @@ class DataCurve:
                     "curve does not cross the hyperplane transversely"
                 )
         if slopes:
-            rng = rng or Random(7)
+            rng = current_job().rng
             t0 = Fraction(rng.randint(1, 997), rng.randint(1, 997))
             val = tuple(c.evaluate({CURVE_VAR: t0}) for c in self.components)
             for h in slopes:
@@ -429,7 +428,6 @@ def branch_seeds(
     system: CriticalSystem,
     curve: DataCurve,
     valuations=None,
-    rng=None,
 ):
     """Leading coefficients of all branches with the given valuation
     ansatz: solve the t = 0 layer of the saturated rescaled system.
@@ -438,7 +436,6 @@ def branch_seeds(
     (found when the layer has degree one), numeric seeds complex tuples,
     one per distinct point in the order of ``solve_zero_dim_numeric``.
     """
-    rng = rng or Random(23)
     layer, ring = _t0_layer(system, curve, valuations)
     if not layer:
         raise NotZeroDimensional("saturated system is trivial")
@@ -452,7 +449,7 @@ def branch_seeds(
     basis = quotient_basis(G)
     if len(basis) == 1:
         return [solve_degree_one(G)], []
-    return [], solve_zero_dim_numeric(G, rng)
+    return [], solve_zero_dim_numeric(G)
 
 
 def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
@@ -567,7 +564,7 @@ def _unknown_valuations(spec: VarietySpec, ray):
     return tuple(vals), notes
 
 
-def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53, rng=None):
+def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     """Series branches of the critical points along a data curve.
 
     Returns (branches, notes).  The curve is checked against the first
@@ -579,11 +576,10 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53, rng=None):
     coefficients of a floating branch are refined to about 2^-bits.  A
     seed that fails to lift becomes a note.
     """
-    rng = rng or Random(23)
     alpha0 = curve.value_at_zero()
     on = [r for r in rays if dot(alpha0, r.v) == 0]
     if on:
-        curve.validate(ray=on[0], slopes=critical_slopes(rays), rng=rng)
+        curve.validate(ray=on[0], slopes=critical_slopes(rays))
     system = critical_system(
         spec, None, formulation="minors" if spec.kind == "ideal" else "auto"
     )
@@ -597,7 +593,7 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53, rng=None):
     out = []
     for vals, ray in jobs:
         try:
-            exact, numeric = branch_seeds(system, curve, valuations=vals, rng=rng)
+            exact, numeric = branch_seeds(system, curve, valuations=vals)
         except NotZeroDimensional:
             continue
         for seed in exact + numeric:

@@ -2,8 +2,9 @@
 
 Commands run the pipeline on a variety spec (ideal, parametrization or
 arrangement), write a machine-readable report to stdout (or --out) and a
-human summary to stderr.  All randomness flows from one seeded generator;
-the seed is echoed in every report so runs are reproducible.
+human summary to stderr.  All randomness flows from the random stream of
+the run's ``Job``, seeded by ``--seed``; the seed is echoed in every report
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 from . import errors
 from .arrangement import Arrangement
@@ -26,14 +26,13 @@ from .bs_lct import (
     conjecture_check,
     qfa_nonneg_certificate,
 )
-from .groebner import Ideal, Job
+from .groebner import DEFAULT_SEED, Ideal, Job
 from .linalg import rank
 from .mle import VarietySpec, default_coordinates, ml_degree, mle_closed_form
 from .rings import Polynomial
 from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_char
 
 VERSION = "0.1.0"
-DEFAULT_SEED = 20240
 DEFAULT_BOUND = 3
 DEFAULT_ORDER = 8
 DEFAULT_PRECISION = 53
@@ -465,9 +464,9 @@ def run_report(cfg: JobConfig):
     """Execute the requested pipeline; returns (report dict, exit code).
 
     The whole run is one ``Job``: ``cfg.budget`` bounds the reduction
-    steps of all its Groebner calls together.
+    steps of all its Groebner calls together, and every random choice is
+    drawn from the one stream that ``cfg.seed`` seeds.
     """
-    rng = Random(cfg.seed)
     report = {
         "tool": "tropcrit",
         "version": VERSION,
@@ -476,7 +475,7 @@ def run_report(cfg: JobConfig):
         "warnings": [],
     }
     notes = []
-    with warnings.catch_warnings(record=True) as caught, Job(cfg.budget):
+    with warnings.catch_warnings(record=True) as caught, Job(cfg.budget, cfg.seed):
         warnings.simplefilter("always")
         spec = load_spec(cfg.spec_source)
         report["inputs"] = serialize_spec(spec)
@@ -506,15 +505,15 @@ def run_report(cfg: JobConfig):
             ]
 
         if cfg.command in ("euler", "report"):
-            chis = [stratum_euler_char(ideal, r, rng=rng) for r in rays]
+            chis = [stratum_euler_char(ideal, r) for r in rays]
             report["rays"] = [_ray_json(r, chi) for r, chi in zip(rays, chis)]
             report["weighted_ray_sum"] = list(ray_sum(ideal.nvars, rays, chis))
 
         if cfg.command in ("mle", "report"):
-            degree = ml_degree(spec, rng=rng)
+            degree = ml_degree(spec)
             report["ml_degree"] = degree
             if degree == 1 and rays:
-                formula = mle_closed_form(spec, rays, rng=rng)
+                formula = mle_closed_form(spec, rays)
                 report["mle"] = {
                     "constants": [_frac_str(c) for c in formula.constants],
                     "coordinates": [
@@ -525,7 +524,7 @@ def run_report(cfg: JobConfig):
 
         if cfg.command == "asymptotics":
             found, branch_notes = branches(
-                spec, curve, rays, cfg.order, cfg.precision, rng
+                spec, curve, rays, cfg.order, cfg.precision
             )
             notes.extend(branch_notes)
             report["curve"] = {"components": [str(c) for c in curve.components]}

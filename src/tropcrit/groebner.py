@@ -25,11 +25,14 @@ the weight, by the basis terms the weight ties with their leading
 monomials; init_w(I) is the same on the relative interior of a face, so
 callers can key per-weight answers by the face.
 
-Reduction steps are counted against the current ``Job``: ``with
-Job(limit):`` makes one step budget and one set of memo tables hold for
-everything run inside it.  Outside any ``with``, each entry point gets a
-fresh ``Job()`` (10**6 steps, empty memo).  Exceeding the limit raises
-ResourceBudgetExceeded instead of running away.
+A run is one ``Job``: ``with Job(limit, seed):`` makes one step budget,
+one set of memo tables and one random stream hold for everything run
+inside it.  Reduction steps are counted against it, and every random
+choice (data vectors, linear forms, curve points) is drawn from its
+``rng``.  Outside any ``with``, each entry point gets a fresh ``Job()``
+(10**6 steps, empty memo, a stream seeded with ``DEFAULT_SEED``).
+Exceeding the limit raises ResourceBudgetExceeded instead of running
+away.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import cos, gcd, lcm, pi, sin
 from operator import add, le, mul, sub
+from random import Random
 
 from .errors import NotZeroDimensional, ResourceBudgetExceeded
 from .linalg import complex_gauss_jordan, mat_vec, nullspace, rref, solve_linear
@@ -54,6 +58,7 @@ from .rings import (
 )
 
 DEFAULT_BUDGET = 10**6
+DEFAULT_SEED = 20240
 
 
 class Ideal:
@@ -92,18 +97,22 @@ class Ideal:
 
 class Job:
     """One run: a reduction-step budget shared by every Groebner call made
-    while the job is current, and memo tables that live as long as it.
+    while the job is current, memo tables that live as long as it, and the
+    random stream ``rng`` that every random choice of the run draws from.
 
-    ``with Job(limit):`` makes the job current; ``current_job()`` returns
-    it, or a fresh default job outside any ``with``.
+    ``with Job(limit, seed):`` makes the job current; ``current_job()``
+    returns it, or a fresh default job outside any ``with``.  An entry
+    point that draws reads ``current_job().rng`` once, so that outside a
+    job its draws still come from one stream.
     """
 
-    __slots__ = ("steps", "limit", "memo", "_tokens")
+    __slots__ = ("steps", "limit", "memo", "rng", "_tokens")
 
-    def __init__(self, limit=None):
+    def __init__(self, limit=None, seed=DEFAULT_SEED):
         self.steps = 0
         self.limit = DEFAULT_BUDGET if limit is None else limit
         self.memo = {}
+        self.rng = Random(seed)
         self._tokens = []
 
     def tick(self, n=1):
@@ -126,7 +135,8 @@ _CURRENT_JOB = ContextVar("tropcrit_job", default=None)
 
 def current_job() -> Job:
     """The job of the innermost enclosing ``with Job(...)``, else a fresh
-    one (so calls outside a job keep a per-call default budget)."""
+    one (so calls outside a job keep a per-call default budget and
+    stream)."""
     return _CURRENT_JOB.get() or Job()
 
 
@@ -903,12 +913,12 @@ def _random_form(G: GroebnerBasis, basis, rng):
     return mats, m, minimal_polynomial(m, start)
 
 
-def squarefree_check(G: GroebnerBasis, basis, rng) -> bool:
+def squarefree_check(G: GroebnerBasis, basis) -> bool:
     """Radicality heuristic: the minimal polynomial of a random linear form
     should be squarefree of degree equal to the quotient dimension."""
     if len(basis) <= 1:
         return True
-    _, _, mp = _random_form(G, basis, rng)
+    _, _, mp = _random_form(G, basis, current_job().rng)
     if len(mp) - 1 != len(basis):
         return False
     g = poly_gcd_univ(mp, derivative_univ(mp))
@@ -928,7 +938,7 @@ def solve_degree_one(G: GroebnerBasis):
     return tuple(out)
 
 
-def solve_zero_dim_numeric(G: GroebnerBasis, rng):
+def solve_zero_dim_numeric(G: GroebnerBasis):
     """Numeric solutions of a zero-dimensional system, one complex tuple
     per distinct point.
 
@@ -947,7 +957,7 @@ def solve_zero_dim_numeric(G: GroebnerBasis, rng):
     n = len(basis)
     if n == 0:
         return []
-    mats, m, mp = _random_form(G, basis, rng)
+    mats, m, mp = _random_form(G, basis, current_job().rng)
     squarefree = _quotient_univ(mp, poly_gcd_univ(mp, derivative_univ(mp)))
     mats = [[[float(x) for x in row] for row in mat] for mat in mats]
     transposed = [[float(x) for x in col] for col in zip(*m)]

@@ -39,7 +39,6 @@ from .groebner import (
 from .rings import Polynomial, dot
 from .tropical import _sign_normalize
 
-DEFAULT_SEED = 170839
 SAMPLE_RANGE = 997
 MAX_RESAMPLE = 5
 
@@ -312,7 +311,7 @@ def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
     return groebner_basis(I)
 
 
-def _critical_count(spec, alpha, formulation, rng):
+def _critical_count(spec, alpha, formulation):
     system = critical_system(spec, alpha, formulation)
     G = saturated_critical_ideal(system)
     if G.is_zero:
@@ -320,7 +319,7 @@ def _critical_count(spec, alpha, formulation, rng):
     if G.is_unit:
         return 0, G
     basis = quotient_basis(G)
-    if rng is not None and not squarefree_check(G, basis, rng):
+    if not squarefree_check(G, basis):
         warnings.warn(
             "critical system may be non-reduced; count includes multiplicity",
             SquarefreeCheckFailed,
@@ -329,17 +328,15 @@ def _critical_count(spec, alpha, formulation, rng):
     return len(basis), G
 
 
-def ml_degree(spec: VarietySpec, rng=None, formulation="auto", slopes=None) -> int:
+def ml_degree(spec: VarietySpec, formulation="auto") -> int:
     """Generic critical-point count (with multiplicity), resampling a few
     times on degenerate data before giving up."""
-    rng = rng or Random(DEFAULT_SEED)
+    rng = current_job().rng
     last = None
     for _ in range(MAX_RESAMPLE):
         alpha = sample_alpha(spec.p, rng)
-        if slopes and any(dot(h.normal, alpha) == 0 for h in slopes):
-            continue
         try:
-            count, _ = _critical_count(spec, alpha, formulation, rng)
+            count, _ = _critical_count(spec, alpha, formulation)
             return count
         except NotZeroDimensional as exc:
             last = exc
@@ -364,7 +361,7 @@ def _linear_parametrization(G: GroebnerBasis) -> VarietySpec:
     return VarietySpec(kind="parametrization", functions=functions, coordinates=G.vars)
 
 
-def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
+def torus_euler_characteristic(ideal: Ideal) -> int:
     """Signed-count Euler characteristic of V(ideal) on the torus.
 
     Zero-dimensional loci are counted directly; otherwise the generic
@@ -378,7 +375,6 @@ def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
     d parameters replaces the minors or Lagrange system of G in all p
     torus coordinates.
     """
-    rng = rng or Random(DEFAULT_SEED)
     G, d = _torus_saturation(ideal)
     if G.is_zero:
         return 1 if ideal.nvars == 0 else 0
@@ -390,7 +386,7 @@ def torus_euler_characteristic(ideal: Ideal, rng=None) -> int:
         spec = _linear_parametrization(G)
     else:
         spec = VarietySpec(kind="ideal", ideal=G)
-    count = ml_degree(spec, rng=rng)
+    count = ml_degree(spec)
     return count if d % 2 == 0 else -count
 
 
@@ -480,7 +476,7 @@ class MLEFormula:
         ]
 
 
-def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
+def mle_closed_form(spec: VarietySpec, rays) -> MLEFormula:
     """Closed-form estimator for ML-degree-one models.
 
     Exponents come from the ray coordinates; constants are fitted exactly
@@ -489,7 +485,7 @@ def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
     critical point; a count other than one raises ``MLDegreeNotOne``, and
     the first sample decides that before the rays are checked.
     """
-    rng = rng or Random(DEFAULT_SEED)
+    rng = current_job().rng
     vecs = [tuple(r.v) for r in rays]
     p = spec.p
     total = tuple(sum(v[i] for v in vecs) for i in range(p))
@@ -502,7 +498,7 @@ def mle_closed_form(spec: VarietySpec, rays, rng=None) -> MLEFormula:
         if any(dot(v, alpha) == 0 for v in vecs) or alpha in [a for a, _ in samples]:
             continue
         try:
-            count, G = _critical_count(spec, alpha, "auto", rng)
+            count, G = _critical_count(spec, alpha, "auto")
         except NotZeroDimensional:
             continue
         if count != 1:

@@ -262,19 +262,19 @@ def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> StratumModel:
     )
 
 
-def stratum_euler_char(ideal: Ideal, ray: Ray, rng=None, variant=0) -> int:
+def stratum_euler_char(ideal: Ideal, ray: Ray, variant=0) -> int:
     """Euler characteristic of the open boundary stratum of the ray,
     via the signed generic critical-point count on the stratum."""
     from .mle import torus_euler_characteristic
 
     model = stratum_model(ideal, ray, variant)
-    return torus_euler_characteristic(model.ideal, rng=rng)
+    return torus_euler_characteristic(model.ideal)
 
 
-def weighted_ray_sum(ideal: Ideal, rays, rng=None):
+def weighted_ray_sum(ideal: Ideal, rays):
     """Sum of stratum Euler characteristics times ray vectors (reported,
     not asserted; vanishes in every worked example)."""
-    chis = [stratum_euler_char(ideal, ray, rng=rng) for ray in rays]
+    chis = [stratum_euler_char(ideal, ray) for ray in rays]
     return ray_sum(ideal.nvars, rays, chis)
 
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from random import Random
 
 import pytest
 
@@ -531,13 +530,11 @@ def test_branches_render_to_the_reported_branches():
         curve_path=fixture("conic_curve.json"),
     )
     report, _ = run_report(cfg)
-    with groebner.Job():
+    with groebner.Job(seed=cfg.seed):
         spec = load_spec(cfg.spec_source)
         curve = cli.load_curve(cfg.curve_path, spec.p)
         rays = find_rigid_rays(spec.to_ideal(), bound=2)
-        found, notes = branches(
-            spec, curve, rays, order=4, bits=160, rng=Random(cfg.seed)
-        )
+        found, notes = branches(spec, curve, rays, order=4, bits=160)
     assert [cli._branch_json(b, 160) for b in found] == report["branches"]
     assert notes == [w["message"] for w in report["warnings"] if w["code"] == "note"]
     assert any("refined_leading" in b for b in report["branches"])

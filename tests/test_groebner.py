@@ -354,10 +354,10 @@ def test_solve_degree_one():
 
 
 def test_solve_zero_dim_numeric():
-    rng = random.Random(4)
     vars = ("x", "y")
     G = groebner_basis([poly_parse("x^2-1", vars), poly_parse("y-x", vars)])
-    sols = solve_zero_dim_numeric(G, rng)
+    with Job(seed=4):
+        sols = solve_zero_dim_numeric(G)
     assert len(sols) == 2
     pts = sorted(round(s[0].real) for s in sols)
     assert pts == [-1, 1]

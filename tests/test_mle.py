@@ -126,14 +126,6 @@ def test_four_lines_boundary_slice_eliminates_to_slope():
     assert [str(g) for g in out.gens] == ["s2"]
 
 
-def test_ml_degree_rejects_alpha_on_given_slopes():
-    from tropcrit.tropical import SlopeHyperplane
-
-    # the rejection path only skips samples; the answer is unchanged
-    slopes = [SlopeHyperplane(normal=v) for v in FOUR_LINES_RAYS]
-    assert ml_degree(four_lines_spec(), slopes=slopes) == 1
-
-
 def test_ml_degree_coin_is_one_both_formulations():
     spec = coin_spec()
     assert ml_degree(spec, formulation="minors") == 1

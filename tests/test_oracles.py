@@ -337,7 +337,8 @@ def test_solve_zero_dim_numeric_matches_sympy_roots(
     values = [form[0] * x + form[1] * y for x, y in expected]
     assume(all(abs(v - w) > 1e-6 for i, v in enumerate(values) for w in values[:i]))
 
-    points = solve_zero_dim_numeric(G, random.Random(seed))
+    with Job(seed=seed):
+        points = solve_zero_dim_numeric(G)
     assert len(points) == len(expected)
     for point in points:
         tol = 1e-9 * max(1.0, *(abs(z) for z in point))
