@@ -29,6 +29,7 @@ from itertools import combinations
 from .errors import (
     AlphaNotOnHyperplane,
     CurveNotGeneric,
+    DegenerateSample,
     NoConvergence,
     NotZeroDimensional,
     SingularJacobian,
@@ -574,7 +575,8 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     lifted to ``order``, and to twice the order when that is too short to
     certify the valuation vector.  With ``bits`` above 53 the real leading
     coefficients of a floating branch are refined to about 2^-bits.  A
-    seed that fails to lift becomes a note.
+    seed that fails to lift, or a layer whose points no linear form
+    reads, becomes a note.
     """
     alpha0 = curve.value_at_zero()
     on = [r for r in rays if dot(alpha0, r.v) == 0]
@@ -595,6 +597,9 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
         try:
             exact, numeric = branch_seeds(system, curve, valuations=vals)
         except NotZeroDimensional:
+            continue
+        except DegenerateSample as exc:
+            notes.append(f"branches at {vals} have no seeds: {exc}")
             continue
         for seed in exact + numeric:
             try:

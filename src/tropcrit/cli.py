@@ -2,9 +2,8 @@
 
 Commands run the pipeline on a variety spec (ideal, parametrization or
 arrangement), write a machine-readable report to stdout (or --out) and a
-human summary to stderr.  All randomness flows from the random stream of
-the run's ``Job``, seeded by ``--seed``; the seed is echoed in every report
-so runs are reproducible.
+human summary to stderr.  All randomness flows from the ``Job``'s stream,
+seeded by ``--seed``; the seed is echoed in every report.
 """
 
 from __future__ import annotations
@@ -464,8 +463,8 @@ def run_report(cfg: JobConfig):
     """Execute the requested pipeline; returns (report dict, exit code).
 
     The whole run is one ``Job``: ``cfg.budget`` bounds the reduction
-    steps of all its Groebner calls together, and every random choice is
-    drawn from the one stream that ``cfg.seed`` seeds.
+    steps of all its Groebner calls together, and ``cfg.seed`` seeds its
+    one random stream.
     """
     report = {
         "tool": "tropcrit",

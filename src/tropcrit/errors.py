@@ -46,7 +46,7 @@ class CurveNotGeneric(TropcritError, ValueError):
 
 
 class DegenerateSample(TropcritError, RuntimeError):
-    """Random data vectors kept producing degenerate critical systems."""
+    """Random data vectors or linear forms kept being degenerate."""
 
 
 class MLDegreeNotOne(TropcritError, ValueError):

@@ -25,14 +25,11 @@ the weight, by the basis terms the weight ties with their leading
 monomials; init_w(I) is the same on the relative interior of a face, so
 callers can key per-weight answers by the face.
 
-A run is one ``Job``: ``with Job(limit, seed):`` makes one step budget,
-one set of memo tables and one random stream hold for everything run
-inside it.  Reduction steps are counted against it, and every random
-choice (data vectors, linear forms, curve points) is drawn from its
-``rng``.  Outside any ``with``, each entry point gets a fresh ``Job()``
-(10**6 steps, empty memo, a stream seeded with ``DEFAULT_SEED``).
-Exceeding the limit raises ResourceBudgetExceeded instead of running
-away.
+``with Job(limit, seed):`` makes one step budget, one set of memo tables
+and one random stream hold for everything run inside it.  Outside any
+``with``, each entry point gets a fresh ``Job()`` (10**6 steps, empty
+memo, ``DEFAULT_SEED``).  Exceeding the limit raises
+ResourceBudgetExceeded instead of running away.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from math import cos, gcd, lcm, pi, sin
 from operator import add, le, mul, sub
 from random import Random
 
-from .errors import NotZeroDimensional, ResourceBudgetExceeded
+from .errors import DegenerateSample, NotZeroDimensional, ResourceBudgetExceeded
 from .linalg import complex_gauss_jordan, mat_vec, nullspace, rref, solve_linear
 from .rings import (
     Polynomial,
@@ -59,6 +56,7 @@ from .rings import (
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_SEED = 20240
+MAX_FORMS = 5
 
 
 class Ideal:
@@ -98,12 +96,11 @@ class Ideal:
 class Job:
     """One run: a reduction-step budget shared by every Groebner call made
     while the job is current, memo tables that live as long as it, and the
-    random stream ``rng`` that every random choice of the run draws from.
+    random stream ``rng`` that all its random choices are drawn from.
 
     ``with Job(limit, seed):`` makes the job current; ``current_job()``
-    returns it, or a fresh default job outside any ``with``.  An entry
-    point that draws reads ``current_job().rng`` once, so that outside a
-    job its draws still come from one stream.
+    returns it, or a fresh default job outside any ``with``, so an entry
+    point that draws reads ``current_job().rng`` once.
     """
 
     __slots__ = ("steps", "limit", "memo", "rng", "_tokens")
@@ -135,8 +132,7 @@ _CURRENT_JOB = ContextVar("tropcrit_job", default=None)
 
 def current_job() -> Job:
     """The job of the innermost enclosing ``with Job(...)``, else a fresh
-    one (so calls outside a job keep a per-call default budget and
-    stream)."""
+    one (so calls outside a job keep a per-call default budget)."""
     return _CURRENT_JOB.get() or Job()
 
 
@@ -694,7 +690,8 @@ def eliminate(ideal: Ideal, keep) -> GroebnerBasis:
 
 
 def quotient_basis(G: GroebnerBasis):
-    """Standard monomials of a reduced basis; raises if infinite."""
+    """Standard monomials of a reduced basis, 1 first; raises if
+    infinite."""
     if G.is_unit:
         return []
     lts = G.leading_terms
@@ -763,7 +760,9 @@ def multiplication_matrix(G: GroebnerBasis, basis, var_index):
 
 def minimal_polynomial(matrix, start):
     """Monic minimal polynomial (ascending coefficients) of the matrix on
-    the Krylov space of ``start``, exact over Q."""
+    the Krylov space of ``start``, exact over Q.  For the multiplication
+    matrix of an element of A = Q[x]/I and start 1, it is the element's
+    minimal polynomial in A: q(M) 1 = q(element)."""
     vecs = [list(start)]
     rows = [list(start)]
     while True:
@@ -891,38 +890,18 @@ def complex_roots(a):
     return sorted(roots, key=lambda r: (r.real, r.imag))
 
 
-def _random_form(G: GroebnerBasis, basis, rng):
-    """(multiplication matrices, matrix of a random linear form, its minimal
-    polynomial) on the quotient algebra A = Q[x]/I with standard monomials
-    ``basis``.
-
-    The form's p integer coefficients are drawn from ``rng`` in [-20, 20].
-    Its minimal polynomial is taken on the Krylov space of 1, which is the
-    minimal polynomial in A: q(M) 1 = q(form) is zero exactly when q(M) is.
-    """
-    p = G.nvars
-    n = len(basis)
-    mats = [multiplication_matrix(G, basis, i) for i in range(p)]
-    coeffs = [rng.randint(-20, 20) for _ in range(p)]
-    m = [
-        [sum(coeffs[k] * mats[k][i][j] for k in range(p)) for j in range(n)]
-        for i in range(n)
-    ]
-    one = basis.index((0,) * p)
-    start = [Fraction(i == one) for i in range(n)]
-    return mats, m, minimal_polynomial(m, start)
-
-
 def squarefree_check(G: GroebnerBasis, basis) -> bool:
-    """Radicality heuristic: the minimal polynomial of a random linear form
-    should be squarefree of degree equal to the quotient dimension."""
+    """Is the zero-dimensional ideal I of G radical?  By Seidenberg's lemma
+    (Cox, Little and O'Shea, *Using Algebraic Geometry*, ch. 2 sec. 2), iff
+    the minimal polynomial of each variable on A = Q[x]/I is squarefree."""
     if len(basis) <= 1:
         return True
-    _, _, mp = _random_form(G, basis, current_job().rng)
-    if len(mp) - 1 != len(basis):
-        return False
-    g = poly_gcd_univ(mp, derivative_univ(mp))
-    return len(g) == 1
+    start = [Fraction(i == 0) for i in range(len(basis))]
+    for i in range(G.nvars):
+        mp = minimal_polynomial(multiplication_matrix(G, basis, i), start)
+        if len(poly_gcd_univ(mp, derivative_univ(mp))) > 1:
+            return False
+    return True
 
 
 def solve_degree_one(G: GroebnerBasis):
@@ -949,15 +928,31 @@ def solve_zero_dim_numeric(G: GroebnerBasis):
     vector w of M - lambda I, a common left eigenvector of the
     multiplication matrices: x_i = (w M_i)_k / w_k at the largest entry
     w_k.  The points come in the order of ``complex_roots``: by the form's
-    value, real part first.  The form is assumed to separate the points
-    and each eigenvalue to have one eigenvector, which holds for generic
-    forms on reduced and curvilinear schemes.
+    value, real part first.  Each eigenvalue needs one eigenvector (n - 1
+    pivots), which holds iff the minimal polynomial has degree n; the form,
+    integers in [-20, 20] from the job's stream, is redrawn until it does,
+    as generic forms do on reduced and curvilinear schemes, and
+    ``DegenerateSample`` is raised after ``MAX_FORMS`` forms.
     """
     basis = quotient_basis(G)
     n = len(basis)
     if n == 0:
         return []
-    mats, m, mp = _random_form(G, basis, current_job().rng)
+    p = G.nvars
+    mats = [multiplication_matrix(G, basis, i) for i in range(p)]
+    start = [Fraction(i == 0) for i in range(n)]
+    rng = current_job().rng
+    for _ in range(MAX_FORMS):
+        coeffs = [rng.randint(-20, 20) for _ in range(p)]
+        m = [
+            [sum(coeffs[k] * mats[k][i][j] for k in range(p)) for j in range(n)]
+            for i in range(n)
+        ]
+        mp = minimal_polynomial(m, start)
+        if len(mp) - 1 == n:
+            break
+    else:
+        raise DegenerateSample(f"none of {MAX_FORMS} linear forms generates Q[x]/I")
     squarefree = _quotient_univ(mp, poly_gcd_univ(mp, derivative_univ(mp)))
     mats = [[[float(x) for x in row] for row in mat] for mat in mats]
     transposed = [[float(x) for x in col] for col in zip(*m)]

@@ -44,7 +44,7 @@ MAX_RESAMPLE = 5
 
 
 class SquarefreeCheckFailed(UserWarning):
-    """The sampled critical system may carry multiplicities."""
+    """The sampled critical system is not radical."""
 
 
 def _svar_name(coord: str) -> str:
@@ -321,7 +321,7 @@ def _critical_count(spec, alpha, formulation):
     basis = quotient_basis(G)
     if not squarefree_check(G, basis):
         warnings.warn(
-            "critical system may be non-reduced; count includes multiplicity",
+            "critical system is non-reduced; count includes multiplicity",
             SquarefreeCheckFailed,
             stacklevel=3,
         )

@@ -321,12 +321,6 @@ class Polynomial:
             out = out + part
         return out
 
-    def rename(self, new_vars) -> "Polynomial":
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise DimensionMismatch("rename must preserve variable count")
-        return Polynomial(dict(self.terms), new_vars)
-
     def extend_ring(self, vars) -> "Polynomial":
         """Reinterpret in a larger ring containing all current variables."""
         vars = tuple(vars)

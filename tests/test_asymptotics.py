@@ -28,15 +28,17 @@ from tropcrit.asymptotics import (
     _saturated_equations,
     _square_subsystem,
     branch_seeds,
+    branches,
     refine_seed_exact,
     series_newton_lift,
     valuation_vector,
 )
-from tropcrit.errors import NoConvergence, TruncationTooShort
+from tropcrit.errors import DegenerateSample, NoConvergence, TruncationTooShort
 from tropcrit.groebner import Job
 from tropcrit.mle import CriticalSystem, critical_system
 from tropcrit.rings import poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
+from tropcrit.tropical import Ray
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -240,6 +242,19 @@ def test_branch_count_matches_ml_degree():
     exact, _ = branch_seeds(conic_system(), conic_curve())
     _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
     assert len(exact) + len(numeric) == 3  # the ML degree of the model
+
+
+def test_layer_without_a_reading_form_becomes_a_note(monkeypatch):
+    # when no linear form reads the points of the escaping layer, its
+    # branches give way to a note and the interior branch still lifts
+    def no_form(G):
+        raise DegenerateSample("no form")
+
+    monkeypatch.setattr(asymptotics, "solve_zero_dim_numeric", no_form)
+    rays = [Ray(v) for v in sorted(CONIC_RAYS)]
+    found, notes = branches(conic_spec(), conic_curve(), rays, order=4)
+    assert notes == ["branches at (-1, -1) have no seeds: no form"]
+    assert [b.unknown_valuations for b in found] == [(0, 0)]
 
 
 def test_exact_branch_reproduced_by_floating_run():

@@ -15,7 +15,11 @@ from models import (
     initial_by_fresh_run,
 )
 from tropcrit import groebner
-from tropcrit.errors import NotZeroDimensional, ResourceBudgetExceeded
+from tropcrit.errors import (
+    DegenerateSample,
+    NotZeroDimensional,
+    ResourceBudgetExceeded,
+)
 from tropcrit.groebner import (
     GroebnerBasis,
     Ideal,
@@ -34,6 +38,7 @@ from tropcrit.groebner import (
     saturate,
     solve_degree_one,
     solve_zero_dim_numeric,
+    squarefree_check,
     zero_dim_degree,
 )
 from tropcrit.mle import critical_system, saturated_critical_ideal
@@ -363,6 +368,30 @@ def test_solve_zero_dim_numeric():
     assert pts == [-1, 1]
     for s in sols:
         assert abs(s[0] - s[1]) < 1e-8
+
+
+def test_solve_zero_dim_numeric_rejects_a_fat_point():
+    # on (x^2, xy, y^2) every form has minimal polynomial l^2 on a
+    # 3-dimensional algebra: no form has one eigenvector per point
+    vars = ("x", "y")
+    G = groebner_basis([poly_parse(f, vars) for f in ("x^2", "x*y", "y^2")])
+    with pytest.raises(DegenerateSample), Job():
+        solve_zero_dim_numeric(G)
+
+
+@pytest.mark.parametrize(
+    "gens, radical",
+    [
+        (("x^2", "y"), False),
+        (("(x+2)^2", "y-1"), False),
+        (("x^2-y", "y^2-y"), False),  # a double point at the origin
+        (("x^2-1", "y^2-1"), True),
+    ],
+)
+def test_squarefree_check_is_the_radical_test(gens, radical):
+    vars = ("x", "y")
+    G = groebner_basis([poly_parse(f, vars) for f in gens])
+    assert squarefree_check(G, quotient_basis(G)) is radical
 
 
 # -- homogeneity space ------------------------------------------------------------------

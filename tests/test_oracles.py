@@ -28,8 +28,10 @@ from tropcrit.groebner import (
     Job,
     _saturate_single,
     groebner_basis,
+    quotient_basis,
     saturate,
     solve_zero_dim_numeric,
+    squarefree_check,
 )
 from tropcrit.mle import VarietySpec, critical_system, ml_degree
 from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
@@ -274,10 +276,7 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
 
 
 _rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
+_roots_and_coordinates = dict(
     reals=st.lists(_rational_roots, min_size=1, max_size=3, unique=True),
     double=st.booleans(),
     pair=st.one_of(
@@ -290,8 +289,37 @@ _rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
     matrix=st.tuples(*(st.integers(-2, 2) for _ in range(4))).filter(
         lambda m: m[0] * m[3] != m[1] * m[2]
     ),
-    seed=st.integers(0, 2**16),
 )
+
+
+def _chosen_points(reals, double, pair):
+    """u(s) with the given rational roots, the first one twice if
+    ``double``, times the irreducible s^2 + b s + c of ``pair``."""
+    s = sympy.Symbol("s")
+    roots = [sympy.Rational(r.numerator, r.denominator) for r in reals]
+    u = sympy.Mul(*(s - r for r in roots))
+    if double:
+        u *= s - roots[0]
+    if pair:
+        u *= s**2 + pair[0] * s + pair[1]
+    return sympy.Poly(u, s)
+
+
+def _ideal_in_new_coordinates(u, g, matrix, k=1):
+    """Generators (u(s), (t - g(s))^k) in x, y, where s = a x + b y and
+    t = c x + d y: the points (s, g(s)) at the roots s of u."""
+    a, b, c, d = matrix
+    s_text, t_text = f"({a}*x+{b}*y)", f"({c}*x+{d}*y)"
+    u_text = "+".join(
+        f"({q})*{s_text}^{i}" for i, q in enumerate(reversed(u.all_coeffs()))
+    )
+    g_text = f"{g[0]}+{g[1]}*{s_text}+{g[2]}*{s_text}^2"
+    vars = ("x", "y")
+    return [poly_parse(u_text, vars), poly_parse(f"({t_text}-({g_text}))^{k}", vars)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_roots_and_coordinates, seed=st.integers(0, 2**16))
 @example(  # a double root
     reals=[Fraction(1)], double=True, pair=None, g=(0, 1, 0), matrix=(1, 0, 0, 1),
     seed=4,
@@ -300,42 +328,23 @@ _rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
     reals=[Fraction(2)], double=False, pair=(0, 1), g=(1, 0, 1), matrix=(1, 1, 0, 1),
     seed=4,
 )
+@example(  # the first form, (-2, 16), is constant on the double point
+    reals=[Fraction(3)], double=True, pair=None, g=(0, 2, 2), matrix=(0, -1, -2, 2),
+    seed=19639,
+)
 def test_solve_zero_dim_numeric_matches_sympy_roots(
     reals, double, pair, g, matrix, seed
 ):
-    # points (s, g(s)) at the roots s of u in the coordinates s = a x + b y,
-    # t = c x + d y; the ideal is (u(s), t - g(s)), so the distinct points
-    # are sympy's roots of u mapped back to (x, y)
+    # the distinct points are sympy's roots of u mapped back to (x, y)
+    u = _chosen_points(reals, double, pair)
+    G = groebner_basis(_ideal_in_new_coordinates(u, g, matrix))
     a, b, c, d = matrix
-    s_text, t_text = f"({a}*x+{b}*y)", f"({c}*x+{d}*y)"
-    s = sympy.Symbol("s")
-    roots = [sympy.Rational(r.numerator, r.denominator) for r in reals]
-    u = sympy.Mul(*(s - r for r in roots))
-    if double:
-        u *= s - roots[0]
-    if pair:
-        u *= s**2 + pair[0] * s + pair[1]
-    u_text = "+".join(
-        f"({q})*{s_text}^{k}"
-        for k, q in enumerate(reversed(sympy.Poly(u, s).all_coeffs()))
-    )
-    g_text = f"{g[0]}+{g[1]}*{s_text}+{g[2]}*{s_text}^2"
-    vars = ("x", "y")
-    G = groebner_basis(
-        [poly_parse(u_text, vars), poly_parse(f"{t_text}-({g_text})", vars)]
-    )
     det = a * d - b * c
     expected = []
-    for root in sympy.roots(sympy.Poly(u, s)):
+    for root in sympy.roots(u):
         sv = complex(sympy.N(root, 30))
         tv = g[0] + g[1] * sv + g[2] * sv**2
         expected.append(((d * sv - b * tv) / det, (a * tv - c * sv) / det))
-    # the solver's random form, p integers drawn from its rng, must
-    # separate the points
-    rng = random.Random(seed)
-    form = [rng.randint(-20, 20) for _ in vars]
-    values = [form[0] * x + form[1] * y for x, y in expected]
-    assume(all(abs(v - w) > 1e-6 for i, v in enumerate(values) for w in values[:i]))
 
     with Job(seed=seed):
         points = solve_zero_dim_numeric(G)
@@ -350,6 +359,29 @@ def test_solve_zero_dim_numeric_matches_sympy_roots(
             assert all(z.imag == 0 for z in point)
         else:
             assert tuple(z.conjugate() for z in point) in points
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_roots_and_coordinates, thick=st.booleans())
+def test_squarefree_check_matches_sympy_radical(
+    reals, double, pair, g, matrix, thick
+):
+    # (u(s), (t - g(s))^k) is radical iff u is squarefree and k = 1; sympy
+    # decides the same through the squarefree parts of its lex eliminants
+    u = _chosen_points(reals, double, pair)
+    gens = _ideal_in_new_coordinates(u, g, matrix, 2 if thick else 1)
+    G = groebner_basis(gens)
+    x, y = sympy.symbols("x y")
+    exprs = [to_sympy(f, (x, y)) for f in gens]
+    eliminants = [
+        sympy.groebner(exprs, *order, order="lex").exprs[-1]
+        for order in ((x, y), (y, x))
+    ]
+    sympy_radical = all(
+        sympy.degree(sympy.sqf_part(f)) == sympy.degree(f) for f in eliminants
+    )
+    assert sympy_radical == (not double and not thick)
+    assert squarefree_check(G, quotient_basis(G)) == sympy_radical
 
 
 def test_elimination_matches_sympy():
