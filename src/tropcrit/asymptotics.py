@@ -575,8 +575,8 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     lifted to ``order``, and to twice the order when that is too short to
     certify the valuation vector.  With ``bits`` above 53 the real leading
     coefficients of a floating branch are refined to about 2^-bits.  A
-    seed that fails to lift, or a layer whose points no linear form
-    reads, becomes a note.
+    seed that fails to lift, or a layer that ``solve_zero_dim_numeric``
+    cannot read, becomes a note.
     """
     alpha0 = curve.value_at_zero()
     on = [r for r in rays if dot(alpha0, r.v) == 0]
