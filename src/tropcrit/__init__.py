@@ -62,7 +62,6 @@ from .series import LaurentSeries
 from .tropical import (
     Ray,
     SlopeHyperplane,
-    StratumModel,
     TropicalEngine,
     critical_slopes,
     find_rigid_rays,

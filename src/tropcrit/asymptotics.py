@@ -114,9 +114,9 @@ class SeriesSolution:
 
 
 def _substitute_curve(system: CriticalSystem, curve: DataCurve):
-    """Equations in (unknowns, aux, t) with the curve in the data slots."""
+    """Equations in (unknowns, t) with the curve in the data slots."""
     if system.data_vars:
-        ring = system.unknowns + system.aux + (CURVE_VAR,)
+        ring = system.unknowns + (CURVE_VAR,)
         mapping = {
             s: c.extend_ring(ring)
             for s, c in zip(system.data_vars, curve.components)
@@ -128,7 +128,7 @@ def _substitute_curve(system: CriticalSystem, curve: DataCurve):
 def _rescale(equations, ring, valuations):
     """Substitute x_j = t^{v_j} X_j and clear the global t-power of each
     equation; the result is polynomial in (X, t)."""
-    n = len(ring) - 1  # unknowns and aux, t last
+    n = len(ring) - 1  # unknowns, t last
     out = []
     for eq in equations:
         shifted = {}
@@ -339,7 +339,7 @@ def series_newton_lift(
 
 def _saturated_equations(equations, ring, extra=()):
     """Generators of the system's ideal saturated by every variable of the
-    ring (unknowns, aux and t) and by the saturators in ``extra``,
+    ring (unknowns and t) and by the saturators in ``extra``,
     memoized in the current job.
 
     Each equation is first divided by its monomial content, a unit modulo
@@ -378,7 +378,7 @@ def _rescaled_system(system, curve, valuations):
     and the valuations, so the seeds, lifts and refinements of one
     (system, curve) substitute the curve once.
     """
-    n = len(system.unknowns) + len(system.aux)
+    n = len(system.unknowns)
     valuations = tuple(valuations) if valuations else (0,) * n
     if len(valuations) != n:
         raise ValueError(f"valuations must cover all {n} unknowns")
@@ -388,7 +388,6 @@ def _rescaled_system(system, curve, valuations):
         tuple(system.equations),
         tuple(system.saturators),
         system.unknowns,
-        system.aux,
         system.data_vars,
         curve.components,
         valuations,
@@ -582,9 +581,7 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     on = [r for r in rays if dot(alpha0, r.v) == 0]
     if on:
         curve.validate(ray=on[0], slopes=critical_slopes(rays))
-    system = critical_system(
-        spec, None, formulation="minors" if spec.kind == "ideal" else "auto"
-    )
+    system = critical_system(spec, None)
     notes = []
     jobs = [((0,) * len(spec.unknowns), None)]
     for ray in on:

@@ -5,7 +5,10 @@ a hyperplane arrangement.  Critical systems encode the vanishing of the
 logarithmic differential sum(a_i * df_i / f_i) with denominators cleared;
 solutions are counted on the locus where every f_i is invertible, which
 matches the signed Euler characteristic of the complement for generic
-data.
+data.  A parametrization or an arrangement gives one cleared equation
+per parameter.  An ideal of codimension c gives its generators and the
+(c+1)-minors of its Jacobian augmented by the dlog row, those that
+contain that row.
 """
 
 from __future__ import annotations
@@ -131,14 +134,11 @@ class CriticalSystem:
     equations: list
     ring: tuple
     unknowns: tuple
-    aux: tuple
-    data: tuple | None
     data_vars: tuple
     saturators: list
-    formulation: str
 
 
-def _data_entries(p, data, ring, svars):
+def _data_entries(data, ring, svars):
     if data is not None:
         return [Polynomial.constant(Fraction(a), ring) for a in data]
     return [Polynomial.variable(s, ring) for s in svars]
@@ -149,8 +149,7 @@ def _dlog_system(spec, data):
     svars = spec.svars if data is None else ()
     ring = unknowns + svars
     fs = [f.extend_ring(ring) for f in spec.tuple_polys()]
-    p = len(fs)
-    alphas = _data_entries(p, data, ring, spec.svars)
+    alphas = _data_entries(data, ring, spec.svars)
     # prefix/suffix products of the f_l to clear denominators
     prefix = [Polynomial.constant(1, ring)]
     for f in fs:
@@ -170,11 +169,8 @@ def _dlog_system(spec, data):
         equations=equations,
         ring=ring,
         unknowns=unknowns,
-        aux=(),
-        data=tuple(Fraction(a) for a in data) if data is not None else None,
         data_vars=svars,
         saturators=fs,
-        formulation="dlog",
     )
 
 
@@ -197,60 +193,37 @@ def _torus_saturation(ideal: Ideal):
     return memo[key]
 
 
-def _ideal_system(spec, data, formulation):
+def _ideal_system(spec, data):
+    """The generators of the ideal and the (c+1)-minors of its Jacobian
+    augmented by the dlog row that contain that row, c the codimension
+    (Catanese, Hosten, Khetan and Sturmfels 2006); minors without the
+    dlog row vanish on the variety.  The torus monomial is the saturator.
+    """
     I = spec.ideal
     coords = spec.coordinates
     p = len(coords)
-    gens = list(I.gens)
-    k = len(gens)
     codim = I.nvars - _torus_saturation(I)[1]
-    if formulation == "auto":
-        formulation = "minors" if codim <= 2 else "lagrange"
     svars = spec.svars if data is None else ()
-    if formulation == "minors":
-        ring = coords + svars
-        alphas = _data_entries(p, data, ring, spec.svars)
-        gens_r = [g.extend_ring(ring) for g in gens]
-        # row of cleared logarithmic differentials: a_i * prod_{j != i} t_j
-        u_row = []
-        for i in range(p):
-            e = tuple(1 if j != i else 0 for j in range(p)) + (0,) * len(svars)
-            u_row.append(alphas[i] * Polynomial({e: Fraction(1)}, ring))
-        jac = [[g.derivative(coords[i]) for i in range(p)] for g in gens_r]
-        matrix = [u_row] + jac
-        size = codim + 1
-        equations = list(gens_r)
-        for rsel in combinations(range(len(matrix)), size):
-            if 0 not in rsel:
-                continue  # minors without the dlog row vanish on the variety
-            for csel in combinations(range(p), size):
-                equations.append(_poly_det([[matrix[r][c] for c in csel] for r in rsel]))
-        aux = ()
-    else:
-        lam = tuple(f"lam{i+1}" for i in range(k))
-        ring = coords + lam + svars
-        alphas = _data_entries(p, data, ring, spec.svars)
-        gens_r = [g.extend_ring(ring) for g in gens]
-        equations = list(gens_r)
-        for i, x in enumerate(coords):
-            xi = Polynomial.variable(x, ring)
-            acc = Polynomial.zero(ring)
-            for j, g in enumerate(gens_r):
-                acc = acc + Polynomial.variable(lam[j], ring) * g.derivative(x)
-            equations.append(xi * acc - alphas[i])
-        aux = lam
-    torus = Polynomial(
-        {tuple(1 for _ in coords) + (0,) * (len(ring) - p): Fraction(1)}, ring
-    )
+    ring = coords + svars
+    alphas = _data_entries(data, ring, spec.svars)
+    gens = [g.extend_ring(ring) for g in I.gens]
+    # row of cleared logarithmic differentials: a_i * prod_{j != i} t_j
+    u_row = []
+    for i in range(p):
+        e = tuple(1 if j != i else 0 for j in range(p)) + (0,) * len(svars)
+        u_row.append(alphas[i] * Polynomial({e: Fraction(1)}, ring))
+    jac = [[g.derivative(x) for x in coords] for g in gens]
+    equations = list(gens)
+    for rows in combinations(jac, codim):
+        for csel in combinations(range(p), codim + 1):
+            equations.append(_poly_det([[row[c] for c in csel] for row in (u_row, *rows)]))
+    torus = Polynomial({(1,) * p + (0,) * len(svars): Fraction(1)}, ring)
     return CriticalSystem(
         equations=[e for e in equations if not e.is_zero],
         ring=ring,
         unknowns=coords,
-        aux=aux,
-        data=tuple(Fraction(a) for a in data) if data is not None else None,
         data_vars=svars,
         saturators=[torus],
-        formulation=formulation,
     )
 
 
@@ -269,14 +242,14 @@ def _poly_det(m):
     return total
 
 
-def critical_system(spec: VarietySpec, data=None, formulation="auto") -> CriticalSystem:
+def critical_system(spec: VarietySpec, data=None) -> CriticalSystem:
     """Polynomial system of the likelihood critical points.
 
     ``data`` is a rational vector, or None for the symbolic incidence
     system in the s-variables.
     """
     if spec.kind == "ideal":
-        return _ideal_system(spec, data, formulation)
+        return _ideal_system(spec, data)
     return _dlog_system(spec, data)
 
 
@@ -311,8 +284,8 @@ def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
     return groebner_basis(I)
 
 
-def _critical_count(spec, alpha, formulation):
-    system = critical_system(spec, alpha, formulation)
+def _critical_count(spec, alpha):
+    system = critical_system(spec, alpha)
     G = saturated_critical_ideal(system)
     if G.is_zero:
         raise NotZeroDimensional("critical scheme is not zero-dimensional")
@@ -328,7 +301,7 @@ def _critical_count(spec, alpha, formulation):
     return len(basis), G
 
 
-def ml_degree(spec: VarietySpec, formulation="auto") -> int:
+def ml_degree(spec: VarietySpec) -> int:
     """Generic critical-point count (with multiplicity), resampling a few
     times on degenerate data before giving up."""
     rng = current_job().rng
@@ -336,7 +309,7 @@ def ml_degree(spec: VarietySpec, formulation="auto") -> int:
     for _ in range(MAX_RESAMPLE):
         alpha = sample_alpha(spec.p, rng)
         try:
-            count, _ = _critical_count(spec, alpha, formulation)
+            count, _ = _critical_count(spec, alpha)
             return count
         except NotZeroDimensional as exc:
             last = exc
@@ -372,8 +345,8 @@ def torus_euler_characteristic(ideal: Ideal) -> int:
     the variety only (Huh 2013), so any presentation may count it.  When
     G is linear, the critical points are counted in the linear space's
     own coordinates (``_linear_parametrization``): the dlog system in its
-    d parameters replaces the minors or Lagrange system of G in all p
-    torus coordinates.
+    d parameters replaces the minors system of G in all p torus
+    coordinates.
     """
     G, d = _torus_saturation(ideal)
     if G.is_zero:
@@ -498,7 +471,7 @@ def mle_closed_form(spec: VarietySpec, rays) -> MLEFormula:
         if any(dot(v, alpha) == 0 for v in vecs) or alpha in [a for a, _ in samples]:
             continue
         try:
-            count, G = _critical_count(spec, alpha, "auto")
+            count, G = _critical_count(spec, alpha)
         except NotZeroDimensional:
             continue
         if count != 1:

@@ -23,7 +23,6 @@ from .groebner import (
     saturate,
 )
 from .linalg import (
-    inverse,
     make_primitive,
     unimodular_completion,
     unimodular_variant,
@@ -67,21 +66,13 @@ def _sign_normalize(normal):
 
 @dataclass(frozen=True)
 class SlopeHyperplane:
-    """Integer-normal hyperplane in data space.
-
-    Projective slopes (offset 0) are normalized up to sign; affine
-    hyperplanes keep their exact normal and offset.
-    """
+    """Hyperplane through the origin in data space, with a primitive
+    integer normal normalized up to sign."""
 
     normal: tuple
-    offset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        normal = make_primitive(self.normal)
-        if self.offset == 0:
-            normal = _sign_normalize(normal)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "normal", _sign_normalize(make_primitive(self.normal)))
 
     def form_string(self, svars=None) -> str:
         names = svars or [f"s{i}" for i in range(len(self.normal))]
@@ -99,20 +90,10 @@ class SlopeHyperplane:
                 parts.append(f"+{term}")
             else:
                 parts.append(term)
-        lhs = "".join(parts)
-        return lhs if self.offset == 0 else f"{lhs} = {self.offset}"
+        return "".join(parts)
 
     def __str__(self):
         return self.form_string()
-
-
-@dataclass(frozen=True)
-class StratumModel:
-    """Presentation of a boundary stratum as an ideal in p-1 torus
-    coordinates; ``transform`` is unimodular and maps the ray to e1."""
-
-    ideal: Ideal
-    transform: tuple  # rows of the unimodular matrix U with U v = e1
 
 
 class TropicalEngine:
@@ -233,8 +214,9 @@ def _stratum_vars(p):
     return tuple(f"u{i}" for i in range(1, p))
 
 
-def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> StratumModel:
-    """Quotient of V(init_w) by the one-parameter subgroup of the ray.
+def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> Ideal:
+    """Ideal of the quotient of V(init_w) by the one-parameter subgroup of
+    the ray, in the p - 1 torus coordinates u1, u2, ...
 
     A unimodular change of torus coordinates straightens the ray to e1;
     the initial ideal becomes homogeneous in the first new variable, which
@@ -246,7 +228,6 @@ def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> StratumModel:
     J = eng.initial(ray.v)
     p = ideal.nvars
     B = unimodular_variant(unimodular_completion(ray.v), variant)
-    U = [[int(x) for x in row] for row in inverse(B)]
     new_vars = _stratum_vars(p)
     gens = []
     for g in J.gens:
@@ -256,10 +237,7 @@ def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> StratumModel:
         dropped = Polynomial({e[1:]: c for e, c in t.terms.items()}, new_vars)
         if not dropped.is_zero:
             gens.append(dropped)
-    return StratumModel(
-        ideal=Ideal(gens, new_vars),
-        transform=tuple(tuple(row) for row in U),
-    )
+    return Ideal(gens, new_vars)
 
 
 def stratum_euler_char(ideal: Ideal, ray: Ray, variant=0) -> int:
@@ -267,8 +245,7 @@ def stratum_euler_char(ideal: Ideal, ray: Ray, variant=0) -> int:
     via the signed generic critical-point count on the stratum."""
     from .mle import torus_euler_characteristic
 
-    model = stratum_model(ideal, ray, variant)
-    return torus_euler_characteristic(model.ideal)
+    return torus_euler_characteristic(stratum_model(ideal, ray, variant))
 
 
 def weighted_ray_sum(ideal: Ideal, rays):

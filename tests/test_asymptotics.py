@@ -73,11 +73,8 @@ def test_trivial_linear_lift():
         equations=[poly_parse("x-s1", ring)],
         ring=("x",),
         unknowns=("x",),
-        aux=(),
-        data=None,
         data_vars=("s1",),
         saturators=[],
-        formulation="dlog",
     )
     curve = DataCurve.parse(["t"])
     sol = series_newton_lift(system, curve, seed=(Fraction(0),), order=5)
@@ -162,7 +159,7 @@ def _valuation_cases():
     coordinates, a monomial saturator only), at valuation 0 and at each
     rigid ray."""
     conic = critical_system(conic_spec(), None)
-    coin = critical_system(coin_spec(), None, formulation="minors")
+    coin = critical_system(coin_spec(), None)
     cases = [("conic", conic, None, None), ("coin", coin, None, None)]
     cases += [("conic", conic, ray, ray[:2]) for ray in sorted(CONIC_RAYS)]
     cases += [("coin", coin, ray, ray) for ray in sorted(COIN_RAYS)]

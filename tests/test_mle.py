@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
@@ -17,6 +19,7 @@ from models import (
     four_lines_spec,
 )
 from tropcrit.arrangement import chi_complement
+from tropcrit.cli import EXIT_OK, main
 from tropcrit.errors import MLDegreeNotOne, UnbalancedRays
 from tropcrit import mle
 from tropcrit.groebner import Ideal, Job
@@ -126,10 +129,8 @@ def test_four_lines_boundary_slice_eliminates_to_slope():
     assert [str(g) for g in out.gens] == ["s2"]
 
 
-def test_ml_degree_coin_is_one_both_formulations():
-    spec = coin_spec()
-    assert ml_degree(spec, formulation="minors") == 1
-    assert ml_degree(spec, formulation="lagrange") == 1
+def test_ml_degree_coin_is_one():
+    assert ml_degree(coin_spec()) == 1
 
 
 def test_ml_degree_four_lines_is_one():
@@ -143,6 +144,47 @@ def test_ml_degree_conic_is_three():
 def test_ml_degree_conic_ideal_kind_matches():
     spec = VarietySpec(kind="ideal", ideal=conic_ideal())
     assert ml_degree(spec) == 3
+
+
+CURVE_IDEAL = {
+    "kind": "ideal",
+    "variables": ["t1", "t2", "t3", "t4"],
+    "generators": [
+        "t1 - t4 + 1",
+        "t4^2 - t2 - 2*t4 + 2",
+        "t2*t4 - t2 - t3 - t4 - 1",
+        "t2^2 - t3*t4 - 2*t2 + t3 - 2*t4 + 3",
+    ],
+}
+
+
+def test_mle_counts_a_curve_ideal_of_codimension_three(tmp_path, capsys):
+    # the curve (s, s^2 + 1, s^3 - 2, 1 + s) in the 4-torus: codimension 3
+    # with four generators, and ML degree 6 as its parametrization has
+    spec = tmp_path / "curve.json"
+    spec.write_text(json.dumps(CURVE_IDEAL))
+    assert main(["mle", "--spec", str(spec)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ml_degree"] == 6
+
+
+_cubic = st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any)
+
+
+@settings(max_examples=10, deadline=None)
+@given(coeffs=st.lists(_cubic, min_size=3, max_size=3))
+def test_graph_curve_ideal_count_matches_parametrization(coeffs):
+    # the graph (s, f2, f3, f4) of cubics is injective, so its ML degree is
+    # that of its image (Huh 2013): the minors system of the implicit
+    # ideal counts what the dlog system in s counts
+    s = Polynomial.variable("s", ("s",))
+    functions = [s] + [
+        sum((c * s**k for k, c in enumerate(cs)), Polynomial.zero(("s",)))
+        for cs in coeffs
+    ]
+    spec = VarietySpec(kind="parametrization", functions=functions)
+    with Job():
+        implicit = VarietySpec(kind="ideal", ideal=spec.to_ideal())
+        assert ml_degree(implicit) == ml_degree(spec)
 
 
 def test_ml_degree_invariant_under_tuple_permutation():
@@ -212,7 +254,7 @@ def test_torus_euler_characteristic_saturates_once(monkeypatch):
     # its own result, and one dimension count, however often ml_degree
     # samples (a nonlinear conic stratum, counted in its own ideal)
     saturations, dimensions = _record_saturations(monkeypatch)
-    stratum = stratum_model(conic_ideal(), Ray((0, 0, 1))).ideal
+    stratum = stratum_model(conic_ideal(), Ray((0, 0, 1)))
     with Job():
         chi = torus_euler_characteristic(stratum)
     assert chi == -3
@@ -249,7 +291,7 @@ def test_linear_stratum_count_matches_ideal_count(arr):
         rays = find_rigid_rays(ideal, bound=1)
         assert rays
         for ray in rays:
-            G, d = _torus_saturation(stratum_model(ideal, ray).ideal)
+            G, d = _torus_saturation(stratum_model(ideal, ray))
             assert d > 0 and all(g.total_degree() <= 1 for g in G.gens)
             parametrized = ml_degree(_linear_parametrization(G))
             assert parametrized == ml_degree(VarietySpec(kind="ideal", ideal=G))
@@ -327,7 +369,7 @@ def test_mle_formula_satisfies_model_and_criticality():
             assert g.evaluate(env) == 0
         # critical equations of the torus presentation at this data vector
         tspec = four_lines_ideal_spec()
-        system = critical_system(tspec, alpha, formulation="minors")
+        system = critical_system(tspec, alpha)
         values = dict(zip(system.ring, list(point)))
         for eq in system.equations:
             assert eq.evaluate({v: values[v] for v in eq.vars}) == 0

@@ -27,6 +27,7 @@ from tropcrit.groebner import (
     ideal_dimension,
     saturate,
 )
+from tropcrit.linalg import unimodular_completion, vec_gcd
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
     Ray,
@@ -251,24 +252,49 @@ def test_slope_hyperplane_sign_dedup():
 
 
 def test_stratum_model_conic_is_plane_conic():
-    model = stratum_model(conic_ideal(), Ray((-1, -1, -2)))
-    sat = saturate(model.ideal, Polynomial({(1, 1): Fraction(1)}, model.ideal.vars))
+    stratum = stratum_model(conic_ideal(), Ray((-1, -1, -2)))
+    sat = saturate(stratum, Polynomial({(1, 1): Fraction(1)}, stratum.vars))
     assert ideal_dimension(sat) == 1
-    assert len(model.ideal.gens) == 1
-    assert model.ideal.gens[0].total_degree() == 2
+    assert len(stratum.gens) == 1
+    assert stratum.gens[0].total_degree() == 2
 
 
-def test_stratum_model_transform_maps_ray_to_e1():
-    ray = Ray((-1, -1, -2))
-    model = stratum_model(conic_ideal(), ray)
-    u = model.transform
-    image = tuple(sum(u[i][j] * ray.v[j] for j in range(3)) for i in range(3))
-    assert image == (1, 0, 0)
+def _integer_det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _integer_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _check_unimodular_completion(v):
+    b = unimodular_completion(v)
+    assert all(isinstance(x, int) for row in b for x in row)
+    assert tuple(row[0] for row in b) == tuple(v)
+    assert _integer_det(b) in (1, -1)
+
+
+@pytest.mark.parametrize(
+    "v",
+    sorted(COIN_RAYS | CONIC_RAYS | FOUR_LINES_RAYS),
+    ids=lambda v: ",".join(map(str, v)),
+)
+def test_unimodular_completion_of_fixture_rays(v):
+    _check_unimodular_completion(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.lists(st.integers(-30, 30), min_size=2, max_size=5))
+def test_unimodular_completion_of_generated_primitive_vectors(v):
+    assume(vec_gcd(v) == 1)
+    _check_unimodular_completion(v)
 
 
 def test_stratum_model_coin_zero_dimensional():
-    model = stratum_model(coin_ideal(), Ray((2, 1, 0)))
-    sat = saturate(model.ideal, Polynomial({(1, 1): Fraction(1)}, model.ideal.vars))
+    stratum = stratum_model(coin_ideal(), Ray((2, 1, 0)))
+    sat = saturate(stratum, Polynomial({(1, 1): Fraction(1)}, stratum.vars))
     assert ideal_dimension(sat) == 0
 
 
@@ -278,8 +304,7 @@ def test_stratum_model_principal_edge_polynomial():
     vars = ("t1", "t2")
     I = Ideal([poly_parse("1+t1+t2+t1*t2^2", vars)])
     # weight (1,0): minimal terms 1 + t2 (the edge with t1-exponent 0)
-    model = stratum_model(I, Ray((1, 0)))
-    [g] = model.ideal.gens
+    [g] = stratum_model(I, Ray((1, 0))).gens
     # edge polynomial 1 + t2 in the quotient coordinate
     assert g.total_degree() == 1 and len(g.terms) == 2
 
