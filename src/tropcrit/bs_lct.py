@@ -12,7 +12,6 @@ irredundant, which one exact simplex run per inequality decides.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,11 +50,6 @@ class BSFixture:
                 )
             )
         return cls(factors=factors)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def slopes(self):
         return sorted(

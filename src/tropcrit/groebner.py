@@ -649,31 +649,49 @@ def _linear_saturation(gens, vars, support) -> GroebnerBasis:
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
-    """(I : f^infty) by one elimination of y from I + (1 - y*f), as its
-    reduced grlex basis on every route.
+    """(I : f^infty) as its reduced grlex basis, by at most one
+    elimination of y from I + (1 - y*g) and one saturation by a monomial.
 
-    A monomial f is replaced by the squarefree monomial of its support,
-    which has the same saturation, and each generator of I is first
-    divided by its monomial factor in the variables of that support (a
-    unit modulo the saturation), so the run starts from lower degrees.
-    When every generator then has degree at most one, I is linear, hence
-    prime or the unit ideal, and one ``rref`` replaces the elimination
-    (``_linear_saturation``).  A constant f, or the zero ideal, leaves I
-    unchanged: the result is the basis of I, which is I itself when I
-    already is a grlex basis.
+    f splits into its monomial content m and the cofactor g = f/m, and
+    I : f^infty = (I : g^infty) : m^infty.  Each generator of I is first
+    divided by its monomial factor in the variables of m's support (a
+    unit modulo the saturation), and in those only: a variable outside
+    it may vanish at a point of I : f^infty.  One elimination by g runs
+    when g is not constant.  Then one saturation by the squarefree
+    monomial of m's support, which has the same saturation as m, runs on
+    the stripped result: when every generator has degree at most one, I
+    is linear, hence prime or the unit ideal, and one ``rref`` replaces
+    the elimination (``_linear_saturation``).  A constant f, or the zero
+    ideal, leaves I unchanged: the result is the basis of I, which is I
+    itself when I already is a grlex basis.
+
+    The critical systems of ``mle`` and ``asymptotics`` saturate by the
+    product of all their saturators in one call; pipeline counts pass
+    numeric data, so the ring holds no data variable.
     """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
-    if f.is_term():
-        ((e, _),) = f.terms.items()
-        support = [i for i, x in enumerate(e) if x]
-        f = Polynomial({tuple(int(x != 0) for x in e): Fraction(1)}, f.vars)
-        gens = [g.strip_monomial(support) for g in ideal.gens]
-        if gens and support and all(g.total_degree() <= 1 for g in gens):
-            return _linear_saturation(gens, ideal.vars, support)
-        if any(s is not g for s, g in zip(gens, ideal.gens)):
-            ideal = Ideal(gens, ideal.vars)
-    return _saturate_single(ideal, f)
+    low = [min(column) for column in zip(*f.terms)]
+    support = [i for i, x in enumerate(low) if x]
+    g = f.strip_monomial()
+    if not g.is_constant():
+        ideal = _saturate_single(_strip(ideal, support), g)
+    if not support:
+        return groebner_basis(ideal)
+    ideal = _strip(ideal, support)
+    if ideal.gens and all(h.total_degree() <= 1 for h in ideal.gens):
+        return _linear_saturation(ideal.gens, ideal.vars, support)
+    m = Polynomial({tuple(int(x != 0) for x in low): Fraction(1)}, ideal.vars)
+    return _saturate_single(ideal, m)
+
+
+def _strip(ideal: Ideal, support) -> Ideal:
+    """I with each generator divided by its monomial factor in the
+    variables at the indices in ``support``; I itself when none has one."""
+    gens = [g.strip_monomial(support) for g in ideal.gens]
+    if all(s is g for s, g in zip(gens, ideal.gens)):
+        return ideal
+    return Ideal(gens, ideal.vars)
 
 
 def eliminate(ideal: Ideal, keep) -> GroebnerBasis:

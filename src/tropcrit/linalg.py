@@ -221,23 +221,3 @@ def unimodular_completion(v):
     b = [[int(x) for x in row] for row in inv]
     assert all(b[i][0] == v[i] for i in range(p))
     return b
-
-
-def unimodular_variant(b, variant: int):
-    """Post-compose a completion with a unimodular map fixing e1.
-
-    Deterministic in ``variant``; variant 0 returns b unchanged.  Used to
-    test invariance of quotient constructions under the basis choice.
-    """
-    if variant == 0:
-        return b
-    p = len(b)
-    t = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
-    x = variant
-    for j in range(1, p):
-        x = (x * 2654435761 + 1) % 7
-        t[0][j] = x - 3
-    if p > 2:
-        t[1][2] = (variant % 3) - 1
-    out = mat_mul(b, t)
-    return [[int(x) for x in row] for row in out]

@@ -25,7 +25,6 @@ from .groebner import (
 from .linalg import (
     make_primitive,
     unimodular_completion,
-    unimodular_variant,
     vec_gcd,
 )
 from .rings import Polynomial
@@ -214,7 +213,7 @@ def _stratum_vars(p):
     return tuple(f"u{i}" for i in range(1, p))
 
 
-def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> Ideal:
+def stratum_model(ideal: Ideal, ray: Ray) -> Ideal:
     """Ideal of the quotient of V(init_w) by the one-parameter subgroup of
     the ray, in the p - 1 torus coordinates u1, u2, ...
 
@@ -227,7 +226,7 @@ def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> Ideal:
         raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
     J = eng.initial(ray.v)
     p = ideal.nvars
-    B = unimodular_variant(unimodular_completion(ray.v), variant)
+    B = unimodular_completion(ray.v)
     new_vars = _stratum_vars(p)
     gens = []
     for g in J.gens:
@@ -240,12 +239,12 @@ def stratum_model(ideal: Ideal, ray: Ray, variant=0) -> Ideal:
     return Ideal(gens, new_vars)
 
 
-def stratum_euler_char(ideal: Ideal, ray: Ray, variant=0) -> int:
+def stratum_euler_char(ideal: Ideal, ray: Ray) -> int:
     """Euler characteristic of the open boundary stratum of the ray,
     via the signed generic critical-point count on the stratum."""
     from .mle import torus_euler_characteristic
 
-    return torus_euler_characteristic(stratum_model(ideal, ray, variant))
+    return torus_euler_characteristic(stratum_model(ideal, ray))
 
 
 def weighted_ray_sum(ideal: Ideal, rays):

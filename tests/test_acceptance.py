@@ -15,8 +15,8 @@ from tropcrit.asymptotics import (
     series_newton_lift,
     valuation_vector,
 )
-from tropcrit.bs_lct import BSFixture, bs_slope_intersection, facet_defining, lct_polytope
-from tropcrit.cli import JobConfig, load_spec, run_report
+from tropcrit.bs_lct import bs_slope_intersection, facet_defining, lct_polytope
+from tropcrit.cli import JobConfig, load_bs_fixture, load_spec, run_report
 from tropcrit.groebner import Job, homogeneity_space
 from tropcrit.linalg import rank
 from tropcrit.mle import critical_system, ml_degree, mle_closed_form, sample_alpha
@@ -223,7 +223,7 @@ def test_acceptance_7_series_lift_conic():
 def test_acceptance_8_bs_intersection_four_lines():
     with Timer(8, 30):
         rays = [Ray(v) for v in sorted(FOUR_LINES_RAYS)]
-        fixture_data = BSFixture.load(fixture("four_lines_bs.json"))
+        fixture_data = load_bs_fixture(fixture("four_lines_bs.json"), 4)
         report = bs_slope_intersection(rays, fixture=fixture_data)
         got = {h.normal for h in report.intersection_with_sf}
         assert got == {(1, 1, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}

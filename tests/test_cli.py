@@ -242,11 +242,11 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
-    # the four_lines report takes exactly 355 steps: the reductions of its
+    # the four_lines report takes exactly 202 steps: the reductions of its
     # Groebner runs plus one per pivot of each linear saturation
     args = ["report", "--spec", fixture("four_lines.json")]
-    assert main(args + ["--budget", "355"]) == EXIT_OK
-    assert main(args + ["--budget", "354"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "202"]) == EXIT_OK
+    assert main(args + ["--budget", "201"]) == EXIT_RESOURCE
 
 
 def test_mle_rays_not_summing_to_zero_within_bound(capsys):

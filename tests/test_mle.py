@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +20,10 @@ from models import (
     four_lines_spec,
 )
 from tropcrit.arrangement import chi_complement
-from tropcrit.cli import EXIT_OK, main
+from tropcrit.cli import EXIT_OK, load_spec, main
 from tropcrit.errors import MLDegreeNotOne, UnbalancedRays
-from tropcrit import mle
-from tropcrit.groebner import Ideal, Job
+from tropcrit import groebner, mle
+from tropcrit.groebner import Ideal, Job, _saturate_single, groebner_basis
 from tropcrit.mle import (
     VarietySpec,
     _linear_parametrization,
@@ -82,6 +83,35 @@ def test_monomial_tuple_has_no_critical_points():
     # F = (x) on the punctured line: dlog never vanishes
     spec = VarietySpec(kind="parametrization", functions=[poly_parse("x", ("x",))])
     assert ml_degree(spec) == 0
+
+
+def test_parameter_vanishing_at_a_critical_point_is_counted():
+    # the cleared equation 2s*(a1*(s^2+2) + a2*(s^2+1)) has the root s = 0,
+    # where no function vanishes; dividing out the monomial factor s, which
+    # no saturator asks for, would count 2
+    spec = load_spec(
+        {"kind": "parametrization", "parameters": ["s"], "functions": ["s^2+1", "s^2+2"]}
+    )
+    assert ml_degree(spec) == 3
+
+
+@settings(max_examples=15, deadline=None)
+@given(arr=essential_arrangements(), seed=st.integers(0, 2**16))
+@example(arr=five_lines_arrangement(), seed=1)
+def test_saturated_critical_ideal_matches_chain_in_two_runs(arr, seed):
+    # one saturation by the product of the saturators gives the basis of a
+    # chain of one saturation per saturator, in at most two Groebner runs:
+    # one by the non-monomial part, one by the monomial part (or an rref)
+    spec = VarietySpec(kind="arrangement", arrangement=arr)
+    system = critical_system(spec, sample_alpha(spec.p, Random(seed)))
+    with Job(), patch.object(groebner, "_buchberger", wraps=groebner._buchberger) as runs:
+        G = saturated_critical_ideal(system)
+    assert runs.call_count <= 2
+    chain = Ideal(system.equations, system.ring)
+    with Job():
+        for f in system.saturators:
+            chain = _saturate_single(chain, f)
+        assert G.gens == groebner_basis(chain).gens
 
 
 def test_coin_symbolic_incidence_elimination_gives_slopes():

@@ -208,6 +208,16 @@ _generated_linear = st.tuples(
 )
 
 
+# non-monomial factors of a saturator: two or three terms of degree at
+# most one, so no monomial divides them
+_generated_factor = st.dictionaries(
+    st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]),
+    st.integers(-3, 3).filter(bool),
+    min_size=2,
+    max_size=3,
+).map(lambda terms: Polynomial(terms, _XYZ))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gens=st.one_of(
@@ -215,21 +225,31 @@ _generated_linear = st.tuples(
         st.lists(_generated_linear, min_size=1, max_size=3),
     ),
     exponents=st.tuples(*(st.integers(0, 2) for _ in _XYZ)),
+    factor=st.one_of(st.none(), _generated_factor),
 )
-@example(gens=[Polynomial({(0, 0, 0): -1}, _XYZ)], exponents=(0, 0, 0))
-def test_saturate_matches_chain_and_sympy_generated(gens, exponents):
+@example(gens=[Polynomial({(0, 0, 0): -1}, _XYZ)], exponents=(0, 0, 0), factor=None)
+@example(
+    gens=[poly_parse("x*y - x*z", _XYZ), poly_parse("x^2*z + x*z", _XYZ)],
+    exponents=(1, 0, 0),
+    factor=poly_parse("y + 1", _XYZ),
+)
+def test_saturate_matches_chain_and_sympy_generated(gens, exponents, factor):
+    # f is a monomial m, or m times a non-monomial factor g; the chain
+    # saturates by g, then by m
     ideal = Ideal(gens, _XYZ)
     m = Polynomial({exponents: 1}, _XYZ)
-    mine = saturate(ideal, m)
+    f = m if factor is None else m * factor
+    mine = saturate(ideal, f)
     assert isinstance(mine, GroebnerBasis)
     assert groebner_basis(mine) is mine
-    assert mine.gens == chain_saturation(ideal, m).gens
-    # sympy: eliminate a tag variable from I + (1 - tag*m) in a block order,
+    chain = ideal if factor is None else _saturate_single(ideal, factor)
+    assert mine.gens == chain_saturation(chain, m).gens
+    # sympy: eliminate a tag variable from I + (1 - tag*f) in a block order,
     # grevlex on the tag then grevlex on x, y, z (full lex can take minutes)
     symbols = sympy.symbols("x y z")
     tag = sympy.Symbol("tag")
     elim = sympy.groebner(
-        [to_sympy(g, symbols) for g in ideal.gens] + [1 - tag * to_sympy(m, symbols)],
+        [to_sympy(g, symbols) for g in ideal.gens] + [1 - tag * to_sympy(f, symbols)],
         tag,
         *symbols,
         order=ProductOrder((grevlex, lambda e: e[:1]), (grevlex, lambda e: e[1:])),

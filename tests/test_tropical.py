@@ -27,7 +27,8 @@ from tropcrit.groebner import (
     ideal_dimension,
     saturate,
 )
-from tropcrit.linalg import unimodular_completion, vec_gcd
+from tropcrit.linalg import mat_mul, unimodular_completion, vec_gcd
+from tropcrit.mle import torus_euler_characteristic
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
     Ray,
@@ -329,10 +330,25 @@ def test_stratum_euler_char_coin_points():
 
 
 def test_stratum_euler_char_unimodular_invariance():
+    # the stratum's Euler characteristic does not depend on the completion
+    # of the ray to a lattice basis: post-compose the completion with
+    # integer unimodular maps that fix e1 and rebuild the stratum model
     I = conic_ideal()
-    base = stratum_euler_char(I, Ray((-1, -1, -2)), variant=0)
-    for variant in (1, 2):
-        assert stratum_euler_char(I, Ray((-1, -1, -2)), variant=variant) == base
+    v = (-1, -1, -2)
+    fixing_e1 = ([[1, 2, -1], [0, 1, 0], [0, 0, 1]], [[1, -3, 1], [0, 1, 1], [0, 0, 1]])
+    with Job():
+        base = stratum_euler_char(I, Ray(v))
+        J = TropicalEngine.of(I).initial(v)
+        for t in fixing_e1:
+            B = mat_mul(unimodular_completion(v), t)
+            vars = ("u1", "u2")
+            gens = []
+            for g in J.gens:
+                h = g.apply_exponent_map(B).laurent_normalize()
+                dropped = Polynomial({e[1:]: c for e, c in h.terms.items()}, vars)
+                if not dropped.is_zero:
+                    gens.append(dropped)
+            assert torus_euler_characteristic(Ideal(gens, vars)) == base
 
 
 # -- weighted sums ---------------------------------------------------------------------
