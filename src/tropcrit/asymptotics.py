@@ -350,7 +350,7 @@ def _saturated_equations(equations, ring, extra=()):
     product = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
     for f in extra:
         product = product * f
-    gens = list(saturate(Ideal(list(equations), ring), product).gens)
+    gens = list(saturate(Ideal(equations, ring), product).gens)
     memo[key] = gens
     return gens
 

@@ -90,7 +90,11 @@ def test_parameter_vanishing_at_a_critical_point_is_counted():
     # where no function vanishes; dividing out the monomial factor s, which
     # no saturator asks for, would count 2
     spec = load_spec(
-        {"kind": "parametrization", "parameters": ["s"], "functions": ["s^2+1", "s^2+2"]}
+        {
+            "kind": "parametrization",
+            "parameters": ["s"],
+            "functions": ["s^2+1", "s^2+2"],
+        }
     )
     assert ml_degree(spec) == 3
 
@@ -104,9 +108,10 @@ def test_saturated_critical_ideal_matches_chain_in_two_runs(arr, seed):
     # one by the non-monomial part, one by the monomial part (or an rref)
     spec = VarietySpec(kind="arrangement", arrangement=arr)
     system = critical_system(spec, sample_alpha(spec.p, Random(seed)))
-    with Job(), patch.object(groebner, "_buchberger", wraps=groebner._buchberger) as runs:
+    runs = patch.object(groebner, "_buchberger", wraps=groebner._buchberger)
+    with Job(), runs as buchberger:
         G = saturated_critical_ideal(system)
-    assert runs.call_count <= 2
+    assert buchberger.call_count <= 2
     chain = Ideal(system.equations, system.ring)
     with Job():
         for f in system.saturators:
