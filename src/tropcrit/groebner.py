@@ -100,17 +100,26 @@ class Job:
 
     ``with Job(limit, seed):`` makes the job current; ``current_job()``
     returns it, or a fresh default job outside any ``with``, so an entry
-    point that draws reads ``current_job().rng`` once.
+    point that draws reads ``current_job().rng`` once.  The stream is
+    seeded from ``seed`` when ``rng`` is first read, so a job that draws
+    nothing does not pay for it.
     """
 
-    __slots__ = ("steps", "limit", "memo", "rng", "_tokens")
+    __slots__ = ("steps", "limit", "memo", "seed", "_rng", "_tokens")
 
     def __init__(self, limit=None, seed=DEFAULT_SEED):
         self.steps = 0
         self.limit = DEFAULT_BUDGET if limit is None else limit
         self.memo = {}
-        self.rng = Random(seed)
+        self.seed = seed
+        self._rng = None
         self._tokens = []
+
+    @property
+    def rng(self) -> Random:
+        if self._rng is None:
+            self._rng = Random(self.seed)
+        return self._rng
 
     def tick(self, n=1):
         self.steps += n

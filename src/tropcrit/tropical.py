@@ -5,6 +5,14 @@ ideal init_w(I) : (t_1...t_p)^infty is proper.  A ray is rigid iff the
 homogeneity space of its initial ideal is one-dimensional; the rigid rays
 are in bijection with the codimension-one critical slopes, realized here
 as the hyperplanes orthogonal to the rays.
+
+trop(I) lies in the tropical prevariety of every finite subset of I
+(Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.2), so a weight
+at which one known element of I has a unique w-minimal term is outside
+trop(I): that term's monomial is in init_w(I).  Membership screens every
+weight this way against the base Groebner basis and the generators of I
+before any Groebner-cone lookup.  The test is one-sided: a weight it
+passes still gets the exact answer.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import NotInTropicalVariety
 from .groebner import (
@@ -95,6 +104,12 @@ class SlopeHyperplane:
         return self.form_string()
 
 
+def _term_differences(g: Polynomial) -> tuple:
+    """The exponent of each term of g but the first, minus the first's."""
+    first, *rest = g.terms
+    return tuple(tuple(x - y for x, y in zip(e, first)) for e in rest)
+
+
 class TropicalEngine:
     """Caches per-ideal work: the base Groebner basis and Groebner cones
     (in the initial-ideal engine), and membership and rigidity.
@@ -105,6 +120,13 @@ class TropicalEngine:
     built only for a face not seen before.  The answers are keyed by the
     generator set of init_w(I), so two faces with the same initial ideal
     share one saturation and one homogeneity-space run.
+
+    Before the lookup, ``contains`` screens w with witnesses: the elements
+    of the base Groebner basis and the generators of I, each stored once
+    as the exponent differences of its terms to its first term.  If one
+    witness has a unique minimal value of w.e over its terms, init_w(I)
+    holds a monomial and w is outside trop(I), as ``_member`` would also
+    answer.  Only the weights that pass pay for a lookup.
     """
 
     def __init__(self, ideal: Ideal):
@@ -113,6 +135,9 @@ class TropicalEngine:
         self.nvars = ideal.nvars
         e = tuple(1 for _ in range(self.nvars))
         self.torus_monomial = Polynomial({e: Fraction(1)}, ideal.vars)
+        self._witnesses = {
+            _term_differences(g) for g in (*self.engine.base.gens, *ideal.gens)
+        }
         self._faces = {}
         self._contains = {}
         self._rigid = {}
@@ -150,7 +175,19 @@ class TropicalEngine:
             self._contains[gens] = result
         return result
 
+    def _screened_out(self, w) -> bool:
+        """True if some witness has a unique w-minimal term."""
+        for diffs in self._witnesses:
+            values = [0, *(sum(map(mul, w, d)) for d in diffs)]
+            if values.count(min(values)) == 1:
+                return True
+        return False
+
     def contains(self, w) -> bool:
+        if len(w) != self.nvars:
+            raise ValueError("weight length does not match the ring")
+        if self._screened_out(w):
+            return False
         return self._member(*self._face_initial(w))
 
     def is_rigid(self, w) -> bool:

@@ -302,3 +302,11 @@ def naive_poly_eval(f, series, n):
                 acc = times(acc, series[name])
         total = [a + b for a, b in zip(total, acc)]
     return total
+
+
+def mat_mul(a, b):
+    """Product of two matrices given as lists of rows."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]

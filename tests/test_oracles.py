@@ -16,8 +16,20 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex
 
-from models import CONIC_RAYS, conic_spec, four_lines_arrangement
-from tropcrit.arrangement import Arrangement, chi_complement, intersection_lattice
+from models import (
+    CONIC_RAYS,
+    conic_spec,
+    essential_arrangements,
+    five_lines_arrangement,
+    four_lines_arrangement,
+    initial_by_fresh_run,
+)
+from tropcrit.arrangement import (
+    Arrangement,
+    chi_complement,
+    flacet_rays,
+    intersection_lattice,
+)
 from tropcrit.asymptotics import (
     DataCurve,
     _rescaled_system,
@@ -36,6 +48,7 @@ from tropcrit.groebner import (
 )
 from tropcrit.mle import VarietySpec, critical_system, ml_degree
 from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
+from tropcrit.tropical import TropicalEngine, find_rigid_rays
 
 
 def to_sympy(poly, symbols):
@@ -537,3 +550,52 @@ def test_conic_pipeline_robust_to_coefficients():
         (-1, -1, -2),
     }
     assert stratum_euler_char(I, Ray((-1, -1, -2))) == -2
+
+
+# -- tropical membership and rigid rays ---------------------------------------------
+
+
+@st.composite
+def nonlinear_ideals(draw):
+    """Ideals in 2-3 variables of 1-2 generators, each of 2-3 terms with
+    exponents in [0, 2] and integer coefficients in [-5, 5], at least one
+    generator of degree two or more."""
+    vars = _XYZ[: draw(st.integers(2, 3))]
+    poly = st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in vars)),
+        st.one_of(st.integers(-5, -1), st.integers(1, 5)),
+        min_size=2,
+        max_size=3,
+    ).map(lambda terms: Polynomial(terms, vars))
+    gens = draw(st.lists(poly, min_size=1, max_size=2))
+    assume(any(g.total_degree() >= 2 for g in gens))
+    return Ideal(gens, vars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal=nonlinear_ideals(), data=st.data())
+def test_screened_membership_matches_fresh_route(ideal, data):
+    # the witness test rejects a weight before any cone lookup; every
+    # answer, rejected or looked up, equals a Buchberger run of its own
+    # followed by saturation by the torus monomial
+    box = st.tuples(*(st.integers(-3, 3) for _ in ideal.vars))
+    weights = data.draw(st.lists(box, min_size=1, max_size=8, unique=True))
+    with Job():
+        eng = TropicalEngine(ideal)
+        screened = [w for w in weights if eng._screened_out(w)]
+        assume(screened)
+        for w in weights:
+            J = initial_by_fresh_run(eng.engine, w)
+            assert eng.contains(w) == (not saturate(J, eng.torus_monomial).is_unit)
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=20, deadline=None)
+@given(arr=essential_arrangements())
+@example(arr=four_lines_arrangement(projective=True))
+@example(arr=five_lines_arrangement())
+def test_box_search_matches_flacet_rays_on_generated_arrangements(arr):
+    ideal = VarietySpec(kind="arrangement", arrangement=arr).to_ideal()
+    with Job():
+        found = [r.v for r in find_rigid_rays(ideal, bound=1)]
+    assert found == [r.v for r in flacet_rays(arr)]

@@ -15,6 +15,7 @@ from models import (
     five_lines_ideal,
     four_lines_ideal,
     initial_by_fresh_run,
+    mat_mul,
 )
 from tropcrit import groebner, tropical
 from tropcrit.errors import NotInTropicalVariety
@@ -27,7 +28,7 @@ from tropcrit.groebner import (
     ideal_dimension,
     saturate,
 )
-from tropcrit.linalg import mat_mul, unimodular_completion, vec_gcd
+from tropcrit.linalg import unimodular_completion, vec_gcd
 from tropcrit.mle import torus_euler_characteristic
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
@@ -54,6 +55,15 @@ def test_trop_contains_coin_nonray():
 def test_trop_contains_unit_initial():
     I = Ideal([poly_parse("t1-1", ("t1",))])
     assert not TropicalEngine.of(I).contains((1,))
+
+
+def test_trop_contains_rejects_weight_of_wrong_length():
+    # the witness test zips w with exponent differences, which would
+    # silently drop the extra or missing entries
+    eng = TropicalEngine.of(coin_ideal())
+    for w in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="weight length"):
+            eng.contains(w)
 
 
 def test_trop_contains_rescaling_invariance():
@@ -114,7 +124,9 @@ def test_find_rigid_rays_zero_ideal_empty():
 
 def test_ray_search_runs_buchberger_once_per_cone(monkeypatch):
     # weights in a stored Groebner cone reuse its basis, so a larger box
-    # meets no new cones (8 for this ideal) and runs no more Buchberger
+    # meets no new cones and runs no more Buchberger; the witness test
+    # keeps every weight outside trop(I) from a lookup, so only the cones
+    # that meet trop(I) are computed (4 for this ideal)
     runs = []
     real = groebner._buchberger
 
@@ -127,12 +139,12 @@ def test_ray_search_runs_buchberger_once_per_cone(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger", counting)
     counts = []
-    for bound in (2, 4):
+    for bound in (2, 3, 4):
         runs.clear()
         with Job():
             find_rigid_rays(four_lines_ideal(), bound=bound)
         counts.append(len(runs))
-    assert counts == [8, 8]
+    assert counts == [4, 4, 4]
 
 
 def test_contains_saturates_once_per_initial_ideal(monkeypatch):
@@ -201,6 +213,27 @@ def test_face_keyed_answers_match_fresh_route(shared_engine, data):
     else:
         with pytest.raises(NotInTropicalVariety):
             shared_engine.is_rigid(w)
+
+
+def test_only_weights_in_trop_reach_a_cone_lookup(monkeypatch):
+    # a weight at which a known element of I has a unique minimal term is
+    # outside trop(I) and never reaches a Groebner-cone lookup: of the
+    # 5,856 primitive weights of the bound-4 box, exactly the 105 in trop(I)
+    # do
+    looked_up = set()
+    real = InitialIdealEngine.face
+
+    def recording(self, w):
+        looked_up.add(tuple(w))
+        return real(self, w)
+
+    monkeypatch.setattr(InitialIdealEngine, "face", recording)
+    with Job():
+        eng = TropicalEngine.of(four_lines_ideal())
+        find_rigid_rays(eng.ideal, bound=4)
+    monkeypatch.undo()
+    assert len(looked_up) == 105
+    assert all(_fresh_answers(eng, w)[0] for w in looked_up)
 
 
 def test_rays_recheck_independently():
