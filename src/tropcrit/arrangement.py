@@ -96,6 +96,11 @@ class Arrangement:
             raise NotCentral(
                 "affine arrangement needs projective_closure for matroid operations"
             )
+        return self.homogenized_vectors()
+
+    def homogenized_vectors(self):
+        """The functionals homogenized, then the hyperplane at infinity as
+        the last vector."""
         vectors = [list(a) + [c] for a, c in self.rows]
         vectors.append([Fraction(0)] * self.nvars + [Fraction(1)])
         return vectors
@@ -176,49 +181,13 @@ def matroid_connected(vectors, ground=None, contract=None) -> bool:
 
 def intersection_lattice(arr: Arrangement):
     """All nonempty intersections of subfamilies, closed and ranked,
-    bottom (the ambient space) included."""
-    rows = [list(a) + [c] for a, c in arr.rows]
-    n = arr.nvars
-
-    def aug_rank(subset):
-        return rank([rows[i] for i in subset]) if subset else 0
-
-    def coeff_rank(subset):
-        return rank([rows[i][:n] for i in subset]) if subset else 0
-
-    def nonempty(subset):
-        return aug_rank(subset) == coeff_rank(subset)
-
-    def closure(subset):
-        if not subset:
-            return frozenset()
-        closed = set(subset)
-        r = aug_rank(subset)
-        for i in range(len(rows)):
-            if i not in closed and aug_rank(list(subset) + [i]) == r:
-                closed.add(i)
-        return frozenset(closed)
-
-    flats = {frozenset(): 0}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for F in frontier:
-            for e in range(len(rows)):
-                if e in F:
-                    continue
-                S = list(F) + [e]
-                if not nonempty(S):
-                    continue
-                G = closure(S)
-                if G not in flats:
-                    flats[G] = coeff_rank(G)
-                    nxt.append(G)
-        frontier = nxt
-    return sorted(
-        (Flat(members=F, rank=r) for F, r in flats.items()),
-        key=lambda f: f.key(),
-    )
+    bottom (the ambient space) included: the flats of the homogenized
+    functionals that do not contain the hyperplane at infinity.  Such a
+    flat meets the affine chart, and its rank is its codimension there.
+    """
+    vectors = arr.homogenized_vectors()
+    infinity = len(vectors) - 1
+    return [f for f in matroid_flats(vectors) if infinity not in f.members]
 
 
 def flacets(arr: Arrangement):

@@ -1,10 +1,11 @@
 """Series lifts of critical points along curves of data vectors.
 
-A data curve alpha(t) approaching a slope hyperplane is substituted into
-the symbolic critical system; branches are Laurent-series solutions in t.
-Branches with nonzero valuations (escaping branches) are handled by the
-valuation ansatz x_i = t^{v_i} X_i followed by clearing and, when the
-t = 0 layer is degenerate, saturating by t before the Hensel lift.
+The critical system is built along a data curve alpha(t) approaching a
+slope hyperplane, with the curve's components as its data, in the ring of
+the unknowns and t; branches are Laurent-series solutions in t.  Branches
+with nonzero valuations (escaping branches) are handled by the valuation
+ansatz x_i = t^{v_i} X_i followed by clearing and, when the t = 0 layer
+is degenerate, saturating by t before the Hensel lift.
 
 ``branches`` is the library entry the CLI calls: for one curve and the
 rigid rays it chooses the valuation ansaetze, seeds and lifts each, and
@@ -113,21 +114,10 @@ class SeriesSolution:
     residual_order: int  # residuals vanish (numerically) below this order
 
 
-def _substitute_curve(system: CriticalSystem, curve: DataCurve):
-    """Equations in (unknowns, t) with the curve in the data slots."""
-    if system.data_vars:
-        ring = system.unknowns + (CURVE_VAR,)
-        mapping = {
-            s: c.extend_ring(ring)
-            for s, c in zip(system.data_vars, curve.components)
-        }
-        return [eq.subs_polys(mapping) for eq in system.equations], ring
-    raise ValueError("series lifting needs the symbolic critical system")
-
-
 def _rescale(equations, ring, valuations):
     """Substitute x_j = t^{v_j} X_j and clear the global t-power of each
-    equation; the result is polynomial in (X, t)."""
+    equation, then its monomial factor in X (a unit on the torus, present
+    for Laurent parametrizations); the result is polynomial in (X, t)."""
     n = len(ring) - 1  # unknowns, t last
     out = []
     for eq in equations:
@@ -141,7 +131,9 @@ def _rescale(equations, ring, valuations):
             continue
         m0 = min(e[-1] for e in shifted)
         out.append(
-            Polynomial({e[:-1] + (e[-1] - m0,): c for e, c in shifted.items()}, ring)
+            Polynomial(
+                {e[:-1] + (e[-1] - m0,): c for e, c in shifted.items()}, ring
+            ).laurent_normalize()
         )
     return out
 
@@ -287,19 +279,19 @@ def _layer_solved(equations, ring, seed, exact) -> bool:
 
 def series_newton_lift(
     system: CriticalSystem,
-    curve: DataCurve,
     seed,
     order: int = DEFAULT_ORDER,
     valuations=None,
 ) -> SeriesSolution:
-    """Lift a t=0 seed to a truncated Laurent-series branch.
+    """Lift a t=0 seed to a truncated Laurent-series branch of the system
+    built along a data curve.
 
     ``seed`` holds the leading coefficients of the unknowns; escaping
     branches supply the valuation vector of the unknowns.  Rational seeds
     produce exact branches; floating seeds produce floating branches with
     a residual-based acceptance test.
     """
-    rescaled, ring, extra, valuations = _rescaled_system(system, curve, valuations)
+    rescaled, ring, extra, valuations = _rescaled_system(system, valuations)
     n = len(ring) - 1
     seed = tuple(seed)
     if len(seed) != n:
@@ -355,16 +347,18 @@ def _saturated_equations(equations, ring, extra=()):
     return gens
 
 
-def _rescaled_system(system, curve, valuations):
-    """The curve-substituted system under the valuation ansatz.
+def _rescaled_system(system, valuations):
+    """The system along a data curve under the valuation ansatz.
 
     Returns (rescaled equations, their ring, rescaled saturators,
-    valuations); the saturators are carried through the same
-    substitution and rescaling (their vanishing loci are spurious).
-    Memoized in the current job by the content of the system, the curve
-    and the valuations, so the seeds, lifts and refinements of one
-    (system, curve) substitute the curve once.
+    valuations); the saturators go through the same rescaling (their
+    vanishing loci are spurious).  Memoized in the current job by the
+    content of the system and the valuations, so the seeds, lifts and
+    refinements of one system rescale it once per ansatz.
     """
+    ring = system.ring
+    if ring != system.unknowns + (CURVE_VAR,):
+        raise ValueError("series lifting needs a critical system along a curve in t")
     n = len(system.unknowns)
     valuations = tuple(valuations) if valuations else (0,) * n
     if len(valuations) != n:
@@ -374,35 +368,28 @@ def _rescaled_system(system, curve, valuations):
         _rescaled_system,
         tuple(system.equations),
         tuple(system.saturators),
-        system.unknowns,
-        system.data_vars,
-        curve.components,
+        ring,
         valuations,
     )
     if key in memo:
         return memo[key]
-    equations, ring = _substitute_curve(system, curve)
-    mapping = {
-        s: c.extend_ring(ring) for s, c in zip(system.data_vars, curve.components)
-    }
-    extra = []
-    for f in system.saturators:
-        if set(f.vars) & set(system.data_vars):
-            f = f.subs_polys(mapping)
-        else:
-            f = f.extend_ring(ring)
-        [g] = _rescale([f], ring, valuations) or [None]
-        if g is not None and not g.is_constant():
-            extra.append(g)
-    out = (tuple(_rescale(equations, ring, valuations)), ring, tuple(extra), valuations)
+    extra = [
+        g for g in _rescale(system.saturators, ring, valuations) if not g.is_constant()
+    ]
+    out = (
+        tuple(_rescale(system.equations, ring, valuations)),
+        ring,
+        tuple(extra),
+        valuations,
+    )
     memo[key] = out
     return out
 
 
-def _t0_layer(system, curve, valuations):
+def _t0_layer(system, valuations):
     """The t = 0 layer of the saturated rescaled system, as polynomials in
     the unknowns; returns (layer, ring of the rescaled system)."""
-    rescaled, ring, extra, _ = _rescaled_system(system, curve, valuations)
+    rescaled, ring, extra, _ = _rescaled_system(system, valuations)
     layer = []
     for g in _saturated_equations(rescaled, ring, extra):
         terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}
@@ -411,11 +398,7 @@ def _t0_layer(system, curve, valuations):
     return layer, ring
 
 
-def branch_seeds(
-    system: CriticalSystem,
-    curve: DataCurve,
-    valuations=None,
-):
+def branch_seeds(system: CriticalSystem, valuations=None):
     """Leading coefficients of all branches with the given valuation
     ansatz: solve the t = 0 layer of the saturated rescaled system.
 
@@ -423,7 +406,7 @@ def branch_seeds(
     (found when the layer has degree one), numeric seeds complex tuples,
     one per distinct point in the order of ``solve_zero_dim_numeric``.
     """
-    layer, ring = _t0_layer(system, curve, valuations)
+    layer, ring = _t0_layer(system, valuations)
     if not layer:
         raise NotZeroDimensional("saturated system is trivial")
     unknown_ring = ring[:-1]
@@ -439,7 +422,7 @@ def branch_seeds(
     return [], solve_zero_dim_numeric(G)
 
 
-def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
+def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
     """Newton-refine a floating seed on the exact saturated t=0 layer,
     in rational arithmetic, to roughly 2^-bits accuracy.
 
@@ -447,7 +430,7 @@ def refine_seed_exact(system, curve, seed, valuations=None, bits: int = 192):
     """
     if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
         return seed
-    layer, ring = _t0_layer(system, curve, valuations)
+    layer, ring = _t0_layer(system, valuations)
     unknown_ring = ring[:-1]
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
@@ -568,7 +551,7 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     on = [r for r in rays if dot(alpha0, r.v) == 0]
     if on:
         curve.validate(ray=on[0], slopes=critical_slopes(rays))
-    system = critical_system(spec, None)
+    system = critical_system(spec, curve.components)
     notes = []
     jobs = [((0,) * len(spec.unknowns), None)]
     for ray in on:
@@ -579,7 +562,7 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
     out = []
     for vals, ray in jobs:
         try:
-            exact, numeric = branch_seeds(system, curve, valuations=vals)
+            exact, numeric = branch_seeds(system, valuations=vals)
         except NotZeroDimensional:
             continue
         except DegenerateSample as exc:
@@ -587,24 +570,18 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
             continue
         for seed in exact + numeric:
             try:
-                sol = series_newton_lift(
-                    system, curve, seed=seed, order=order, valuations=vals
-                )
+                sol = series_newton_lift(system, seed, order=order, valuations=vals)
             except (SingularJacobian, NoConvergence) as exc:
                 notes.append(f"branch at {vals} failed to lift: {exc}")
                 continue
             try:
                 vv = valuation_vector(sol, spec)
             except TruncationTooShort:
-                sol = series_newton_lift(
-                    system, curve, seed=seed, order=2 * order, valuations=vals
-                )
+                sol = series_newton_lift(system, seed, order=2 * order, valuations=vals)
                 vv = valuation_vector(sol, spec)
             refined = None
             if not sol.exact and bits > 53:
-                refined = refine_seed_exact(
-                    system, curve, seed, valuations=vals, bits=bits
-                )
+                refined = refine_seed_exact(system, seed, valuations=vals, bits=bits)
                 if not all(isinstance(r, Fraction) for r in refined):
                     refined = None
             out.append(Branch(vals, ray, sol, vv, refined))

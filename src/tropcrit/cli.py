@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import errors
 from .arrangement import Arrangement
-from .asymptotics import CURVE_VAR, DataCurve, branches
+from .asymptotics import CURVE_VAR, DEFAULT_ORDER, DataCurve, branches
 from .bs_lct import (
     BSFixture,
     bs_slope_intersection,
@@ -33,7 +33,6 @@ from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_c
 
 VERSION = "0.1.0"
 DEFAULT_BOUND = 3
-DEFAULT_ORDER = 8
 DEFAULT_PRECISION = 53
 
 EXIT_OK = 0

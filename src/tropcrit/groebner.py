@@ -675,8 +675,9 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     itself when I already is a grlex basis.
 
     The critical systems of ``mle`` and ``asymptotics`` saturate by the
-    product of all their saturators in one call; pipeline counts pass
-    numeric data, so the ring holds no data variable.
+    product of all their saturators in one call.  Counts pass rational
+    data, so their ring holds only the unknowns; a series lift builds its
+    system along the data curve, so t is its one data variable.
     """
     if f.is_zero:
         raise ValueError("cannot saturate by zero")

@@ -128,27 +128,28 @@ class VarietySpec:
 @dataclass
 class CriticalSystem:
     """Cleared polynomial system whose torus solutions are the critical
-    points; symbolic data uses the s-variables of the spec."""
+    points, in the ring of the unknowns followed by the data ring."""
 
     equations: list
     ring: tuple
     unknowns: tuple
-    data_vars: tuple
     saturators: list
 
 
-def _data_entries(data, ring, svars):
-    if data is not None:
-        return [Polynomial.constant(Fraction(a), ring) for a in data]
-    return [Polynomial.variable(s, ring) for s in svars]
+def _data_entries(data, unknowns):
+    """The system's ring and the data entries in it: rationals add no
+    variables, polynomials over one data ring add that ring's."""
+    if isinstance(data[0], Polynomial):
+        ring = tuple(unknowns) + data[0].vars
+        return ring, [a.extend_ring(ring) for a in data]
+    ring = tuple(unknowns)
+    return ring, [Polynomial.constant(Fraction(a), ring) for a in data]
 
 
 def _dlog_system(spec, data):
     unknowns = tuple(spec.unknowns)
-    svars = spec.svars if data is None else ()
-    ring = unknowns + svars
+    ring, alphas = _data_entries(data, unknowns)
     fs = [f.extend_ring(ring) for f in spec.tuple_polys()]
-    alphas = _data_entries(data, ring, spec.svars)
     # prefix/suffix products of the f_l to clear denominators
     prefix = [Polynomial.constant(1, ring)]
     for f in fs:
@@ -168,7 +169,6 @@ def _dlog_system(spec, data):
         equations=equations,
         ring=ring,
         unknowns=unknowns,
-        data_vars=svars,
         saturators=fs,
     )
 
@@ -202,26 +202,24 @@ def _ideal_system(spec, data):
     coords = spec.coordinates
     p = len(coords)
     codim = I.nvars - _torus_saturation(I)[1]
-    svars = spec.svars if data is None else ()
-    ring = coords + svars
-    alphas = _data_entries(data, ring, spec.svars)
+    ring, alphas = _data_entries(data, coords)
+    pad = (0,) * (len(ring) - p)
     gens = [g.extend_ring(ring) for g in I.gens]
     # row of cleared logarithmic differentials: a_i * prod_{j != i} t_j
     u_row = []
     for i in range(p):
-        e = tuple(1 if j != i else 0 for j in range(p)) + (0,) * len(svars)
+        e = tuple(1 if j != i else 0 for j in range(p)) + pad
         u_row.append(alphas[i] * Polynomial({e: Fraction(1)}, ring))
     jac = [[g.derivative(x) for x in coords] for g in gens]
     equations = list(gens)
     for rows in combinations(jac, codim):
         for csel in combinations(range(p), codim + 1):
             equations.append(_poly_det([[row[c] for c in csel] for row in (u_row, *rows)]))
-    torus = Polynomial({(1,) * p + (0,) * len(svars): Fraction(1)}, ring)
+    torus = Polynomial({(1,) * p + pad: Fraction(1)}, ring)
     return CriticalSystem(
         equations=[e for e in equations if not e.is_zero],
         ring=ring,
         unknowns=coords,
-        data_vars=svars,
         saturators=[torus],
     )
 
@@ -241,11 +239,13 @@ def _poly_det(m):
     return total
 
 
-def critical_system(spec: VarietySpec, data=None) -> CriticalSystem:
+def critical_system(spec: VarietySpec, data) -> CriticalSystem:
     """Polynomial system of the likelihood critical points.
 
-    ``data`` is a rational vector, or None for the symbolic incidence
-    system in the s-variables.
+    ``data`` holds one entry per coordinate: rationals for a data vector,
+    or polynomials over one data ring, such as the components of a data
+    curve in t or the s-variables of the likelihood correspondence.  The
+    system's ring is the unknowns followed by that data ring.
     """
     if spec.kind == "ideal":
         return _ideal_system(spec, data)
@@ -268,7 +268,8 @@ def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
     invertible: one ``saturate`` by the product of the saturators, whose
     policy splits off their monomial part (a constant saturator, such as
     a coordinate fixed on a linear stratum, is a unit already).  Counts
-    pass numeric data, so the ring holds only the unknowns.
+    pass rational data, so the ring holds only the unknowns; the
+    likelihood correspondence passes the s-variables, which stay free.
     """
     product = Polynomial.constant(1, system.ring)
     for f in system.saturators:

@@ -300,27 +300,6 @@ class Polynomial:
             total = total + acc
         return total
 
-    def subs_polys(self, mapping: dict) -> "Polynomial":
-        """Substitute polynomials (over a common ring) for variables.
-
-        Variables not in ``mapping`` must appear in the target ring under
-        the same name.
-        """
-        some = next(iter(mapping.values()))
-        tvars = some.vars
-        out = Polynomial.zero(tvars)
-        for e, c in self.terms.items():
-            part = Polynomial.constant(c, tvars)
-            for i, name in enumerate(self.vars):
-                if e[i] == 0:
-                    continue
-                if name in mapping:
-                    part = part * mapping[name] ** e[i]
-                else:
-                    part = part * Polynomial.variable(name, tvars) ** e[i]
-            out = out + part
-        return out
-
     def extend_ring(self, vars) -> "Polynomial":
         """Reinterpret in a larger ring containing all current variables."""
         vars = tuple(vars)

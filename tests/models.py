@@ -100,6 +100,27 @@ def conic_ideal() -> Ideal:
     return Ideal([poly_parse("t3-(t1+t2+t1^2+t1*t2+t2^2)", CONIC_VARS)])
 
 
+def symbolic_data(spec: VarietySpec):
+    """The s-variables of the spec as data: its critical system is then
+    the likelihood correspondence, in the unknowns and the s-variables."""
+    return [Polynomial.variable(s, spec.svars) for s in spec.svars]
+
+
+def substitute(f: Polynomial, mapping: dict) -> Polynomial:
+    """f with polynomials over one target ring put in for the variables
+    named in ``mapping``; every other variable of f keeps its name in
+    that ring.  Nonnegative exponents only."""
+    ring = next(iter(mapping.values())).vars
+    out = Polynomial.zero(ring)
+    for e, c in f.terms.items():
+        part = Polynomial.constant(c, ring)
+        for name, k in zip(f.vars, e):
+            x = mapping[name] if name in mapping else Polynomial.variable(name, ring)
+            part = part * x**k
+        out = out + part
+    return out
+
+
 COIN_RAYS = {(2, 1, 0), (0, 1, 1), (-2, -2, -1)}
 FOUR_LINES_RAYS = {
     (0, 1, 0, 0),

@@ -191,12 +191,10 @@ def test_acceptance_6_conic_model():
 def test_acceptance_7_series_lift_conic():
     with Timer(7, 60):
         spec = load_spec(fixture("conic_model.json"))
-        system = critical_system(spec, None)
         curve = DataCurve.parse(["2+t", "1+t", "-3/2"])
+        system = critical_system(spec, curve.components)
         # rational branch: coefficients exact at truncation 8
-        sol = series_newton_lift(
-            system, curve, seed=(Fraction(3), Fraction(-3)), order=8
-        )
+        sol = series_newton_lift(system, seed=(Fraction(3), Fraction(-3)), order=8)
         assert sol.exact
         x, y = sol.branch
         assert [x.coeff(k) for k in range(3)] == [3, -74, 3508]
@@ -207,11 +205,9 @@ def test_acceptance_7_series_lift_conic():
         sqrt33 = Fraction(math.isqrt(33 * scale * scale), scale)
         a_exact = float((-7 + sqrt33) / (15 - sqrt33))
         b_exact = float((-13 + 3 * sqrt33) / (60 - 4 * sqrt33))
-        _, numeric = branch_seeds(system, curve, valuations=(-1, -1))
+        _, numeric = branch_seeds(system, valuations=(-1, -1))
         seed = min(numeric, key=lambda s: abs(s[0] - a_exact))
-        esc = series_newton_lift(
-            system, curve, seed=seed, order=8, valuations=(-1, -1)
-        )
+        esc = series_newton_lift(system, seed=seed, order=8, valuations=(-1, -1))
         lead_x = complex(esc.branch[0].coeff(-1))
         lead_y = complex(esc.branch[1].coeff(-1))
         assert abs(lead_x - a_exact) <= 1e-6 * abs(a_exact)

@@ -49,12 +49,13 @@ def shared_job():
         yield job
 
 
-def conic_system():
-    return critical_system(conic_spec(), None)
-
-
 def conic_curve():
     return DataCurve.parse(["2+t", "1+t", "-3/2"])
+
+
+def conic_system():
+    """The conic's critical system along its fixture curve."""
+    return critical_system(conic_spec(), conic_curve().components)
 
 
 def sqrt33(digits=40):
@@ -68,30 +69,28 @@ B_EXACT = (-3 + sqrt33()) / 24  # equals (-13+3*sqrt33)/(60-4*sqrt33)
 
 
 def test_trivial_linear_lift():
-    ring = ("x", "s1")
+    ring = ("x", "t")
     system = CriticalSystem(
-        equations=[poly_parse("x-s1", ring)],
-        ring=("x",),
+        equations=[poly_parse("x-t", ring)],
+        ring=ring,
         unknowns=("x",),
-        data_vars=("s1",),
         saturators=[],
     )
-    curve = DataCurve.parse(["t"])
-    sol = series_newton_lift(system, curve, seed=(Fraction(0),), order=5)
+    sol = series_newton_lift(system, seed=(Fraction(0),), order=5)
     [x] = sol.branch
     assert x.valuation == 1 and x.coeff(1) == 1
     assert all(x.coeff(k) == 0 for k in range(2, 6))
 
 
 def test_conic_interior_seed_is_rational():
-    exact, numeric = branch_seeds(conic_system(), conic_curve())
+    exact, numeric = branch_seeds(conic_system())
     assert exact == [(Fraction(3), Fraction(-3))]
     assert numeric == []
 
 
 def test_conic_interior_branch_exact_coefficients():
     sol = series_newton_lift(
-        conic_system(), conic_curve(), seed=(Fraction(3), Fraction(-3)), order=8
+        conic_system(), seed=(Fraction(3), Fraction(-3)), order=8
     )
     assert sol.exact
     x, y = sol.branch
@@ -102,22 +101,17 @@ def test_conic_interior_branch_exact_coefficients():
 
 def test_conic_interior_branch_residual_vanishes():
     system = conic_system()
-    curve = conic_curve()
-    sol = series_newton_lift(system, curve, seed=(Fraction(3), Fraction(-3)), order=6)
-    # substitute the branch into the curve-specialized equations directly
-    from tropcrit.asymptotics import _substitute_curve
-    from tropcrit.series import LaurentSeries
-
-    eqs, ring = _substitute_curve(system, curve)
+    sol = series_newton_lift(system, seed=(Fraction(3), Fraction(-3)), order=6)
+    # substitute the branch into the equations along the curve directly
     env = {"x": sol.branch[0], "y": sol.branch[1]}
     env["t"] = LaurentSeries.t_power(1, 7)
-    for eq in eqs:
+    for eq in system.equations:
         assert poly_eval_series(eq, env, 7).is_zero
 
 
 def test_conic_escaping_seeds():
     exact, numeric = branch_seeds(
-        conic_system(), conic_curve(), valuations=(-1, -1)
+        conic_system(), valuations=(-1, -1)
     )
     assert exact == []
     assert len(numeric) == 2
@@ -140,7 +134,7 @@ def test_saturated_equations_takes_two_cheaper_groebner_runs(monkeypatch):
         return real(gens, order, budget)
 
     rescaled, ring, extra, _ = _rescaled_system(
-        conic_system(), conic_curve(), (-1, -1)
+        conic_system(), (-1, -1)
     )
     assert len(extra) == 3
     with Job() as product_job:
@@ -154,34 +148,34 @@ def test_saturated_equations_takes_two_cheaper_groebner_runs(monkeypatch):
 
 
 def _valuation_cases():
-    """(system, ray, valuations of its unknowns): the conic (unknowns x, y
+    """(spec, ray, valuations of its unknowns): the conic (unknowns x, y
     equal to the coordinates t1, t2) and the coin model (unknowns the
     coordinates, a monomial saturator only), at valuation 0 and at each
     rigid ray."""
-    conic = critical_system(conic_spec(), None)
-    coin = critical_system(coin_spec(), None)
+    conic = conic_spec()
+    coin = coin_spec()
     cases = [("conic", conic, None, None), ("coin", coin, None, None)]
     cases += [("conic", conic, ray, ray[:2]) for ray in sorted(CONIC_RAYS)]
     cases += [("coin", coin, ray, ray) for ray in sorted(COIN_RAYS)]
     return [
         pytest.param(
-            system,
+            spec,
             ray,
             valuations,
             id=f"{name}-{''.join(map(str, ray)) if ray else 'interior'}",
         )
-        for name, system, ray, valuations in cases
+        for name, spec, ray, valuations in cases
     ]
 
 
-@pytest.mark.parametrize("system, ray, valuations", _valuation_cases())
+@pytest.mark.parametrize("spec, ray, valuations", _valuation_cases())
 @settings(max_examples=5, deadline=None)
 @given(
     value=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
     velocity=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
 )
 def test_saturated_equations_match_product_route(
-    system, ray, valuations, value, velocity
+    spec, ray, valuations, value, velocity
 ):
     # a linear data curve with integer coefficients, entering the ray's
     # slope hyperplane at t = 0 when a ray is given
@@ -192,20 +186,21 @@ def test_saturated_equations_match_product_route(
         rest = sum(value[i] * ray[i] for i in range(3) if i != pivot)
         value[pivot] = -rest / ray[pivot]
     curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
+    system = critical_system(spec, curve.components)
     with Job():
-        rescaled, ring, extra, _ = _rescaled_system(system, curve, valuations)
+        rescaled, ring, extra, _ = _rescaled_system(system, valuations)
         want = product_saturation(rescaled, ring, extra)
         assert _saturated_equations(rescaled, ring, extra) == want
 
 
 def test_conic_escaping_branch_leading_coefficients():
     exact, numeric = branch_seeds(
-        conic_system(), conic_curve(), valuations=(-1, -1)
+        conic_system(), valuations=(-1, -1)
     )
     # pick the branch with leading coefficient (-7+sqrt33)/(15-sqrt33)
     seed = min(numeric, key=lambda s: abs(s[0] - complex(float(A_EXACT))))
     sol = series_newton_lift(
-        conic_system(), conic_curve(), seed=seed, order=4, valuations=(-1, -1)
+        conic_system(), seed=seed, order=4, valuations=(-1, -1)
     )
     assert not sol.exact
     x, y = sol.branch
@@ -215,10 +210,10 @@ def test_conic_escaping_branch_leading_coefficients():
 
 
 def test_conic_escaping_valuation_vector():
-    _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
     seed = numeric[0]
     sol = series_newton_lift(
-        conic_system(), conic_curve(), seed=seed, order=4, valuations=(-1, -1)
+        conic_system(), seed=seed, order=4, valuations=(-1, -1)
     )
     assert valuation_vector(sol, conic_spec()) == (-1, -1, -2)
 
@@ -227,17 +222,17 @@ def test_valuation_vector_orthogonal_to_limit_data():
     # the limit data vector pairs to zero with the valuation vector
     curve = conic_curve()
     alpha0 = curve.value_at_zero()
-    _, numeric = branch_seeds(conic_system(), curve, valuations=(-1, -1))
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
     sol = series_newton_lift(
-        conic_system(), curve, seed=numeric[0], order=4, valuations=(-1, -1)
+        conic_system(), seed=numeric[0], order=4, valuations=(-1, -1)
     )
     vv = valuation_vector(sol, conic_spec())
     assert sum(a * v for a, v in zip(alpha0, vv)) == 0
 
 
 def test_branch_count_matches_ml_degree():
-    exact, _ = branch_seeds(conic_system(), conic_curve())
-    _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
+    exact, _ = branch_seeds(conic_system())
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
     assert len(exact) + len(numeric) == 3  # the ML degree of the model
 
 
@@ -256,10 +251,10 @@ def test_layer_without_a_reading_form_becomes_a_note(monkeypatch):
 
 def test_exact_branch_reproduced_by_floating_run():
     sol_e = series_newton_lift(
-        conic_system(), conic_curve(), seed=(Fraction(3), Fraction(-3)), order=5
+        conic_system(), seed=(Fraction(3), Fraction(-3)), order=5
     )
     sol_f = series_newton_lift(
-        conic_system(), conic_curve(), seed=(3.0, -3.0), order=5
+        conic_system(), seed=(3.0, -3.0), order=5
     )
     for se, sf in zip(sol_e.branch, sol_f.branch):
         for k in range(se.valuation, se.truncation_order):
@@ -269,10 +264,10 @@ def test_exact_branch_reproduced_by_floating_run():
 
 
 def test_refine_seed_exact_reaches_target():
-    _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
     seed = min(numeric, key=lambda s: abs(s[0] - complex(float(A_EXACT))))
     refined = refine_seed_exact(
-        conic_system(), conic_curve(), seed, valuations=(-1, -1), bits=160
+        conic_system(), seed, valuations=(-1, -1), bits=160
     )
     assert abs(refined[0] - A_EXACT) < Fraction(1, 2**120)
     assert abs(refined[1] - B_EXACT) < Fraction(1, 2**120)
@@ -284,11 +279,11 @@ def test_four_lines_lift_toward_triple_point_is_nonnegative():
     from tropcrit.bs_lct import qfa_nonneg_certificate
 
     spec = four_lines_spec()
-    system = critical_system(spec, None)
     curve = DataCurve.parse(["2", "1+t", "-3+t", "4"])
-    exact, numeric = branch_seeds(system, curve, valuations=(1, 1))
+    system = critical_system(spec, curve.components)
+    exact, numeric = branch_seeds(system, valuations=(1, 1))
     seed = exact[0] if exact else numeric[0]
-    sol = series_newton_lift(system, curve, seed=seed, order=6, valuations=(1, 1))
+    sol = series_newton_lift(system, seed=seed, order=6, valuations=(1, 1))
     vv = valuation_vector(sol, spec)
     assert vv == (1, 1, 1, 0)
     assert qfa_nonneg_certificate(vv)
@@ -298,12 +293,12 @@ def test_four_lines_branch_attains_ray_valuation():
     # approach a generic point of the hyperplane s2 + s3 = 0: the single
     # critical point escapes with coordinate orders -e2 - e3
     spec = four_lines_spec()
-    system = critical_system(spec, None)
     curve = DataCurve.parse(["3", "2+t", "-2+t", "5"])
-    exact, numeric = branch_seeds(system, curve, valuations=(0, -1))
+    system = critical_system(spec, curve.components)
+    exact, numeric = branch_seeds(system, valuations=(0, -1))
     assert len(exact) + len(numeric) >= 1
     seed = exact[0] if exact else numeric[0]
-    sol = series_newton_lift(system, curve, seed=seed, order=6, valuations=(0, -1))
+    sol = series_newton_lift(system, seed=seed, order=6, valuations=(0, -1))
     assert valuation_vector(sol, spec) == (0, -1, -1, 0)
 
 
@@ -382,7 +377,7 @@ def reference_hensel(equations, ring, seed, order, exact):
 def conic_lift_cases():
     """(seed, valuations) of the conic branches: the exact interior seed
     and the two floating escaping seeds."""
-    _, numeric = branch_seeds(conic_system(), conic_curve(), valuations=(-1, -1))
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
     cases = [((Fraction(3), Fraction(-3)), (0, 0))]
     cases += [(tuple(complex(x) for x in s), (-1, -1)) for s in numeric]
     return cases
@@ -391,7 +386,7 @@ def conic_lift_cases():
 def lift_outcome(lift, seed, valuations, order):
     """Coefficients of the lift on the system series_newton_lift hands to
     _hensel for this seed, or the message of its NoConvergence."""
-    rescaled, ring, extra, _ = _rescaled_system(conic_system(), conic_curve(), valuations)
+    rescaled, ring, extra, _ = _rescaled_system(conic_system(), valuations)
     exact = all(isinstance(x, Fraction) for x in seed)
     if (
         not _layer_solved(rescaled, ring, seed, exact)
@@ -425,7 +420,7 @@ def test_lift_makes_no_poly_eval_series_call(monkeypatch):
     monkeypatch.setattr(asymptotics, "poly_eval_series", counting)
     for seed, valuations in conic_lift_cases():
         series_newton_lift(
-            conic_system(), conic_curve(), seed=seed, order=12, valuations=valuations
+            conic_system(), seed=seed, order=12, valuations=valuations
         )
     assert calls == []
 

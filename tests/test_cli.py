@@ -554,6 +554,27 @@ def test_close_seeds_lift_at_order_12(capsys, tmp_path):
     assert not [w for w in report["warnings"] if "failed to lift" in w["message"]]
 
 
+def test_asymptotics_on_a_laurent_parametrization(capsys, tmp_path):
+    # (s^-1, 1-s) has the one critical point s = a1/(a1-a2); along the
+    # curve (1+t, 2-t) it is (1+t)/(2t-1) = -1 - 3t - 6t^2 - 12t^3 - ...
+    # The cleared equations carry s^-1, a unit on the torus
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {"kind": "parametrization", "parameters": ["s"], "functions": ["s^-1", "1-s"]}
+        )
+    )
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["1+t", "2-t"]}))
+    args = ["asymptotics", "--spec", str(spec), "--curve", str(curve), "--bound", "2"]
+    assert main(args) == EXIT_OK
+    [branch] = json.loads(capsys.readouterr().out)["branches"]
+    assert branch["exact"] and branch["valuation_vector"] == [0, 0]
+    [s] = branch["series"]
+    values = [c["value"] for c in s["coefficients"]]
+    assert values == ["-1"] + [str(-3 * 2 ** (k - 1)) for k in range(1, 9)]
+
+
 def test_env_var_budget(monkeypatch):
     monkeypatch.setenv("TROPCRIT_BUDGET", "0")
     code = main(

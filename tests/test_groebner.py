@@ -13,6 +13,7 @@ from models import (
     five_lines_ideal,
     four_lines_ideal,
     initial_by_fresh_run,
+    symbolic_data,
 )
 from tropcrit import groebner
 from tropcrit.errors import (
@@ -461,9 +462,10 @@ def test_budget_abort():
 def test_pair_selection_data_computed_once_per_pair(monkeypatch):
     # one lcm per pair; rescanning every pending pair at each selection
     # takes 3,741 lcms on these saturations, for the same 362 steps.  The
-    # workload saturates the symbolic conic system by one saturator at a
-    # time, as a chain of runs.
-    system = critical_system(conic_spec(), None)
+    # workload saturates the conic system of the likelihood correspondence
+    # (data the s-variables) by one saturator at a time, as a chain of runs.
+    spec = conic_spec()
+    system = critical_system(spec, symbolic_data(spec))
     calls = []
     real = groebner.mono_lcm
 

@@ -18,6 +18,7 @@ from models import (
     four_lines_arrangement,
     four_lines_ideal_spec,
     four_lines_spec,
+    symbolic_data,
 )
 from tropcrit.arrangement import chi_complement
 from tropcrit.cli import EXIT_OK, load_spec, main
@@ -62,14 +63,10 @@ def test_conic_critical_system_along_curve_matches_displayed():
     # same check at general t with the curve (2+t, 1+t, -3/2)
     spec = conic_spec()
     vars = ("x", "y", "tcurve")
-    system = critical_system(spec, None)  # symbolic
-    ring = system.ring
-    curve = {
-        "s1": poly_parse("2+tcurve", vars),
-        "s2": poly_parse("1+tcurve", vars),
-        "s3": poly_parse("-3/2", vars),
-    }
-    eq1 = system.equations[0].subs_polys(curve)
+    curve = [poly_parse(a, ("tcurve",)) for a in ("2+tcurve", "1+tcurve", "-3/2")]
+    system = critical_system(spec, curve)
+    assert system.ring == vars
+    eq1 = system.equations[0]
     displayed1 = poly_parse(
         "x + 2*tcurve*x - 2*x^2 + 2*tcurve*x^2 + 4*y + 2*tcurve*y"
         "+ x*y + 2*tcurve*x*y + 4*y^2 + 2*tcurve*y^2",
@@ -127,9 +124,9 @@ def test_coin_symbolic_incidence_elimination_gives_slopes():
     from tropcrit.rings import grlex
 
     spec = coin_spec()
-    system = critical_system(spec, None)
+    system = critical_system(spec, symbolic_data(spec))
     I = saturated_critical_ideal(system)
-    svars = list(system.data_vars)
+    svars = list(spec.svars)
     for var, expected in [("t0", "2*s0+s1"), ("t2", "s1+s2")]:
         J = Ideal(
             list(I.gens) + [Polynomial.variable(var, system.ring)], system.ring
@@ -153,7 +150,7 @@ def test_four_lines_boundary_slice_eliminates_to_slope():
     from tropcrit.groebner import eliminate, saturate
 
     spec = four_lines_spec()
-    system = critical_system(spec, None)
+    system = critical_system(spec, symbolic_data(spec))
     I = saturated_critical_ideal(system)
     J = Ideal(
         list(I.gens) + [Polynomial.variable("y", system.ring)], system.ring

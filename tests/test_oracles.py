@@ -22,7 +22,10 @@ from models import (
     essential_arrangements,
     five_lines_arrangement,
     four_lines_arrangement,
+    four_lines_ideal_spec,
     initial_by_fresh_run,
+    substitute,
+    symbolic_data,
 )
 from tropcrit.arrangement import (
     Arrangement,
@@ -298,8 +301,8 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
     value = [Fraction(a) for a in value]
     value[pivot] = -sum(value[i] * ray[i] for i in range(3) if i != pivot) / ray[pivot]
     curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
-    system = critical_system(conic_spec(), None)
-    rescaled, ring, extra, _ = _rescaled_system(system, curve, ray[:2])
+    system = critical_system(conic_spec(), curve.components)
+    rescaled, ring, extra, _ = _rescaled_system(system, ray[:2])
     # the chain: t, then every unknown, then every saturator
     chain = Ideal(rescaled, ring)
     for name in ring[-1:] + ring[:-1]:
@@ -308,6 +311,44 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
         chain = chain_saturation(chain, f)
     with Job():
         assert _saturated_equations(rescaled, ring, extra) == list(chain.gens)
+
+
+_XY = ("x", "y")
+_quadratic = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Polynomial(terms, _XY))
+_curve_specs = st.one_of(
+    st.lists(_quadratic, min_size=3, max_size=3).map(
+        lambda fs: VarietySpec(kind="parametrization", functions=fs)
+    ),
+    st.just(four_lines_ideal_spec()),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_curve_specs, data=st.data())
+def test_system_along_curve_equals_substituted_correspondence(spec, data):
+    # the critical system built with a linear data curve as its data equals,
+    # equation by equation, the system in the s-variables with the curve
+    # put in for them; likewise its saturators
+    line = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    pairs = data.draw(st.lists(line, min_size=spec.p, max_size=spec.p))
+    curve = DataCurve.parse([f"{a}+({b})*t" for a, b in pairs])
+    with Job():
+        direct = critical_system(spec, curve.components)
+        symbolic = critical_system(spec, symbolic_data(spec))
+    assert direct.ring == spec.unknowns + ("t",)
+    mapping = {
+        s: c.extend_ring(direct.ring) for s, c in zip(spec.svars, curve.components)
+    }
+    substituted = [substitute(eq, mapping) for eq in symbolic.equations]
+    if spec.kind == "ideal":  # the minors system drops the vanishing minors
+        substituted = [eq for eq in substituted if not eq.is_zero]
+    assert direct.equations == substituted
+    assert direct.saturators == [substitute(f, mapping) for f in symbolic.saturators]
 
 
 _rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
