@@ -2,10 +2,11 @@
 
 The critical system is built along a data curve alpha(t) approaching a
 slope hyperplane, with the curve's components as its data, in the ring of
-the unknowns and t; branches are Laurent-series solutions in t.  Branches
-with nonzero valuations (escaping branches) are handled by the valuation
-ansatz x_i = t^{v_i} X_i followed by clearing and, when the t = 0 layer
-is degenerate, saturating by t before the Hensel lift.
+the unknowns and t, and saturated once into the curve's critical ideal
+J; branches are Laurent-series solutions in t.  A branch with valuations
+v (nonzero for escaping ones) solves the ansatz x_i = t^{v_i} X_i, and
+lifts on J's Groebner-cone basis at the weight (v, 1) under the ansatz,
+whose t = 0 layer is the initial ideal of J at that weight.
 
 ``branches`` is the library entry the CLI calls: for one curve and the
 rigid rays it chooses the valuation ansaetze, seeds and lifts each, and
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
+    InitialIdealEngine,
     current_job,
     quotient_basis,
     saturate,
@@ -287,11 +289,14 @@ def series_newton_lift(
     built along a data curve.
 
     ``seed`` holds the leading coefficients of the unknowns; escaping
-    branches supply the valuation vector of the unknowns.  Rational seeds
-    produce exact branches; floating seeds produce floating branches with
-    a residual-based acceptance test.
+    branches supply the valuation vector of the unknowns.  The lift runs
+    on the ansatz's rescaled cone basis of the curve's critical ideal
+    (``_ansatz``), after checking that the seed solves its t = 0 layer.
+    Rational seeds produce exact branches; floating seeds produce floating
+    branches with a residual-based acceptance test.
     """
-    rescaled, ring, extra, valuations = _rescaled_system(system, valuations)
+    lift, _, valuations = _ansatz(system, valuations)
+    ring = system.ring
     n = len(ring) - 1
     seed = tuple(seed)
     if len(seed) != n:
@@ -306,18 +311,9 @@ def series_newton_lift(
             ApproximateBranch,
             stacklevel=2,
         )
-    if not _layer_solved(rescaled, ring, seed, exact):
-        # degenerate t = 0 layer: saturate by t before judging the seed
-        rescaled = _saturated_equations(rescaled, ring, extra)
-        if not _layer_solved(rescaled, ring, seed, exact):
-            raise NoConvergence("seed does not solve the initial layer")
-    try:
-        coeffs = _hensel(rescaled, ring, seed, order, exact)
-    except SingularJacobian:
-        rescaled = _saturated_equations(rescaled, ring, extra)
-        if not _layer_solved(rescaled, ring, seed, exact):
-            raise NoConvergence("seed does not solve the saturated layer")
-        coeffs = _hensel(rescaled, ring, seed, order, exact)
+    if not _layer_solved(lift, ring, seed, exact):
+        raise NoConvergence("seed does not solve the initial layer")
+    coeffs = _hensel(lift, ring, seed, order, exact)
     branch = tuple(
         LaurentSeries(valuations[j], coeffs[j], valuations[j] + order + 1)
         for j in range(n)
@@ -330,31 +326,29 @@ def series_newton_lift(
 
 
 def _saturated_equations(equations, ring, extra=()):
-    """Generators of the system's ideal saturated by every variable of the
-    ring (unknowns and t) and by the saturators in ``extra``: one
-    ``saturate`` by the torus monomial of the ring times their product,
-    memoized in the current job.
+    """The system's ideal saturated by every variable of the ring (unknowns
+    and t) and by the saturators in ``extra``, as the reduced grlex basis
+    of one ``saturate`` by the torus monomial of the ring times their
+    product.  ``_ansatz`` calls it once per curve, on the critical system
+    and its saturators.
     """
-    memo = current_job().memo
-    key = (_saturated_equations, tuple(equations), ring, tuple(extra))
-    if key in memo:
-        return memo[key]
     product = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
     for f in extra:
         product = product * f
-    gens = list(saturate(Ideal(equations, ring), product).gens)
-    memo[key] = gens
-    return gens
+    return saturate(Ideal(equations, ring), product)
 
 
-def _rescaled_system(system, valuations):
-    """The system along a data curve under the valuation ansatz.
+def _ansatz(system, valuations=None):
+    """(lift system, t = 0 layer, valuations) of the system along a data
+    curve under the valuation ansatz x_j = t^{v_j} X_j.
 
-    Returns (rescaled equations, their ring, rescaled saturators,
-    valuations); the saturators go through the same rescaling (their
-    vanishing loci are spurious).  Memoized in the current job by the
-    content of the system and the valuations, so the seeds, lifts and
-    refinements of one system rescale it once per ansatz.
+    The curve's critical ideal J, the system saturated by the torus of
+    (unknowns, t) and by the saturators, gets one ``InitialIdealEngine``
+    per job.  The lift system is the engine's basis at the weight
+    w = (v, 1) under ``_rescale``, whose t^0 parts are the initial forms
+    at w (at t = 1, up to a monomial); they generate init_w(J), so they
+    are the t = 0 layer on the torus (Maclagan and Sturmfels, Introduction
+    to Tropical Geometry, ch. 2).  Memoized per ansatz in the job.
     """
     ring = system.ring
     if ring != system.unknowns + (CURVE_VAR,):
@@ -364,52 +358,34 @@ def _rescaled_system(system, valuations):
     if len(valuations) != n:
         raise ValueError(f"valuations must cover all {n} unknowns")
     memo = current_job().memo
-    key = (
-        _rescaled_system,
-        tuple(system.equations),
-        tuple(system.saturators),
-        ring,
-        valuations,
-    )
-    if key in memo:
-        return memo[key]
-    extra = [
-        g for g in _rescale(system.saturators, ring, valuations) if not g.is_constant()
-    ]
-    out = (
-        tuple(_rescale(system.equations, ring, valuations)),
-        ring,
-        tuple(extra),
-        valuations,
-    )
-    memo[key] = out
-    return out
-
-
-def _t0_layer(system, valuations):
-    """The t = 0 layer of the saturated rescaled system, as polynomials in
-    the unknowns; returns (layer, ring of the rescaled system)."""
-    rescaled, ring, extra, _ = _rescaled_system(system, valuations)
-    layer = []
-    for g in _saturated_equations(rescaled, ring, extra):
-        terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}
-        if terms:
-            layer.append(Polynomial(terms, ring[:-1]))
-    return layer, ring
+    key = (_ansatz, tuple(system.equations), tuple(system.saturators), ring)
+    if key not in memo:
+        J = _saturated_equations(system.equations, ring, system.saturators)
+        memo[key] = (InitialIdealEngine(J), {})
+    engine, ansaetze = memo[key]
+    if valuations not in ansaetze:
+        lift = tuple(_rescale(engine.basis(valuations + (1,)), ring, valuations))
+        layer = [
+            Polynomial({e[:-1]: c for e, c in g.terms.items() if not e[-1]}, ring[:-1])
+            for g in lift
+        ]
+        ansaetze[valuations] = (lift, [g for g in layer if not g.is_zero])
+    return (*ansaetze[valuations], valuations)
 
 
 def branch_seeds(system: CriticalSystem, valuations=None):
     """Leading coefficients of all branches with the given valuation
-    ansatz: solve the t = 0 layer of the saturated rescaled system.
+    ansatz: the points on the torus of the ansatz's t = 0 layer, the
+    initial ideal of the curve's critical ideal (``_ansatz``).
 
     Returns (exact_seeds, numeric_seeds); exact seeds are rational tuples
     (found when the layer has degree one), numeric seeds complex tuples,
     one per distinct point in the order of ``solve_zero_dim_numeric``.
     """
-    layer, ring = _t0_layer(system, valuations)
+    _, layer, _ = _ansatz(system, valuations)
     if not layer:
         raise NotZeroDimensional("saturated system is trivial")
-    unknown_ring = ring[:-1]
+    unknown_ring = system.unknowns
     torus = Polynomial({(1,) * len(unknown_ring): Fraction(1)}, unknown_ring)
     G = saturate(Ideal(layer, unknown_ring), torus)
     if G.is_zero:
@@ -423,24 +399,24 @@ def branch_seeds(system: CriticalSystem, valuations=None):
 
 
 def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
-    """Newton-refine a floating seed on the exact saturated t=0 layer,
-    in rational arithmetic, to roughly 2^-bits accuracy.
+    """Newton-refine a floating seed on the exact t=0 layer of the
+    ansatz (``_ansatz``), in rational arithmetic, to roughly 2^-bits
+    accuracy.
 
     Only real seeds are refined; complex seeds are returned unchanged.
     """
     if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
         return seed
-    layer, ring = _t0_layer(system, valuations)
-    unknown_ring = ring[:-1]
+    _, layer, _ = _ansatz(system, valuations)
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
     target = Fraction(1, 2**bits)
     for _ in range(64):
-        env = dict(zip(unknown_ring, x))
+        env = dict(zip(system.unknowns, x))
         vals = [eq.evaluate(env) for eq in layer]
         if all(abs(v) < target for v in vals):
             return tuple(x)
-        subset, inv = _square_subsystem(layer, ring, x, True)
+        subset, inv = _square_subsystem(layer, system.ring, x, True)
         if subset is None:
             raise SingularJacobian("refinement Jacobian is singular")
         rhs = [layer[i].evaluate(env) for i in subset]
@@ -539,50 +515,53 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
 
     Returns (branches, notes).  The curve is checked against the first
     ray whose hyperplane holds alpha(0) and against every critical slope
-    of the rays.  Seeds come from the interior job (valuation zero) and
-    from one escaping job per such ray with a nonzero ansatz; each seed is
+    of the rays.  Everything runs in one ``Job``, the current one or a
+    fresh one, so the curve's critical ideal is saturated once.  Seeds
+    come from the interior job (valuation zero) and from one escaping job
+    per such ray with a nonzero ansatz; each seed is
     lifted to ``order``, and to twice the order when that is too short to
     certify the valuation vector.  With ``bits`` above 53 the real leading
     coefficients of a floating branch are refined to about 2^-bits.  A
     seed that fails to lift, or a layer that ``solve_zero_dim_numeric``
     cannot read, becomes a note.
     """
-    alpha0 = curve.value_at_zero()
-    on = [r for r in rays if dot(alpha0, r.v) == 0]
-    if on:
-        curve.validate(ray=on[0], slopes=critical_slopes(rays))
-    system = critical_system(spec, curve.components)
-    notes = []
-    jobs = [((0,) * len(spec.unknowns), None)]
-    for ray in on:
-        vals, warn = _unknown_valuations(spec, ray.v)
-        notes.extend(warn)
-        if any(vals):
-            jobs.append((vals, ray))
-    out = []
-    for vals, ray in jobs:
-        try:
-            exact, numeric = branch_seeds(system, valuations=vals)
-        except NotZeroDimensional:
-            continue
-        except DegenerateSample as exc:
-            notes.append(f"branches at {vals} have no seeds: {exc}")
-            continue
-        for seed in exact + numeric:
+    with current_job():
+        alpha0 = curve.value_at_zero()
+        on = [r for r in rays if dot(alpha0, r.v) == 0]
+        if on:
+            curve.validate(ray=on[0], slopes=critical_slopes(rays))
+        system = critical_system(spec, curve.components)
+        notes = []
+        jobs = [((0,) * len(spec.unknowns), None)]
+        for ray in on:
+            vals, warn = _unknown_valuations(spec, ray.v)
+            notes.extend(warn)
+            if any(vals):
+                jobs.append((vals, ray))
+        out = []
+        for vals, ray in jobs:
             try:
-                sol = series_newton_lift(system, seed, order=order, valuations=vals)
-            except (SingularJacobian, NoConvergence) as exc:
-                notes.append(f"branch at {vals} failed to lift: {exc}")
+                exact, numeric = branch_seeds(system, valuations=vals)
+            except NotZeroDimensional:
                 continue
-            try:
-                vv = valuation_vector(sol, spec)
-            except TruncationTooShort:
-                sol = series_newton_lift(system, seed, order=2 * order, valuations=vals)
-                vv = valuation_vector(sol, spec)
-            refined = None
-            if not sol.exact and bits > 53:
-                refined = refine_seed_exact(system, seed, valuations=vals, bits=bits)
-                if not all(isinstance(r, Fraction) for r in refined):
-                    refined = None
-            out.append(Branch(vals, ray, sol, vv, refined))
-    return out, notes
+            except DegenerateSample as exc:
+                notes.append(f"branches at {vals} have no seeds: {exc}")
+                continue
+            for seed in exact + numeric:
+                try:
+                    sol = series_newton_lift(system, seed, order, vals)
+                except (SingularJacobian, NoConvergence) as exc:
+                    notes.append(f"branch at {vals} failed to lift: {exc}")
+                    continue
+                try:
+                    vv = valuation_vector(sol, spec)
+                except TruncationTooShort:
+                    sol = series_newton_lift(system, seed, 2 * order, vals)
+                    vv = valuation_vector(sol, spec)
+                refined = None
+                if not sol.exact and bits > 53:
+                    refined = refine_seed_exact(system, seed, vals, bits)
+                    if not all(isinstance(r, Fraction) for r in refined):
+                        refined = None
+                out.append(Branch(vals, ray, sol, vv, refined))
+        return out, notes

@@ -489,6 +489,12 @@ def run_report(cfg: JobConfig):
                 raise errors.SpecValidationError(
                     "asymptotics requires --curve", "/curve"
                 )
+            if CURVE_VAR in spec.unknowns:
+                key = "parameters" if spec.kind == "parametrization" else "variables"
+                raise errors.SpecValidationError(
+                    f"unknown {CURVE_VAR!r} is the data curve's variable; rename it",
+                    f"/{key}/{spec.unknowns.index(CURVE_VAR)}",
+                )
             curve = load_curve(cfg.curve_path, len(svars))
         ideal = spec.to_ideal()
         rays = find_rigid_rays(ideal, bound=cfg.bound)

@@ -525,14 +525,18 @@ class InitialIdealEngine:
         cones.insert(0, cone)
         return cone, cone.ties(w)
 
-    def initial(self, w) -> Ideal:
+    def basis(self, w):
+        """The dehomogenized basis of the cone that holds w, in the order
+        ``_interreduce`` gives the basis under this weight; the base basis
+        where init_w(I) = I."""
         cone, _ = self.face(w)
         if cone is None:
-            return Ideal(self.base.gens, self.ideal.vars)
+            return list(self.base.gens)
         order = _weight_order(w)
-        # the order _interreduce gives the basis under this weight
-        basis = sorted(cone.basis, key=lambda item: order.key(item[0]))
-        return Ideal([g.weight_initial(w) for _, g in basis], self.ideal.vars)
+        return [g for _, g in sorted(cone.basis, key=lambda item: order.key(item[0]))]
+
+    def initial(self, w) -> Ideal:
+        return Ideal([g.weight_initial(w) for g in self.basis(w)], self.ideal.vars)
 
 
 def _weight_order(w):

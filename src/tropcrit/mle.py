@@ -141,6 +141,8 @@ def _data_entries(data, unknowns):
     variables, polynomials over one data ring add that ring's."""
     if isinstance(data[0], Polynomial):
         ring = tuple(unknowns) + data[0].vars
+        if len(set(ring)) < len(ring):
+            raise ValueError(f"unknowns {unknowns} share a name with the data ring")
         return ring, [a.extend_ring(ring) for a in data]
     ring = tuple(unknowns)
     return ring, [Polynomial.constant(Fraction(a), ring) for a in data]

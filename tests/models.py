@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from tropcrit.arrangement import Arrangement, matroid_flats
+from tropcrit.asymptotics import _rescale
 from tropcrit.groebner import (
     Ideal,
     Job,
@@ -290,6 +291,19 @@ def initial_by_fresh_run(eng, w) -> Ideal:
     gh = _buchberger(list(eng.hgens), order, Job())
     vars = eng.ideal.vars
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
+
+
+def rescaled_system(system, valuations):
+    """(rescaled equations, ring, rescaled saturators) of a system along a
+    data curve under the valuation ansatz (zero for ``None``): ``_rescale``
+    of the equations and of the saturators, leaving out the constant
+    ones."""
+    ring = system.ring
+    valuations = valuations or (0,) * len(system.unknowns)
+    extra = [
+        g for g in _rescale(system.saturators, ring, valuations) if not g.is_constant()
+    ]
+    return _rescale(system.equations, ring, valuations), ring, extra
 
 
 def product_saturation(equations, ring, extra):

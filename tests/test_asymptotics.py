@@ -1,3 +1,4 @@
+import contextvars
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from models import (
     conic_spec,
     four_lines_spec,
     product_saturation,
+    rescaled_system,
 )
 from tropcrit import groebner
 from tropcrit import asymptotics, series
@@ -21,10 +23,10 @@ from tropcrit.asymptotics import (
     DataCurve,
     _abs_env,
     _abs_poly,
+    _ansatz,
     _hensel,
     _layer_solved,
     _num_inverse,
-    _rescaled_system,
     _saturated_equations,
     _square_subsystem,
     branch_seeds,
@@ -133,15 +135,13 @@ def test_saturated_equations_takes_two_cheaper_groebner_runs(monkeypatch):
         runs.append(order)
         return real(gens, order, budget)
 
-    rescaled, ring, extra, _ = _rescaled_system(
-        conic_system(), (-1, -1)
-    )
+    rescaled, ring, extra = rescaled_system(conic_system(), (-1, -1))
     assert len(extra) == 3
     with Job() as product_job:
         want = product_saturation(rescaled, ring, extra)
     monkeypatch.setattr(groebner, "_buchberger", counting)
     with Job() as job:
-        got = _saturated_equations(rescaled, ring, extra)
+        got = list(_saturated_equations(rescaled, ring, extra).gens)
     assert len(runs) <= 2
     assert job.steps < product_job.steps
     assert got == want
@@ -188,9 +188,9 @@ def test_saturated_equations_match_product_route(
     curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
     system = critical_system(spec, curve.components)
     with Job():
-        rescaled, ring, extra, _ = _rescaled_system(system, valuations)
+        rescaled, ring, extra = rescaled_system(system, valuations)
         want = product_saturation(rescaled, ring, extra)
-        assert _saturated_equations(rescaled, ring, extra) == want
+        assert list(_saturated_equations(rescaled, ring, extra).gens) == want
 
 
 def test_conic_escaping_branch_leading_coefficients():
@@ -228,6 +228,47 @@ def test_valuation_vector_orthogonal_to_limit_data():
     )
     vv = valuation_vector(sol, conic_spec())
     assert sum(a * v for a, v in zip(alpha0, vv)) == 0
+
+
+def test_branches_runs_as_many_groebner_runs_outside_a_job(monkeypatch):
+    # outside a job each current_job() call is a fresh job with empty memo
+    # tables; branches makes the job it runs in, so its memos hit as they
+    # do inside one job
+    runs = []
+    real = groebner._buchberger
+
+    def counting(gens, order, budget):
+        runs.append(order)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    rays = [Ray(v) for v in sorted(CONIC_RAYS)]
+    # an empty context has no current job, unlike this module's tests
+    contextvars.Context().run(branches, conic_spec(), conic_curve(), rays)
+    outside = len(runs)
+    runs.clear()
+    with Job():
+        branches(conic_spec(), conic_curve(), rays)
+    assert outside == len(runs)
+
+
+def test_branches_saturates_once_in_the_curve_ring(monkeypatch):
+    # the interior and the escaping ansatz both read the one saturation of
+    # the conic's critical system in (x, y, t); the layers are saturated by
+    # the torus of (x, y) alone
+    rings = []
+    real = asymptotics.saturate
+
+    def recording(ideal, f):
+        rings.append(ideal.vars)
+        return real(ideal, f)
+
+    monkeypatch.setattr(asymptotics, "saturate", recording)
+    rays = [Ray(v) for v in sorted(CONIC_RAYS)]
+    with Job():
+        found, _ = branches(conic_spec(), conic_curve(), rays)
+    assert len(found) == 3
+    assert rings.count(("x", "y", CURVE_VAR)) == 1
 
 
 def test_branch_count_matches_ml_degree():
@@ -386,15 +427,12 @@ def conic_lift_cases():
 def lift_outcome(lift, seed, valuations, order):
     """Coefficients of the lift on the system series_newton_lift hands to
     _hensel for this seed, or the message of its NoConvergence."""
-    rescaled, ring, extra, _ = _rescaled_system(conic_system(), valuations)
+    system = conic_system()
+    equations, _, _ = _ansatz(system, valuations)
     exact = all(isinstance(x, Fraction) for x in seed)
-    if (
-        not _layer_solved(rescaled, ring, seed, exact)
-        or _square_subsystem(rescaled, ring, seed, exact)[0] is None
-    ):
-        rescaled = _saturated_equations(rescaled, ring, extra)
+    assert _layer_solved(equations, system.ring, seed, exact)
     try:
-        return lift(rescaled, ring, seed, order, exact)
+        return lift(equations, system.ring, seed, order, exact)
     except NoConvergence as exc:
         return str(exc)
 

@@ -220,14 +220,17 @@ def test_report_runs_no_buchberger_on_a_reduced_basis(monkeypatch, capsys):
 
     monkeypatch.setattr(groebner, "_buchberger", recording)
     assert main(["report", "--spec", fixture("four_lines.json")]) == EXIT_OK
+    conic = ["--spec", fixture("conic_model.json"), "--bound", "2"]
+    conic += ["--curve", fixture("conic_curve.json")]
+    assert main(["asymptotics", *conic]) == EXIT_OK
     assert reruns == []
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
-    # the run takes exactly 551 reduction steps; reducing other pairs, or
+    # the run takes exactly 297 reduction steps; reducing other pairs, or
     # the same pairs in another order, or saturating by another chain of
-    # runs or without first dividing out monomial factors, moves the
-    # boundary
+    # runs or without first dividing out monomial factors, or saturating
+    # the curve's critical system more than once, moves the boundary
     args = [
         "asymptotics",
         "--spec",
@@ -237,8 +240,8 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
         "--bound",
         "2",
     ]
-    assert main(args + ["--budget", "551"]) == EXIT_OK
-    assert main(args + ["--budget", "550"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "297"]) == EXIT_OK
+    assert main(args + ["--budget", "296"]) == EXIT_RESOURCE
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
@@ -573,6 +576,44 @@ def test_asymptotics_on_a_laurent_parametrization(capsys, tmp_path):
     [s] = branch["series"]
     values = [c["value"] for c in s["coefficients"]]
     assert values == ["-1"] + [str(-3 * 2 ** (k - 1)) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        pytest.param(
+            {"kind": "parametrization", "parameters": ["t"], "functions": ["t", "1-t"]},
+            "/parameters/0",
+            id="parameter",
+        ),
+        pytest.param(
+            {"kind": "ideal", "variables": ["x", "t"], "generators": ["x+t-1"]},
+            "/variables/1",
+            id="variable",
+        ),
+    ],
+)
+def test_asymptotics_rejects_an_unknown_named_t(capsys, tmp_path, spec, pointer):
+    # an unknown named t would share the ring variable of the data curve
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["1+t", "2-t"]}))
+    args = ["asymptotics", "--curve", str(curve), "--bound", "1", "--spec"]
+    assert main([*args, json.dumps(spec)]) == EXIT_VALIDATION
+    assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+def test_asymptotics_on_a_parameter_named_u(capsys, tmp_path):
+    # the control of the case above: (u, 1-u) has the one critical point
+    # u = a1/(a1+a2), along (1+t, 2-t) the exact branch (1+t)/3
+    spec = {"kind": "parametrization", "parameters": ["u"], "functions": ["u", "1-u"]}
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"components": ["1+t", "2-t"]}))
+    args = ["asymptotics", "--curve", str(curve), "--bound", "1"]
+    assert main([*args, "--spec", json.dumps(spec)]) == EXIT_OK
+    [branch] = json.loads(capsys.readouterr().out)["branches"]
+    assert branch["exact"]
+    [u] = branch["series"]
+    assert [c["value"] for c in u["coefficients"]] == ["1/3", "1/3"] + ["0"] * 7
 
 
 def test_env_var_budget(monkeypatch):

@@ -76,6 +76,13 @@ def test_conic_critical_system_along_curve_matches_displayed():
     assert 2 * eq1 == y * displayed1
 
 
+def test_data_ring_sharing_an_unknown_name_is_rejected():
+    # along a curve in x the conic's unknown x would double as its variable
+    curve = [poly_parse(a, ("x",)) for a in ("2+x", "1+x", "-3/2")]
+    with pytest.raises(ValueError, match="share a name"):
+        critical_system(conic_spec(), curve)
+
+
 def test_monomial_tuple_has_no_critical_points():
     # F = (x) on the punctured line: dlog never vanishes
     spec = VarietySpec(kind="parametrization", functions=[poly_parse("x", ("x",))])

@@ -17,13 +17,18 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from models import (
+    COIN_RAYS,
     CONIC_RAYS,
+    FOUR_LINES_RAYS,
+    coin_spec,
     conic_spec,
     essential_arrangements,
     five_lines_arrangement,
     four_lines_arrangement,
     four_lines_ideal_spec,
+    four_lines_spec,
     initial_by_fresh_run,
+    rescaled_system,
     substitute,
     symbolic_data,
 )
@@ -35,8 +40,9 @@ from tropcrit.arrangement import (
 )
 from tropcrit.asymptotics import (
     DataCurve,
-    _rescaled_system,
+    _ansatz,
     _saturated_equations,
+    _unknown_valuations,
 )
 from tropcrit.groebner import (
     GroebnerBasis,
@@ -44,6 +50,7 @@ from tropcrit.groebner import (
     Job,
     _saturate_single,
     groebner_basis,
+    ideal_equal,
     quotient_basis,
     saturate,
     solve_zero_dim_numeric,
@@ -302,7 +309,7 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
     value[pivot] = -sum(value[i] * ray[i] for i in range(3) if i != pivot) / ray[pivot]
     curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
     system = critical_system(conic_spec(), curve.components)
-    rescaled, ring, extra, _ = _rescaled_system(system, ray[:2])
+    rescaled, ring, extra = rescaled_system(system, ray[:2])
     # the chain: t, then every unknown, then every saturator
     chain = Ideal(rescaled, ring)
     for name in ring[-1:] + ring[:-1]:
@@ -310,7 +317,68 @@ def test_saturated_equations_match_chain_on_generated_conic_curves(
     for f in extra:
         chain = chain_saturation(chain, f)
     with Job():
-        assert _saturated_equations(rescaled, ring, extra) == list(chain.gens)
+        assert _saturated_equations(rescaled, ring, extra).gens == chain.gens
+
+
+def t0_part(equations, unknowns):
+    """The nonzero t^0 parts of equations in (unknowns, t)."""
+    layer = []
+    for g in equations:
+        terms = {e[:-1]: c for e, c in g.terms.items() if e[-1] == 0}
+        if terms:
+            layer.append(Polynomial(terms, unknowns))
+    return layer
+
+
+def on_torus(layer, unknowns):
+    """The layer's ideal saturated by the torus of the unknowns."""
+    torus = Polynomial({(1,) * len(unknowns): Fraction(1)}, unknowns)
+    return saturate(Ideal(layer, unknowns), torus)
+
+
+@pytest.mark.parametrize(
+    "spec, rays",
+    [
+        (conic_spec(), CONIC_RAYS),
+        (coin_spec(), COIN_RAYS),
+        (four_lines_spec(), FOUR_LINES_RAYS),
+    ],
+    ids=["conic", "coin", "four_lines"],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ansatz_layer_matches_a_saturation_per_ansatz(spec, rays, data):
+    # the t = 0 layer of one ansatz by the route that saturates the
+    # rescaled system on its own (rescale, saturate by the torus of
+    # (unknowns, t) and the rescaled saturators, take the t^0 part) equals
+    # the t^0 part of the rescaled cone basis of the curve's critical
+    # ideal, both on the torus of the unknowns.  A linear data curve that
+    # enters a ray's slope hyperplane at t = 0 adds the ray's ansatz, whose
+    # layer has points on the torus; most other layers are the unit ideal
+    p, n = spec.p, len(spec.unknowns)
+    value = data.draw(st.lists(st.integers(-6, 6), min_size=p, max_size=p))
+    value = [Fraction(a) for a in value]
+    velocity = data.draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    weights = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3, unique=True
+        )
+    )
+    ray = data.draw(st.none() | st.sampled_from(sorted(rays)))
+    if ray is not None:
+        pivot = next(i for i, x in enumerate(ray) if x)
+        rest = sum(value[i] * ray[i] for i in range(p) if i != pivot)
+        value[pivot] = -rest / ray[pivot]
+        weights.append(_unknown_valuations(spec, ray)[0])
+    curve = DataCurve.parse([f"{a}+({b})*t" for a, b in zip(value, velocity)])
+    system = critical_system(spec, curve.components)
+    unknowns = system.unknowns
+    with Job():
+        for w in weights:
+            rescaled, ring, extra = rescaled_system(system, w)
+            old = t0_part(_saturated_equations(rescaled, ring, extra).gens, unknowns)
+            _, layer, _ = _ansatz(system, w)
+            assert ideal_equal(on_torus(old, unknowns), on_torus(layer, unknowns))
 
 
 _XY = ("x", "y")
