@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotCentral
-from .linalg import make_primitive, rank
+from .groebner import current_job
+from .linalg import make_primitive, rank, rref
 from .rings import Polynomial
 from .tropical import Ray
 
@@ -28,6 +29,14 @@ class Flat:
 
     def key(self):
         return (self.rank, tuple(sorted(self.members)))
+
+
+def hyperplane_key(coeffs, const):
+    """The functional a.x + c scaled so that its first nonzero coefficient
+    is 1: proportional functionals, which cut out one hyperplane, share
+    it."""
+    lead = Fraction(next(a for a in coeffs if a))
+    return tuple(a / lead for a in coeffs) + (const / lead,)
 
 
 class Arrangement:
@@ -46,18 +55,19 @@ class Arrangement:
             nvars = len(rows[0][0]) if rows else 0
         self.nvars = nvars
         self.vars = tuple(vars) if vars else tuple(f"x{i+1}" for i in range(nvars))
-        for i, (coeffs, _) in enumerate(rows):
+        hyperplanes = {}
+        for i, (coeffs, const) in enumerate(rows):
             if len(coeffs) != nvars:
                 raise ValueError("functional length does not match nvars")
             if not any(coeffs):
                 raise ValueError(f"functional {i} must involve the variables")
-        for (i, (a1, c1)), (j, (a2, c2)) in combinations(enumerate(rows), 2):
-            m1 = [list(a1) + [c1]]
-            m2 = [list(a2) + [c2]]
-            if rank(m1 + m2) == 1:
-                raise ValueError(
-                    f"functionals {i} and {j} are proportional, which is not allowed"
-                )
+            hyperplanes.setdefault(hyperplane_key(coeffs, const), []).append(i)
+        repeats = [tuple(ix[:2]) for ix in hyperplanes.values() if len(ix) > 1]
+        if repeats:
+            i, j = min(repeats)
+            raise ValueError(
+                f"functionals {i} and {j} are proportional, which is not allowed"
+            )
         self.rows = rows
         self.projective_closure = bool(projective_closure)
 
@@ -123,23 +133,49 @@ def _closure(vectors, subset):
     return frozenset(closed)
 
 
+def _reduce_by(echelon, v):
+    """v minus its multiples of the reduced echelon rows (row, pivot): zero
+    exactly when v lies in their span, and the same vector for every v of
+    one coset of the span."""
+    for row, c in echelon:
+        x = v[c]
+        if x:
+            v = [a - x * b for a, b in zip(v, row)]
+    return v
+
+
 def matroid_flats(vectors):
-    """All flats of the linear matroid, as Flat records."""
-    n = len(vectors)
-    bottom = _closure(vectors, [])
-    flats = {bottom: _subset_rank(vectors, bottom)}
+    """All flats of the linear matroid, as Flat records.
+
+    Rank by rank from the loops up: each flat F takes one reduced echelon
+    form of its vectors (one step of the current job), reduces every
+    vector outside F modulo their span, and the vectors whose residues
+    are parallel form, with F, one flat covering F.
+    """
+    job = current_job()
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
+    flats = {bottom: 0}
     frontier = [bottom]
+    r = 0
     while frontier:
         nxt = []
         for F in frontier:
-            for e in range(n):
-                if e in F:
-                    continue
-                G = _closure(vectors, list(F) + [e])
+            job.tick()
+            echelon = list(zip(*rref([vectors[i] for i in sorted(F)])))
+            covers = {}
+            for i, v in enumerate(vectors):
+                if i not in F:
+                    res = _reduce_by(echelon, v)
+                    lead = next(x for x in res if x)
+                    covers.setdefault(tuple(x / lead for x in res), set()).add(i)
+            for extra in covers.values():
+                G = F | extra
                 if G not in flats:
-                    flats[G] = _subset_rank(vectors, G)
+                    flats[G] = r + 1
                     nxt.append(G)
         frontier = nxt
+        r += 1
     return sorted(
         (Flat(members=F, rank=r) for F, r in flats.items()),
         key=lambda f: f.key(),

@@ -629,6 +629,18 @@ def build_parser():
         "series asymptotics and LCT facet tests for very affine varieties",
     )
     parser.add_argument("--schema", action="store_true", help="print the JSON schemas and exit")
+    # one declaration of the options every command shares
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--spec", required=True, help="spec file path or inline JSON")
+    common.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    common.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common.add_argument("--budget", type=int, default=None)
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    common.add_argument("--out", default=None)
+    common.add_argument("--curve", default=None, help="data curve JSON (asymptotics)")
+    common.add_argument("--bs-fixture", default=None, help="external factor list JSON")
+    common.add_argument("--k", default=None, help="discrepancy map JSON (lct)")
     sub = parser.add_subparsers(dest="command")
     for name, doc in [
         ("rigid-rays", "exhaustive rigid-ray search within the bound"),
@@ -640,17 +652,7 @@ def build_parser():
         ("lct", "LCT-polytope facet predicate per nonnegative ray"),
         ("report", "full pipeline"),
     ]:
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--spec", required=True, help="spec file path or inline JSON")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-        p.add_argument("--out", default=None)
-        p.add_argument("--curve", default=None, help="data curve JSON (asymptotics)")
-        p.add_argument("--bs-fixture", default=None, help="external factor list JSON")
-        p.add_argument("--k", default=None, help="discrepancy map JSON (lct)")
+        sub.add_parser(name, help=doc, parents=[common])
     return parser
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import cos, gcd, lcm, pi, sin
+from math import cos, gcd, pi, sin
 from operator import add, le, mul, sub
 from random import Random
 
@@ -46,6 +46,7 @@ from .linalg import complex_gauss_jordan, mat_vec, nullspace, rref, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
+    _integral,
     block_order,
     grlex,
     mono_div,
@@ -143,13 +144,6 @@ def current_job() -> Job:
     """The job of the innermost enclosing ``with Job(...)``, else a fresh
     one (so calls outside a job keep a per-call default budget)."""
     return _CURRENT_JOB.get() or Job()
-
-
-def _integral(terms):
-    """(integer terms, d): the coefficients times their common
-    denominator d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
 def _primitive(terms, lt):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, chi_complement, hyperplane_key
 from .errors import (
     DegenerateSample,
     MLDegreeNotOne,
@@ -160,12 +160,12 @@ def _dlog_system(spec, data):
     for f in reversed(fs):
         suffix.append(suffix[-1] * f)
     suffix.reverse()
+    others = [prefix[i] * suffix[i + 1] for i in range(len(fs))]
     equations = []
     for x in unknowns:
         eq = Polynomial.zero(ring)
         for i, f in enumerate(fs):
-            others = prefix[i] * suffix[i + 1]
-            eq = eq + alphas[i] * f.derivative(x) * others
+            eq = eq + alphas[i] * f.derivative(x) * others[i]
         equations.append(eq)
     return CriticalSystem(
         equations=equations,
@@ -268,10 +268,10 @@ def sample_alpha(p, rng: Random):
 def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
     """Reduced grlex basis of the system's ideal with every saturator made
     invertible: one ``saturate`` by the product of the saturators, whose
-    policy splits off their monomial part (a constant saturator, such as
-    a coordinate fixed on a linear stratum, is a unit already).  Counts
-    pass rational data, so the ring holds only the unknowns; the
-    likelihood correspondence passes the s-variables, which stay free.
+    policy splits off their monomial part (a constant saturator is a
+    unit already).  Counts pass rational data, so the ring holds only the
+    unknowns; the likelihood correspondence passes the s-variables, which
+    stay free.
     """
     product = Polynomial.constant(1, system.ring)
     for f in system.saturators:
@@ -313,35 +313,46 @@ def ml_degree(spec: VarietySpec) -> int:
     )
 
 
-def _linear_parametrization(G: GroebnerBasis) -> VarietySpec:
-    """The linear space V(G) of a reduced grlex basis of degree one,
-    parametrized by its own coordinates: the variables that lead no
-    element are the parameters, and each leading variable is the affine
-    expression in them that its element sets it to."""
+def _linear_arrangement(G: GroebnerBasis) -> Arrangement:
+    """The hyperplanes that the coordinates cut out of the linear space
+    V(G) of a reduced grlex basis of degree one, in the space's own
+    coordinates: the variables that lead no element.  Each leading
+    variable is the affine function of them that its element sets it to.
+    A constant coordinate cuts out nothing, and proportional coordinates
+    cut out one hyperplane, which is kept once."""
     leading = {lt.index(1): g for lt, g in zip(G.leading_terms, G.gens)}
-    params = tuple(v for i, v in enumerate(G.vars) if i not in leading)
-    functions = []
-    for i, v in enumerate(G.vars):
-        x = Polynomial.variable(v, G.vars)
+    free = [i for i in range(G.nvars) if i not in leading]
+    column = {j: k for k, j in enumerate(free)}
+    rows = {}
+    for i in range(G.nvars):
+        coeffs = [Fraction(0)] * len(free)
+        const = Fraction(0)
         if i in leading:
-            x = x - leading[i]
-        functions.append(x.restrict_ring(params))
-    return VarietySpec(kind="parametrization", functions=functions, coordinates=G.vars)
+            for e, c in leading[i].terms.items():
+                if not any(e):
+                    const = -c
+                elif e.index(1) != i:
+                    coeffs[column[e.index(1)]] = -c
+        else:
+            coeffs[column[i]] = Fraction(1)
+        if any(coeffs):
+            rows.setdefault(hyperplane_key(coeffs, const), (coeffs, const))
+    return Arrangement(list(rows.values()), nvars=len(free))
 
 
 def torus_euler_characteristic(ideal: Ideal) -> int:
-    """Signed-count Euler characteristic of V(ideal) on the torus.
+    """Euler characteristic of V(ideal) on the torus, from its saturation
+    G by the torus monomial.
 
-    Zero-dimensional loci are counted directly; otherwise the generic
-    critical-point count of the coordinate tuple is used, with sign
-    (-1)^dim.  Assumes the usual smoothness caveats.
-
-    The count is the ML degree of the saturated ideal G, which depends on
-    the variety only (Huh 2013), so any presentation may count it.  When
-    G is linear, the critical points are counted in the linear space's
-    own coordinates (``_linear_parametrization``): the dlog system in its
-    d parameters replaces the minors system of G in all p torus
-    coordinates.
+    A linear G of dimension d > 0 cuts out the complement of the affine
+    hyperplanes its coordinates vanish on (``_linear_arrangement``), whose
+    topological Euler characteristic is the Moebius sum
+    ``chi_complement`` of their intersection lattice.  A zero-dimensional
+    G counts the length of its quotient, multiplicity included: the
+    scheme length, which is the topological count only when G is
+    radical.  Otherwise the count is (-1)^d times the ML degree of G,
+    which depends on the variety only (Huh 2013), assuming the usual
+    smoothness caveats.
     """
     G, d = _torus_saturation(ideal)
     if G.is_zero:
@@ -351,10 +362,8 @@ def torus_euler_characteristic(ideal: Ideal) -> int:
     if d == 0:
         return len(quotient_basis(G))
     if all(g.total_degree() <= 1 for g in G.gens):
-        spec = _linear_parametrization(G)
-    else:
-        spec = VarietySpec(kind="ideal", ideal=G)
-    count = ml_degree(spec)
+        return chi_complement(_linear_arrangement(G))
+    count = ml_degree(VarietySpec(kind="ideal", ideal=G))
     return count if d % 2 == 0 else -count
 
 

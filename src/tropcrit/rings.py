@@ -12,6 +12,7 @@ memoizes the keys of the monomials it has compared.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul, sub
 
 from .errors import DimensionMismatch, PolyParseError
@@ -91,6 +92,13 @@ def block_order(nvars, blocks) -> TermOrder:
         if k < len(blocks) - 1:
             rows.extend(tuple(int(i == j) for i in range(nvars)) for j in blk)
     return TermOrder(rows)
+
+
+def _integral(terms):
+    """(integer terms, d): the coefficients times their common
+    denominator d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
 def _as_fraction(c):
@@ -231,17 +239,22 @@ class Polynomial:
             out.vars = self.vars
             return out
         self._check(other)
+        # convolve integer numerators over one common denominator per
+        # operand; a running sum vanishes exactly when the rational one does
+        left, d1 = _integral(self.terms)
+        right, d2 = _integral(other.terms)
         res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 e = mono_mul(e1, e2)
-                s = res.get(e, Fraction(0)) + c1 * c2
+                s = res.get(e, 0) + c1 * c2
                 if s:
                     res[e] = s
                 else:
                     res.pop(e, None)
+        d = d1 * d2
         out = Polynomial.__new__(Polynomial)
-        out.terms = res
+        out.terms = {e: Fraction(c, d) for e, c in res.items()}
         out.vars = self.vars
         return out
 

@@ -277,8 +277,8 @@ def stratum_model(ideal: Ideal, ray: Ray) -> Ideal:
 
 
 def stratum_euler_char(ideal: Ideal, ray: Ray) -> int:
-    """Euler characteristic of the open boundary stratum of the ray,
-    via the signed generic critical-point count on the stratum."""
+    """Euler characteristic of the open boundary stratum of the ray, as
+    ``torus_euler_characteristic`` counts it."""
     from .mle import torus_euler_characteristic
 
     return torus_euler_characteristic(stratum_model(ideal, ray))

@@ -199,6 +199,30 @@ def essential_arrangements(min_lines=4, max_lines=5):
     )
 
 
+@st.composite
+def linear_ideals(draw):
+    """Strategy: linear ideals in 3-4 torus coordinates t1, t2, .. whose
+    linear space has dimension 1-2 and meets the torus.  The first d
+    coordinates of a drawn order are free; every other one is an affine
+    function of them, coefficients in [-2, 2], with a nonzero constant when
+    its linear part vanishes, so constant coordinates and coordinates
+    proportional to one another both occur."""
+    p = draw(st.integers(3, 4))
+    d = draw(st.integers(1, 2))
+    order = draw(st.permutations(range(p)))
+    names = tuple(f"t{i+1}" for i in range(p))
+    free = [Polynomial.variable(names[j], names) for j in order[:d]]
+    gens = []
+    for k in order[d:]:
+        b = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        c = draw(st.integers(-2, 2).filter(bool) if not any(b) else st.integers(-2, 2))
+        g = Polynomial.variable(names[k], names) - Polynomial.constant(c, names)
+        for bj, x in zip(b, free):
+            g = g - bj * x
+        gens.append(g)
+    return Ideal(gens, names)
+
+
 # -- brute-force poset-product oracle ------------------------------------------------
 
 

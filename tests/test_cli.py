@@ -245,11 +245,12 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
-    # the four_lines report takes exactly 199 steps: the reductions of its
-    # Groebner runs plus one per pivot of each linear saturation
+    # the four_lines report takes exactly 201 steps: the reductions of its
+    # Groebner runs, one per pivot of each linear saturation, and one per
+    # echelon form of a flat in the lattices of the linear strata (30)
     args = ["report", "--spec", fixture("four_lines.json")]
-    assert main(args + ["--budget", "199"]) == EXIT_OK
-    assert main(args + ["--budget", "198"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "201"]) == EXIT_OK
+    assert main(args + ["--budget", "200"]) == EXIT_RESOURCE
 
 
 def test_mle_rays_not_summing_to_zero_within_bound(capsys):
@@ -374,6 +375,35 @@ def test_non_string_polynomial_rejected(capsys, spec, pointer):
     code = main(["rigid-rays", "--spec", json.dumps(spec), "--bound", "1"])
     assert code == EXIT_VALIDATION
     assert f"[at {pointer}]" in capsys.readouterr().err
+
+
+def test_every_command_takes_the_same_options_and_defaults():
+    parser = cli.build_parser()
+    defaults = {
+        "schema": False,
+        "spec": "s.json",
+        "bound": cli.DEFAULT_BOUND,
+        "order": cli.DEFAULT_ORDER,
+        "seed": groebner.DEFAULT_SEED,
+        "budget": None,
+        "precision": cli.DEFAULT_PRECISION,
+        "out": None,
+        "curve": None,
+        "bs_fixture": None,
+        "k": None,
+    }
+    given = ["--bound", "1", "--order", "2", "--seed", "3", "--budget", "4"]
+    given += ["--precision", "5", "--out", "o", "--curve", "c"]
+    given += ["--bs-fixture", "b", "--k", "k"]
+    values = dict(defaults, bound=1, order=2, seed=3, budget=4, precision=5)
+    values.update(out="o", curve="c", bs_fixture="b", k="k")
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert len(commands) == 8
+    for name in commands:
+        args = vars(parser.parse_args([name, "--spec", "s.json"]))
+        assert args == dict(defaults, command=name)
+        args = vars(parser.parse_args([name, "--spec", "s.json", *given]))
+        assert args == dict(values, command=name)
 
 
 def test_proportional_arrangement_rows_rejected(capsys):

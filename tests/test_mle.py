@@ -18,6 +18,7 @@ from models import (
     four_lines_arrangement,
     four_lines_ideal_spec,
     four_lines_spec,
+    linear_ideals,
     symbolic_data,
 )
 from tropcrit.arrangement import chi_complement
@@ -27,7 +28,6 @@ from tropcrit import groebner, mle
 from tropcrit.groebner import Ideal, Job, _saturate_single, groebner_basis
 from tropcrit.mle import (
     VarietySpec,
-    _linear_parametrization,
     _torus_saturation,
     critical_system,
     ml_degree,
@@ -303,37 +303,58 @@ def test_torus_euler_characteristic_saturates_once(monkeypatch):
 
 
 def test_linear_torus_euler_characteristic_saturates_each_pair_once(monkeypatch):
-    # a linear ideal is counted by the dlog system of its parametrization,
-    # which saturates by one coordinate function after another, each on the
-    # last result: still no (ideal, saturator) pair twice, and one
-    # dimension count
+    # a linear ideal is counted by the Moebius sum of the hyperplanes that
+    # its coordinates cut out of the linear space: the torus saturation is
+    # the one saturation, and no critical points are counted
     saturations, dimensions = _record_saturations(monkeypatch)
+    counted = []
+    monkeypatch.setattr(mle, "ml_degree", counted.append)
+    ideal = four_lines_ideal_spec().ideal
     with Job():
-        chi = torus_euler_characteristic(four_lines_ideal_spec().ideal)
+        chi = torus_euler_characteristic(ideal)
     assert chi == chi_complement(four_lines_arrangement())
-    pairs = [(gens, f) for gens, f, _ in saturations]
-    assert len(pairs) > 1 and len(pairs) == len(set(pairs))
+    torus = Polynomial({(1,) * ideal.nvars: Fraction(1)}, ideal.vars)
+    assert [(gens, f) for gens, f, _ in saturations] == [(ideal.gens, torus)]
+    assert counted == []
     assert len(dimensions) == 1
+
+
+def _assert_linear_count(ideal):
+    # the saturated ideal G is linear and positive-dimensional, and its
+    # Moebius count is (-1)^d times the ML degree of G, counted by the
+    # Groebner route: the minors system of G at sampled data
+    G, d = _torus_saturation(ideal)
+    assert d > 0 and all(g.total_degree() <= 1 for g in G.gens)
+    count = ml_degree(VarietySpec(kind="ideal", ideal=G))
+    assert torus_euler_characteristic(ideal) == (-1) ** d * count
+
+
+LINEAR_VARS = ("t1", "t2", "t3", "t4")
 
 
 @pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
 @settings(max_examples=20, deadline=None)
-@given(arr=essential_arrangements())
-@example(arr=four_lines_arrangement())
-@example(arr=five_lines_arrangement())
-def test_linear_stratum_count_matches_ideal_count(arr):
-    # on every rigid-ray stratum of an arrangement the saturated ideal G is
-    # linear and positive-dimensional, and the critical points counted in
-    # its own coordinates number ml_degree of G itself
+@given(arr=essential_arrangements(), linear=linear_ideals())
+@example(
+    # a constant coordinate t2 and t4 = 2*t3: two coordinates, one hyperplane
+    arr=four_lines_arrangement(),
+    linear=Ideal([poly_parse(g, LINEAR_VARS) for g in ["t2+2", "t3-t1-1", "t4-2*t1-2"]]),
+)
+@example(
+    # t3 = -2*t1 is proportional to the free coordinate t1
+    arr=five_lines_arrangement(),
+    linear=Ideal([poly_parse(g, LINEAR_VARS[:3]) for g in ["t3+2*t1", "t2-t1+1"]]),
+)
+def test_linear_stratum_count_matches_ideal_count(arr, linear):
+    # every rigid-ray stratum of an arrangement and a generated linear
+    # ideal: the Moebius count against the critical-point count of G
     ideal = VarietySpec(kind="arrangement", arrangement=arr).to_ideal()
     with Job():
         rays = find_rigid_rays(ideal, bound=1)
         assert rays
         for ray in rays:
-            G, d = _torus_saturation(stratum_model(ideal, ray))
-            assert d > 0 and all(g.total_degree() <= 1 for g in G.gens)
-            parametrized = ml_degree(_linear_parametrization(G))
-            assert parametrized == ml_degree(VarietySpec(kind="ideal", ideal=G))
+            _assert_linear_count(stratum_model(ideal, ray))
+        _assert_linear_count(linear)
 
 
 # -- closed-form estimators ---------------------------------------------------------------
