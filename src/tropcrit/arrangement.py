@@ -144,13 +144,17 @@ def _reduce_by(echelon, v):
     return v
 
 
-def matroid_flats(vectors):
-    """All flats of the linear matroid, as Flat records.
+def matroid_flats(vectors, avoid=None):
+    """All flats of the linear matroid, as Flat records; with ``avoid``,
+    only those that do not hold the vector at that index.
 
     Rank by rank from the loops up: each flat F takes one reduced echelon
     form of its vectors (one step of the current job), reduces every
     vector outside F modulo their span, and the vectors whose residues
-    are parallel form, with F, one flat covering F.
+    are parallel form, with F, one flat covering F.  Every flat above one
+    that holds ``avoid`` holds it too, and every flat that does not is
+    reached from a flat below it that does not, so a cover holding
+    ``avoid`` is dropped unexpanded.
     """
     job = current_job()
     vectors = [[Fraction(x) for x in v] for v in vectors]
@@ -171,7 +175,7 @@ def matroid_flats(vectors):
                     covers.setdefault(tuple(x / lead for x in res), set()).add(i)
             for extra in covers.values():
                 G = F | extra
-                if G not in flats:
+                if avoid not in G and G not in flats:
                     flats[G] = r + 1
                     nxt.append(G)
         frontier = nxt
@@ -222,8 +226,7 @@ def intersection_lattice(arr: Arrangement):
     flat meets the affine chart, and its rank is its codimension there.
     """
     vectors = arr.homogenized_vectors()
-    infinity = len(vectors) - 1
-    return [f for f in matroid_flats(vectors) if infinity not in f.members]
+    return matroid_flats(vectors, avoid=len(vectors) - 1)
 
 
 def flacets(arr: Arrangement):

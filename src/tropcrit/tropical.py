@@ -9,10 +9,19 @@ as the hyperplanes orthogonal to the rays.
 trop(I) lies in the tropical prevariety of every finite subset of I
 (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.2), so a weight
 at which one known element of I has a unique w-minimal term is outside
-trop(I): that term's monomial is in init_w(I).  Membership screens every
-weight this way against the base Groebner basis and the generators of I
-before any Groebner-cone lookup.  The test is one-sided: a weight it
-passes still gets the exact answer.
+trop(I): that term's monomial is in init_w(I).  Such an element, a
+witness, takes its minimum twice only on the hyperplanes w.(a - b) = 0,
+one per pair of its terms a, b.  The ray search therefore enumerates the
+box's lattice points on intersections of these hyperplanes, one pair per
+chosen witness, and screens only them against every witness; no Groebner
+run is involved.  The screen is one-sided: a weight it passes still gets
+the exact answer.
+
+Every term of an initial form at w is the leading monomial m or a term
+whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
+the tied differences of w's Groebner face grades init_w(I).  A face whose
+tied differences leave two or more dimensions holds no rigid ray, and the
+search runs membership and rigidity only on the other faces.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 from .errors import NotInTropicalVariety
@@ -33,6 +42,7 @@ from .groebner import (
 )
 from .linalg import (
     make_primitive,
+    rank,
     unimodular_completion,
     vec_gcd,
 )
@@ -110,6 +120,62 @@ def _term_differences(g: Polynomial) -> tuple:
     return tuple(tuple(x - y for x, y in zip(e, first)) for e in rest)
 
 
+def _pair_normals(diffs) -> tuple:
+    """The normals of the hyperplanes w.(a - b) = 0, one per pair of terms
+    a, b of a witness stored as ``_term_differences``, each primitive and
+    sign-normalized, without repeats."""
+    normals = set(diffs)
+    normals.update(tuple(x - y for x, y in zip(a, b)) for a, b in combinations(diffs, 2))
+    return tuple(sorted({_sign_normalize(make_primitive(n)) for n in normals}))
+
+
+def _meet(space, normal) -> tuple:
+    """The subspace of ``space`` on the hyperplane normal.w = 0; ``space``
+    itself when it lies in that hyperplane.
+
+    A subspace is a tuple of (pivot, row) pairs sorted by pivot: its
+    reduced echelon rows, each a primitive integer row with a positive
+    pivot, which the subspace determines.  The normal is reduced modulo
+    the rows; what is left, if anything, is the new row, and its pivot is
+    cleared from the others.
+    """
+    for c, row in space:
+        if normal[c]:
+            normal = [row[c] * x - normal[c] * y for x, y in zip(normal, row)]
+    if not any(normal):
+        return space
+    normal = _sign_normalize(make_primitive(normal))
+    lead = next(i for i, x in enumerate(normal) if x)
+    a = normal[lead]
+    out = [(lead, normal)]
+    for c, row in space:
+        if row[lead]:
+            row = make_primitive([a * x - row[lead] * y for x, y in zip(row, normal)])
+        out.append((c, row))
+    return tuple(sorted(out))
+
+
+def _lattice_points(space, nvars, bound):
+    """The integer points of [-bound, bound]^nvars in a subspace as
+    ``_meet`` stores it.  The free coordinates range over the box; each
+    pivot coordinate follows by integer back-substitution, which must
+    divide out and stay in the box."""
+    pivots = {c for c, _ in space}
+    free = [i for i in range(nvars) if i not in pivots]
+    solved = [(c, row[c], [(f, -row[f]) for f in free if row[f]]) for c, row in space]
+    for values in product(range(-bound, bound + 1), repeat=len(free)):
+        w = [0] * nvars
+        for f, x in zip(free, values):
+            w[f] = x
+        for c, den, terms in solved:
+            q, r = divmod(sum(a * w[f] for f, a in terms), den)
+            if r or not -bound <= q <= bound:
+                break
+            w[c] = q
+        else:
+            yield tuple(w)
+
+
 class TropicalEngine:
     """Caches per-ideal work: the base Groebner basis and Groebner cones
     (in the initial-ideal engine), and membership and rigidity.
@@ -119,14 +185,16 @@ class TropicalEngine:
     (cone, tie pattern) pair of the initial-ideal engine, and init_w(I) is
     built only for a face not seen before.  The answers are keyed by the
     generator set of init_w(I), so two faces with the same initial ideal
-    share one saturation and one homogeneity-space run.
+    share one saturation and one homogeneity-space run.  The rank of each
+    face's tied differences is kept too, keyed by the face.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
     as the exponent differences of its terms to its first term.  If one
     witness has a unique minimal value of w.e over its terms, init_w(I)
     holds a monomial and w is outside trop(I), as ``_member`` would also
-    answer.  Only the weights that pass pay for a lookup.
+    answer.  Only the weights that pass pay for a lookup.  ``candidates``
+    lists the box weights that pass without trying the others.
     """
 
     def __init__(self, ideal: Ideal):
@@ -141,6 +209,7 @@ class TropicalEngine:
         self._faces = {}
         self._contains = {}
         self._rigid = {}
+        self._tie_ranks = {}
 
     @classmethod
     def of(cls, ideal: Ideal) -> "TropicalEngine":
@@ -183,6 +252,59 @@ class TropicalEngine:
                 return True
         return False
 
+    def candidates(self, bound: int) -> list:
+        """The primitive weights of the box [-bound, bound]^p that no
+        witness screens out, in the box's product order.
+
+        A witness passes w only if w lies on one of its pair hyperplanes,
+        so every weight that passes lies on a subspace that meets one such
+        hyperplane of each chosen witness.  The subspaces are kept as
+        ``_meet`` stores them; one that already lies in a hyperplane of the
+        witness stays whole.  A witness is chosen, those with fewer pairs
+        first, when it lowers the number of lattice points to enumerate,
+        the box side to the power of each subspace's dimension.  With no
+        witness chosen the one subspace is the whole box.  The points are
+        deduplicated, sorted and screened against every witness.
+        """
+        p = self.nvars
+        side = 2 * bound + 1
+        spaces = [()]
+        cost = side**p
+        for normals in sorted(map(_pair_normals, self._witnesses), key=lambda n: (len(n), n)):
+            trial = {}
+            trial_cost = 0
+            for space in spaces:
+                meets = [_meet(space, n) for n in normals]
+                for m in [space] if space in meets else meets:
+                    if m not in trial and len(m) < p:
+                        trial[m] = None
+                        trial_cost += side ** (p - len(m))
+                if trial_cost >= cost:
+                    break
+            if trial_cost < cost:
+                spaces, cost = list(trial), trial_cost
+        points = set()
+        for space in spaces:
+            points.update(_lattice_points(space, p, bound))
+        return [
+            w
+            for w in sorted(points)
+            if any(w) and vec_gcd(w) == 1 and not self._screened_out(w)
+        ]
+
+    def _may_be_rigid(self, w) -> bool:
+        """False when the tied differences of w's face leave two or more
+        dimensions; w must be nonzero.  Every u orthogonal to them grades
+        each initial form of the face's basis, so it lies in the
+        homogeneity space of init_w(I)."""
+        face = self.engine.face(w)
+        known = self._tie_ranks.get(face)
+        if known is None:
+            cone, ties = face
+            rows = [cone.weak[i] for i in ties]
+            known = self._tie_ranks[face] = rank(rows)
+        return self.nvars - known <= 1
+
     def contains(self, w) -> bool:
         if len(w) != self.nvars:
             raise ValueError("weight length does not match the ring")
@@ -213,24 +335,25 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     """All rigid rays with coordinates in [-bound, bound], exhaustively.
 
     Only primitive vectors are tested; the result is labeled exhaustive
-    within the bound (rays with larger coordinates are not found).
+    within the bound (rays with larger coordinates are not found).  The
+    weights tested are the engine's ``candidates``, the box weights in the
+    tropical prevariety of the witnesses.  A weight whose face leaves two
+    or more dimensions to its tied differences is not rigid and skips the
+    saturation and homogeneity-space runs; every ray found has both.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     eng = TropicalEngine.of(ideal)
-    p = ideal.nvars
     warnings.warn(
         "rigidity assumes connected boundary strata (not verified)",
         ConnectednessAssumed,
         stacklevel=2,
     )
-    rays = []
-    for w in product(range(-bound, bound + 1), repeat=p):
-        if not any(w) or vec_gcd(w) != 1:
-            continue
-        if eng.contains(w) and eng.is_rigid(w):
-            rays.append(Ray(v=w, rigid=True, source="searched"))
-    return sorted(rays, key=lambda r: r.v)
+    return [
+        Ray(v=w, rigid=True, source="searched")
+        for w in eng.candidates(bound)
+        if eng._may_be_rigid(w) and eng.contains(w) and eng.is_rigid(w)
+    ]
 
 
 def critical_slopes(rays) -> list:

@@ -8,6 +8,7 @@ line arrangements.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,11 +21,15 @@ from models import (
     COIN_RAYS,
     CONIC_RAYS,
     FOUR_LINES_RAYS,
+    coin_ideal,
     coin_spec,
+    conic_ideal,
     conic_spec,
     essential_arrangements,
     five_lines_arrangement,
+    five_lines_ideal,
     four_lines_arrangement,
+    four_lines_ideal,
     four_lines_ideal_spec,
     four_lines_spec,
     initial_by_fresh_run,
@@ -56,6 +61,7 @@ from tropcrit.groebner import (
     solve_zero_dim_numeric,
     squarefree_check,
 )
+from tropcrit.linalg import vec_gcd
 from tropcrit.mle import VarietySpec, critical_system, ml_degree
 from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
 from tropcrit.tropical import TropicalEngine, find_rigid_rays
@@ -696,6 +702,61 @@ def test_screened_membership_matches_fresh_route(ideal, data):
         for w in weights:
             J = initial_by_fresh_run(eng.engine, w)
             assert eng.contains(w) == (not saturate(J, eng.torus_monomial).is_unit)
+
+
+def search_ideals():
+    """Strategy: the ideals a ray search meets: nonlinear ideals, the torus
+    ideals of generated arrangements, and the fixture ideals."""
+    arrangements = essential_arrangements().map(
+        lambda arr: VarietySpec(kind="arrangement", arrangement=arr).to_ideal()
+    )
+    fixtures = st.sampled_from(
+        [coin_ideal, conic_ideal, four_lines_ideal, five_lines_ideal]
+    ).map(lambda make: make())
+    return st.one_of(nonlinear_ideals(), arrangements, fixtures)
+
+
+ZERO_IDEAL = Ideal([], _XYZ[:2])
+# a unit ideal whose generators alone screen out only part of the box
+UNIT_IDEAL = Ideal([poly_parse("x*y-1", _XYZ[:2]), poly_parse("x*y-2", _XYZ[:2])])
+
+
+def _box(nvars, bound):
+    """The primitive weights of the box [-bound, bound]^nvars, in the
+    order of the box search."""
+    for w in product(range(-bound, bound + 1), repeat=nvars):
+        if any(w) and vec_gcd(w) == 1:
+            yield w
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideal=search_ideals(), bound=st.integers(1, 3))
+@example(ideal=ZERO_IDEAL, bound=2)
+@example(ideal=UNIT_IDEAL, bound=2)
+def test_prevariety_candidates_equal_the_box_screen(ideal, bound):
+    # the lattice points on the witnesses' pair hyperplanes hold every box
+    # weight that no witness screens out, so after the screen the
+    # candidates are the box screen's survivors, in the box's order
+    with Job():
+        eng = TropicalEngine(ideal)
+        screen = [w for w in _box(eng.nvars, bound) if not eng._screened_out(w)]
+        assert eng.candidates(bound) == screen
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=25, deadline=None)
+@given(ideal=search_ideals())
+@example(ideal=ZERO_IDEAL)
+@example(ideal=UNIT_IDEAL)
+def test_rigid_rays_equal_the_box_search(ideal):
+    # membership and rigidity on every primitive box weight, with no
+    # candidate enumeration and no face filter
+    with Job():
+        found = [r.v for r in find_rigid_rays(ideal, bound=2)]
+    with Job():
+        eng = TropicalEngine(ideal)
+        box = [w for w in _box(eng.nvars, 2) if eng.contains(w) and eng.is_rigid(w)]
+    assert found == box
 
 
 @pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")

@@ -1,6 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +29,7 @@ from tropcrit.groebner import (
     ideal_dimension,
     saturate,
 )
-from tropcrit.linalg import unimodular_completion, vec_gcd
+from tropcrit.linalg import nullspace, rank, unimodular_completion, vec_gcd
 from tropcrit.mle import torus_euler_characteristic
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
@@ -213,6 +214,51 @@ def test_face_keyed_answers_match_fresh_route(shared_engine, data):
     else:
         with pytest.raises(NotInTropicalVariety):
             shared_engine.is_rigid(w)
+
+
+def _tied_nullspace(eng, w):
+    """The weights orthogonal to the tied weak differences of w's face."""
+    cone, ties = eng.engine.face(w)
+    return nullspace([cone.weak[i] for i in ties], ncols=eng.nvars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tied_differences_bound_the_homogeneity_space(shared_engine, data):
+    # every term of an initial form is the leading monomial or tied to it,
+    # so whatever is orthogonal to the tied differences grades init_w(I)
+    w = data.draw(st.sampled_from(shared_engine.candidates(3)))
+    assume(shared_engine.contains(w))
+    tied = _tied_nullspace(shared_engine, w)
+    space = homogeneity_space(initial_by_fresh_run(shared_engine.engine, w))
+    assert rank([*space, *tied]) == len(space)
+
+
+def test_ray_search_saturates_only_one_dimensional_faces(monkeypatch):
+    # a face whose tied differences leave two or more dimensions holds no
+    # rigid ray, so its initial ideal is never saturated; every other face
+    # met is, once per initial ideal without a monomial generator
+    saturated = []
+    real = tropical.saturate
+
+    def recording(ideal, f):
+        saturated.append(frozenset(ideal.gens))
+        return real(ideal, f)
+
+    monkeypatch.setattr(tropical, "saturate", recording)
+    with Job():
+        eng = TropicalEngine.of(four_lines_ideal())
+        find_rigid_rays(eng.ideal, bound=4)
+    monkeypatch.undo()
+    one_dimensional = set()
+    for w in product(range(-4, 5), repeat=4):
+        if any(w) and vec_gcd(w) == 1 and not eng._screened_out(w):
+            J = eng.initial(w)
+            if len(_tied_nullspace(eng, w)) == 1 and not any(g.is_term() for g in J.gens):
+                one_dimensional.add(frozenset(J.gens))
+    assert one_dimensional
+    assert len(saturated) == len(one_dimensional)
+    assert set(saturated) == one_dimensional
 
 
 def test_only_weights_in_trop_reach_a_cone_lookup(monkeypatch):
