@@ -146,7 +146,7 @@ def _reduce_by(echelon, v):
 
 def matroid_flats(vectors, avoid=None):
     """All flats of the linear matroid, as Flat records; with ``avoid``,
-    only those that do not hold the vector at that index.
+    the index of a nonzero vector, only those that do not hold it.
 
     Rank by rank from the loops up: each flat F takes one reduced echelon
     form of its vectors (one step of the current job), reduces every
