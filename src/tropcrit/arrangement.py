@@ -1,6 +1,8 @@
 """Hyperplane-arrangement combinatorics.
 
-Intersection lattices are computed with exact rational linear algebra.
+Matroid queries are answered from reduced echelon forms: flats and ranks
+from residues modulo a flat's span, connectivity from the fundamental
+circuits of one basis (Krogdahl 1977; Oxley, Matroid Theory, ch. 4).
 Flacets (flats whose restriction and contraction matroids are both
 connected) index the rays of the tropical variety of the complement; the
 ray recipe and the Moebius-function Euler characteristic live here too.
@@ -10,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import NotCentral
 from .groebner import current_job
-from .linalg import make_primitive, rank, rref
+from .linalg import make_primitive, rref
 from .rings import Polynomial
 from .tropical import Ray
 
@@ -119,18 +120,10 @@ class Arrangement:
 # -- matroid of a vector list ------------------------------------------------------
 
 
-def _subset_rank(vectors, subset) -> int:
-    rows = [vectors[i] for i in subset]
-    return rank(rows) if rows else 0
-
-
-def _closure(vectors, subset):
-    r = _subset_rank(vectors, subset)
-    closed = set(subset)
-    for i in range(len(vectors)):
-        if i not in closed and _subset_rank(vectors, list(subset) + [i]) == r:
-            closed.add(i)
-    return frozenset(closed)
+def _echelon(vectors, members):
+    """Reduced echelon rows (row, pivot) of the vectors at ``members``."""
+    rows = [vectors[i] for i in sorted(members)]
+    return list(zip(*rref(rows))) if rows else []
 
 
 def _reduce_by(echelon, v):
@@ -166,7 +159,7 @@ def matroid_flats(vectors, avoid=None):
         nxt = []
         for F in frontier:
             job.tick()
-            echelon = list(zip(*rref([vectors[i] for i in sorted(F)])))
+            echelon = _echelon(vectors, F)
             covers = {}
             for i, v in enumerate(vectors):
                 if i not in F:
@@ -186,34 +179,44 @@ def matroid_flats(vectors, avoid=None):
     )
 
 
+def flat_rank(vectors, members):
+    """Rank of ``members`` in the linear matroid if it is a flat, else
+    None: the pivots of one echelon form of its vectors, closed when no
+    vector outside has a zero residue modulo their span."""
+    echelon = _echelon(vectors, members)
+    for i, v in enumerate(vectors):
+        if i not in members and not any(_reduce_by(echelon, v)):
+            return None
+    return len(echelon)
+
+
 def matroid_connected(vectors, ground=None, contract=None) -> bool:
     """Connectivity of the (minor of the) linear matroid.
 
     ``ground`` restricts, ``contract`` contracts; matroids with at most one
-    element count as connected.
+    element count as connected.  One echelon form, with the ground vectors
+    reduced modulo the span of ``contract`` as columns, picks a basis (its
+    pivots); a non-pivot column j gives the fundamental circuit of j and
+    the pivots of its nonzero entries.  The minor is connected iff these
+    circuits chain over every element (Krogdahl, Discrete Math. 1977;
+    Oxley, Matroid Theory, ch. 4): loops and coloops stay apart.
     """
     contract = frozenset(contract or [])
     if ground is None:
-        ground = [i for i in range(len(vectors)) if i not in contract]
+        ground = range(len(vectors))
     ground = sorted(set(ground) - contract)
     if len(ground) <= 1:
         return True
-    base = _subset_rank(vectors, contract)
-
-    def rk(subset):
-        return _subset_rank(vectors, list(contract) + list(subset)) - base
-
-    total = rk(ground)
-    rest = ground[1:]
-    for size in range(0, len(rest) + 1):
-        for extra in combinations(rest, size):
-            part = [ground[0]] + list(extra)
-            if len(part) == len(ground):
-                continue
-            other = [e for e in ground if e not in part]
-            if rk(part) + rk(other) == total:
-                return False
-    return True
+    modulo = _echelon(vectors, contract)
+    columns = [_reduce_by(modulo, vectors[i]) for i in ground]
+    red, pivots = rref(list(zip(*columns)))
+    parts = []
+    for j in range(len(ground)):
+        if j not in pivots:
+            circuit = {j} | {c for row, c in zip(red, pivots) if row[j]}
+            joined = [p for p in parts if p & circuit]
+            parts = [p for p in parts if not p & circuit] + [circuit.union(*joined)]
+    return len(parts) == 1 and len(parts[0]) == len(ground)
 
 
 # -- affine intersection lattice -------------------------------------------------------
@@ -230,18 +233,17 @@ def intersection_lattice(arr: Arrangement):
 
 
 def flacets(arr: Arrangement):
-    """Proper flats whose restriction and contraction are both connected."""
+    """Proper flats, below the top flat, whose restriction and contraction
+    are both connected by their fundamental circuits (Krogdahl 1977)."""
     vectors = arr.central_vectors()
-    total_rank = rank(vectors)
-    out = []
-    for flat in matroid_flats(vectors):
-        if flat.rank == 0 or flat.rank >= total_rank:
-            continue
-        if matroid_connected(vectors, ground=flat.members) and matroid_connected(
-            vectors, contract=flat.members
-        ):
-            out.append(flat)
-    return out
+    flats = matroid_flats(vectors)
+    return [
+        f
+        for f in flats
+        if 0 < f.rank < flats[-1].rank
+        and matroid_connected(vectors, ground=f.members)
+        and matroid_connected(vectors, contract=f.members)
+    ]
 
 
 def flacet_rays(arr: Arrangement):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Arrangement, matroid_connected
+from .arrangement import Arrangement, flat_rank, matroid_connected
 from .errors import MissingDiscrepancy, NotIndecomposable
 from .groebner import current_job
 from .tropical import SlopeHyperplane
@@ -164,20 +164,14 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
 
 
 def _support_flat_rank(arr: Arrangement, ray_vec):
-    """Rank of the ray's support in the centralized matroid; the support
-    must be the incidence set of a flat (else None)."""
+    """Rank of the ray's support in the centralized matroid when it is the
+    incidence set of a flat, else None: ``flat_rank`` reads both from one
+    echelon form (no vector outside has a zero residue modulo its span)."""
     if any(x not in (0, 1) for x in ray_vec):
         return None
-    from .arrangement import _closure, _subset_rank
-
     vectors = arr.central_vectors()
-    support = [i for i, x in enumerate(ray_vec) if x]
-    if not support:
-        return None
-    closed = _closure(vectors, support)
-    if set(closed) != set(support):
-        return None
-    return _subset_rank(vectors, support)
+    support = {i for i, x in enumerate(ray_vec) if x}
+    return flat_rank(vectors, support) if support else None
 
 
 def lct_polytope(rays, k=None, arrangement: Arrangement | None = None) -> LCTPolytope:

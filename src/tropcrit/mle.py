@@ -39,7 +39,7 @@ from .groebner import (
     squarefree_check,
 )
 from .rings import Polynomial, dot
-from .tropical import _sign_normalize
+from .tropical import SlopeHyperplane
 
 SAMPLE_RANGE = 997
 MAX_RESAMPLE = 5
@@ -466,7 +466,7 @@ def mle_closed_form(spec: VarietySpec, rays) -> MLEFormula:
     vecs = [tuple(r.v) for r in rays]
     p = spec.p
     total = tuple(sum(v[i] for v in vecs) for i in range(p))
-    normals = [_sign_normalize(v) for v in vecs]
+    normals = [SlopeHyperplane(normal=v).normal for v in vecs]
     samples = []
     attempts = 0
     while len(samples) < 2 and attempts < 5 * MAX_RESAMPLE:

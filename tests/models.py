@@ -167,18 +167,34 @@ def _essential(matrix) -> bool:
     return _rank([row[:n] for row in matrix]) == n
 
 
-def _indecomposable(matrix) -> bool:
-    """Connected matroid of the projective closure (the line at infinity
-    last): no proper split S | E-S with r(S) + r(E-S) = r(E)."""
-    vectors = [list(row) for row in matrix] + [[0] * (len(matrix[0]) - 1) + [1]]
-    total = _rank(vectors)
-    idx = range(len(vectors))
-    for k in range(1, len(vectors)):
-        for part in combinations(idx, k):
-            rest = [vectors[i] for i in idx if i not in part]
-            if _rank([vectors[i] for i in part]) + _rank(rest) == total:
+def connected_by_splits(vectors, ground=None, contract=None) -> bool:
+    """Connectivity of the linear matroid restricted to ``ground`` and
+    contracted by ``contract``, by enumeration: no proper split S | E-S
+    of the ground set E with r(S) + r(E-S) = r(E), where r(S) =
+    rank(S + contract) - rank(contract).  At most one element counts as
+    connected."""
+    contract = sorted(set(contract or ()))
+    if ground is None:
+        ground = range(len(vectors))
+    ground = sorted(set(ground) - set(contract))
+    base = _rank([vectors[i] for i in contract])
+
+    def rk(subset):
+        return _rank([vectors[i] for i in list(subset) + contract]) - base
+
+    total = rk(ground)
+    for k in range(1, len(ground)):
+        for part in combinations(ground, k):
+            if rk(part) + rk(set(ground) - set(part)) == total:
                 return False
     return True
+
+
+def _indecomposable(matrix) -> bool:
+    """Connected matroid of the projective closure (the line at infinity
+    last)."""
+    vectors = [list(row) for row in matrix] + [[0] * (len(matrix[0]) - 1) + [1]]
+    return connected_by_splits(vectors)
 
 
 def essential_arrangements(min_lines=4, max_lines=5):

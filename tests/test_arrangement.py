@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from models import (
     FOUR_LINES_RAYS,
+    connected_by_splits,
+    essential_arrangements,
+    five_lines_arrangement,
     four_lines_arrangement,
     four_lines_ideal,
     oracle_flacets,
 )
+from tropcrit import arrangement
 from tropcrit.arrangement import (
     Arrangement,
     chi_complement,
@@ -13,8 +19,11 @@ from tropcrit.arrangement import (
     flacets,
     intersection_lattice,
     matroid_connected,
+    matroid_flats,
 )
+from tropcrit.bs_lct import _support_flat_rank
 from tropcrit.errors import NotCentral
+from tropcrit.linalg import rank
 from tropcrit.tropical import find_rigid_rays
 
 
@@ -164,3 +173,89 @@ def test_restriction_keeps_flacet_flats_avoiding_deleted_line():
         # status may change through the contraction; the flat itself must
         # still be closed in the smaller arrangement
         assert all(i != 4 for i in f.members)
+
+
+def _mask(bits, n):
+    return {i for i in range(n) if bits >> i & 1}
+
+
+vector_lists = st.integers(2, 4).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=2, max_size=8
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=vector_lists, ground=st.integers(0, 255), contract=st.integers(0, 255))
+@example(vectors=[[1, 0], [1, 1], [0, 1], [0, 0]], ground=0b0111, contract=0b0001)
+@example(
+    vectors=[[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], ground=0b0111, contract=0b1000
+)
+@example(vectors=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], ground=0b011, contract=0b001)
+def test_matroid_connected_matches_split_enumeration(vectors, ground, contract):
+    # the examples: a loop, a coloop, and the boolean arrangement B3
+    ground, contract = _mask(ground, len(vectors)), _mask(contract, len(vectors))
+    assert matroid_connected(vectors) == connected_by_splits(vectors)
+    assert matroid_connected(vectors, ground=ground) == connected_by_splits(
+        vectors, ground=ground
+    )
+    assert matroid_connected(vectors, contract=contract) == connected_by_splits(
+        vectors, contract=contract
+    )
+
+
+def test_matroid_connected_takes_one_echelon_form(monkeypatch):
+    # the six lines x, y, x-y, x-1, y-1, x+y-1 and the line at infinity
+    six_lines = Arrangement(
+        rows=[
+            ((1, 0), 0),
+            ((0, 1), 0),
+            ((1, -1), 0),
+            ((1, 0), -1),
+            ((0, 1), -1),
+            ((1, 1), -1),
+        ],
+        projective_closure=True,
+    )
+    vectors = six_lines.central_vectors()
+    real = arrangement.rref
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(arrangement, "rref", counting)
+    assert matroid_connected(vectors)
+    assert len(calls) == 1  # split enumeration ran 127 ranks
+    for flat in matroid_flats(vectors):
+        calls.clear()
+        matroid_connected(vectors, contract=flat.members)
+        assert len(calls) <= 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(arr=essential_arrangements(4, 6))
+@example(arr=five_lines_arrangement())
+def test_flacets_match_oracle_on_generated_arrangements(arr):
+    got = sorted(
+        (tuple(sorted(f.members)) for f in flacets(arr)), key=lambda t: (len(t), t)
+    )
+    assert got == [tuple(sorted(f)) for f in oracle_flacets(arr.central_vectors())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=essential_arrangements(4, 6), data=st.data())
+def test_support_flat_rank_is_the_rank_of_closed_supports(arr, data):
+    vectors = arr.central_vectors()
+    q = len(vectors)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=q, max_size=q))
+    support = {i for i in range(q) if bits[i]}
+
+    def r(subset):
+        return rank([vectors[i] for i in subset]) if subset else 0
+
+    closure = {i for i in range(q) if r(support | {i}) == r(support)}
+    expected = r(support) if support and closure == support else None
+    assert _support_flat_rank(arr, bits) == expected
