@@ -36,21 +36,6 @@ class BSFixture:
 
     factors: list
 
-    @classmethod
-    def from_json(cls, obj):
-        factors = []
-        for item in obj["factors"]:
-            offsets = item.get("offsets")
-            factors.append(
-                BSFactor(
-                    normal=tuple(int(x) for x in item["normal"]),
-                    offsets=tuple(Fraction(str(k)) for k in offsets)
-                    if offsets
-                    else None,
-                )
-            )
-        return cls(factors=factors)
-
     def slopes(self):
         return sorted(
             {SlopeHyperplane(normal=f.normal) for f in self.factors},

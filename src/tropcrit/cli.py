@@ -20,6 +20,7 @@ from . import errors
 from .arrangement import Arrangement
 from .asymptotics import CURVE_VAR, DEFAULT_ORDER, DataCurve, branches
 from .bs_lct import (
+    BSFactor,
     BSFixture,
     bs_slope_intersection,
     conjecture_check,
@@ -280,6 +281,7 @@ def load_bs_fixture(path, size) -> BSFixture:
         raise errors.SpecValidationError(
             "BS fixture must be a JSON object", "/bs_fixture"
         )
+    factors = []
     for i, item in enumerate(_expect(obj, "factors", "/bs_fixture", list)):
         at = f"/bs_fixture/factors/{i}"
         if not isinstance(item, dict):
@@ -299,9 +301,11 @@ def load_bs_fixture(path, size) -> BSFixture:
             raise errors.SpecValidationError(
                 "offsets must be a list of rationals", f"{at}/offsets"
             )
-        for j, k in enumerate(offsets or ()):
-            _rational(k, f"{at}/offsets/{j}")
-    return BSFixture.from_json(obj)
+        offsets = tuple(
+            _rational(k, f"{at}/offsets/{j}") for j, k in enumerate(offsets or ())
+        )
+        factors.append(BSFactor(normal=tuple(normal), offsets=offsets or None))
+    return BSFixture(factors=factors)
 
 
 def load_k_map(path, size):

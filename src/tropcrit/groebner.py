@@ -736,7 +736,9 @@ def quotient_basis(G: GroebnerBasis):
         bounds.append(min(pure))
     basis = []
 
-    # depth-first product over exponent ranges, pruned by divisibility
+    # depth-first product over exponent ranges, pruned by divisibility; at
+    # full length every leading term is tested, and the monomials come out
+    # in ascending lex order
     def rec(prefix):
         if len(prefix) == p:
             basis.append(tuple(prefix))
@@ -754,10 +756,7 @@ def quotient_basis(G: GroebnerBasis):
             rec(cand)
 
     rec(())
-    # final divisibility filter (partial pruning above is only a shortcut)
-    return sorted(
-        m for m in basis if not any(mono_divides(lt, m) for lt in lts)
-    )
+    return basis
 
 
 def zero_dim_degree(ideal) -> int:

@@ -18,10 +18,13 @@ run is involved.  The screen is one-sided: a weight it passes still gets
 the exact answer.
 
 Every term of an initial form at w is the leading monomial m or a term
-whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
-the tied differences of w's Groebner face grades init_w(I).  A face whose
-tied differences leave two or more dimensions holds no rigid ray, and the
-search runs membership and rigidity only on the other faces.
+whose difference to m is tied, w.(e - m) = 0.  The initial forms of a
+Groebner cone's reduced basis are a reduced basis of init_w(I)
+(Maclagan-Sturmfels, ch. 2; Sturmfels, Groebner Bases and Convex Polytopes,
+ch. 1-2), so the homogeneity space of init_w(I) is exactly the space
+orthogonal to the tied differences of w's Groebner face, and rigidity is
+read from their rank with no Groebner run.  The search saturates only the
+faces whose tied differences leave one dimension.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .groebner import (
     Ideal,
     InitialIdealEngine,
     current_job,
-    homogeneity_space,
     saturate,
 )
 from .linalg import (
@@ -178,15 +180,17 @@ def _lattice_points(space, nvars, bound):
 
 class TropicalEngine:
     """Caches per-ideal work: the base Groebner basis and Groebner cones
-    (in the initial-ideal engine), and membership and rigidity.
+    (in the initial-ideal engine), one record per face, and membership.
 
     Membership and rigidity depend only on init_w(I), which is constant on
     each face of a Groebner cone.  A weight is looked up by its face, the
-    (cone, tie pattern) pair of the initial-ideal engine, and init_w(I) is
-    built only for a face not seen before.  The answers are keyed by the
-    generator set of init_w(I), so two faces with the same initial ideal
-    share one saturation and one homogeneity-space run.  The rank of each
-    face's tied differences is kept too, keyed by the face.
+    (cone, tie pattern) pair of the initial-ideal engine, and the face's
+    record is built only for a face not seen before: init_w(I), its
+    generator set, and whether it is rigid, read from the rank of the
+    face's tied weak differences (the term differences of the base basis
+    on the face (None, ()), where init_w(I) = I).  Membership is keyed by
+    the generator set, so two faces with the same initial ideal share one
+    saturation.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
@@ -208,8 +212,6 @@ class TropicalEngine:
         }
         self._faces = {}
         self._contains = {}
-        self._rigid = {}
-        self._tie_ranks = {}
 
     @classmethod
     def of(cls, ideal: Ideal) -> "TropicalEngine":
@@ -221,15 +223,24 @@ class TropicalEngine:
         return memo[key]
 
     def initial(self, w) -> Ideal:
-        return self.engine.initial(w)
+        return self._face(w)[0]
 
-    def _face_initial(self, w):
-        """init_w(I) and its generator set, built once per face of w."""
+    def _face(self, w):
+        """(init_w(I), its generator set, rigidity), built once per face of
+        w.  init_w(I) is rigid when it is not zero, the full torus that no
+        perturbation of w changes, and its homogeneity space, the space
+        orthogonal to the tied differences, is one line."""
         face = self.engine.face(w)
         known = self._faces.get(face)
         if known is None:
+            cone, ties = face
+            if cone is None:
+                rows = [d for g in self.engine.base.gens for d in _term_differences(g)]
+            else:
+                rows = [cone.weak[i] for i in ties]
             J = self.engine.initial(w)
-            known = self._faces[face] = (J, frozenset(J.gens))
+            rigid = not J.is_zero and self.nvars - rank(rows) == 1
+            known = self._faces[face] = (J, frozenset(J.gens), rigid)
         return known
 
     def _member(self, J, gens) -> bool:
@@ -292,38 +303,23 @@ class TropicalEngine:
             if any(w) and vec_gcd(w) == 1 and not self._screened_out(w)
         ]
 
-    def _may_be_rigid(self, w) -> bool:
-        """False when the tied differences of w's face leave two or more
-        dimensions; w must be nonzero.  Every u orthogonal to them grades
-        each initial form of the face's basis, so it lies in the
-        homogeneity space of init_w(I)."""
-        face = self.engine.face(w)
-        known = self._tie_ranks.get(face)
-        if known is None:
-            cone, ties = face
-            rows = [cone.weak[i] for i in ties]
-            known = self._tie_ranks[face] = rank(rows)
-        return self.nvars - known <= 1
-
     def contains(self, w) -> bool:
         if len(w) != self.nvars:
             raise ValueError("weight length does not match the ring")
         if self._screened_out(w):
             return False
-        return self._member(*self._face_initial(w))
+        J, gens, _ = self._face(w)
+        return self._member(J, gens)
 
     def is_rigid(self, w) -> bool:
-        J, gens = self._face_initial(w)
+        """True iff the homogeneity space of init_w(I) is exactly one line,
+        read from the record of w's face; raises NotInTropicalVariety for a
+        w outside trop(I)."""
+        J, gens, rigid = self._face(w)
         if not self._member(J, gens):
             w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
-        result = self._rigid.get(gens)
-        if result is None:
-            # a zero init_w(I) is the full torus, which no perturbation of
-            # w changes
-            result = not J.is_zero and len(homogeneity_space(J)) == 1
-            self._rigid[gens] = result
-        return result
+        return rigid
 
 
 def is_rigid(ideal: Ideal, w) -> bool:
@@ -337,9 +333,9 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     Only primitive vectors are tested; the result is labeled exhaustive
     within the bound (rays with larger coordinates are not found).  The
     weights tested are the engine's ``candidates``, the box weights in the
-    tropical prevariety of the witnesses.  A weight whose face leaves two
-    or more dimensions to its tied differences is not rigid and skips the
-    saturation and homogeneity-space runs; every ray found has both.
+    tropical prevariety of the witnesses, each looked up once by its face.
+    Rigidity comes from the face's record; only a rigid face's initial
+    ideal is saturated for membership.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -349,11 +345,12 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
         ConnectednessAssumed,
         stacklevel=2,
     )
-    return [
-        Ray(v=w, rigid=True, source="searched")
-        for w in eng.candidates(bound)
-        if eng._may_be_rigid(w) and eng.contains(w) and eng.is_rigid(w)
-    ]
+    rays = []
+    for w in eng.candidates(bound):
+        J, gens, rigid = eng._face(w)
+        if rigid and eng._member(J, gens):
+            rays.append(Ray(v=w, rigid=True, source="searched"))
+    return rays
 
 
 def critical_slopes(rays) -> list:

@@ -1,7 +1,7 @@
 """Shared model fixtures and independent oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from tropcrit.groebner import (
     _buchberger,
     _dehomogenize,
     _saturate_single,
+    homogeneity_space,
 )
 from tropcrit.mle import VarietySpec
 from tropcrit.rings import Polynomial, TermOrder, poly_parse
@@ -331,6 +332,37 @@ def initial_by_fresh_run(eng, w) -> Ideal:
     gh = _buchberger(list(eng.hgens), order, Job())
     vars = eng.ideal.vars
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
+
+
+def tied_rank(eng, w) -> int:
+    """The rank of the tied weak differences of w's face in a
+    TropicalEngine; on the face (None, ()), where init_w(I) = I, the term
+    differences of the base basis."""
+    cone, ties = eng.engine.face(w)
+    if cone is not None:
+        return _rank([cone.weak[i] for i in ties])
+    rows = []
+    for g in eng.engine.base.gens:
+        first, *rest = g.terms
+        rows += [[x - y for x, y in zip(e, first)] for e in rest]
+    return _rank(rows)
+
+
+def check_tied_ranks(eng, bound) -> int:
+    """Assert, for every weight of the box [-bound, bound]^p in trop(I),
+    w = 0 included, that p minus ``tied_rank`` is the dimension of the
+    homogeneity space of a fresh-run init_w(I), and that ``is_rigid`` is
+    true iff that space is one line and init_w(I) is not zero.  Returns
+    the number of weights checked."""
+    checked = 0
+    for w in product(range(-bound, bound + 1), repeat=eng.nvars):
+        if eng.contains(w):
+            J = initial_by_fresh_run(eng.engine, w)
+            dim = len(homogeneity_space(J))
+            assert eng.nvars - tied_rank(eng, w) == dim, w
+            assert eng.is_rigid(w) == (not J.is_zero and dim == 1), w
+            checked += 1
+    return checked
 
 
 def rescaled_system(system, valuations):

@@ -13,6 +13,7 @@ from models import (
 )
 from tropcrit.arrangement import Arrangement, flacet_rays
 from tropcrit.bs_lct import (
+    BSFactor,
     BSFixture,
     LCTPolytope,
     bs_slope_intersection,
@@ -34,27 +35,23 @@ from tropcrit.tropical import Ray, SlopeHyperplane
 
 def four_lines_fixture():
     # externally computed factor list for the four-lines model
-    return BSFixture.from_json(
-        {
-            "factors": [
-                {"normal": [1, 1, 1, 0]},
-                {"normal": [1, 0, 0, 0]},
-                {"normal": [0, 1, 0, 0]},
-                {"normal": [0, 0, 1, 0]},
-                {"normal": [0, 0, 0, 1]},
-            ]
-        }
+    return BSFixture(
+        factors=[
+            BSFactor(normal=(1, 1, 1, 0)),
+            BSFactor(normal=(1, 0, 0, 0)),
+            BSFactor(normal=(0, 1, 0, 0)),
+            BSFactor(normal=(0, 0, 1, 0)),
+            BSFactor(normal=(0, 0, 0, 1)),
+        ]
     )
 
 
 def coin_fixture():
-    return BSFixture.from_json(
-        {
-            "factors": [
-                {"normal": [2, 1, 0], "offsets": [1, 2, 3]},
-                {"normal": [0, 1, 1], "offsets": [1, 2]},
-            ]
-        }
+    return BSFixture(
+        factors=[
+            BSFactor(normal=(2, 1, 0), offsets=(Fraction(1), Fraction(2), Fraction(3))),
+            BSFactor(normal=(0, 1, 1), offsets=(Fraction(1), Fraction(2))),
+        ]
     )
 
 

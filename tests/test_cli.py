@@ -200,8 +200,7 @@ def test_budget_bounds_the_whole_run(capsys):
 
 def test_report_runs_no_buchberger_on_a_reduced_basis(monkeypatch, capsys):
     # saturations and eliminations return the reduced grlex basis they
-    # computed, so no caller runs Buchberger to rebuild it; init_w(I) in
-    # homogeneity_space is not always its own reduced basis and keeps its run
+    # computed, so no caller runs Buchberger to rebuild it
     real = groebner._buchberger
     reruns = []
 
@@ -210,7 +209,6 @@ def test_report_runs_no_buchberger_on_a_reduced_basis(monkeypatch, capsys):
         caller = sys._getframe(2).f_code.co_name
         if (
             out
-            and caller != "homogeneity_space"
             and order.rows == grlex(len(out[0].vars)).rows
             and len(out) == len(gens)
             and all(g in out for g in gens)

@@ -21,6 +21,7 @@ from models import (
     COIN_RAYS,
     CONIC_RAYS,
     FOUR_LINES_RAYS,
+    check_tied_ranks,
     coin_ideal,
     coin_spec,
     conic_ideal,
@@ -741,6 +742,18 @@ def test_prevariety_candidates_equal_the_box_screen(ideal, bound):
         eng = TropicalEngine(ideal)
         screen = [w for w in _box(eng.nvars, bound) if not eng._screened_out(w)]
         assert eng.candidates(bound) == screen
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal=search_ideals())
+@example(ideal=ZERO_IDEAL)
+@example(ideal=UNIT_IDEAL)
+def test_tied_rank_is_the_codimension_of_the_homogeneity_space(ideal):
+    # rigidity is read from the rank of the tied differences of each face,
+    # with no Groebner run of the initial ideal; the box search below
+    # shares that record, so this is its independent check
+    with Job():
+        check_tied_ranks(TropicalEngine(ideal), 2)
 
 
 @pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
