@@ -18,13 +18,14 @@ run is involved.  The screen is one-sided: a weight it passes still gets
 the exact answer.
 
 Every term of an initial form at w is the leading monomial m or a term
-whose difference to m is tied, w.(e - m) = 0.  The initial forms of a
-Groebner cone's reduced basis are a reduced basis of init_w(I)
-(Maclagan-Sturmfels, ch. 2; Sturmfels, Groebner Bases and Convex Polytopes,
-ch. 1-2), so the homogeneity space of init_w(I) is exactly the space
-orthogonal to the tied differences of w's Groebner face, and rigidity is
-read from their rank with no Groebner run.  The search saturates only the
-faces whose tied differences leave one dimension.
+whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
+the tied differences of w's Groebner face grades init_w(I), and a face
+they leave two or more dimensions holds no rigid ray.  Dehomogenized, the
+initial forms of the face's basis are a lex Groebner basis of init_w(I)
+with the same leading monomials; when it is reduced, the space orthogonal
+to the tied differences is exactly the homogeneity space.  Only where it
+is not, as when in_(w,0)(I^h) has a component at h = 0, is that space
+computed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .groebner import (
     Ideal,
     InitialIdealEngine,
     current_job,
+    homogeneity_space,
     saturate,
 )
 from .linalg import (
@@ -48,7 +50,7 @@ from .linalg import (
     unimodular_completion,
     vec_gcd,
 )
-from .rings import Polynomial
+from .rings import Polynomial, mono_divides
 
 
 class ConnectednessAssumed(UserWarning):
@@ -122,6 +124,18 @@ def _term_differences(g: Polynomial) -> tuple:
     return tuple(tuple(x - y for x, y in zip(e, first)) for e in rest)
 
 
+def _lex_reduced(gens) -> bool:
+    """True if no term of one polynomial is divisible by the
+    lexicographically largest monomial of another."""
+    lead = [max(g.terms) for g in gens]
+    return not any(
+        i != j and mono_divides(m, e)
+        for i, g in enumerate(gens)
+        for e in g.terms
+        for j, m in enumerate(lead)
+    )
+
+
 def _pair_normals(diffs) -> tuple:
     """The normals of the hyperplanes w.(a - b) = 0, one per pair of terms
     a, b of a witness stored as ``_term_differences``, each primitive and
@@ -178,6 +192,17 @@ def _lattice_points(space, nvars, bound):
             yield tuple(w)
 
 
+class _Face:
+    """A face's record: init_w(I) and its generator set, built on first
+    use, and rigidity, None while the tied differences leave it open."""
+
+    __slots__ = ("ideal", "gens", "rigid")
+
+    def __init__(self, rigid):
+        self.ideal = self.gens = None
+        self.rigid = rigid
+
+
 class TropicalEngine:
     """Caches per-ideal work: the base Groebner basis and Groebner cones
     (in the initial-ideal engine), one record per face, and membership.
@@ -185,12 +210,12 @@ class TropicalEngine:
     Membership and rigidity depend only on init_w(I), which is constant on
     each face of a Groebner cone.  A weight is looked up by its face, the
     (cone, tie pattern) pair of the initial-ideal engine, and the face's
-    record is built only for a face not seen before: init_w(I), its
-    generator set, and whether it is rigid, read from the rank of the
+    record is made only for a face not seen before, from the rank of the
     face's tied weak differences (the term differences of the base basis
-    on the face (None, ()), where init_w(I) = I).  Membership is keyed by
-    the generator set, so two faces with the same initial ideal share one
-    saturation.
+    on the face (None, ()), where init_w(I) = I).  init_w(I) is built only
+    when membership, rigidity or ``initial`` asks for it.  Membership is
+    keyed by its generator set, so two faces with the same initial ideal
+    share one saturation.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
@@ -223,28 +248,35 @@ class TropicalEngine:
         return memo[key]
 
     def initial(self, w) -> Ideal:
-        return self._face(w)[0]
+        return self._initial(w, self._face(w))
 
-    def _face(self, w):
-        """(init_w(I), its generator set, rigidity), built once per face of
-        w.  init_w(I) is rigid when it is not zero, the full torus that no
-        perturbation of w changes, and its homogeneity space, the space
-        orthogonal to the tied differences, is one line."""
+    def _face(self, w) -> _Face:
+        """The record of w's face, made once per face.  Its tied
+        differences settle rigidity where they leave two or more
+        dimensions, and on the face (None, ()), where init_w(I) = I and
+        they are the term differences of a reduced basis."""
         face = self.engine.face(w)
-        known = self._faces.get(face)
-        if known is None:
+        record = self._faces.get(face)
+        if record is None:
             cone, ties = face
             if cone is None:
                 rows = [d for g in self.engine.base.gens for d in _term_differences(g)]
+                rigid = not self.ideal.is_zero and self.nvars - rank(rows) == 1
             else:
-                rows = [cone.weak[i] for i in ties]
-            J = self.engine.initial(w)
-            rigid = not J.is_zero and self.nvars - rank(rows) == 1
-            known = self._faces[face] = (J, frozenset(J.gens), rigid)
-        return known
+                free = self.nvars - rank([cone.weak[i] for i in ties])
+                rigid = None if free == 1 else False
+            record = self._faces[face] = _Face(rigid)
+        return record
 
-    def _member(self, J, gens) -> bool:
-        result = self._contains.get(gens)
+    def _initial(self, w, face) -> Ideal:
+        if face.ideal is None:
+            face.ideal = self.engine.initial(w)
+            face.gens = frozenset(face.ideal.gens)
+        return face.ideal
+
+    def _member(self, w, face) -> bool:
+        J = self._initial(w, face)
+        result = self._contains.get(face.gens)
         if result is None:
             if J.is_zero:
                 result = True  # the full torus
@@ -252,8 +284,17 @@ class TropicalEngine:
                 result = False
             else:
                 result = not saturate(J, self.torus_monomial).is_unit
-            self._contains[gens] = result
+            self._contains[face.gens] = result
         return result
+
+    def _rigid(self, w, face) -> bool:
+        """The face's rigidity; where the tied differences leave one
+        dimension, true if the initial forms are a reduced lex basis, else
+        read from the homogeneity space."""
+        if face.rigid is None:
+            J = self._initial(w, face)
+            face.rigid = _lex_reduced(J.gens) or len(homogeneity_space(J)) == 1
+        return face.rigid
 
     def _screened_out(self, w) -> bool:
         """True if some witness has a unique w-minimal term."""
@@ -308,18 +349,17 @@ class TropicalEngine:
             raise ValueError("weight length does not match the ring")
         if self._screened_out(w):
             return False
-        J, gens, _ = self._face(w)
-        return self._member(J, gens)
+        return self._member(w, self._face(w))
 
     def is_rigid(self, w) -> bool:
         """True iff the homogeneity space of init_w(I) is exactly one line,
-        read from the record of w's face; raises NotInTropicalVariety for a
-        w outside trop(I)."""
-        J, gens, rigid = self._face(w)
-        if not self._member(J, gens):
+        answered once per face; raises NotInTropicalVariety for a w
+        outside trop(I)."""
+        face = self._face(w)
+        if not self._member(w, face):
             w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
-        return rigid
+        return self._rigid(w, face)
 
 
 def is_rigid(ideal: Ideal, w) -> bool:
@@ -334,8 +374,8 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     within the bound (rays with larger coordinates are not found).  The
     weights tested are the engine's ``candidates``, the box weights in the
     tropical prevariety of the witnesses, each looked up once by its face.
-    Rigidity comes from the face's record; only a rigid face's initial
-    ideal is saturated for membership.
+    A face whose tied differences leave two or more dimensions is not
+    rigid, and its initial ideal is neither built nor saturated.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -347,8 +387,8 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     )
     rays = []
     for w in eng.candidates(bound):
-        J, gens, rigid = eng._face(w)
-        if rigid and eng._member(J, gens):
+        face = eng._face(w)
+        if face.rigid is not False and eng._member(w, face) and eng._rigid(w, face):
             rays.append(Ray(v=w, rigid=True, source="searched"))
     return rays
 

@@ -15,8 +15,9 @@ from tropcrit.groebner import (
     _saturate_single,
     homogeneity_space,
 )
+from tropcrit.linalg import nullspace
 from tropcrit.mle import VarietySpec
-from tropcrit.rings import Polynomial, TermOrder, poly_parse
+from tropcrit.rings import Polynomial, TermOrder, mono_divides, poly_parse
 
 COIN_VARS = ("t0", "t1", "t2")
 FOUR_VARS = ("t1", "t2", "t3", "t4")
@@ -81,6 +82,27 @@ def five_lines_arrangement() -> Arrangement:
 def five_lines_ideal() -> Ideal:
     """Torus ideal of the projective closure of x*y*(x-y)*(x-1)*(y-1)."""
     return VarietySpec(kind="arrangement", arrangement=five_lines_arrangement()).to_ideal()
+
+
+def embedded_at_infinity_ideals():
+    """(I, w) pairs at which in_(w,0)(I^h) has a component at h = 0 that
+    breaks a grading init_w(I) keeps: the tied differences leave one
+    dimension, the homogeneity space two.  Dehomogenized, the face's
+    initial forms are not reduced.
+
+    * (x-2y)*(x-y, z-x-1, (x-1)(x-2)) at (1, 1, 0): in_(w,0)(I^h) is
+      (x-2y)*(x-y, z-h, h^2), and the leading monomial x of x - 2y divides
+      those of the other forms.
+    * (x+1)*(y+z, z(z+1)) at (0, 1, 1): in_(w,0)(I^h) is
+      (x+h)*(y+z, zh), and the leading monomial xz of xz + z divides a tail
+      term of xy + xz + y + z.
+    """
+    vars = ("x", "y", "z")
+    pairs = [
+        (["(x-2*y)*(x-y)", "(x-2*y)*(z-x-1)", "(x-2*y)*(x-1)*(x-2)"], (1, 1, 0)),
+        (["(x+1)*(y+z)", "(x+1)*z*(z+1)"], (0, 1, 1)),
+    ]
+    return [(Ideal([poly_parse(g, vars) for g in gens], vars), w) for gens, w in pairs]
 
 
 def conic_functions():
@@ -334,33 +356,45 @@ def initial_by_fresh_run(eng, w) -> Ideal:
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
 
 
-def tied_rank(eng, w) -> int:
-    """The rank of the tied weak differences of w's face in a
-    TropicalEngine; on the face (None, ()), where init_w(I) = I, the term
-    differences of the base basis."""
+def tied_space(eng, w):
+    """The weights orthogonal to the tied weak differences of w's face in
+    a TropicalEngine; on the face (None, ()), where init_w(I) = I, to the
+    term differences of the base basis."""
     cone, ties = eng.engine.face(w)
     if cone is not None:
-        return _rank([cone.weak[i] for i in ties])
-    rows = []
-    for g in eng.engine.base.gens:
-        first, *rest = g.terms
-        rows += [[x - y for x, y in zip(e, first)] for e in rest]
-    return _rank(rows)
+        rows = [cone.weak[i] for i in ties]
+    else:
+        rows = []
+        for g in eng.engine.base.gens:
+            first, *rest = g.terms
+            rows += [[x - y for x, y in zip(e, first)] for e in rest]
+    return nullspace(rows, ncols=eng.nvars)
 
 
 def check_tied_ranks(eng, bound) -> int:
-    """Assert, for every weight of the box [-bound, bound]^p in trop(I),
-    w = 0 included, that p minus ``tied_rank`` is the dimension of the
-    homogeneity space of a fresh-run init_w(I), and that ``is_rigid`` is
-    true iff that space is one line and init_w(I) is not zero.  Returns
-    the number of weights checked."""
+    """Assert, for every weight w of the box [-bound, bound]^p in trop(I),
+    w = 0 included, with J a fresh-run init_w(I):
+
+    * ``tied_space`` lies in the homogeneity space of J;
+    * off the face (None, ()), the engine's initial forms are a lex
+      Groebner basis of J: each leading monomial of the reduced lex basis
+      is divisible by the lexicographically largest monomial of one of
+      them;
+    * ``is_rigid`` is true iff that space is one line and J is not zero.
+
+    Returns the number of weights checked."""
     checked = 0
+    lex = TermOrder([])
     for w in product(range(-bound, bound + 1), repeat=eng.nvars):
         if eng.contains(w):
             J = initial_by_fresh_run(eng.engine, w)
-            dim = len(homogeneity_space(J))
-            assert eng.nvars - tied_rank(eng, w) == dim, w
-            assert eng.is_rigid(w) == (not J.is_zero and dim == 1), w
+            space = homogeneity_space(J)
+            assert _rank([*space, *tied_space(eng, w)]) == len(space), w
+            if eng.engine.face(w)[0] is not None:
+                leads = [max(g.terms) for g in eng.initial(w).gens]
+                for g in _buchberger(list(J.gens), lex, Job()):
+                    assert any(mono_divides(m, g.leading(lex)[0]) for m in leads), w
+            assert eng.is_rigid(w) == (not J.is_zero and len(space) == 1), w
             checked += 1
     return checked
 

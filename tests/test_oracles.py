@@ -26,6 +26,7 @@ from models import (
     coin_spec,
     conic_ideal,
     conic_spec,
+    embedded_at_infinity_ideals,
     essential_arrangements,
     five_lines_arrangement,
     five_lines_ideal,
@@ -748,10 +749,12 @@ def test_prevariety_candidates_equal_the_box_screen(ideal, bound):
 @given(ideal=search_ideals())
 @example(ideal=ZERO_IDEAL)
 @example(ideal=UNIT_IDEAL)
-def test_tied_rank_is_the_codimension_of_the_homogeneity_space(ideal):
-    # rigidity is read from the rank of the tied differences of each face,
-    # with no Groebner run of the initial ideal; the box search below
-    # shares that record, so this is its independent check
+@example(ideal=embedded_at_infinity_ideals()[0][0])
+@example(ideal=embedded_at_infinity_ideals()[1][0])
+def test_tied_differences_bound_the_homogeneity_space_on_search_ideals(ideal):
+    # rigidity is read from the rank of the tied differences of each face
+    # where that settles it; the box search below shares the face records,
+    # so this is its independent check
     with Job():
         check_tied_ranks(TropicalEngine(ideal), 2)
 

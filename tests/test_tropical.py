@@ -14,11 +14,12 @@ from models import (
     check_tied_ranks,
     coin_ideal,
     conic_ideal,
+    embedded_at_infinity_ideals,
     five_lines_ideal,
     four_lines_ideal,
     initial_by_fresh_run,
     mat_mul,
-    tied_rank,
+    tied_space,
 )
 from tropcrit import groebner, tropical
 from tropcrit.errors import NotInTropicalVariety
@@ -219,10 +220,26 @@ def test_face_keyed_answers_match_fresh_route(shared_engine, data):
 
 
 def test_tied_differences_bound_the_homogeneity_space(shared_engine):
-    # the initial forms of a cone's reduced basis are a reduced basis of
-    # init_w(I), so the space orthogonal to the tied differences is exactly
-    # its homogeneity space, and is_rigid reads rigidity from their rank
-    assert check_tied_ranks(shared_engine, 2)
+    # every term of an initial form is the leading monomial or tied to it,
+    # so whatever is orthogonal to the tied differences grades init_w(I);
+    # is_rigid reads rigidity from their rank where that settles it
+    assert check_tied_ranks(shared_engine, 3)
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@pytest.mark.parametrize("index", [0, 1], ids=["leading", "tail"])
+def test_a_grading_the_tied_differences_miss_breaks_rigidity(index):
+    # the tied differences at w leave one dimension, but dehomogenizing
+    # makes the face's initial forms a non-reduced basis of init_w(I),
+    # whose homogeneity space is two-dimensional
+    ideal, w = embedded_at_infinity_ideals()[index]
+    with Job():
+        eng = TropicalEngine(ideal)
+        assert eng.contains(w)
+        assert len(tied_space(eng, w)) == 1
+        assert len(homogeneity_space(eng.initial(w))) == 2
+        assert not eng.is_rigid(w)
+        assert w not in [r.v for r in find_rigid_rays(eng.ideal, bound=1)]
 
 
 def test_ray_search_saturates_only_one_dimensional_faces(monkeypatch):
@@ -245,7 +262,7 @@ def test_ray_search_saturates_only_one_dimensional_faces(monkeypatch):
     for w in product(range(-4, 5), repeat=4):
         if any(w) and vec_gcd(w) == 1 and not eng._screened_out(w):
             J = eng.initial(w)
-            if eng.nvars - tied_rank(eng, w) == 1 and not any(g.is_term() for g in J.gens):
+            if len(tied_space(eng, w)) == 1 and not any(g.is_term() for g in J.gens):
                 one_dimensional.add(frozenset(J.gens))
     assert one_dimensional
     assert len(saturated) == len(one_dimensional)
