@@ -16,6 +16,7 @@ from .arrangement import (
     flacet_rays,
     flacets,
     intersection_lattice,
+    matroid_invariants,
 )
 from .asymptotics import (
     DataCurve,

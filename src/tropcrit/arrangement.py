@@ -6,12 +6,22 @@ circuits of one basis (Krogdahl 1977; Oxley, Matroid Theory, ch. 4).
 Flacets (flats whose restriction and contraction matroids are both
 connected) index the rays of the tropical variety of the complement; the
 ray recipe and the Moebius-function Euler characteristic live here too.
+
+``matroid_invariants`` answers what the pipeline asks of an arrangement
+from one lattice of flats of the homogenized functionals, with no
+Groebner run: the rigid rays are the flacet rays, complete with no bound
+(Feichtner and Sturmfels 2005; Ardila and Klivans 2006); the boundary
+stratum of the ray of a flacet F has Euler characteristic
+(-1)^(r-2) beta(M|F) beta(M/F), with Crapo's beta invariant; and the ML
+degree is the absolute value of the Euler characteristic of the
+complement (Huh 2013).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotCentral
 from .groebner import current_job
@@ -137,9 +147,9 @@ def _reduce_by(echelon, v):
     return v
 
 
-def matroid_flats(vectors, avoid=None):
-    """All flats of the linear matroid, as Flat records; with ``avoid``,
-    the index of a nonzero vector, only those that do not hold it.
+def _lattice(vectors, avoid=None):
+    """{flat: (rank, echelon)} for every flat of ``matroid_flats``, with
+    the reduced echelon rows of its vectors for each flat expanded.
 
     Rank by rank from the loops up: each flat F takes one reduced echelon
     form of its vectors (one step of the current job), reduces every
@@ -147,12 +157,11 @@ def matroid_flats(vectors, avoid=None):
     are parallel form, with F, one flat covering F.  Every flat above one
     that holds ``avoid`` holds it too, and every flat that does not is
     reached from a flat below it that does not, so a cover holding
-    ``avoid`` is dropped unexpanded.
+    ``avoid`` is dropped unexpanded, with no echelon rows.
     """
     job = current_job()
-    vectors = [[Fraction(x) for x in v] for v in vectors]
     bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
-    flats = {bottom: 0}
+    lattice = {bottom: (0, None)}
     frontier = [bottom]
     r = 0
     while frontier:
@@ -160,6 +169,7 @@ def matroid_flats(vectors, avoid=None):
         for F in frontier:
             job.tick()
             echelon = _echelon(vectors, F)
+            lattice[F] = (r, echelon)
             covers = {}
             for i, v in enumerate(vectors):
                 if i not in F:
@@ -168,13 +178,26 @@ def matroid_flats(vectors, avoid=None):
                     covers.setdefault(tuple(x / lead for x in res), set()).add(i)
             for extra in covers.values():
                 G = F | extra
-                if avoid not in G and G not in flats:
-                    flats[G] = r + 1
+                if avoid not in G and G not in lattice:
+                    lattice[G] = (r + 1, None)
                     nxt.append(G)
         frontier = nxt
         r += 1
+    return lattice
+
+
+def _fractions(vectors):
+    return [[Fraction(x) for x in v] for v in vectors]
+
+
+def matroid_flats(vectors, avoid=None):
+    """All flats of the linear matroid, as Flat records sorted by rank;
+    with ``avoid``, the index of a nonzero vector, only those that do not
+    hold it.  One echelon form, one step of the current job, per flat
+    (``_lattice``)."""
+    lattice = _lattice(_fractions(vectors), avoid)
     return sorted(
-        (Flat(members=F, rank=r) for F, r in flats.items()),
+        (Flat(members=F, rank=r) for F, (r, _) in lattice.items()),
         key=lambda f: f.key(),
     )
 
@@ -204,10 +227,15 @@ def matroid_connected(vectors, ground=None, contract=None) -> bool:
     contract = frozenset(contract or [])
     if ground is None:
         ground = range(len(vectors))
-    ground = sorted(set(ground) - contract)
+    return _circuits_connect(vectors, set(ground) - contract, _echelon(vectors, contract))
+
+
+def _circuits_connect(vectors, ground, modulo) -> bool:
+    """``matroid_connected`` on the ground set, the contracted span given
+    by its reduced echelon rows ``modulo``."""
+    ground = sorted(ground)
     if len(ground) <= 1:
         return True
-    modulo = _echelon(vectors, contract)
     columns = [_reduce_by(modulo, vectors[i]) for i in ground]
     red, pivots = rref(list(zip(*columns)))
     parts = []
@@ -232,47 +260,112 @@ def intersection_lattice(arr: Arrangement):
     return matroid_flats(vectors, avoid=len(vectors) - 1)
 
 
-def flacets(arr: Arrangement):
-    """Proper flats, below the top flat, whose restriction and contraction
-    are both connected by their fundamental circuits (Krogdahl 1977)."""
-    vectors = arr.central_vectors()
-    flats = matroid_flats(vectors)
+def _flacets(vectors, lattice):
+    """The flacets among the flats of ``lattice = _lattice(vectors)``,
+    each flat's contraction tested modulo the echelon rows the lattice
+    built for that flat."""
+    top = max(r for r, _ in lattice.values())
+    everything = set(range(len(vectors)))
     return [
-        f
-        for f in flats
-        if 0 < f.rank < flats[-1].rank
-        and matroid_connected(vectors, ground=f.members)
-        and matroid_connected(vectors, contract=f.members)
+        Flat(members=F, rank=r)
+        for F, (r, echelon) in lattice.items()
+        if 0 < r < top
+        and _circuits_connect(vectors, F, [])
+        and _circuits_connect(vectors, everything - F, echelon)
     ]
 
 
+def flacets(arr: Arrangement):
+    """Proper flats of the centralized arrangement, below the top flat,
+    whose restriction and contraction are both connected by their
+    fundamental circuits (Krogdahl 1977)."""
+    vectors = _fractions(arr.central_vectors())
+    return sorted(_flacets(vectors, _lattice(vectors)), key=lambda f: f.key())
+
+
+def _flacet_ray(members, q) -> Ray:
+    """The ray of a flacet of the q homogenized functionals: its 0/1
+    incidence vector, shifted by a multiple of the all-ones vector so the
+    last coordinate (the hyperplane at infinity) vanishes, which is then
+    dropped."""
+    shift = 1 if q - 1 in members else 0
+    v = tuple((1 if i in members else 0) - shift for i in range(q - 1))
+    return Ray(v=v, rigid=True, source="flacet")
+
+
 def flacet_rays(arr: Arrangement):
-    """Ray per flacet: 0/1 incidence over the centralized hyperplanes,
-    shifted by a multiple of the all-ones vector so the last coordinate
-    vanishes, which is then dropped."""
-    vectors = arr.central_vectors()
-    q = len(vectors)
-    out = []
-    for flat in flacets(arr):
-        inc = [1 if i in flat.members else 0 for i in range(q)]
-        shift = inc[-1]
-        vec = tuple(x - shift for x in inc[:-1])
-        if not any(vec):
-            continue
-        out.append(Ray(v=make_primitive(vec), rigid=True, source="flacet"))
-    return sorted(out, key=lambda r: r.v)
+    """Ray per flacet of the homogenized functionals, sorted.  The torus
+    ideal of the complement does not depend on ``projective_closure``,
+    and neither do its rays."""
+    vectors = _fractions(arr.homogenized_vectors())
+    flats = _flacets(vectors, _lattice(vectors))
+    rays = [_flacet_ray(f.members, len(vectors)) for f in flats]
+    return sorted(rays, key=lambda r: r.v)
 
 
 def chi_complement(arr: Arrangement) -> int:
     """Euler characteristic of the affine complement via the Moebius
     function of the intersection lattice (characteristic polynomial at 1)."""
-    flats = intersection_lattice(arr)
+    return sum(_moebius([f.members for f in intersection_lattice(arr)]).values())
+
+
+def _moebius(interval):
+    """mu(bottom, X) for the flats X of an interval, listed by rank from
+    its bottom, so that everything below a flat comes before it."""
     mu = {}
-    for flat in flats:  # sorted by rank, so everything below comes first
-        if not flat.members:
-            mu[flat.members] = 1
-        else:
-            mu[flat.members] = -sum(
-                mu[g.members] for g in flats if g.members < flat.members
-            )
-    return sum(mu.values())
+    for X in interval:
+        mu[X] = -sum(m for Y, m in mu.items() if Y < X) if mu else 1
+    return mu
+
+
+def _beta(mu, rank, lo, hi) -> int:
+    """Crapo's beta invariant of the minor whose lattice of flats is the
+    interval [lo, hi], from its Moebius values ``mu`` = mu(lo, X):
+    (-1)^(s-1) times the derivative at 1 of its characteristic
+    polynomial, s = rank hi - rank lo (Crapo 1967)."""
+    s = rank[hi] - rank[lo]
+    return (-1) ** (s - 1) * sum(m * (rank[hi] - rank[X]) for X, m in mu.items())
+
+
+class MatroidInvariants(NamedTuple):
+    """The rigid rays of an arrangement complement, sorted, the Euler
+    characteristic of each ray's boundary stratum, and its ML degree."""
+
+    rays: list
+    euler_chars: list
+    ml_degree: int
+
+
+def matroid_invariants(arr: Arrangement) -> MatroidInvariants:
+    """Rays, stratum Euler characteristics and ML degree of the complement,
+    read from one lattice of flats of the homogenized functionals (the
+    hyperplane at infinity last; one step of the current job per flat).
+
+    With mu(X) = mu(0, X) over the whole lattice and r its rank:
+    - each flacet F (``_flacets``) gives the ray ``_flacet_ray``, and its
+      stratum the Euler characteristic (-1)^(r-2) beta(M|F) beta(M/F),
+      beta(M|F) read from mu below F and beta(M/F) from the Moebius
+      function of [F, 1];
+    - the ML degree is |sum of mu(X) over the flats X without the
+      hyperplane at infinity|, the Euler characteristic of the affine
+      complement (Huh 2013).
+    """
+    vectors = _fractions(arr.homogenized_vectors())
+    q = len(vectors)
+    lattice = _lattice(vectors)
+    flats = sorted(lattice, key=lambda F: (lattice[F][0], sorted(F)))
+    rank = {F: r for F, (r, _) in lattice.items()}
+    bottom, top = flats[0], flats[-1]
+    mu = _moebius(flats)
+    found = []
+    for flacet in _flacets(vectors, lattice):
+        F = flacet.members
+        below = _beta({X: m for X, m in mu.items() if X <= F}, rank, bottom, F)
+        above = _beta(_moebius([X for X in flats if F <= X]), rank, F, top)
+        found.append((_flacet_ray(F, q), (-1) ** (rank[top] - 2) * below * above))
+    found.sort(key=lambda item: item[0].v)
+    return MatroidInvariants(
+        rays=[ray for ray, _ in found],
+        euler_chars=[chi for _, chi in found],
+        ml_degree=abs(sum(m for X, m in mu.items() if q - 1 not in X)),
+    )

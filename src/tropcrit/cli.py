@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .arrangement import Arrangement
+from .arrangement import Arrangement, matroid_invariants
 from .asymptotics import CURVE_VAR, DEFAULT_ORDER, DataCurve, branches
 from .bs_lct import (
     BSFactor,
@@ -30,7 +30,13 @@ from .groebner import DEFAULT_SEED, Ideal, Job
 from .linalg import rank
 from .mle import VarietySpec, default_coordinates, ml_degree, mle_closed_form
 from .rings import Polynomial
-from .tropical import critical_slopes, find_rigid_rays, ray_sum, stratum_euler_char
+from .tropical import (
+    critical_slopes,
+    find_rigid_rays,
+    ray_sum,
+    stratum_euler_char,
+    warn_connectedness_assumed,
+)
 
 VERSION = "0.1.0"
 DEFAULT_BOUND = 3
@@ -467,7 +473,11 @@ def run_report(cfg: JobConfig):
 
     The whole run is one ``Job``: ``cfg.budget`` bounds the reduction
     steps of all its Groebner calls together, and ``cfg.seed`` seeds its
-    one random stream.
+    one random stream.  An arrangement spec takes its rays, their
+    stratum Euler characteristics and its ML degree from the lattice of
+    flats (``matroid_invariants``), complete with no bound; other specs
+    search the rays within the bound and compute the rest on the torus
+    ideal.
     """
     report = {
         "tool": "tropcrit",
@@ -500,8 +510,13 @@ def run_report(cfg: JobConfig):
                     f"/{key}/{spec.unknowns.index(CURVE_VAR)}",
                 )
             curve = load_curve(cfg.curve_path, len(svars))
-        ideal = spec.to_ideal()
-        rays = find_rigid_rays(ideal, bound=cfg.bound)
+        chis = degree = None
+        if spec.kind == "arrangement":
+            rays, chis, degree = matroid_invariants(spec.arrangement)
+            warn_connectedness_assumed()
+        else:
+            ideal = spec.to_ideal()
+            rays = find_rigid_rays(ideal, bound=cfg.bound)
         report["exhaustive_within_bound"] = cfg.bound
 
         if cfg.command in ("rigid-rays", "report"):
@@ -513,12 +528,14 @@ def run_report(cfg: JobConfig):
             ]
 
         if cfg.command in ("euler", "report"):
-            chis = [stratum_euler_char(ideal, r) for r in rays]
+            if chis is None:
+                chis = [stratum_euler_char(ideal, r) for r in rays]
             report["rays"] = [_ray_json(r, chi) for r, chi in zip(rays, chis)]
-            report["weighted_ray_sum"] = list(ray_sum(ideal.nvars, rays, chis))
+            report["weighted_ray_sum"] = list(ray_sum(spec.p, rays, chis))
 
         if cfg.command in ("mle", "report"):
-            degree = ml_degree(spec)
+            if degree is None:
+                degree = ml_degree(spec)
             report["ml_degree"] = degree
             if degree == 1 and rays:
                 formula = mle_closed_form(spec, rays)
@@ -647,7 +664,7 @@ def build_parser():
     common.add_argument("--k", default=None, help="discrepancy map JSON (lct)")
     sub = parser.add_subparsers(dest="command")
     for name, doc in [
-        ("rigid-rays", "exhaustive rigid-ray search within the bound"),
+        ("rigid-rays", "rigid rays: complete for arrangements, else within the bound"),
         ("slopes", "critical slope hyperplanes of the rigid rays"),
         ("euler", "stratum Euler characteristics and the weighted ray sum"),
         ("mle", "ML degree and, when it is one, the closed-form estimator"),

@@ -266,6 +266,17 @@ def _interreduce(polys, vars, order, budget):
     return result
 
 
+def interreduce(gens, order) -> list:
+    """The reduced basis under ``order`` of the ideal that the polynomials
+    ``gens`` are a Groebner basis of: ``_interreduce`` alone, with no
+    S-pair, its reductions ticking the current job."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    polys = [_integral(g.terms)[0] for g in gens]
+    return _interreduce(polys, gens[0].vars, order, current_job())
+
+
 def _buchberger(gens, order, budget):
     """Reduced Groebner basis of the generator list (sugar selection, both
     Buchberger criteria, global step budget).
@@ -523,14 +534,22 @@ class InitialIdealEngine:
         """The dehomogenized basis of the cone that holds w, in the order
         ``_interreduce`` gives the basis under this weight; the base basis
         where init_w(I) = I."""
-        cone, _ = self.face(w)
+        return self._basis(self.face(w), w)
+
+    def _basis(self, face, w):
+        cone, _ = face
         if cone is None:
             return list(self.base.gens)
         order = _weight_order(w)
         return [g for _, g in sorted(cone.basis, key=lambda item: order.key(item[0]))]
 
-    def initial(self, w) -> Ideal:
-        return Ideal([g.weight_initial(w) for g in self.basis(w)], self.ideal.vars)
+    def initial(self, w, *, _face=None) -> Ideal:
+        """init_w(I), from the initial forms of ``basis(w)``.  A caller
+        that holds w's face as ``face(w)`` returned it passes it as
+        ``_face``, which spares the second lookup."""
+        if _face is None:
+            _face = self.face(w)
+        return Ideal([g.weight_initial(w) for g in self._basis(_face, w)], self.ideal.vars)
 
 
 def _weight_order(w):

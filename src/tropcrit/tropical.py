@@ -22,10 +22,11 @@ whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
 the tied differences of w's Groebner face grades init_w(I), and a face
 they leave two or more dimensions holds no rigid ray.  Dehomogenized, the
 initial forms of the face's basis are a lex Groebner basis of init_w(I)
-with the same leading monomials; when it is reduced, the space orthogonal
-to the tied differences is exactly the homogeneity space.  Only where it
-is not, as when in_(w,0)(I^h) has a component at h = 0, is that space
-computed.
+with the same leading monomials.  On a face the tied differences leave
+one line, interreducing the initial forms under lex, with no S-pair,
+gives the reduced lex basis, and the homogeneity space is the space
+orthogonal to its term differences; that basis differs from the initial
+forms where in_(w,0)(I^h) has a component at h = 0.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .groebner import (
     Ideal,
     InitialIdealEngine,
     current_job,
-    homogeneity_space,
+    interreduce,
     saturate,
 )
 from .linalg import (
@@ -50,7 +51,7 @@ from .linalg import (
     unimodular_completion,
     vec_gcd,
 )
-from .rings import Polynomial, mono_divides
+from .rings import Polynomial, TermOrder
 
 
 class ConnectednessAssumed(UserWarning):
@@ -124,16 +125,10 @@ def _term_differences(g: Polynomial) -> tuple:
     return tuple(tuple(x - y for x, y in zip(e, first)) for e in rest)
 
 
-def _lex_reduced(gens) -> bool:
-    """True if no term of one polynomial is divisible by the
-    lexicographically largest monomial of another."""
-    lead = [max(g.terms) for g in gens]
-    return not any(
-        i != j and mono_divides(m, e)
-        for i, g in enumerate(gens)
-        for e in g.terms
-        for j, m in enumerate(lead)
-    )
+def _one_line(basis, nvars) -> bool:
+    """True if the term differences of a reduced basis leave one
+    dimension: the homogeneity space of its ideal is one line."""
+    return nvars - rank([d for g in basis for d in _term_differences(g)]) == 1
 
 
 def _pair_normals(diffs) -> tuple:
@@ -193,12 +188,14 @@ def _lattice_points(space, nvars, bound):
 
 
 class _Face:
-    """A face's record: init_w(I) and its generator set, built on first
-    use, and rigidity, None while the tied differences leave it open."""
+    """A face's record: the initial-ideal engine's (cone, tie pattern)
+    pair, init_w(I) and its generator set, built on first use, and
+    rigidity, None while the tied differences leave it open."""
 
-    __slots__ = ("ideal", "gens", "rigid")
+    __slots__ = ("pair", "ideal", "gens", "rigid")
 
-    def __init__(self, rigid):
+    def __init__(self, pair, rigid):
+        self.pair = pair
         self.ideal = self.gens = None
         self.rigid = rigid
 
@@ -260,17 +257,16 @@ class TropicalEngine:
         if record is None:
             cone, ties = face
             if cone is None:
-                rows = [d for g in self.engine.base.gens for d in _term_differences(g)]
-                rigid = not self.ideal.is_zero and self.nvars - rank(rows) == 1
+                rigid = not self.ideal.is_zero and _one_line(self.engine.base.gens, self.nvars)
             else:
                 free = self.nvars - rank([cone.weak[i] for i in ties])
                 rigid = None if free == 1 else False
-            record = self._faces[face] = _Face(rigid)
+            record = self._faces[face] = _Face(face, rigid)
         return record
 
     def _initial(self, w, face) -> Ideal:
         if face.ideal is None:
-            face.ideal = self.engine.initial(w)
+            face.ideal = self.engine.initial(w, _face=face.pair)
             face.gens = frozenset(face.ideal.gens)
         return face.ideal
 
@@ -289,11 +285,14 @@ class TropicalEngine:
 
     def _rigid(self, w, face) -> bool:
         """The face's rigidity; where the tied differences leave one
-        dimension, true if the initial forms are a reduced lex basis, else
-        read from the homogeneity space."""
+        dimension, true iff init_w(I) is not zero and the term differences
+        of its reduced lex basis, the initial forms interreduced, leave
+        one dimension."""
         if face.rigid is None:
             J = self._initial(w, face)
-            face.rigid = _lex_reduced(J.gens) or len(homogeneity_space(J)) == 1
+            face.rigid = not J.is_zero and _one_line(
+                interreduce(J.gens, TermOrder([])), self.nvars
+            )
         return face.rigid
 
     def _screened_out(self, w) -> bool:
@@ -367,6 +366,16 @@ def is_rigid(ideal: Ideal, w) -> bool:
     return TropicalEngine.of(ideal).is_rigid(w)
 
 
+def warn_connectedness_assumed():
+    """Warn, at the caller's caller, that rigidity assumes connected
+    boundary strata."""
+    warnings.warn(
+        "rigidity assumes connected boundary strata (not verified)",
+        ConnectednessAssumed,
+        stacklevel=3,
+    )
+
+
 def find_rigid_rays(ideal: Ideal, bound: int = 3):
     """All rigid rays with coordinates in [-bound, bound], exhaustively.
 
@@ -380,11 +389,7 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     eng = TropicalEngine.of(ideal)
-    warnings.warn(
-        "rigidity assumes connected boundary strata (not verified)",
-        ConnectednessAssumed,
-        stacklevel=2,
-    )
+    warn_connectedness_assumed()
     rays = []
     for w in eng.candidates(bound):
         face = eng._face(w)

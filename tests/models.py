@@ -239,6 +239,28 @@ def essential_arrangements(min_lines=4, max_lines=5):
 
 
 @st.composite
+def arrangement_specs(draw):
+    """Strategy: arrangement specs as the CLI reads them, in 2-3 variables
+    x, y, z with 3-5 functionals, integer coefficients in [-2, 2], essential
+    and without proportional rows.  About half are central (every constant
+    zero), decomposable matroids are not filtered out, and
+    ``projective_closure`` takes both values."""
+    n = draw(st.integers(2, 3))
+    entry = st.integers(-2, 2)
+    const = st.just(0) if draw(st.booleans()) else entry
+    row = st.tuples(st.lists(entry, min_size=n, max_size=n), const).map(
+        lambda t: t[0] + [t[1]]
+    )
+    matrix = draw(st.lists(row, min_size=3, max_size=5).filter(_essential))
+    return {
+        "kind": "arrangement",
+        "variables": ["x", "y", "z"][:n],
+        "matrix": matrix,
+        "projective_closure": draw(st.booleans()),
+    }
+
+
+@st.composite
 def linear_ideals(draw):
     """Strategy: linear ideals in 3-4 torus coordinates t1, t2, .. whose
     linear space has dimension 1-2 and meets the torus.  The first d

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from models import (
     FOUR_LINES_RAYS,
+    arrangement_specs,
     connected_by_splits,
     essential_arrangements,
     five_lines_arrangement,
@@ -20,11 +23,15 @@ from tropcrit.arrangement import (
     intersection_lattice,
     matroid_connected,
     matroid_flats,
+    matroid_invariants,
 )
 from tropcrit.bs_lct import _support_flat_rank
+from tropcrit.cli import JobConfig, load_spec, run_report
 from tropcrit.errors import NotCentral
+from tropcrit.groebner import Job
 from tropcrit.linalg import rank
-from tropcrit.tropical import find_rigid_rays
+from tropcrit.mle import ml_degree
+from tropcrit.tropical import find_rigid_rays, stratum_euler_char
 
 
 def test_lattice_four_lines():
@@ -235,6 +242,36 @@ def test_matroid_connected_takes_one_echelon_form(monkeypatch):
         assert len(calls) <= 2
 
 
+def test_flacet_connectivity_reuses_the_lattice_echelon_forms(monkeypatch):
+    # the six lines x, y, x-y, x-1, y-1, x+y-1 and the line at infinity:
+    # each contraction is tested modulo the echelon rows the lattice built
+    # for its flat, so no matrix is brought to echelon form twice
+    six_lines = Arrangement(
+        rows=[
+            ((1, 0), 0),
+            ((0, 1), 0),
+            ((1, -1), 0),
+            ((1, 0), -1),
+            ((0, 1), -1),
+            ((1, 1), -1),
+        ],
+        projective_closure=True,
+    )
+    real = arrangement.rref
+    calls = []
+
+    def counting(rows):
+        calls.append(tuple(map(tuple, rows)))
+        return real(rows)
+
+    monkeypatch.setattr(arrangement, "rref", counting)
+    for route in (flacet_rays, lambda arr: matroid_invariants(arr).rays):
+        calls.clear()
+        assert len(route(six_lines)) == 13
+        # 52 with a new echelon form per contraction
+        assert len(calls) == len(set(calls)) == 39
+
+
 @settings(max_examples=15, deadline=None)
 @given(arr=essential_arrangements(4, 6))
 @example(arr=five_lines_arrangement())
@@ -259,3 +296,63 @@ def test_support_flat_rank_is_the_rank_of_closed_supports(arr, data):
     closure = {i for i in range(q) if r(support | {i}) == r(support)}
     expected = r(support) if support and closure == support else None
     assert _support_flat_rank(arr, bits) == expected
+
+
+# -- the matroid route of arrangement reports against the Groebner route ----------
+
+# x, y, x - 1: y is a coloop of the closure, so the rays are the lineality
+# line +-(0, 1, 0)
+DECOMPOSABLE = {
+    "kind": "arrangement",
+    "variables": ["x", "y"],
+    "matrix": [[1, 0, 0], [0, 1, 0], [1, 0, -1]],
+    "projective_closure": True,
+}
+# x, y, x - y without closure: the rays are +-(1, 1, 1), not the rays of
+# length 2 that the flacets of the central vectors alone would give
+CENTRAL_PENCIL = {
+    "kind": "arrangement",
+    "variables": ["x", "y"],
+    "matrix": [[1, 0, 0], [0, 1, 0], [1, -1, 0]],
+    "projective_closure": False,
+}
+
+
+def _report(command, spec, bound=1):
+    report, _ = run_report(
+        JobConfig(command=command, spec_source=json.dumps(spec), bound=bound)
+    )
+    return report
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=200, deadline=None)
+@given(spec=arrangement_specs())
+@example(spec=DECOMPOSABLE)
+@example(spec=CENTRAL_PENCIL)
+def test_arrangement_reports_match_the_groebner_route(spec):
+    euler = _report("euler", spec)
+    degree = _report("mle", spec)["ml_degree"]
+    variety = load_spec(spec)
+    with Job():
+        ideal = variety.to_ideal()
+        rays = find_rigid_rays(ideal, bound=1)
+        chis = [stratum_euler_char(ideal, r) for r in rays]
+        assert degree == ml_degree(variety)
+    assert [r["v"] for r in euler["rays"]] == [list(r.v) for r in rays]
+    assert [r["euler_char"] for r in euler["rays"]] == chis
+    assert euler["weighted_ray_sum"] == [0] * variety.p
+    # so do flacet_rays and chi_complement, which the benchmark checks read
+    assert [r.v for r in flacet_rays(variety.arrangement)] == [r.v for r in rays]
+    assert degree == abs(chi_complement(variety.arrangement))
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=50, deadline=None)
+@given(spec=arrangement_specs())
+def test_arrangement_rays_are_complete_at_bound_2(spec):
+    # flacet rays have entries in {-1, 0, 1}: a larger box finds no more
+    with Job():
+        rays = find_rigid_rays(load_spec(spec).to_ideal(), bound=2)
+    got = _report("rigid-rays", spec, bound=2)["rays"]
+    assert [r["v"] for r in got] == [list(r.v) for r in rays]

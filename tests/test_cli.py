@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tropcrit
-from tropcrit import cli, groebner
+from tropcrit import cli, groebner, mle, tropical
 from tropcrit.asymptotics import branches
 from tropcrit.cli import (
     EXIT_NUMERIC,
@@ -224,6 +224,25 @@ def test_report_runs_no_buchberger_on_a_reduced_basis(monkeypatch, capsys):
     assert reruns == []
 
 
+def test_arrangement_report_runs_no_groebner_route(monkeypatch, capsys):
+    # rays, Euler characteristics and the ML degree of an arrangement come
+    # from its lattice of flats
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Groebner route ran on an arrangement spec")
+
+    monkeypatch.setattr(mle.VarietySpec, "to_ideal", refuse)
+    for module in (cli, tropical):
+        monkeypatch.setattr(module, "find_rigid_rays", refuse)
+        monkeypatch.setattr(module, "stratum_euler_char", refuse)
+    monkeypatch.setattr(cli, "ml_degree", refuse)
+    args = ["report", "--spec", fixture("four_lines.json")]
+    assert main(args + ["--bs-fixture", fixture("four_lines_bs.json")]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    gold = golden("four_lines_golden.json")
+    assert [r["v"] for r in report["rays"]] == gold["rays"]
+    assert {r["source"] for r in report["rays"]} == {"flacet"}
+
+
 def test_budget_boundary_is_the_exact_step_total(capsys):
     # the run takes exactly 282 reduction steps; reducing other pairs, or
     # the same pairs in another order, or saturating by another chain of
@@ -246,16 +265,16 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
-    # the four_lines report takes exactly 171 steps: the reductions of its
-    # Groebner runs, one per pivot of each linear saturation, and one per
-    # echelon form of a flat in the lattices of the linear strata (18).
-    # The ray search skips the membership saturations of the 9 initial
-    # ideals whose faces' tied differences leave two or more dimensions
-    # (18 steps), and the lattices skip the 12 flats that hold the
-    # hyperplane at infinity
+    # the four_lines report takes exactly 95 steps: one per flat of the
+    # one lattice of its homogenized functionals (13), which gives its
+    # rays, their Euler characteristics and its ML degree with no Groebner
+    # run; the reductions of the two critical-point counts that fit and
+    # verify the closed-form estimator (80); and the LCT simplex pivots (2).
+    # A second lattice, a ray search, a stratum or an ML-degree count, or
+    # a count that skips a tick, moves the boundary
     args = ["report", "--spec", fixture("four_lines.json")]
-    assert main(args + ["--budget", "171"]) == EXIT_OK
-    assert main(args + ["--budget", "170"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "95"]) == EXIT_OK
+    assert main(args + ["--budget", "94"]) == EXIT_RESOURCE
 
 
 def test_mle_rays_not_summing_to_zero_within_bound(capsys):

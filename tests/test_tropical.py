@@ -173,14 +173,33 @@ def test_box_search_builds_each_face_once(monkeypatch):
     faces = []
     real = InitialIdealEngine.initial
 
-    def recording(self, w):
+    def recording(self, w, **kwargs):
         faces.append(self.face(w))
-        return real(self, w)
+        return real(self, w, **kwargs)
 
     monkeypatch.setattr(InitialIdealEngine, "initial", recording)
     with Job():
         find_rigid_rays(four_lines_ideal(), bound=4)
     assert faces and len(faces) == len(set(faces))
+
+
+def test_ray_search_looks_each_candidate_up_once(monkeypatch):
+    # the face record holds the (cone, tie pattern) pair, and init_w(I) is
+    # built from it, not from a second lookup of w
+    lookups = []
+    real = InitialIdealEngine.face
+
+    def counting(self, w):
+        lookups.append(tuple(w))
+        return real(self, w)
+
+    with Job():
+        candidates = TropicalEngine(four_lines_ideal()).candidates(2)
+    monkeypatch.setattr(InitialIdealEngine, "face", counting)
+    with Job():
+        rays = find_rigid_rays(four_lines_ideal(), bound=2)
+    assert {r.v for r in rays} == FOUR_LINES_RAYS
+    assert lookups == candidates
 
 
 @pytest.fixture(
