@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import NotCentral
 from .groebner import current_job
-from .linalg import make_primitive, rref
+from .linalg import rref
 from .rings import Polynomial
 from .tropical import Ray
 

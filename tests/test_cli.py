@@ -275,6 +275,10 @@ def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
     args = ["report", "--spec", fixture("four_lines.json")]
     assert main(args + ["--budget", "95"]) == EXIT_OK
     assert main(args + ["--budget", "94"]) == EXIT_RESOURCE
+    # the lattice alone bounds rigid-rays
+    args = ["rigid-rays", "--spec", fixture("four_lines.json")]
+    assert main(args + ["--budget", "13"]) == EXIT_OK
+    assert main(args + ["--budget", "12"]) == EXIT_RESOURCE
 
 
 def test_mle_rays_not_summing_to_zero_within_bound(capsys):
