@@ -42,7 +42,6 @@ from .groebner import (
     Job,
     eliminate,
     groebner_basis,
-    homogeneity_space,
     ideal_dimension,
     initial_ideal,
     normal_form,

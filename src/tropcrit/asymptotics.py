@@ -39,7 +39,6 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
-    InitialIdealEngine,
     current_job,
     quotient_basis,
     saturate,
@@ -50,7 +49,7 @@ from .linalg import complex_gauss_jordan, inverse
 from .mle import CriticalSystem, VarietySpec, critical_system
 from .rings import Polynomial, dot
 from .series import LaurentSeries, RelaxedEvaluator, poly_eval_series
-from .tropical import Ray, critical_slopes
+from .tropical import Ray, TropicalEngine, critical_slopes
 
 CURVE_VAR = "t"
 DEFAULT_ORDER = 8
@@ -343,12 +342,14 @@ def _ansatz(system, valuations=None):
     curve under the valuation ansatz x_j = t^{v_j} X_j.
 
     The curve's critical ideal J, the system saturated by the torus of
-    (unknowns, t) and by the saturators, gets one ``InitialIdealEngine``
-    per job.  The lift system is the engine's basis at the weight
-    w = (v, 1) under ``_rescale``, whose t^0 parts are the initial forms
-    at w (at t = 1, up to a monomial); they generate init_w(J), so they
-    are the t = 0 layer on the torus (Maclagan and Sturmfels, Introduction
-    to Tropical Geometry, ch. 2).  Memoized per ansatz in the job.
+    (unknowns, t) and by the saturators, is memoized in the job, and its
+    Groebner cones are those of the job's ``TropicalEngine.of(J)``, the
+    engine a ray search on J would use.  The lift system is that engine's
+    basis at the weight w = (v, 1) under ``_rescale``, whose t^0 parts are
+    the initial forms at w (at t = 1, up to a monomial); they generate
+    init_w(J), so they are the t = 0 layer on the torus (Maclagan and
+    Sturmfels, Introduction to Tropical Geometry, ch. 2).  Memoized per
+    ansatz in the job.
     """
     ring = system.ring
     if ring != system.unknowns + (CURVE_VAR,):
@@ -360,17 +361,16 @@ def _ansatz(system, valuations=None):
     memo = current_job().memo
     key = (_ansatz, tuple(system.equations), tuple(system.saturators), ring)
     if key not in memo:
-        J = _saturated_equations(system.equations, ring, system.saturators)
-        memo[key] = (InitialIdealEngine(J), {})
-    engine, ansaetze = memo[key]
-    if valuations not in ansaetze:
+        memo[key] = _saturated_equations(system.equations, ring, system.saturators)
+    if (key, valuations) not in memo:
+        engine = TropicalEngine.of(memo[key]).engine
         lift = tuple(_rescale(engine.basis(valuations + (1,)), ring, valuations))
         layer = [
             Polynomial({e[:-1]: c for e, c in g.terms.items() if not e[-1]}, ring[:-1])
             for g in lift
         ]
-        ansaetze[valuations] = (lift, [g for g in layer if not g.is_zero])
-    return (*ansaetze[valuations], valuations)
+        memo[key, valuations] = (lift, [g for g in layer if not g.is_zero])
+    return (*memo[key, valuations], valuations)
 
 
 def branch_seeds(system: CriticalSystem, valuations=None):

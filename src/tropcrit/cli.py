@@ -74,16 +74,16 @@ SPEC_SCHEMA = {
     "oneOf": [
         {
             "kind": "ideal",
-            "required": {"variables": "list of names", "generators": "list of polynomial strings"},
+            "required": {"variables": "nonempty list of names", "generators": "list of polynomial strings"},
         },
         {
             "kind": "parametrization",
-            "required": {"parameters": "list of names", "functions": "list of polynomial strings"},
+            "required": {"parameters": "nonempty list of names", "functions": "list of polynomial strings"},
             "optional": {"coordinates": "list of names (default t1..tp)"},
         },
         {
             "kind": "arrangement",
-            "required": {"variables": "list of names", "matrix": "rows [a_1..a_n, constant]"},
+            "required": {"variables": "nonempty list of names", "matrix": "rows [a_1..a_n, constant]"},
             "optional": {"projective_closure": "bool (default true)"},
         },
     ]
@@ -149,18 +149,20 @@ def _polynomials(texts, vars, pointer):
 
 
 def _names(obj, key, taken=(), size=None):
-    """The names listed at ``key``: distinct strings other than the names
-    in ``taken``, and ``size`` of them when a size is given."""
+    """The names listed at ``key``: at least one, distinct strings other
+    than the names in ``taken``, and ``size`` of them when a size is
+    given."""
     names = _expect(obj, key, "", list)
     if (
-        not all(isinstance(x, str) for x in names)
+        not names
+        or not all(isinstance(x, str) for x in names)
         or len({*names, *taken}) != len(names) + len(taken)
         or size not in (None, len(names))
     ):
-        count = "" if size is None else f"{size} "
+        count = "one or more" if size is None else size
         other = f" other than {', '.join(taken)}" if taken else ""
         raise errors.SpecValidationError(
-            f"{key} must be {count}distinct name strings{other}", f"/{key}"
+            f"{key} must be {count} distinct name strings{other}", f"/{key}"
         )
     return tuple(names)
 

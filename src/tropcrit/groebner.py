@@ -10,7 +10,7 @@ grlex, a weight row refined by degree (used on homogenized input only,
 where any weight vector is legal), or a block elimination order.  On top
 of it sit saturation, weighted initial ideals via single-variable
 homogenization, zero-dimensional degree counts through standard
-monomials, and homogeneity spaces.
+monomials, and Krull dimensions.
 
 A reduced basis is a ``GroebnerBasis``, an ``Ideal`` that knows its
 order.  ``saturate`` and ``eliminate`` return the reduced grlex basis
@@ -20,10 +20,11 @@ under the requested order as it is, so no caller rebuilds a basis.
 Weighted initial ideals look up the Groebner cones computed so far first
 (Mora and Robbiano's Groebner fan): every weight in one cone shares one
 reduced homogeneous basis, so Buchberger runs only for a weight outside
-every stored cone.  The lookup also names the face of the cone that holds
-the weight, by the basis terms the weight ties with their leading
-monomials; init_w(I) is the same on the relative interior of a face, so
-callers can key per-weight answers by the face.
+every stored cone.  The lookup also finds the face of the cone that holds
+the weight, named by the basis terms the weight ties with their leading
+monomials, and returns one record per face; init_w(I) is the same on the
+relative interior of a face, so the record keeps it, and callers key
+per-weight answers by the record.
 
 ``with Job(limit, seed):`` makes one step budget, one set of memo tables
 and one random stream hold for everything run inside it.  Outside any
@@ -37,12 +38,13 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import combinations
 from math import cos, gcd, pi, sin
 from operator import add, le, mul, sub
 from random import Random
 
 from .errors import DegenerateSample, NotZeroDimensional, ResourceBudgetExceeded
-from .linalg import complex_gauss_jordan, mat_vec, nullspace, rref, solve_linear
+from .linalg import complex_gauss_jordan, mat_vec, rref, solve_linear
 from .rings import (
     Polynomial,
     TermOrder,
@@ -486,37 +488,58 @@ def _dehomogenize(g: Polynomial, vars) -> Polynomial:
     return Polynomial(res, vars)
 
 
+class Face:
+    """A face of the Groebner fan of an ideal, as ``InitialIdealEngine.face``
+    returns it: the Groebner cone holding it (None where init_w(I) = I),
+    the tie pattern of its weights in that cone, and init_w(I), the same
+    for all of them, as ``initial`` first builds it for one of them (None
+    until then)."""
+
+    __slots__ = ("cone", "ties", "ideal")
+
+    def __init__(self, cone, ties):
+        self.cone, self.ties, self.ideal = cone, ties, None
+
+
 class InitialIdealEngine:
     """Computes init_w(I) for arbitrary integer weights (min convention).
 
     The base Groebner basis under a degree-compatible order is computed
     once.  ``face(w)`` looks w up among the Groebner cones stored so far
-    and returns the cone that holds it with w's tie pattern in that cone;
-    a homogeneous Groebner run under the negated-weight refinement happens
-    only on a miss, storing a new cone.  The pair names the face of the
-    Groebner fan whose relative interior holds w, and init_w(I) is the
-    same for every weight of one face.  ``initial(w)`` takes it from the
-    initial forms of the cone's basis.
+    and returns the record of the face of the Groebner fan whose relative
+    interior holds w, one per (cone, tie pattern) pair; a homogeneous
+    Groebner run under the negated-weight refinement happens only on a
+    miss, storing a new cone.  init_w(I) is the same for every weight of
+    one face; ``initial(w)`` takes it from the initial forms of the cone's
+    basis.
     """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.nvars = ideal.nvars
         self._cones = []
+        self._faces = {}
+        self._last = (None, None)
         self.base = groebner_basis(ideal, grlex(self.nvars))
         # init_w(I) = I for every w when I is the zero or the unit ideal
         self._fixed = ideal.is_zero or self.base.is_unit
         hvars = ideal.vars + (_HOMOG_VAR,)
         self.hgens = [_homogenize(g, hvars) for g in self.base.gens]
 
-    def face(self, w):
-        """(cone, tie pattern) of the face holding w, or (None, ()) where
+    def face(self, w) -> Face:
+        """The record of the face holding w; its cone is None where
         init_w(I) = I: at w = 0 and for the zero and unit ideals.  A hit
         moves its cone to the front of the list."""
         if len(w) != self.nvars:
             raise ValueError("weight length does not match the ring")
-        if self._fixed or not any(w):
-            return None, ()
+        key = self._lookup(w) if not self._fixed and any(w) else (None, ())
+        record = self._faces.get(key)
+        if record is None:
+            record = self._faces[key] = Face(*key)
+        self._last = tuple(w), record
+        return record
+
+    def _lookup(self, w):
         cones = self._cones
         for i, cone in enumerate(cones):
             ties = cone.ties(w)
@@ -533,23 +556,25 @@ class InitialIdealEngine:
     def basis(self, w):
         """The dehomogenized basis of the cone that holds w, in the order
         ``_interreduce`` gives the basis under this weight; the base basis
-        where init_w(I) = I."""
-        return self._basis(self.face(w), w)
-
-    def _basis(self, face, w):
-        cone, _ = face
-        if cone is None:
+        where init_w(I) = I.  w is not looked up again when ``face`` was
+        last called with it."""
+        last, face = self._last
+        if last != tuple(w):
+            face = self.face(w)
+        if face.cone is None:
             return list(self.base.gens)
         order = _weight_order(w)
-        return [g for _, g in sorted(cone.basis, key=lambda item: order.key(item[0]))]
+        return [g for _, g in sorted(face.cone.basis, key=lambda item: order.key(item[0]))]
 
-    def initial(self, w, *, _face=None) -> Ideal:
-        """init_w(I), from the initial forms of ``basis(w)``.  A caller
-        that holds w's face as ``face(w)`` returned it passes it as
-        ``_face``, which spares the second lookup."""
-        if _face is None:
-            _face = self.face(w)
-        return Ideal([g.weight_initial(w) for g in self._basis(_face, w)], self.ideal.vars)
+    def initial(self, w) -> Ideal:
+        """init_w(I), from the initial forms of ``basis(w)``, in that
+        order; the first built on a face is kept as its record's
+        ``ideal``."""
+        J = Ideal([g.weight_initial(w) for g in self.basis(w)], self.ideal.vars)
+        face = self._last[1]  # w's, which ``basis`` looked up or found
+        if face.ideal is None:
+            face.ideal = J
+        return J
 
 
 def _weight_order(w):
@@ -1021,27 +1046,12 @@ def solve_zero_dim_numeric(G: GroebnerBasis):
     return sols
 
 
-# -- homogeneity space and dimension ---------------------------------------------
-
-
-def homogeneity_space(ideal):
-    """Basis of the space of weights u for which the ideal is u-graded,
-    computed from the reduced Groebner basis (exponent differences within
-    each element)."""
-    rows = []
-    for g in groebner_basis(ideal).gens:
-        exps = list(g.terms)
-        e0 = exps[0]
-        for e in exps[1:]:
-            rows.append([Fraction(x - y) for x, y in zip(e, e0)])
-    return nullspace(rows, ncols=ideal.nvars)
+# -- dimension ---------------------------------------------------------------------
 
 
 def ideal_dimension(ideal) -> int:
     """Affine Krull dimension via independent variable subsets of the
     leading-term ideal (-1 for the unit ideal)."""
-    from itertools import combinations
-
     G = groebner_basis(ideal)
     if G.is_unit:
         return -1

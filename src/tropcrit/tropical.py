@@ -27,6 +27,11 @@ one line, interreducing the initial forms under lex, with no S-pair,
 gives the reduced lex basis, and the homogeneity space is the space
 orthogonal to its term differences; that basis differs from the initial
 forms where in_(w,0)(I^h) has a component at h = 0.
+
+Both answers are kept per face record of the initial-ideal engine
+(``InitialIdealEngine.face``), which also keeps init_w(I).  A job has one
+``TropicalEngine.of(I)`` per ideal; the series lifts of ``asymptotics``
+read their cone bases from the engine of the curve's critical ideal.
 """
 
 from __future__ import annotations
@@ -187,32 +192,19 @@ def _lattice_points(space, nvars, bound):
             yield tuple(w)
 
 
-class _Face:
-    """A face's record: the initial-ideal engine's (cone, tie pattern)
-    pair, init_w(I) and its generator set, built on first use, and
-    rigidity, None while the tied differences leave it open."""
-
-    __slots__ = ("pair", "ideal", "gens", "rigid")
-
-    def __init__(self, pair, rigid):
-        self.pair = pair
-        self.ideal = self.gens = None
-        self.rigid = rigid
-
-
 class TropicalEngine:
-    """Caches per-ideal work: the base Groebner basis and Groebner cones
-    (in the initial-ideal engine), one record per face, and membership.
+    """Membership and rigidity on top of the initial-ideal engine's face
+    records, with the base Groebner basis and the Groebner cones in that
+    engine.
 
     Membership and rigidity depend only on init_w(I), which is constant on
-    each face of a Groebner cone.  A weight is looked up by its face, the
-    (cone, tie pattern) pair of the initial-ideal engine, and the face's
-    record is made only for a face not seen before, from the rank of the
-    face's tied weak differences (the term differences of the base basis
-    on the face (None, ()), where init_w(I) = I).  init_w(I) is built only
-    when membership, rigidity or ``initial`` asks for it.  Membership is
-    keyed by its generator set, so two faces with the same initial ideal
-    share one saturation.
+    each face of the Groebner fan.  A weight is looked up once, by the
+    engine's ``face``, and both are answered once per face record.
+    Rigidity is read first from the rank of the face's tied weak
+    differences.  init_w(I) is built, once per face, only when membership
+    asks for it.  Membership is also keyed by the generator set of
+    init_w(I), so two faces with the same initial ideal share one
+    saturation.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
@@ -232,7 +224,8 @@ class TropicalEngine:
         self._witnesses = {
             _term_differences(g) for g in (*self.engine.base.gens, *ideal.gens)
         }
-        self._faces = {}
+        self._rigidity = {}
+        self._members = {}
         self._contains = {}
 
     @classmethod
@@ -245,55 +238,50 @@ class TropicalEngine:
         return memo[key]
 
     def initial(self, w) -> Ideal:
-        return self._initial(w, self._face(w))
-
-    def _face(self, w) -> _Face:
-        """The record of w's face, made once per face.  Its tied
-        differences settle rigidity where they leave two or more
-        dimensions, and on the face (None, ()), where init_w(I) = I and
-        they are the term differences of a reduced basis."""
+        """init_w(I) as w's face record keeps it."""
         face = self.engine.face(w)
-        record = self._faces.get(face)
-        if record is None:
-            cone, ties = face
-            if cone is None:
-                rigid = not self.ideal.is_zero and _one_line(self.engine.base.gens, self.nvars)
-            else:
-                free = self.nvars - rank([cone.weak[i] for i in ties])
-                rigid = None if free == 1 else False
-            record = self._faces[face] = _Face(face, rigid)
-        return record
-
-    def _initial(self, w, face) -> Ideal:
         if face.ideal is None:
-            face.ideal = self.engine.initial(w, _face=face.pair)
-            face.gens = frozenset(face.ideal.gens)
+            self.engine.initial(w)
         return face.ideal
 
     def _member(self, w, face) -> bool:
-        J = self._initial(w, face)
-        result = self._contains.get(face.gens)
-        if result is None:
-            if J.is_zero:
-                result = True  # the full torus
-            elif any(g.is_term() for g in J.gens):
-                result = False
-            else:
-                result = not saturate(J, self.torus_monomial).is_unit
-            self._contains[face.gens] = result
-        return result
+        member = self._members.get(face)
+        if member is None:
+            J = self.engine.initial(w)
+            gens = frozenset(J.gens)
+            member = self._contains.get(gens)
+            if member is None:
+                if J.is_zero:
+                    member = True  # the full torus
+                elif any(g.is_term() for g in J.gens):
+                    member = False
+                else:
+                    member = not saturate(J, self.torus_monomial).is_unit
+                self._contains[gens] = member
+            self._members[face] = member
+        return member
 
     def _rigid(self, w, face) -> bool:
-        """The face's rigidity; where the tied differences leave one
-        dimension, true iff init_w(I) is not zero and the term differences
-        of its reduced lex basis, the initial forms interreduced, leave
-        one dimension."""
-        if face.rigid is None:
-            J = self._initial(w, face)
-            face.rigid = not J.is_zero and _one_line(
-                interreduce(J.gens, TermOrder([])), self.nvars
-            )
-        return face.rigid
+        """True iff w's face lies in trop(I) and is rigid, answered once
+        per face.  The face's tied differences settle it, with no
+        membership check, where they leave two or more dimensions; on the
+        face without a cone, where init_w(I) = I, they are the term
+        differences of a reduced basis.  Where they leave one dimension,
+        a face in trop(I) is rigid iff init_w(I) is not zero and the term
+        differences of its reduced lex basis, the initial forms
+        interreduced, leave one dimension."""
+        rigid = self._rigidity.get(face)
+        if rigid is None:
+            if face.cone is None:
+                rigid = not self.ideal.is_zero and _one_line(self.engine.base.gens, self.nvars)
+            else:
+                rigid = self.nvars - rank([face.cone.weak[i] for i in face.ties]) == 1
+            rigid = rigid and self._member(w, face)
+            if rigid and face.cone is not None:
+                J = face.ideal
+                rigid = not J.is_zero and _one_line(interreduce(J.gens, TermOrder([])), self.nvars)
+            self._rigidity[face] = rigid
+        return rigid
 
     def _screened_out(self, w) -> bool:
         """True if some witness has a unique w-minimal term."""
@@ -348,13 +336,13 @@ class TropicalEngine:
             raise ValueError("weight length does not match the ring")
         if self._screened_out(w):
             return False
-        return self._member(w, self._face(w))
+        return self._member(w, self.engine.face(w))
 
     def is_rigid(self, w) -> bool:
         """True iff the homogeneity space of init_w(I) is exactly one line,
         answered once per face; raises NotInTropicalVariety for a w
         outside trop(I)."""
-        face = self._face(w)
+        face = self.engine.face(w)
         if not self._member(w, face):
             w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
@@ -392,8 +380,7 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     warn_connectedness_assumed()
     rays = []
     for w in eng.candidates(bound):
-        face = eng._face(w)
-        if face.rigid is not False and eng._member(w, face) and eng._rigid(w, face):
+        if eng._rigid(w, eng.engine.face(w)):
             rays.append(Ray(v=w, rigid=True, source="searched"))
     return rays
 

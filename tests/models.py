@@ -13,7 +13,7 @@ from tropcrit.groebner import (
     _buchberger,
     _dehomogenize,
     _saturate_single,
-    homogeneity_space,
+    groebner_basis,
 )
 from tropcrit.linalg import nullspace
 from tropcrit.mle import VarietySpec
@@ -378,13 +378,24 @@ def initial_by_fresh_run(eng, w) -> Ideal:
     return Ideal([_dehomogenize(g, vars).weight_initial(w) for g in gh], vars)
 
 
+def homogeneity_space(ideal):
+    """Basis of the space of weights u for which the ideal is u-graded,
+    from the exponent differences within each element of its reduced
+    grlex Groebner basis."""
+    rows = []
+    for g in groebner_basis(ideal).gens:
+        first, *rest = g.terms
+        rows += [[Fraction(x - y) for x, y in zip(e, first)] for e in rest]
+    return nullspace(rows, ncols=ideal.nvars)
+
+
 def tied_space(eng, w):
     """The weights orthogonal to the tied weak differences of w's face in
-    a TropicalEngine; on the face (None, ()), where init_w(I) = I, to the
-    term differences of the base basis."""
-    cone, ties = eng.engine.face(w)
-    if cone is not None:
-        rows = [cone.weak[i] for i in ties]
+    a TropicalEngine; on the face without a cone, where init_w(I) = I, to
+    the term differences of the base basis."""
+    face = eng.engine.face(w)
+    if face.cone is not None:
+        rows = [face.cone.weak[i] for i in face.ties]
     else:
         rows = []
         for g in eng.engine.base.gens:
@@ -398,7 +409,7 @@ def check_tied_ranks(eng, bound) -> int:
     w = 0 included, with J a fresh-run init_w(I):
 
     * ``tied_space`` lies in the homogeneity space of J;
-    * off the face (None, ()), the engine's initial forms are a lex
+    * off the face without a cone, the engine's initial forms are a lex
       Groebner basis of J: each leading monomial of the reduced lex basis
       is divisible by the lexicographically largest monomial of one of
       them;
@@ -412,7 +423,7 @@ def check_tied_ranks(eng, bound) -> int:
             J = initial_by_fresh_run(eng.engine, w)
             space = homogeneity_space(J)
             assert _rank([*space, *tied_space(eng, w)]) == len(space), w
-            if eng.engine.face(w)[0] is not None:
+            if eng.engine.face(w).cone is not None:
                 leads = [max(g.terms) for g in eng.initial(w).gens]
                 for g in _buchberger(list(J.gens), lex, Job()):
                     assert any(mono_divides(m, g.leading(lex)[0]) for m in leads), w

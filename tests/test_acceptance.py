@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+from models import homogeneity_space
 import tropcrit
 from tropcrit.arrangement import Arrangement, chi_complement, flacet_rays
 from tropcrit.asymptotics import (
@@ -17,7 +18,7 @@ from tropcrit.asymptotics import (
 )
 from tropcrit.bs_lct import bs_slope_intersection, facet_defining, lct_polytope
 from tropcrit.cli import JobConfig, load_bs_fixture, load_spec, run_report
-from tropcrit.groebner import Job, homogeneity_space
+from tropcrit.groebner import Job
 from tropcrit.linalg import rank
 from tropcrit.mle import critical_system, ml_degree, mle_closed_form, sample_alpha
 from tropcrit.rings import poly_parse

@@ -36,11 +36,11 @@ from tropcrit.asymptotics import (
     valuation_vector,
 )
 from tropcrit.errors import DegenerateSample, NoConvergence, TruncationTooShort
-from tropcrit.groebner import Job
+from tropcrit.groebner import InitialIdealEngine, Job
 from tropcrit.mle import CriticalSystem, critical_system
 from tropcrit.rings import poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
-from tropcrit.tropical import Ray
+from tropcrit.tropical import Ray, TropicalEngine
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -269,6 +269,27 @@ def test_branches_saturates_once_in_the_curve_ring(monkeypatch):
         found, _ = branches(conic_spec(), conic_curve(), rays)
     assert len(found) == 3
     assert rings.count(("x", "y", CURVE_VAR)) == 1
+
+
+def test_branches_share_the_tropical_engine_of_the_critical_ideal(monkeypatch):
+    # the interior and the escaping ansatz read their cone bases from one
+    # initial-ideal engine of the curve's critical ideal J, the engine of
+    # the job's TropicalEngine.of(J)
+    engines = []
+    real = InitialIdealEngine.__init__
+
+    def recording(self, ideal):
+        engines.append(self)
+        real(self, ideal)
+
+    monkeypatch.setattr(InitialIdealEngine, "__init__", recording)
+    rays = [Ray(v) for v in sorted(CONIC_RAYS)]
+    with Job():
+        found, _ = branches(conic_spec(), conic_curve(), rays)
+        [engine] = [e for e in engines if e.ideal.vars == ("x", "y", CURVE_VAR)]
+        assert engine._cones
+        assert TropicalEngine.of(engine.ideal).engine is engine
+    assert len(found) == 3
 
 
 def test_branch_count_matches_ml_degree():

@@ -827,6 +827,9 @@ FIVE_LINES = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
     [
         ({"kind": "ideal", "variables": ["x", "x"], "generators": ["x-1"]}, "/variables"),
         ({"kind": "ideal", "variables": ["x", 3], "generators": ["x-1"]}, "/variables"),
+        ({"kind": "ideal", "variables": [], "generators": ["1"]}, "/variables"),
+        ({"kind": "parametrization", "parameters": [], "functions": ["2", "3"]}, "/parameters"),
+        ({"kind": "arrangement", "variables": [], "matrix": []}, "/variables"),
         ({**TWO_FUNCTIONS, "parameters": ["x", "x"]}, "/parameters"),
         ({**TWO_FUNCTIONS, "coordinates": ["a"]}, "/coordinates"),
         ({**TWO_FUNCTIONS, "coordinates": ["a", "a"]}, "/coordinates"),
@@ -855,6 +858,9 @@ FIVE_LINES = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
     ids=[
         "duplicate-variables",
         "non-string-variable",
+        "no-variables",
+        "no-parameters",
+        "no-arrangement-variables",
         "duplicate-parameters",
         "too-few-coordinates",
         "duplicate-coordinates",

@@ -12,6 +12,7 @@ from models import (
     conic_spec,
     five_lines_ideal,
     four_lines_ideal,
+    homogeneity_space,
     initial_by_fresh_run,
     symbolic_data,
 )
@@ -28,7 +29,6 @@ from tropcrit.groebner import (
     Job,
     eliminate,
     groebner_basis,
-    homogeneity_space,
     ideal_dimension,
     ideal_equal,
     initial_ideal,

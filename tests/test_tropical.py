@@ -17,6 +17,7 @@ from models import (
     embedded_at_infinity_ideals,
     five_lines_ideal,
     four_lines_ideal,
+    homogeneity_space,
     initial_by_fresh_run,
     mat_mul,
     tied_space,
@@ -28,7 +29,6 @@ from tropcrit.groebner import (
     InitialIdealEngine,
     Job,
     groebner_basis,
-    homogeneity_space,
     ideal_dimension,
     saturate,
 )
