@@ -15,10 +15,15 @@ returns the branches the ``asymptotics`` report renders.
 The Hensel lift solves for one coefficient order at a time.  It reads the
 residuals from a ``series.RelaxedEvaluator``, which computes each series
 coefficient of the system once, in one scalar type per lift: ``Fraction``
-for exact seeds, ``complex`` for floating ones.  Floating seeds and their
-lifts are computed in pure Python: the t = 0 layer by
-``groebner.solve_zero_dim_numeric``, the Jacobian inverse by pivoted
-Gauss-Jordan elimination.
+for exact seeds (kept as integer numerator and denominator pairs inside
+the evaluator), ``complex`` for floating ones.  ``valuation_vector`` reads
+each coordinate function's order lazily on the same kind of evaluator,
+rescaled by the branch valuations, up to its first certified-nonzero
+coefficient.  Floating seeds and their lifts are computed in pure Python:
+the t = 0 layer by ``groebner.solve_zero_dim_numeric``, the Jacobian
+inverse by pivoted Gauss-Jordan elimination; ``refine_seed_exact``
+Newton-refines a real floating seed on the exact layer, evaluating each
+polynomial over the integers.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .groebner import (
 from .linalg import complex_gauss_jordan, inverse
 from .mle import CriticalSystem, VarietySpec, critical_system
 from .rings import Polynomial, dot
-from .series import LaurentSeries, RelaxedEvaluator, poly_eval_series
+from .series import LaurentSeries, RelaxedEvaluator, _sum
 from .tropical import Ray, TropicalEngine, critical_slopes
 
 CURVE_VAR = "t"
@@ -139,18 +144,9 @@ def _rescale(equations, ring, valuations):
     return out
 
 
-def _jacobian_at(equations, ring, point, exact):
-    """Jacobian with respect to the unknowns at (point, t=0)."""
-    n = len(ring) - 1
-    env = {ring[j]: point[j] for j in range(n)}
-    env[CURVE_VAR] = Fraction(0) if exact else 0.0
-    rows = []
-    for eq in equations:
-        row = []
-        for j in range(n):
-            row.append(eq.derivative(ring[j]).evaluate(env))
-        rows.append(row)
-    return rows
+def _jacobian(equations, unknowns):
+    """Rows of the partial derivatives of the equations by the unknowns."""
+    return [[eq.derivative(x) for x in unknowns] for eq in equations]
 
 
 def _num_inverse(rows):
@@ -175,14 +171,14 @@ def _num_inverse(rows):
     return inv
 
 
-def _square_subsystem(equations, ring, point, exact):
-    """Indices of equations with an invertible Jacobian at the seed, and
-    the inverse; (None, None) if there are none."""
-    n = len(ring) - 1
-    if len(equations) < n:
+def _square_subsystem(rows, exact):
+    """Indices of n equations whose Jacobian rows, given as values at a
+    point, form an invertible matrix, and its inverse; (None, None) if
+    there are none."""
+    if not rows or len(rows) < len(rows[0]):
         return None, None
-    for subset in combinations(range(len(equations)), n):
-        jac = _jacobian_at([equations[i] for i in subset], ring, point, exact)
+    for subset in combinations(range(len(rows)), len(rows[0])):
+        jac = [rows[i] for i in subset]
         inv = inverse(jac) if exact else _num_inverse(jac)
         if inv is not None:
             return subset, inv
@@ -193,13 +189,18 @@ def _abs_poly(eq):
     return Polynomial({e: abs(c) for e, c in eq.terms.items()}, eq.vars)
 
 
-def _abs_env(env):
-    out = {}
-    for name, s in env.items():
-        out[name] = LaurentSeries(
-            s.valuation, [abs(complex(c)) for c in s.coeffs], s.truncation_order
-        )
-    return out
+def _value(f, point):
+    """f at a rational point (a value per variable of f), summed as
+    integer numerators over one common denominator."""
+    pairs = []
+    for e, c in f.terms.items():
+        n, d = c.numerator, c.denominator
+        for x, k in zip(point, e):
+            if k:
+                n *= x.numerator**k
+                d *= x.denominator**k
+        pairs.append((n, d))
+    return Fraction(*_sum(pairs))
 
 
 def _hensel(equations, ring, seed, order, exact):
@@ -215,7 +216,10 @@ def _hensel(equations, ring, seed, order, exact):
     floating residuals are judged against.
     """
     n = len(ring) - 1
-    subset, inv = _square_subsystem(equations, ring, seed, exact)
+    env = dict(zip(ring, seed))
+    env[CURVE_VAR] = Fraction(0) if exact else 0.0
+    rows = [[d.evaluate(env) for d in row] for row in _jacobian(equations, ring[:-1])]
+    subset, inv = _square_subsystem(rows, exact)
     if subset is None:
         raise SingularJacobian("no square subsystem with invertible Jacobian")
     scalar = Fraction if exact else complex
@@ -408,18 +412,19 @@ def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
     if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
         return seed
     _, layer, _ = _ansatz(system, valuations)
+    jacobian = _jacobian(layer, system.unknowns)
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
     target = Fraction(1, 2**bits)
     for _ in range(64):
-        env = dict(zip(system.unknowns, x))
-        vals = [eq.evaluate(env) for eq in layer]
+        vals = [_value(eq, x) for eq in layer]
         if all(abs(v) < target for v in vals):
             return tuple(x)
-        subset, inv = _square_subsystem(layer, system.ring, x, True)
+        rows = [[_value(d, x) for d in row] for row in jacobian]
+        subset, inv = _square_subsystem(rows, True)
         if subset is None:
             raise SingularJacobian("refinement Jacobian is singular")
-        rhs = [layer[i].evaluate(env) for i in subset]
+        rhs = [vals[i] for i in subset]
         delta = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
         x = [
             Fraction(round((xi - di) * scale), scale)
@@ -429,52 +434,76 @@ def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
 
 
 def valuation_vector(sol: SeriesSolution, spec: VarietySpec):
-    """Orders ord_t of the coordinate functions along the branch."""
-    fs = spec.tuple_polys()
-    unknowns = spec.unknowns
-    trunc = min(b.truncation_order for b in sol.branch)
-    env = dict(zip(unknowns, sol.branch))
-    out = []
-    for f in fs:
-        val = poly_eval_series(f, env, trunc)
-        if sol.exact:
-            out.append(_series_order(val, True))
-        else:
-            mag = poly_eval_series(_abs_poly(f), _abs_env(env), trunc)
-            out.append(_series_order(val, False, magnitude=mag))
-    return tuple(out)
+    """Orders ord_t of the coordinate functions along the branch, read
+    lazily: the first certified-nonzero coefficient of each.
 
-
-def _series_order(series: LaurentSeries, exact: bool, magnitude=None) -> int:
-    """First certified-nonzero order.
-
-    Floating coefficients are compared against the magnitude series (the
-    same evaluation with absolute values): by the triangle inequality a
-    computed coefficient never exceeds its magnitude bound, so the ratio
-    measures cancellation.
+    Each branch series is t^{v_j} X_j with X_j(0) != 0.  A coordinate
+    function f is rescaled as ``_rescale`` does, into g(X, t) with
+    f(t^v X) = t^{m0} X^{-a} g(X, t) for the least shift m0 and a monomial
+    X^a clearing the Laurent exponents; X^{-a} is a unit, so
+    ord f = m0 + ord g.  One ``RelaxedEvaluator`` computes the
+    coefficients of every g one at a time, and each read stops at the
+    first nonzero one; a floating one must exceed ``NUMERIC_ZERO`` times
+    the coefficient of the same evaluation on absolute values (by the
+    triangle inequality a computed coefficient never exceeds that bound,
+    so the ratio measures cancellation).  The read covers the window that
+    ``poly_eval_series`` of f at the branch knows: each term to its
+    valuation plus the least relative precision of its factors and of
+    the scalar at the least truncation order.  ``TruncationTooShort`` is
+    raised when no coefficient of the window is certified.
     """
-    if exact:
-        if series.is_zero:
+    unknowns = spec.unknowns
+    vals = [b.valuation for b in sol.branch]
+    precision = [b.truncation_order - b.valuation for b in sol.branch]
+    trunc = min(b.truncation_order for b in sol.branch)
+    ring = unknowns + (CURVE_VAR,)
+    polys = []
+    windows = []
+    for f in spec.tuple_polys():
+        f = f.extend_ring(ring)
+        shifts = [dot(vals, e) for e in f.terms]
+        ends = [
+            s + min([trunc] + [precision[j] for j, x in enumerate(e[:-1]) if x])
+            for s, e in zip(shifts, f.terms)
+        ]
+        m0 = min(shifts)
+        polys.extend(_rescale([f], ring, vals))
+        windows.append((m0, min([trunc] + ends) - m0))
+    # zeros past a branch's precision pad the inputs to the widest window;
+    # they never reach a coefficient below the first nonzero one of g
+    width = max(w for _, w in windows)
+    scalar = Fraction if sol.exact else complex
+    inputs = {
+        name: list(b.coeffs) + [scalar(0)] * (width - len(b.coeffs))
+        for name, b in zip(unknowns, sol.branch)
+    }
+    inputs[CURVE_VAR] = [scalar(0), scalar(1)] + [scalar(0)] * width
+    values = RelaxedEvaluator(polys, inputs, scalar)
+    if not sol.exact:
+        magnitudes = RelaxedEvaluator(
+            [_abs_poly(g) for g in polys],
+            {name: [abs(c) for c in cs] for name, cs in inputs.items()},
+            float,
+        )
+    out = []
+    for i, (m0, window) in enumerate(windows):
+        for k in range(window):
+            (c,) = values.coefficients(k + 1, [i])
+            if sol.exact:
+                nonzero = c[k] != 0
+            else:
+                (m,) = magnitudes.coefficients(k + 1, [i])
+                nonzero = abs(c[k]) > NUMERIC_ZERO * max(m[k], 1e-300)
+            if nonzero:
+                out.append(m0 + k)
+                break
+        else:
             raise TruncationTooShort(
                 "series vanishes to truncation order; cannot certify its order"
+                if sol.exact
+                else "no numerically nonzero coefficient found"
             )
-        return series.valuation
-    for i, c in enumerate(series.coeffs):
-        k = series.valuation + i
-        m = abs(complex(c))
-        if magnitude is not None:
-            bound = (
-                abs(complex(magnitude.coeff(k)))
-                if k < magnitude.truncation_order
-                else 0.0
-            )
-            bound = max(bound, 1e-300)
-        else:
-            # no cancellation information: fall back to a global scale
-            bound = max([abs(complex(x)) for x in series.coeffs] + [1.0])
-        if m > NUMERIC_ZERO * bound:
-            return k
-    raise TruncationTooShort("no numerically nonzero coefficient found")
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -710,9 +710,11 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     it may vanish at a point of I : f^infty.  One elimination by g runs
     when g is not constant.  Then one saturation by the squarefree
     monomial of m's support, which has the same saturation as m, runs on
-    the stripped result: when every generator has degree at most one, I
-    is linear, hence prime or the unit ideal, and one ``rref`` replaces
-    the elimination (``_linear_saturation``).  A constant f, or the zero
+    the stripped result.  It needs no run when one generator h is left:
+    no variable of m divides h, so (h) : m^infty = (h) in the UFD, and
+    h made monic is the basis.  When every generator has degree at most
+    one, I is linear, hence prime or the unit ideal, and one ``rref``
+    replaces the elimination (``_linear_saturation``).  A constant f, or the zero
     ideal, leaves I unchanged: the result is the basis of I, which is I
     itself when I already is a grlex basis.
 
@@ -731,6 +733,9 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     if not support:
         return groebner_basis(ideal)
     ideal = _strip(ideal, support)
+    if len(ideal.gens) == 1:
+        order = grlex(ideal.nvars)
+        return GroebnerBasis([ideal.gens[0].monic(order)], order, ideal.vars)
     if ideal.gens and all(h.total_degree() <= 1 for h in ideal.gens):
         return _linear_saturation(ideal.gens, ideal.vars, support)
     m = Polynomial({tuple(int(x != 0) for x in low): Fraction(1)}, ideal.vars)

@@ -8,22 +8,25 @@ coefficients for exponents valuation .. truncation_order-1 and prints as
 
 ``poly_eval_series`` evaluates a polynomial at complete series.
 ``RelaxedEvaluator`` evaluates a polynomial system at power series whose
-coefficients arrive one at a time, as in a Hensel lift: it computes each
-coefficient of each power and term once it is final, and keeps it
-(relaxed evaluation; van der Hoeven, "Relax, but don't be too lazy",
-JSC 2002).  Both do the same floating arithmetic in the same order, so
-their floating results agree bit for bit.  On exact operands both sum
-each convolution (and the evaluator each sum of terms) as integer
-numerators over one common denominator, normalised once per
-coefficient: ``Fraction`` arithmetic would normalise after every
-product and every partial sum, which is most of the cost of an exact
-lift.
+coefficients arrive one at a time, as in a Hensel lift or a lazy read of
+a valuation: it computes each coefficient of each power and term once it
+is final, and keeps it (relaxed evaluation; van der Hoeven, "Relax, but
+don't be too lazy", JSC 2002).  Both do the same floating arithmetic in
+the same order, so their floating results agree bit for bit.  Their
+exact arithmetic is over the integers: a rational is a (numerator,
+denominator) pair, and each convolution, like each sum of terms in the
+evaluator, is summed as integer numerators over a common denominator
+and normalised once per coefficient (``_dot``, ``_sum``).  ``Fraction``
+arithmetic would normalise after every product and every partial sum,
+which is most of the cost of an exact lift; the evaluator keeps pairs in
+its nodes and builds a ``Fraction`` only for the coefficients it
+returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SeriesInversionError
 from .rings import Polynomial
@@ -31,26 +34,40 @@ from .rings import Polynomial
 _EXACT_TYPES = (int, Fraction)
 
 
-def _exact_dot(left, right):
-    """Sum of a*b over the pairs of two rational sequences, as one
-    Fraction: the integer numerator products are summed over the lcm of
-    the denominator products and normalised once, instead of once per
-    product and once per partial sum."""
-    nums = []
-    dens = []
-    for a, b in zip(left, right):
-        if a and b:
-            nums.append(a.numerator * b.numerator)
-            dens.append(a.denominator * b.denominator)
-    d = lcm(*dens)
-    return Fraction(sum([n * (d // e) for n, e in zip(nums, dens)]), d)
+def _pairs(values):
+    """(numerator, denominator) pairs of rational values."""
+    return [(v.numerator, v.denominator) for v in values]
 
 
-def _exact_sum(values):
-    """Sum of rational values over their common denominator, normalised
-    once."""
-    d = lcm(*[v.denominator for v in values])
-    return Fraction(sum([v.numerator * (d // v.denominator) for v in values]), d)
+def _sum(pairs):
+    """Sum of (numerator, denominator) pairs as one normalised pair."""
+    n, d = 0, 1
+    for a, e in pairs:
+        if e == d:
+            n += a
+        else:
+            m = lcm(d, e)
+            n = n * (m // d) + a * (m // e)
+            d = m
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _dot(left, right):
+    """Sum of a*b over the terms of two sequences of pairs, as one
+    normalised pair."""
+    n, d = 0, 1
+    for (an, ad), (bn, bd) in zip(left, right):
+        if an and bn:
+            e = ad * bd
+            if e == d:
+                n += an * bn
+            else:
+                m = lcm(d, e)
+                n = n * (m // d) + an * bn * (m // e)
+                d = m
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 class LaurentSeries:
@@ -186,9 +203,9 @@ class LaurentSeries:
         val = self.valuation + other.valuation
         n = order - val
         if self.exact and other.exact:
-            a, b = self.coeffs, other.coeffs
+            a, b = _pairs(self.coeffs), _pairs(other.coeffs)
             return LaurentSeries(
-                val, [_exact_dot(a, b[k::-1]) for k in range(n)], order
+                val, [Fraction(*_dot(a, b[k::-1])) for k in range(n)], order
             )
         acc = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
@@ -275,9 +292,7 @@ def poly_eval_series(f: Polynomial, env: dict, truncation_order: int) -> Laurent
     return total
 
 
-
-
-_CONSTANT, _SCALE, _PRODUCT, _SUM = range(4)
+_CONSTANT, _SCALE, _PRODUCT, _SUM, _PAIRS, _FRACTION = range(6)
 
 
 class RelaxedEvaluator:
@@ -297,10 +312,12 @@ class RelaxedEvaluator:
     order of the ring; a polynomial sums its terms in dict order.  A
     product's coefficient k is the convolution ``LaurentSeries.__mul__``
     computes: ascending index of the left factor, zero left factors
-    skipped, summed from zero.  With ``scalar=Fraction`` a product's and
-    a polynomial's coefficients are summed over one common denominator
-    instead (``_exact_dot``, ``_exact_sum``); the ``complex`` and
-    ``float`` paths keep the arithmetic and order above.
+    skipped, summed from zero.  With ``scalar=Fraction`` the nodes hold
+    (numerator, denominator) pairs: one node per variable reads the
+    caller's coefficients as pairs, a product's and a polynomial's
+    coefficients are ``_dot`` and ``_sum`` of pairs, and one node per
+    polynomial turns its pairs into the ``Fraction``s returned.  The
+    ``complex`` and ``float`` paths keep the arithmetic and order above.
 
     Every node keeps the coefficients it computed.  The last of them is
     provisional, because the caller may still change that coefficient of
@@ -309,8 +326,9 @@ class RelaxedEvaluator:
     """
 
     def __init__(self, polys, inputs, scalar):
-        self._zero = scalar(0)
         self._exact = scalar is Fraction
+        self._zero = (0, 1) if self._exact else scalar(0)
+        convert = (lambda c: (c.numerator, c.denominator)) if self._exact else scalar
         self._inputs = list(inputs.values())
         self._nodes = []  # (kind, left, right, out), in dependency order
         self._polys = []  # (out, indices of the nodes it needs)
@@ -326,13 +344,16 @@ class RelaxedEvaluator:
                     if x:
                         power = self._power(name, inputs[name], x, powers, needs)
                         if chain is None:
-                            chain = self._node(_SCALE, scalar(c), power, needs)
+                            chain = self._node(_SCALE, convert(c), power, needs)
                         else:
                             chain = self._node(_PRODUCT, chain, power, needs)
                 if chain is None:
-                    chain = self._node(_CONSTANT, scalar(c), None, needs)
+                    chain = self._node(_CONSTANT, convert(c), None, needs)
                 terms.append(chain)
-            self._polys.append((self._node(_SUM, terms, None, needs), needs))
+            out = self._node(_SUM, terms, None, needs)
+            if self._exact:
+                out = self._node(_FRACTION, out, None, needs)
+            self._polys.append((out, needs))
 
     def _node(self, kind, left, right, needs):
         out = []
@@ -341,13 +362,20 @@ class RelaxedEvaluator:
         return out
 
     def _power(self, name, base, e, powers, needs):
-        """x^e as a left fold of products by x, one node per exponent."""
-        if e == 1:
-            return base
+        """x^e as a left fold of products by x, one node per exponent;
+        x^1 is the caller's list, or with exact scalars the node of its
+        pairs."""
         if (name, e) not in powers:
             own = set()
-            prev = self._power(name, base, e - 1, powers, own)
-            powers[name, e] = (self._node(_PRODUCT, prev, base, own), own)
+            if e > 1:
+                prev = self._power(name, base, e - 1, powers, own)
+                x = self._power(name, base, 1, powers, own)
+                out = self._node(_PRODUCT, prev, x, own)
+            elif self._exact:
+                out = self._node(_PAIRS, base, None, own)
+            else:
+                out = base
+            powers[name, e] = (out, own)
         out, own = powers[name, e]
         needs |= own
         return out
@@ -369,25 +397,39 @@ class RelaxedEvaluator:
             kind, left, right, out = self._nodes[index]
             start = max(min(len(out), n) - 1, 0)
             del out[start:]
-            for k in range(start, n):
-                if kind == _PRODUCT:
-                    if exact:
-                        s = _exact_dot(left, right[k::-1])
-                    else:
-                        s = zero
-                        for a, b in zip(left, right[k::-1]):
-                            if a:
-                                s = s + a * b
-                elif kind == _SCALE:
-                    s = zero + left * right[k]
-                elif kind == _SUM:
-                    if exact:
-                        s = _exact_sum([term[k] for term in left])
-                    else:
-                        s = zero
-                        for term in left:
-                            s = s + term[k]
+            span = range(start, n)
+            if kind == _PRODUCT:
+                if exact:
+                    out.extend([_dot(left, right[k::-1]) for k in span])
+                    continue
+                for k in span:
+                    s = zero
+                    for a, b in zip(left, right[k::-1]):
+                        if a:
+                            s = s + a * b
+                    out.append(s)
+            elif kind == _SCALE:
+                if exact:
+                    cn, cd = left
+                    for k in span:
+                        rn, rd = right[k]
+                        g = gcd(cn * rn, cd * rd)
+                        out.append((cn * rn // g, cd * rd // g))
                 else:
-                    s = left if k == 0 else zero
-                out.append(s)
+                    out.extend([zero + left * right[k] for k in span])
+            elif kind == _SUM:
+                if exact:
+                    out.extend([_sum([term[k] for term in left]) for k in span])
+                    continue
+                for k in span:
+                    s = zero
+                    for term in left:
+                        s = s + term[k]
+                    out.append(s)
+            elif kind == _PAIRS:
+                out.extend(_pairs(left[start:n]))
+            elif kind == _FRACTION:
+                out.extend([Fraction(*left[k]) for k in span])
+            else:
+                out.extend([left if k == 0 else zero for k in span])
         return [self._polys[i][0][:n] for i in which]

@@ -6,7 +6,8 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from tropcrit.arrangement import Arrangement, matroid_flats
-from tropcrit.asymptotics import _rescale
+from tropcrit.asymptotics import NUMERIC_ZERO, _abs_poly, _rescale
+from tropcrit.errors import TruncationTooShort
 from tropcrit.groebner import (
     Ideal,
     Job,
@@ -18,6 +19,7 @@ from tropcrit.groebner import (
 from tropcrit.linalg import nullspace
 from tropcrit.mle import VarietySpec
 from tropcrit.rings import Polynomial, TermOrder, mono_divides, poly_parse
+from tropcrit.series import LaurentSeries, poly_eval_series
 
 COIN_VARS = ("t0", "t1", "t2")
 FOUR_VARS = ("t1", "t2", "t3", "t4")
@@ -476,6 +478,66 @@ def naive_poly_eval(f, series, n):
                 acc = times(acc, series[name])
         total = [a + b for a, b in zip(total, acc)]
     return total
+
+
+def abs_env(env):
+    """Series of the absolute values of each series' coefficients."""
+    out = {}
+    for name, s in env.items():
+        out[name] = LaurentSeries(
+            s.valuation, [abs(complex(c)) for c in s.coeffs], s.truncation_order
+        )
+    return out
+
+
+def series_order(series: LaurentSeries, exact: bool, magnitude=None) -> int:
+    """First certified-nonzero order of a complete series.
+
+    Floating coefficients are compared against the magnitude series (the
+    same evaluation with absolute values): by the triangle inequality a
+    computed coefficient never exceeds its magnitude bound, so the ratio
+    measures cancellation.
+    """
+    if exact:
+        if series.is_zero:
+            raise TruncationTooShort(
+                "series vanishes to truncation order; cannot certify its order"
+            )
+        return series.valuation
+    for i, c in enumerate(series.coeffs):
+        k = series.valuation + i
+        m = abs(complex(c))
+        if magnitude is not None:
+            bound = (
+                abs(complex(magnitude.coeff(k)))
+                if k < magnitude.truncation_order
+                else 0.0
+            )
+            bound = max(bound, 1e-300)
+        else:
+            # no cancellation information: fall back to a global scale
+            bound = max([abs(complex(x)) for x in series.coeffs] + [1.0])
+        if m > NUMERIC_ZERO * bound:
+            return k
+    raise TruncationTooShort("no numerically nonzero coefficient found")
+
+
+def full_series_valuation_vector(sol, spec):
+    """Orders of the coordinate functions along a branch, each evaluated
+    to the least truncation order of the branch by ``poly_eval_series``
+    (with its magnitude series for a floating branch) and read by
+    ``series_order``."""
+    trunc = min(b.truncation_order for b in sol.branch)
+    env = dict(zip(spec.unknowns, sol.branch))
+    out = []
+    for f in spec.tuple_polys():
+        val = poly_eval_series(f, env, trunc)
+        if sol.exact:
+            out.append(series_order(val, True))
+        else:
+            mag = poly_eval_series(_abs_poly(f), abs_env(env), trunc)
+            out.append(series_order(val, False, magnitude=mag))
+    return tuple(out)
 
 
 def mat_mul(a, b):

@@ -3,17 +3,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
     CONIC_RAYS,
+    abs_env,
     coin_spec,
     conic_spec,
+    full_series_valuation_vector,
     four_lines_spec,
     product_saturation,
     rescaled_system,
+    series_order,
 )
 from tropcrit import groebner
 from tropcrit import asymptotics, series
@@ -21,10 +24,11 @@ from tropcrit.asymptotics import (
     CURVE_VAR,
     RESIDUAL_RTOL,
     DataCurve,
-    _abs_env,
+    SeriesSolution,
     _abs_poly,
     _ansatz,
     _hensel,
+    _jacobian,
     _layer_solved,
     _num_inverse,
     _saturated_equations,
@@ -37,8 +41,8 @@ from tropcrit.asymptotics import (
 )
 from tropcrit.errors import DegenerateSample, NoConvergence, TruncationTooShort
 from tropcrit.groebner import InitialIdealEngine, Job
-from tropcrit.mle import CriticalSystem, critical_system
-from tropcrit.rings import poly_parse
+from tropcrit.mle import CriticalSystem, VarietySpec, critical_system
+from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
 from tropcrit.tropical import Ray, TropicalEngine
 
@@ -377,26 +381,132 @@ def test_curve_validation():
 
 
 def test_truncation_too_short_detected():
-    from tropcrit.asymptotics import _series_order
-    from tropcrit.series import LaurentSeries
-
     # exact series that vanishes to truncation order: order unknown
     with pytest.raises(TruncationTooShort):
-        _series_order(LaurentSeries.zero(5), exact=True)
+        series_order(LaurentSeries.zero(5), exact=True)
     # floating series with only numerically-zero coefficients
     tiny = LaurentSeries(0, [1e-14, -3e-15], 2)
     with pytest.raises(TruncationTooShort):
-        _series_order(tiny, exact=False)
+        series_order(tiny, exact=False)
     # a genuinely resolved floating series
     ok = LaurentSeries(-1, [0.5, 1e-13], 1)
-    assert _series_order(ok, exact=False) == -1
+    assert series_order(ok, exact=False) == -1
+
+
+_XY = ("x", "y")
+
+
+@st.composite
+def lazy_valuation_cases(draw):
+    """A branch in (x, y) with valuations in [-2, 2] and its own relative
+    precision per unknown, exact (rationals with odd denominators) or
+    floating (Gaussian integers with a leading coefficient of modulus one,
+    so floating arithmetic is exact and a zero is certified by neither
+    route), and 1-3 coordinate functions, Laurent ones included, plus
+    x - y.  y often agrees with x on its first coefficients, so leading
+    terms cancel, to the truncation order when it agrees on all."""
+    exact = draw(st.booleans())
+    if exact:
+        lead = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7)])
+        rest = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(2, 9)])
+    else:
+        lead = st.sampled_from([1.0, -1.0, 1j]).map(complex)
+        rest = st.sampled_from([0.0, 1.0, -1.0, 1j, 2.0]).map(complex)
+    branch = []
+    for _ in _XY:
+        v = draw(st.integers(-2, 2))
+        coeffs = [draw(lead)] + draw(st.lists(rest, min_size=1, max_size=5))
+        branch.append(LaurentSeries(v, coeffs, v + len(coeffs)))
+    if draw(st.booleans()):
+        # y agrees with x on its first k coefficients
+        x = branch[0]
+        k = draw(st.integers(1, len(x.coeffs)))
+        coeffs = list(x.coeffs[:k]) + draw(st.lists(rest, max_size=4))
+        branch[1] = LaurentSeries(x.valuation, coeffs, x.valuation + len(coeffs))
+    low = -2 if draw(st.booleans()) else 0
+    terms = st.dictionaries(
+        st.tuples(st.integers(low, 2), st.integers(low, 2)),
+        st.sampled_from([1, -1, 2, Fraction(-1, 3)]),
+        min_size=1,
+        max_size=3,
+    )
+    functions = draw(
+        st.lists(terms.map(lambda t: Polynomial(t, _XY)), min_size=1, max_size=3)
+    )
+    functions.append(poly_parse("x-y", _XY))
+    spec = VarietySpec(kind="parametrization", functions=functions)
+    return SeriesSolution(tuple(branch), exact, 0), spec
+
+
+def valuation_outcome(read, sol, spec):
+    try:
+        return read(sol, spec)
+    except TruncationTooShort:
+        return "too short"
+
+
+# floating x - y cancels to 2^-40 against a magnitude of 2: not certified
+_NEAR_CANCELLATION = (
+    SeriesSolution(
+        (
+            LaurentSeries(0, [1 + 0j, 1 + 0j, 0j], 3),
+            LaurentSeries(0, [complex(1 + 2**-40), 1 + 0j, 0j], 3),
+        ),
+        False,
+        0,
+    ),
+    VarietySpec(kind="parametrization", functions=[poly_parse("x-y", _XY)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lazy_valuation_cases())
+@example(_NEAR_CANCELLATION)
+def test_lazy_valuation_vector_matches_full_series_order(case):
+    # the first certified coefficient of each rescaled function, read one
+    # at a time, is the order read from the complete poly_eval_series
+    # evaluation, and the read fails exactly when that one does
+    sol, spec = case
+    assert valuation_outcome(valuation_vector, sol, spec) == valuation_outcome(
+        full_series_valuation_vector, sol, spec
+    )
+
+
+def test_valuation_too_short_for_the_order_lifts_again_at_twice_it(monkeypatch):
+    # along (1, t^3) the critical point of (s, 1-s) is s = 1/(1+t^3), and
+    # 1 - s has order 3: lifted to order 2 it vanishes to the truncation
+    # order, so the branch lifts again to order 4; lifted to order 1 it
+    # still vanishes at order 2, and TruncationTooShort propagates
+    spec = VarietySpec(
+        kind="parametrization",
+        functions=[poly_parse("s", ("s",)), poly_parse("1-s", ("s",))],
+    )
+    curve = DataCurve.parse(["1", "t^3"])
+    orders = []
+    real = asymptotics.series_newton_lift
+
+    def recording(system, seed, order, valuations):
+        orders.append(order)
+        return real(system, seed, order, valuations)
+
+    monkeypatch.setattr(asymptotics, "series_newton_lift", recording)
+    [branch], notes = branches(spec, curve, [], order=2)
+    assert orders == [2, 4] and not notes
+    assert branch.solution.exact and branch.valuation_vector == (0, 3)
+    orders.clear()
+    with pytest.raises(TruncationTooShort):
+        branches(spec, curve, [], order=1)
+    assert orders == [1, 2]
 
 
 def reference_hensel(equations, ring, seed, order, exact):
     """The order-by-order lift as it was before relaxed evaluation: every
     step re-evaluates the residuals from scratch with poly_eval_series."""
     n = len(ring) - 1
-    subset, inv = _square_subsystem(equations, ring, seed, exact)
+    env0 = dict(zip(ring, seed))
+    env0[CURVE_VAR] = Fraction(0) if exact else 0.0
+    rows = [[d.evaluate(env0) for d in row] for row in _jacobian(equations, ring[:-1])]
+    subset, inv = _square_subsystem(rows, exact)
     eqs = [equations[i] for i in subset]
     coeffs = [[seed[j]] + [Fraction(0) if exact else 0.0] * order for j in range(n)]
 
@@ -416,7 +526,7 @@ def reference_hensel(equations, ring, seed, order, exact):
         for j in range(n):
             coeffs[j][k] = delta[j]
     final = env(order)
-    abs_env = None if exact else _abs_env(final)
+    magnitude_env = None if exact else abs_env(final)
     failures = []
     for eq in equations:
         r = poly_eval_series(eq, final, order + 1)
@@ -424,7 +534,7 @@ def reference_hensel(equations, ring, seed, order, exact):
             if not r.is_zero:
                 failures.append(r.valuation)
             continue
-        mag = poly_eval_series(_abs_poly(eq), abs_env, order + 1)
+        mag = poly_eval_series(_abs_poly(eq), magnitude_env, order + 1)
         for k in range(min(r.truncation_order, order + 1)):
             c = abs(complex(r.coeff(k)))
             m = abs(complex(mag.coeff(k))) if k < mag.truncation_order else 0.0
@@ -468,6 +578,7 @@ def test_hensel_equals_reference_loop(order):
 
 
 def test_lift_makes_no_poly_eval_series_call(monkeypatch):
+    # neither the lift nor the lazy read of its valuation vector
     calls = []
     real = series.poly_eval_series
 
@@ -476,11 +587,11 @@ def test_lift_makes_no_poly_eval_series_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series, "poly_eval_series", counting)
-    monkeypatch.setattr(asymptotics, "poly_eval_series", counting)
     for seed, valuations in conic_lift_cases():
-        series_newton_lift(
+        sol = series_newton_lift(
             conic_system(), seed=seed, order=12, valuations=valuations
         )
+        valuation_vector(sol, conic_spec())
     assert calls == []
 
 

@@ -244,13 +244,14 @@ def test_arrangement_report_runs_no_groebner_route(monkeypatch, capsys):
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
-    # the run takes exactly 282 reduction steps; reducing other pairs, or
+    # the run takes exactly 262 reduction steps; reducing other pairs, or
     # the same pairs in another order, or saturating by another chain of
     # runs or without first dividing out monomial factors, or saturating
     # the curve's critical system more than once, moves the boundary; so
     # do the membership saturations of the 8 initial ideals whose faces'
     # tied differences leave two or more dimensions, which the ray search
-    # skips (15 steps)
+    # skips (15 steps), and a Groebner run for a monomial saturation of
+    # one generator, whose basis is that generator made monic (20 steps)
     args = [
         "asymptotics",
         "--spec",
@@ -260,8 +261,8 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
         "--bound",
         "2",
     ]
-    assert main(args + ["--budget", "282"]) == EXIT_OK
-    assert main(args + ["--budget", "281"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "262"]) == EXIT_OK
+    assert main(args + ["--budget", "261"]) == EXIT_RESOURCE
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):

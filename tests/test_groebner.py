@@ -539,30 +539,25 @@ def test_kernel_basis_is_primitive_over_z(gens):
 
 
 _factor_exponents = st.tuples(*(st.integers(0, 2) for _ in _XYZ))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    gens=st.lists(
-        st.tuples(
-            _factor_exponents,
-            st.dictionaries(
-                _factor_exponents,
-                st.integers(-5, 5).filter(bool),
-                min_size=1,
-                max_size=3,
-            ),
-        ).map(
-            lambda ft: Polynomial(
-                {tuple(a + b for a, b in zip(ft[0], e)): c for e, c in ft[1].items()},
-                _XYZ,
-            )
-        ),
+# a polynomial with a monomial factor, drawn as factor and cofactor terms
+_factored = st.tuples(
+    _factor_exponents,
+    st.dictionaries(
+        _factor_exponents,
+        st.integers(-5, 5).filter(bool),
         min_size=1,
         max_size=3,
     ),
-    exponents=_factor_exponents,
+).map(
+    lambda ft: Polynomial(
+        {tuple(a + b for a, b in zip(ft[0], e)): c for e, c in ft[1].items()},
+        _XYZ,
+    )
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=st.lists(_factored, min_size=1, max_size=3), exponents=_factor_exponents)
 def test_saturate_by_monomial_matches_unstripped_run(gens, exponents):
     # generators carry monomial factors; dividing them out on the support
     # of the monomial before the run leaves the reduced basis unchanged
@@ -571,3 +566,18 @@ def test_saturate_by_monomial_matches_unstripped_run(gens, exponents):
     squarefree = Polynomial({tuple(int(x > 0) for x in exponents): 1}, _XYZ)
     m = Polynomial({exponents: 1}, _XYZ)
     assert saturate(ideal, m).gens == groebner._saturate_single(ideal, squarefree).gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=_factored, exponents=_factor_exponents)
+def test_one_generator_monomial_saturation_is_the_stripped_generator(gen, exponents):
+    # (x^a h) : m^infty = (h) when no variable of m divides h: saturate
+    # returns h made monic with no Groebner run, the basis of one
+    # elimination by the squarefree monomial
+    assume(any(exponents))
+    ideal = Ideal([gen], _XYZ)
+    squarefree = Polynomial({tuple(int(x > 0) for x in exponents): 1}, _XYZ)
+    want = groebner._saturate_single(ideal, squarefree).gens
+    with patch.object(groebner, "_buchberger", None), Job() as job:
+        got = saturate(ideal, Polynomial({exponents: 1}, _XYZ))
+    assert got.gens == want and job.steps == 0

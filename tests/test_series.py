@@ -173,12 +173,19 @@ def test_relaxed_evaluator_matches_poly_eval_series(case):
 
 
 _rationals = st.fractions(min_value=-9, max_value=9, max_denominator=60)
+# denominators with odd prime factors, which a lift from a seed with
+# power-of-two denominators never meets
+_odd_rationals = st.builds(
+    Fraction, st.integers(-99, 99), st.sampled_from([3, 7, 9, 11, 15, 49, 60])
+)
 
 
 @st.composite
 def exact_cases(draw):
-    """Rational polynomials in 2-3 variables plus t and rational series
-    with denominators up to 60; zero coefficients are drawn on purpose."""
+    """Rational polynomials in 2-3 variables plus t, rational series with
+    denominators up to 60 and with odd ones, and a provisional value of
+    each coefficient that the evaluator sees before the final one; zero
+    coefficients are drawn on purpose."""
     names = ("x", "y", "z")[: draw(st.integers(2, 3))] + ("t",)
     exponents = st.tuples(*[st.integers(0, 3)] * len(names))
     polys = draw(
@@ -191,13 +198,16 @@ def exact_cases(draw):
         )
     )
     order = draw(st.integers(1, 7))
-    value = st.one_of(st.just(Fraction(0)), _rationals)
+    value = st.one_of(st.just(Fraction(0)), _rationals, _odd_rationals)
     series = {
         name: draw(st.lists(value, min_size=order, max_size=order))
         for name in names[:-1]
     }
+    provisional = {
+        name: draw(st.lists(value, min_size=order, max_size=order)) for name in series
+    }
     series["t"] = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
-    return polys, series, order
+    return polys, series, provisional, order
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,16 +215,22 @@ def exact_cases(draw):
 def test_exact_evaluation_matches_schoolbook_fractions(case):
     """The common-denominator sums of the exact relaxed evaluator and of
     poly_eval_series equal schoolbook Fraction arithmetic, at every step
-    of a lift and at the end."""
-    polys, series, order = case
+    of a lift and at the end.  At each step the newest coefficient of each
+    input first holds a provisional value, changed in place to the final
+    one before the next call, which recomputes it."""
+    polys, series, provisional, order = case
     wants = [naive_poly_eval(f, series, order) for f in polys]
     inputs = {name: [Fraction(0)] * (order + 2) for name in series}
+    inputs["t"] = list(series["t"])
     evaluator = RelaxedEvaluator(polys, inputs, Fraction)
     for n in range(1, order + 1):
-        for name, c in series.items():
+        for name, c in provisional.items():
             inputs[name][n - 1] = c[n - 1]
         got = evaluator.coefficients(n)
-        assert got == [want[:n] for want in wants]
+        assert got == [naive_poly_eval(f, inputs, n) for f in polys]
+        for name, c in series.items():
+            inputs[name][n - 1] = c[n - 1]
+    assert evaluator.coefficients(order) == wants
     env = {name: LaurentSeries(0, c[:order], order) for name, c in series.items()}
     for f, want in zip(polys, wants):
         assert [poly_eval_series(f, env, order).coeff(k) for k in range(order)] == want

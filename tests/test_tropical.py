@@ -167,6 +167,24 @@ def test_contains_saturates_once_per_initial_ideal(monkeypatch):
     assert saturated and len(saturated) == len(set(saturated))
 
 
+def test_conic_ray_search_runs_no_saturation_by_elimination(monkeypatch):
+    # the conic is a hypersurface: each initial ideal the search saturates
+    # has one generator, whose saturation by the torus monomial is itself
+    # with its monomial factor divided out, so no elimination runs
+    runs = []
+    real = groebner._saturate_single
+
+    def counting(ideal, f):
+        runs.append(ideal)
+        return real(ideal, f)
+
+    monkeypatch.setattr(groebner, "_saturate_single", counting)
+    with Job():
+        rays = find_rigid_rays(conic_ideal(), bound=2)
+    assert {r.v for r in rays} == CONIC_RAYS
+    assert runs == []
+
+
 def test_box_search_builds_each_face_once(monkeypatch):
     # init_w(I) is constant on each face of a Groebner cone, so the box
     # search builds it once per (cone, tie pattern), not once per weight
