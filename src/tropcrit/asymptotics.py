@@ -446,29 +446,30 @@ def valuation_vector(sol: SeriesSolution, spec: VarietySpec):
     first nonzero one; a floating one must exceed ``NUMERIC_ZERO`` times
     the coefficient of the same evaluation on absolute values (by the
     triangle inequality a computed coefficient never exceeds that bound,
-    so the ratio measures cancellation).  The read covers the window that
-    ``poly_eval_series`` of f at the branch knows: each term to its
-    valuation plus the least relative precision of its factors and of
-    the scalar at the least truncation order.  ``TruncationTooShort`` is
-    raised when no coefficient of the window is certified.
+    so the ratio measures cancellation).  The read covers the window the
+    branch determines: each term is known to its shift plus the least
+    relative precision of the unknowns in it (its scalar and t are
+    exact), and f to the least of these over its terms; a constant f is
+    its one coefficient.  ``TruncationTooShort`` is raised when no
+    coefficient of the window is certified.
     """
     unknowns = spec.unknowns
     vals = [b.valuation for b in sol.branch]
     precision = [b.truncation_order - b.valuation for b in sol.branch]
-    trunc = min(b.truncation_order for b in sol.branch)
     ring = unknowns + (CURVE_VAR,)
     polys = []
     windows = []
     for f in spec.tuple_polys():
         f = f.extend_ring(ring)
         shifts = [dot(vals, e) for e in f.terms]
-        ends = [
-            s + min([trunc] + [precision[j] for j, x in enumerate(e[:-1]) if x])
-            for s, e in zip(shifts, f.terms)
-        ]
         m0 = min(shifts)
+        ends = [
+            s + min(precision[j] for j, x in enumerate(e[:-1]) if x)
+            for s, e in zip(shifts, f.terms)
+            if any(e[:-1])
+        ]
         polys.extend(_rescale([f], ring, vals))
-        windows.append((m0, min([trunc] + ends) - m0))
+        windows.append((m0, min(ends, default=m0 + 1) - m0))
     # zeros past a branch's precision pad the inputs to the widest window;
     # they never reach a coefficient below the first nonzero one of g
     width = max(w for _, w in windows)

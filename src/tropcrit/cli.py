@@ -4,11 +4,19 @@ Commands run the pipeline on a variety spec (ideal, parametrization or
 arrangement), write a machine-readable report to stdout (or --out) and a
 human summary to stderr.  All randomness flows from the ``Job``'s stream,
 seeded by ``--seed``; the seed is echoed in every report.
+
+The command line is read in one pass over argv (``read_argv``): one
+command of ``COMMANDS`` and the options of ``OPTIONS``, each as
+``--name value`` or ``--name=value`` and spelled out in full; the defaults
+are ``JobConfig``'s.  A usage error (unknown or repeated command, unknown
+option, missing or non-integer value, no --spec) is a
+``SpecValidationError`` at /options/<name>, so it exits 2 like every
+other validation error; -h/--help prints the help built from the two
+tables and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -645,74 +653,126 @@ def _summarize(report, stream):
         print(f"  [{w['code']}] {w['message']}", file=stream)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tropcrit",
-        description="rigid tropical rays, critical slopes, closed-form MLE, "
-        "series asymptotics and LCT facet tests for very affine varieties",
-    )
-    parser.add_argument("--schema", action="store_true", help="print the JSON schemas and exit")
-    # one declaration of the options every command shares
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", required=True, help="spec file path or inline JSON")
-    common.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    common.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    common.add_argument("--out", default=None)
-    common.add_argument("--curve", default=None, help="data curve JSON (asymptotics)")
-    common.add_argument("--bs-fixture", default=None, help="external factor list JSON")
-    common.add_argument("--k", default=None, help="discrepancy map JSON (lct)")
-    sub = parser.add_subparsers(dest="command")
-    for name, doc in [
-        ("rigid-rays", "rigid rays: complete for arrangements, else within the bound"),
-        ("slopes", "critical slope hyperplanes of the rigid rays"),
-        ("euler", "stratum Euler characteristics and the weighted ray sum"),
-        ("mle", "ML degree and, when it is one, the closed-form estimator"),
-        ("asymptotics", "series branches along a data curve"),
-        ("bs-slopes", "intersection with the Bernstein-Sato slope locus"),
-        ("lct", "LCT-polytope facet predicate per nonnegative ray"),
-        ("report", "full pipeline"),
-    ]:
-        sub.add_parser(name, help=doc, parents=[common])
-    return parser
+COMMANDS = {
+    "rigid-rays": "rigid rays: complete for arrangements, else within the bound",
+    "slopes": "critical slope hyperplanes of the rigid rays",
+    "euler": "stratum Euler characteristics and the weighted ray sum",
+    "mle": "ML degree and, when it is one, the closed-form estimator",
+    "asymptotics": "series branches along a data curve",
+    "bs-slopes": "intersection with the Bernstein-Sato slope locus",
+    "lct": "LCT-polytope facet predicate per nonnegative ray",
+    "report": "full pipeline",
+}
+
+# the options every command shares: --name -> (JobConfig field, type);
+# their defaults are JobConfig's
+OPTIONS = {
+    "--spec": ("spec_source", str),
+    "--bound": ("bound", int),
+    "--order": ("order", int),
+    "--seed": ("seed", int),
+    "--budget": ("budget", int),
+    "--precision": ("precision", int),
+    "--out": ("out", str),
+    "--curve": ("curve_path", str),
+    "--bs-fixture": ("bs_fixture_path", str),
+    "--k": ("k_path", str),
+}
+
+
+def usage() -> str:
+    """The help text, built from ``COMMANDS`` and ``OPTIONS``."""
+    lines = [
+        "usage: tropcrit <command> --spec FILE [--name VALUE | --name=VALUE ...]",
+        "       tropcrit --schema | -h | --help",
+        "",
+        "rigid tropical rays, critical slopes, closed-form MLE, series asymptotics",
+        "and LCT facet tests for very affine varieties",
+        "",
+        "commands:",
+        *(f"  {name:<12} {doc}" for name, doc in COMMANDS.items()),
+        "",
+        "options (--spec is a file path or inline JSON, and required):",
+        *(
+            f"  {name} {'N' if kind is int else 'FILE'}"
+            for name, (_, kind) in OPTIONS.items()
+        ),
+    ]
+    return "\n".join(lines)
+
+
+def read_argv(argv):
+    """The command of a command line and the ``JobConfig`` fields of its
+    options, read in one pass; ("help", {}) for -h or --help and
+    ("schema", {}) for --schema, and a None command when argv names none.
+    Each option takes a value, as ``--name value`` or ``--name=value``
+    (a next argument that starts with -- is not a value); a usage error
+    raises ``SpecValidationError`` at /options/<name>."""
+    command = None
+    values = {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return "help", {}
+        if arg == "--schema":
+            return "schema", {}
+        if not arg.startswith("-"):
+            if arg not in COMMANDS:
+                raise errors.SpecValidationError(
+                    f"unknown command {arg!r}", "/options/command"
+                )
+            if command is not None:
+                raise errors.SpecValidationError(
+                    f"command {arg!r} given after {command!r}", "/options/command"
+                )
+            command = arg
+            continue
+        name, eq, value = arg.partition("=")
+        pointer = f"/options/{name.lstrip('-')}"
+        if name not in OPTIONS:
+            raise errors.SpecValidationError(f"unknown option {name}", pointer)
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise errors.SpecValidationError(f"{name} needs a value", pointer)
+        field, kind = OPTIONS[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise errors.SpecValidationError(
+                    f"{name} must be an integer, got {value!r}", pointer
+                )
+        values[field] = value
+    if command is not None and "spec_source" not in values:
+        raise errors.SpecValidationError("--spec is required", "/options/spec")
+    return command, values
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.schema:
-        json.dump(
-            {
-                "spec": SPEC_SCHEMA,
-                "curve": CURVE_SCHEMA,
-                "bs_fixture": BS_FIXTURE_SCHEMA,
-                "k": K_SCHEMA,
-            },
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        print()
-        return EXIT_OK
-    if not args.command:
-        parser.print_help()
-        return EXIT_VALIDATION
     try:
-        cfg = JobConfig(
-            command=args.command,
-            spec_source=args.spec,
-            bound=args.bound,
-            order=args.order,
-            seed=args.seed,
-            budget=args.budget,
-            precision=args.precision,
-            out=args.out,
-            curve_path=args.curve,
-            bs_fixture_path=getattr(args, "bs_fixture"),
-            k_path=args.k,
-        )
+        command, values = read_argv(sys.argv[1:] if argv is None else argv)
+        if command == "help":
+            print(usage())
+            return EXIT_OK
+        if command == "schema":
+            json.dump(
+                {
+                    "spec": SPEC_SCHEMA,
+                    "curve": CURVE_SCHEMA,
+                    "bs_fixture": BS_FIXTURE_SCHEMA,
+                    "k": K_SCHEMA,
+                },
+                sys.stdout,
+                indent=2,
+                sort_keys=True,
+            )
+            print()
+            return EXIT_OK
+        if command is None:
+            print(usage())
+            return EXIT_VALIDATION
+        cfg = JobConfig(command=command, **values)
         report, code = run_report(cfg)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
         for cls, code in EXIT_CODES.items():

@@ -522,12 +522,13 @@ def series_order(series: LaurentSeries, exact: bool, magnitude=None) -> int:
     raise TruncationTooShort("no numerically nonzero coefficient found")
 
 
-def full_series_valuation_vector(sol, spec):
+def full_series_valuation_vector(sol, spec, trunc=None):
     """Orders of the coordinate functions along a branch, each evaluated
-    to the least truncation order of the branch by ``poly_eval_series``
-    (with its magnitude series for a floating branch) and read by
-    ``series_order``."""
-    trunc = min(b.truncation_order for b in sol.branch)
+    to ``trunc`` (by default the least truncation order of the branch) by
+    ``poly_eval_series`` (with its magnitude series for a floating branch)
+    and read by ``series_order``."""
+    if trunc is None:
+        trunc = min(b.truncation_order for b in sol.branch)
     env = dict(zip(spec.unknowns, sol.branch))
     out = []
     for f in spec.tuple_polys():

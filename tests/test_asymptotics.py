@@ -404,7 +404,9 @@ def lazy_valuation_cases(draw):
     so floating arithmetic is exact and a zero is certified by neither
     route), and 1-3 coordinate functions, Laurent ones included, plus
     x - y.  y often agrees with x on its first coefficients, so leading
-    terms cancel, to the truncation order when it agrees on all."""
+    terms cancel, to the truncation order when it agrees on all.  The
+    third entry is the same branch with two more nonzero coefficients
+    drawn for each unknown."""
     exact = draw(st.booleans())
     if exact:
         lead = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7)])
@@ -412,6 +414,7 @@ def lazy_valuation_cases(draw):
     else:
         lead = st.sampled_from([1.0, -1.0, 1j]).map(complex)
         rest = st.sampled_from([0.0, 1.0, -1.0, 1j, 2.0]).map(complex)
+    unknown = rest.filter(bool)
     branch = []
     for _ in _XY:
         v = draw(st.integers(-2, 2))
@@ -435,14 +438,28 @@ def lazy_valuation_cases(draw):
     )
     functions.append(poly_parse("x-y", _XY))
     spec = VarietySpec(kind="parametrization", functions=functions)
-    return SeriesSolution(tuple(branch), exact, 0), spec
+    padded = []
+    for b in branch:
+        extra = draw(st.lists(unknown, min_size=2, max_size=2))
+        padded.append(
+            LaurentSeries(b.valuation, [*b.coeffs, *extra], b.truncation_order + 2)
+        )
+    return (
+        SeriesSolution(tuple(branch), exact, 0),
+        spec,
+        SeriesSolution(tuple(padded), exact, 0),
+    )
 
 
-def valuation_outcome(read, sol, spec):
+def valuation_outcome(read, sol, spec, **options):
     try:
-        return read(sol, spec)
+        return read(sol, spec, **options)
     except TruncationTooShort:
         return "too short"
+
+
+# past the truncation order of every function of the drawn branches
+PAST_EVERY_WINDOW = 32
 
 
 # floating x - y cancels to 2^-40 against a magnitude of 2: not certified
@@ -456,6 +473,14 @@ _NEAR_CANCELLATION = (
         0,
     ),
     VarietySpec(kind="parametrization", functions=[poly_parse("x-y", _XY)]),
+    SeriesSolution(
+        (
+            LaurentSeries(0, [1 + 0j, 1 + 0j, 0j, 1j, 1 + 0j], 5),
+            LaurentSeries(0, [complex(1 + 2**-40), 1 + 0j, 0j, 2 + 0j, 1j], 5),
+        ),
+        False,
+        0,
+    ),
 )
 
 
@@ -464,12 +489,45 @@ _NEAR_CANCELLATION = (
 @example(_NEAR_CANCELLATION)
 def test_lazy_valuation_vector_matches_full_series_order(case):
     # the first certified coefficient of each rescaled function, read one
-    # at a time, is the order read from the complete poly_eval_series
-    # evaluation, and the read fails exactly when that one does
-    sol, spec = case
-    assert valuation_outcome(valuation_vector, sol, spec) == valuation_outcome(
-        full_series_valuation_vector, sol, spec
+    # at a time: where the complete poly_eval_series evaluation to the
+    # least truncation order reads an order, it is that order; where it
+    # reads one, evaluating the branch with two more drawn coefficients
+    # per unknown past every window reads the same, so the answer does not
+    # depend on coefficients the branch leaves unknown; and it is too short
+    # only where the reference is
+    sol, spec, padded = case
+    lazy = valuation_outcome(valuation_vector, sol, spec)
+    reference = valuation_outcome(full_series_valuation_vector, sol, spec)
+    if reference != "too short":
+        assert lazy == reference
+    if lazy != "too short":
+        assert lazy == valuation_outcome(
+            full_series_valuation_vector, padded, spec, trunc=PAST_EVERY_WINDOW
+        )
+    else:
+        assert reference == "too short"
+
+
+def test_valuation_window_is_each_functions_own():
+    # x = t^-2 (1 + t + O(t^0)) and y = 1 + 3t + O(t^2): the least
+    # truncation order is 0, but each function is known to its terms'
+    # shifts plus the relative precision (2) of their unknowns, so x, y,
+    # xy and x - y have certified orders; reading every function only to
+    # the least truncation order, the reference finds none
+    sol = SeriesSolution(
+        (
+            LaurentSeries(-2, [Fraction(1), Fraction(1)], 0),
+            LaurentSeries(0, [Fraction(1), Fraction(3)], 2),
+        ),
+        True,
+        0,
     )
+    cases = [("x", -2), ("y", 0), ("x*y", -2), ("x-y", -2), ("y-1", 1), ("y^2-y", 1)]
+    for text, order in cases:
+        spec = VarietySpec(kind="parametrization", functions=[poly_parse(text, _XY)])
+        assert valuation_vector(sol, spec) == (order,)
+        with pytest.raises(TruncationTooShort):
+            full_series_valuation_vector(sol, spec)
 
 
 def test_valuation_too_short_for_the_order_lifts_again_at_twice_it(monkeypatch):

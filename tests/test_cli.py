@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -406,33 +407,132 @@ def test_non_string_polynomial_rejected(capsys, spec, pointer):
     assert f"[at {pointer}]" in capsys.readouterr().err
 
 
-def test_every_command_takes_the_same_options_and_defaults():
-    parser = cli.build_parser()
+def test_every_command_takes_the_same_options_and_defaults(monkeypatch):
+    # every command reads the same ten options into the same JobConfig
+    # fields, and takes JobConfig's defaults for those not given
+    monkeypatch.delenv("TROPCRIT_BUDGET", raising=False)
     defaults = {
-        "schema": False,
-        "spec": "s.json",
+        "spec_source": "s.json",
         "bound": cli.DEFAULT_BOUND,
         "order": cli.DEFAULT_ORDER,
         "seed": groebner.DEFAULT_SEED,
         "budget": None,
         "precision": cli.DEFAULT_PRECISION,
         "out": None,
-        "curve": None,
-        "bs_fixture": None,
-        "k": None,
+        "curve_path": None,
+        "bs_fixture_path": None,
+        "k_path": None,
     }
     given = ["--bound", "1", "--order", "2", "--seed", "3", "--budget", "4"]
     given += ["--precision", "5", "--out", "o", "--curve", "c"]
     given += ["--bs-fixture", "b", "--k", "k"]
     values = dict(defaults, bound=1, order=2, seed=3, budget=4, precision=5)
-    values.update(out="o", curve="c", bs_fixture="b", k="k")
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    assert len(commands) == 8
-    for name in commands:
-        args = vars(parser.parse_args([name, "--spec", "s.json"]))
-        assert args == dict(defaults, command=name)
-        args = vars(parser.parse_args([name, "--spec", "s.json", *given]))
-        assert args == dict(values, command=name)
+    values.update(out="o", curve_path="c", bs_fixture_path="b", k_path="k")
+    assert len(cli.COMMANDS) == 8 and len(cli.OPTIONS) == 10
+    for name in cli.COMMANDS:
+        command, fields = cli.read_argv([name, "--spec", "s.json"])
+        assert vars(JobConfig(command=command, **fields)) == dict(defaults, command=name)
+        command, fields = cli.read_argv([name, "--spec", "s.json", *given])
+        assert vars(JobConfig(command=command, **fields)) == dict(values, command=name)
+
+
+FOUR_LINES = fixture("four_lines.json")
+# sha256 of the --schema output before the option table replaced argparse
+SCHEMA_SHA256 = "9e22564bf5167e40edc605d685da764c03889288fee14db27650d682113f9aed"
+
+
+def usage_error(message):
+    def check(out, err, run):
+        assert out == "" and err == f"error: {message}\n"
+
+    return check
+
+
+def same_output_as(argv):
+    def check(out, err, run):
+        assert (EXIT_OK, out, err) == run(argv)
+
+    return check
+
+
+def names_every_command(out, err, run):
+    commands = ["rigid-rays", "slopes", "euler", "mle"]
+    commands += ["asymptotics", "bs-slopes", "lct", "report"]
+    assert all(name in out for name in commands) and not err
+
+
+def schema_unchanged(out, err, run):
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHEMA_SHA256 and not err
+
+
+@pytest.mark.parametrize(
+    "argv, code, check",
+    [
+        pytest.param(
+            ["foo", "--spec", FOUR_LINES],
+            EXIT_VALIDATION,
+            usage_error("unknown command 'foo' [at /options/command]"),
+            id="unknown-command",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", FOUR_LINES, "euler"],
+            EXIT_VALIDATION,
+            usage_error("command 'euler' given after 'rigid-rays' [at /options/command]"),
+            id="repeated-command",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", FOUR_LINES, "--bou", "2"],
+            EXIT_VALIDATION,
+            usage_error("unknown option --bou [at /options/bou]"),
+            id="option-prefix",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", FOUR_LINES, "--bound"],
+            EXIT_VALIDATION,
+            usage_error("--bound needs a value [at /options/bound]"),
+            id="missing-value",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", "--bound", "2"],
+            EXIT_VALIDATION,
+            usage_error("--spec needs a value [at /options/spec]"),
+            id="option-for-value",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", FOUR_LINES, "--seed", "x"],
+            EXIT_VALIDATION,
+            usage_error("--seed must be an integer, got 'x' [at /options/seed]"),
+            id="non-integer",
+        ),
+        pytest.param(
+            ["rigid-rays", "--bound", "1"],
+            EXIT_VALIDATION,
+            usage_error("--spec is required [at /options/spec]"),
+            id="no-spec",
+        ),
+        pytest.param(
+            ["rigid-rays", "--spec", FOUR_LINES, "--bound", "-1"],
+            EXIT_VALIDATION,
+            usage_error("bound must be >= 1 [at /options/bound]"),
+            id="bound-below-one",
+        ),
+        pytest.param(
+            ["rigid-rays", f"--spec={FOUR_LINES}", "--bound=1"],
+            EXIT_OK,
+            same_output_as(["rigid-rays", "--spec", FOUR_LINES, "--bound", "1"]),
+            id="name=value",
+        ),
+        pytest.param(["--help"], EXIT_OK, names_every_command, id="help"),
+        pytest.param(["--schema"], EXIT_OK, schema_unchanged, id="schema"),
+    ],
+)
+def test_command_line_usage(capsys, argv, code, check):
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    assert main(argv) == code
+    check(*capsys.readouterr(), run)
 
 
 def test_proportional_arrangement_rows_rejected(capsys):
@@ -738,6 +838,25 @@ def test_floating_asymptotics_run_does_not_import_numpy(tmp_path):
     )
     assert any(not b["exact"] for b in branches)
     assert not imported
+
+
+def test_cli_run_imports_no_argparse(tmp_path):
+    # the command line is read from the option table, so neither argparse
+    # nor the gettext and locale modules of its messages are imported
+    code = (
+        "import sys\n"
+        "import tropcrit.cli\n"
+        "print(tropcrit.cli.main(sys.argv[1:]))\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    argv = ["rigid-rays", "--spec", FOUR_LINES, "--out", str(tmp_path / "r.json")]
+    src = str(Path(tropcrit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True
+    )
+    assert done.stdout.splitlines() == ["0", "[]"], done.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["rays"]
 
 
 @pytest.mark.parametrize(
