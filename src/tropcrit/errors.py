@@ -25,7 +25,8 @@ class SeriesInversionError(TropcritError, ZeroDivisionError):
 
 
 class ResourceBudgetExceeded(TropcritError, RuntimeError):
-    """A Groebner computation exceeded its reduction-step budget."""
+    """A Groebner computation exceeded its reduction-step budget, or made
+    an exponent that reaches the kernel's ``EXPONENT_LIMIT``."""
 
 
 class NotZeroDimensional(TropcritError, ValueError):

@@ -1,9 +1,13 @@
 """Buchberger-based Groebner engine over the rationals.
 
-The kernel computes over the integers: polynomials are kept primitive
-over Z and reduced by pseudo-division, and ``Fraction`` appears only at
-its boundary, in the monic reduced bases it returns and the exact
-remainders of ``GroebnerBasis.normal_form``.
+The kernel computes over the integers on packed monomials: polynomials
+are kept primitive over Z and reduced by pseudo-division, each monomial
+is the one int ``TermOrder.key`` gives it (``rings.Packing``), and
+exponent tuples and ``Fraction`` appear only at its boundary, in the
+monic reduced bases it returns and the exact remainders of
+``GroebnerBasis.normal_form``.  The leading term of a packed dict is its
+max, a monomial product a sum, and divisibility one subtraction; an
+exponent that reaches ``EXPONENT_LIMIT`` raises ResourceBudgetExceeded.
 
 Every run is under one kind of order, an integer-matrix ``TermOrder``:
 grlex, a weight row refined by degree (used on homogenized input only,
@@ -40,21 +44,19 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from math import cos, gcd, pi, sin
-from operator import add, le, mul, sub
+from operator import mul
 from random import Random
 
 from .errors import DegenerateSample, NotZeroDimensional, ResourceBudgetExceeded
 from .linalg import complex_gauss_jordan, mat_vec, rref, solve_linear
 from .rings import (
+    EXPONENT_LIMIT,
     Polynomial,
     TermOrder,
     _integral,
     block_order,
     grlex,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -159,39 +161,69 @@ def _primitive(terms, lt):
     return {e: c // g for e, c in terms.items()}
 
 
-def _support(m):
-    """Bitmask of the positions of a monomial's positive exponents: a
-    monomial whose mask has a bit outside m's support cannot divide m."""
-    s = 0
-    for x in m:
-        s = 2 * s + (x > 0)
-    return s
+def _pack(terms, packing):
+    """Integer terms keyed by exponent tuples, rekeyed by packed monomials.
+
+    Every exponent must lie in [0, EXPONENT_LIMIT): a larger one raises
+    ResourceBudgetExceeded, and a negative one ValueError (callers
+    normalize Laurent input by a monomial first)."""
+    weights = packing.weights
+    out = {}
+    for e, c in terms.items():
+        if e and (min(e) < 0 or max(e) >= EXPONENT_LIMIT):
+            if min(e) < 0:
+                raise ValueError(f"negative exponent {e} in the Groebner kernel")
+            raise _too_large(e)
+        out[sum(map(mul, e, weights))] = c
+    return out
 
 
-def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
-    """Multivariate division over Z by pseudo-division.
+def _too_large(e):
+    return ResourceBudgetExceeded(
+        f"monomial {e} reaches the exponent limit {EXPONENT_LIMIT}"
+    )
 
-    ``terms`` and the ``reducers`` map monomials to ints, and ``lcs`` holds
-    the reducers' leading coefficients.  To cancel a term c*m by a reducer
-    g with leading coefficient a, the pending terms and the remainder are
-    scaled by a/h, h = gcd(a, c), and (c/h)*q*g is subtracted.  Returns
-    (remainder, sugar of the result, multiplier), where the multiplier is
-    the product of the scalings: remainder / multiplier is the remainder
-    of the same division over Q, which takes the same steps.  Each term
-    goes to the first reducer whose leading monomial divides it, tested
-    only where that monomial's support mask lies in the term's.
+
+def _lcm(a, b, weights):
+    """The packed lcm of two exponent tuples."""
+    return sum(map(mul, map(max, a, b), weights))
+
+
+def _reduce_terms(terms, reducers, lts, lcs, sugars, packing, budget, sugar=None):
+    """Multivariate division over Z by pseudo-division, on packed monomials.
+
+    ``terms`` and the ``reducers`` map packed monomials (``rings.Packing``)
+    to ints, and ``lts`` and ``lcs`` hold the reducers' leading monomials
+    and coefficients.  To cancel a term c*m by a reducer g with leading
+    coefficient a, the pending terms and the remainder are scaled by a/h,
+    h = gcd(a, c), and (c/h)*q*g is subtracted, q = m - lt packed.
+    Returns (remainder, sugar of the result, multiplier), where the
+    multiplier is the product of the scalings: remainder / multiplier is
+    the remainder of the same division over Q, which takes the same
+    steps.  Each term goes to the first reducer whose leading monomial
+    divides it.
+
+    No exponent overflows its field.  Every reducer term and every input
+    term has all exponents in [0, EXPONENT_LIMIT) (``_pack`` checks them,
+    and a reducer built by the kernel holds only popped monomials), and a
+    popped m is checked before use, so raising ResourceBudgetExceeded when
+    one of its exponents reaches EXPONENT_LIMIT.  A new term e + q sums a
+    reducer term e and q = m - lt, whose exponents are at most m's, so its
+    exponents are below 2 * EXPONENT_LIMIT, the guard bit, and no field
+    carries into the next before that term is popped and checked.
     """
-    key = order.key
-    masks = [_support(lt) for lt in lts]
+    guard, top, degree = packing.guard, packing.top, packing.degree
     p = dict(terms)
     r = {}
     mult = 1
     while p:
-        m = max(p, key=key)
+        m = max(p)
         c = p.pop(m)
-        absent = ~_support(m)
+        if m & top:
+            raise _too_large(packing.unpack(m))
+        mg = m | guard
         for i, lt in enumerate(lts):
-            if not masks[i] & absent and all(map(le, lt, m)):
+            if (mg - lt) & guard == guard:
                 budget.tick()
                 a = lcs[i]
                 h = gcd(a, c)
@@ -202,15 +234,15 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
                     if r:
                         r = {e: x * k for e, x in r.items()}
                 f = c // h
-                q = tuple(map(sub, m, lt))
+                q = m - lt
                 if sugar is not None:
-                    sugar = max(sugar, sugars[i] + sum(q))
+                    sugar = max(sugar, sugars[i] + (q & degree))
                 # subtracted terms are order-smaller than m, so they can
                 # only collide with entries still in p, never with r
                 for e, gc in reducers[i].items():
                     if e == lt:
                         continue
-                    me = tuple(map(add, e, q))
+                    me = e + q
                     s = p.get(me, 0) - f * gc
                     if s:
                         p[me] = s
@@ -225,27 +257,27 @@ def _reduce_terms(terms, reducers, lts, lcs, sugars, order, budget, sugar=None):
 def _interreduce(polys, vars, order, budget):
     """Minimal then tail-reduced basis, canonically sorted.
 
-    Takes primitive integer term dicts and emits monic Fraction
-    polynomials over ``vars``.  Domination is checked in both directions:
-    under a weight-refined order a divisor monomial need not be
-    order-smaller.
+    Takes primitive integer term dicts on the packed monomials of
+    ``order`` and emits monic Fraction polynomials over ``vars``, keyed by
+    exponent tuples.  Domination is checked in both directions: under a
+    weight-refined order a divisor monomial need not be order-smaller.
     """
-    key = order.key
+    packing = order.packing(len(vars))
+    guard = packing.guard
     polys = [p for p in polys if p]
     if not polys:
         return []
-    polys.sort(key=lambda p: key(max(p, key=key)))
-    all_lts = [max(p, key=key) for p in polys]
+    polys.sort(key=max)
+    all_lts = [max(p) for p in polys]
     minimal = []
     lts = []
     for i, p in enumerate(polys):
+        lg = all_lts[i] | guard
         dominated = False
         for j, lt_other in enumerate(all_lts):
             if i == j:
                 continue
-            if mono_divides(lt_other, all_lts[i]) and (
-                lt_other != all_lts[i] or j < i
-            ):
+            if (lg - lt_other) & guard == guard and (lt_other != all_lts[i] or j < i):
                 dominated = True
                 break
         if not dominated:
@@ -253,19 +285,20 @@ def _interreduce(polys, vars, order, budget):
             lts.append(all_lts[i])
     lcs = [p[lt] for p, lt in zip(minimal, lts)]
     result = []
+    unpack = packing.unpack
     for i, p in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         olts = lts[:i] + lts[i + 1 :]
         olcs = lcs[:i] + lcs[i + 1 :]
-        r, _, _ = _reduce_terms(p, others, olts, olcs, None, order, budget)
+        r, _, _ = _reduce_terms(p, others, olts, olcs, None, packing, budget)
         # no other leading monomial divides lts[i], so it leads r too
         a = r[lts[i]]
         out = Polynomial.__new__(Polynomial)
-        out.terms = {e: Fraction(c, a) for e, c in r.items()}
+        out.terms = {unpack(e): Fraction(c, a) for e, c in r.items()}
         out.vars = vars
-        result.append(out)
-    result.sort(key=lambda p: key(p.leading(order)[0]))
-    return result
+        result.append((lts[i], out))
+    result.sort(key=lambda item: item[0])
+    return [g for _, g in result]
 
 
 def interreduce(gens, order) -> list:
@@ -275,29 +308,34 @@ def interreduce(gens, order) -> list:
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    polys = [_integral(g.terms)[0] for g in gens]
-    return _interreduce(polys, gens[0].vars, order, current_job())
+    vars = gens[0].vars
+    packing = order.packing(len(vars))
+    polys = [_pack(_integral(g.terms)[0], packing) for g in gens]
+    return _interreduce(polys, vars, order, current_job())
 
 
 def _buchberger(gens, order, budget):
     """Reduced Groebner basis of the generator list (sugar selection, both
     Buchberger criteria, global step budget).
 
-    The kernel runs on primitive integer term dicts: each generator is
-    cleared of denominators and divided by its content, S-polynomials
+    The kernel runs on primitive integer term dicts keyed by packed
+    monomials (``rings.Packing``): each generator is cleared of
+    denominators, packed and divided by its content, S-polynomials
     cross-multiply the leading coefficients, and a remainder joins the
     basis after its content is divided out.  These are scalar multiples
     of the polynomials a kernel over Q would hold, so the same pairs are
     reduced by the same reducers in the same order; ``_interreduce``
-    returns monic Fraction polynomials.
+    returns monic Fraction polynomials over exponent tuples.
 
     Each pair is queued once, when its younger element joins the basis, in
-    a heap ordered by (sugar, order key of the lcm, i, j).  A pair's
-    selection data never changes, so the heap's minimum is the minimum
-    over all pending pairs.  The ``pending`` set only serves the chain
-    criterion.
+    a heap ordered by (sugar, packed lcm, i, j).  A pair's selection data
+    never changes, so the heap's minimum is the minimum over all pending
+    pairs.  The ``pending`` set only serves the chain criterion.  Every
+    lcm has exponents below 2 * EXPONENT_LIMIT, as the sum of two checked
+    leading monomials has, so the divisibility tests and degrees read
+    from it are exact; so does a term e + (lcm - lt_i) of an
+    S-polynomial, whose exponents are at most those of e + lt_j.
     """
-    key = order.key
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
@@ -305,9 +343,11 @@ def _buchberger(gens, order, budget):
     for g in gens:
         if g.is_constant():
             return [Polynomial.constant(1, vars)]
-    one = (0,) * len(vars)
+    packing = order.packing(len(vars))
+    guard, degree, weights = packing.guard, packing.degree, packing.weights
     G = []
     lts = []
+    tuple_lts = []
     lcs = []
     sugars = []
     pending = set()
@@ -315,45 +355,49 @@ def _buchberger(gens, order, budget):
 
     def add(r, sugar):
         """False when the remainder r is a constant (the unit ideal)."""
-        if len(r) == 1 and one in r:
+        if len(r) == 1 and 0 in r:
             return False
-        lt = max(r, key=key)
+        lt = max(r)
         f = _primitive(r, lt)
+        tlt = packing.unpack(lt)
         i = len(G)
         for j in range(i):
-            lcm_ = mono_lcm(lts[j], lt)
+            lcm_ = _lcm(tuple_lts[j], tlt, weights)
+            d = lcm_ & degree
             pair_sugar = max(
-                sugars[j] + sum(mono_div(lcm_, lts[j])),
-                sugar + sum(mono_div(lcm_, lt)),
+                sugars[j] + d - (lts[j] & degree), sugar + d - (lt & degree)
             )
-            heappush(queue, (pair_sugar, key(lcm_), j, i, lcm_))
+            heappush(queue, (pair_sugar, lcm_, j, i))
             pending.add((j, i))
         G.append(f)
         lts.append(lt)
+        tuple_lts.append(tlt)
         lcs.append(f[lt])
         sugars.append(sugar)
         return True
 
-    for g in sorted(gens, key=lambda p: key(p.leading(order)[0])):
+    packed = [_pack(_integral(g.terms)[0], packing) for g in gens]
+    for terms in sorted(packed, key=max):
         r, s, _ = _reduce_terms(
-            _integral(g.terms)[0], G, lts, lcs, sugars, order, budget,
-            sugar=g.total_degree(),
+            terms, G, lts, lcs, sugars, packing, budget,
+            sugar=max(e & degree for e in terms),
         )
         if r and not add(r, s):
             return [Polynomial.constant(1, vars)]
 
     while queue:
-        sugar, _, i, j, lcm_ = heappop(queue)
+        sugar, lcm_, i, j = heappop(queue)
         pending.discard((i, j))
         # product criterion
-        if lcm_ == mono_mul(lts[i], lts[j]):
+        if lcm_ == lts[i] + lts[j]:
             continue
         # chain criterion
+        lg = lcm_ | guard
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if mono_divides(lts[k], lcm_):
+            if (lg - lts[k]) & guard == guard:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -365,11 +409,11 @@ def _buchberger(gens, order, budget):
         h = gcd(lcs[i], lcs[j])
         ci = lcs[j] // h
         cj = lcs[i] // h
-        qi = mono_div(lcm_, lts[i])
-        qj = mono_div(lcm_, lts[j])
-        s_terms = {mono_mul(e, qi): c * ci for e, c in G[i].items()}
+        qi = lcm_ - lts[i]
+        qj = lcm_ - lts[j]
+        s_terms = {e + qi: c * ci for e, c in G[i].items()}
         for e, c in G[j].items():
-            me = mono_mul(e, qj)
+            me = e + qj
             s = s_terms.get(me, 0) - c * cj
             if s:
                 s_terms[me] = s
@@ -377,7 +421,7 @@ def _buchberger(gens, order, budget):
                 s_terms.pop(me, None)
         budget.tick()
         r, s_sugar, _ = _reduce_terms(
-            s_terms, G, lts, lcs, sugars, order, budget, sugar=sugar
+            s_terms, G, lts, lcs, sugars, packing, budget, sugar=sugar
         )
         if r and not add(r, s_sugar):
             return [Polynomial.constant(1, vars)]
@@ -390,19 +434,18 @@ class GroebnerBasis(Ideal):
     leading monomial; membership via normal_form.
 
     Cleared of denominators, a monic polynomial is primitive over Z with
-    a positive leading coefficient; these integer reducers are made once,
-    here.
+    a positive leading coefficient; these integer reducers, on packed
+    monomials, are made once, by the first normal form.
     """
 
-    __slots__ = ("order", "_lts", "_reducers", "_lcs")
+    __slots__ = ("order", "_lts", "_reducers")
 
     def __init__(self, elements, order, vars):
         self.gens = tuple(elements)
         self.vars = tuple(vars)
         self.order = order
         self._lts = [g.leading(order)[0] for g in self.gens]
-        self._reducers = [_integral(g.terms)[0] for g in self.gens]
-        self._lcs = [g[lt] for g, lt in zip(self._reducers, self._lts)]
+        self._reducers = None
 
     @property
     def is_unit(self) -> bool:
@@ -417,16 +460,30 @@ class GroebnerBasis(Ideal):
 
         f is cleared of denominators and divided over Z by the integer
         reducers; the remainder is then divided by that denominator and by
-        the division's multiplier.
+        the division's multiplier.  A Laurent term of f, with a negative
+        exponent, is divisible by no leading monomial and no product term
+        meets it, so it goes to the remainder as it is, in its place in
+        the descending order of the remainder's terms.
         """
+        packing = self.order.packing(len(self.vars))
+        if self._reducers is None:
+            reducers = [_pack(_integral(g.terms)[0], packing) for g in self.gens]
+            lts = [max(g) for g in reducers]
+            self._reducers = reducers, lts, [g[lt] for g, lt in zip(reducers, lts)]
         terms, d = _integral(f.terms)
+        laurent = {e: Fraction(c, d) for e, c in terms.items() if e and min(e) < 0}
+        if laurent:
+            terms = {e: c for e, c in terms.items() if e not in laurent}
         r, _, mult = _reduce_terms(
-            terms, self._reducers, self._lts, self._lcs, None, self.order,
-            current_job(),
+            _pack(terms, packing), *self._reducers, None, packing, current_job()
         )
         d *= mult
         out = Polynomial.__new__(Polynomial)
-        out.terms = {e: Fraction(c, d) for e, c in r.items()}
+        out.terms = {packing.unpack(e): Fraction(c, d) for e, c in r.items()}
+        if laurent:
+            out.terms.update(laurent)
+            key = self.order.key
+            out.terms = dict(sorted(out.terms.items(), key=lambda t: key(t[0]), reverse=True))
         out.vars = f.vars
         return out
 
@@ -605,14 +662,14 @@ class _GroebnerCone:
         strict = {}
         weak = {}
         self.basis = []
-        key = order.key
+        tie = TermOrder(order.rows[1:]).key
         for g in elements:
             m = g.leading(order)[0]
+            km = tie(m)
             for e in g.terms:
                 if e != m:
                     d = tuple(x - y for x, y in zip(e[:-1], m[:-1]))
-                    tied_above = key(m)[1:] > key(e)[1:]
-                    (weak if tied_above else strict)[d] = None
+                    (weak if km > tie(e) else strict)[d] = None
             self.basis.append((m, _dehomogenize(g, vars)))
         self.strict = tuple(strict)
         self.weak = tuple(weak)

@@ -5,13 +5,15 @@ monomials).  Polynomials map exponent tuples to nonzero Fractions and are
 immutable after construction.  A term order is an integer matrix (max
 convention, as used by the Groebner engine): monomials compare by their
 dot products with its rows, then by their exponent tuples.  ``grlex``
-and ``block_order`` build the orders the engine uses; each order
-memoizes the keys of the monomials it has compared.
+and ``block_order`` build the orders the engine uses.  An order's key
+of a monomial is one int, its packed form (``Packing``), which the
+Groebner kernel also uses as the monomial itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul, sub
 
@@ -24,51 +26,102 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True if the monomial a divides b (all exponents <=)."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+# Width in bits of one exponent field of a packed monomial, and the
+# exponent limit of the Groebner kernel, the field's top-but-one bit.
+EXPONENT_BITS = 32
+EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 2)
+_FIELD = (1 << EXPONENT_BITS) - 1
+
+
+class Packing:
+    """The packed monomials of one order on n variables.
+
+    Variable i gets the integer weight C_i, and a monomial e packs to
+    K(e) = sum e_i C_i.  C_i puts r_i in the field of each order row r
+    (signed fields, the first row highest), 1 in the EXPONENT_BITS-wide
+    field of e_i (e_0 highest) and 1 in the lowest field, which holds the
+    total degree.  K is linear, K(e + q) = K(e) + K(q), and K(a) > K(b)
+    exactly when a ranks above b: K(a) - K(b) = K(a - b) is the sum of the
+    fields of a - b, each scaled by its place.  While every exponent
+    difference is below 2**(EXPONENT_BITS - 1) in magnitude, each field of
+    a - b is below half its field's range in magnitude (a row field is as
+    many bits wider than an exponent field as the row's absolute sum has,
+    and the degree field as many as n has), so the fields below one sum
+    to less than one unit of it and the topmost nonzero field, a row's
+    dot or an exponent, decides the sign.
+
+    For exponents in [0, 2**(EXPONENT_BITS - 1)) the fields from the
+    exponents down are the plain bits of K below ``low``, so ``unpack``
+    reads them back, ``k & degree`` is the total degree, ``k & top`` is
+    nonzero iff an exponent reaches EXPONENT_LIMIT, and a divides b iff
+    ``((K(b) | guard) - K(a)) & guard == guard``: the guard bit on top of
+    each field stays set iff that field of b is at least a's, and no
+    field borrows from the next.
+    """
+
+    __slots__ = ("weights", "shifts", "low", "guard", "top", "degree")
+
+    def __init__(self, rows, n):
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch(f"order rows do not match {n} variables")
+        b = EXPONENT_BITS
+        width = b + n.bit_length()
+        s = width + n * b
+        self.shifts = tuple(range(s - b, width - 1, -b))
+        # one 1 at the bottom of each exponent field
+        ones = ((1 << (n * b)) - 1) // ((1 << b) - 1) << width
+        self.degree = (1 << width) - 1
+        self.guard = (ones << (b - 1)) | (1 << (width - 1))
+        self.top = ones << (b - 2)
+        self.low = (1 << s) - 1
+        weights = [(1 << sh) + 1 for sh in self.shifts]
+        for r in reversed(rows):
+            weights = [c + (x << s) for c, x in zip(weights, r)]
+            s += b + sum(map(abs, r)).bit_length()
+        self.weights = tuple(weights)
+
+    def unpack(self, k) -> Mono:
+        return tuple([(k >> s) & _FIELD for s in self.shifts])
+
+
 class TermOrder:
     """Integer-matrix monomial order: the leading term has the max key.
 
-    A monomial's key is its dot product with each row in turn, followed
-    by the exponent tuple itself, so every order is total (Robbiano,
-    "Term orderings on the polynomial ring", EUROCAL 1985).  A row with
+    Monomials compare by their dot product with each row in turn, then by
+    the exponent tuple itself, so every order is total (Robbiano, "Term
+    orderings on the polynomial ring", EUROCAL 1985).  A row with
     negative entries makes a global order only on homogeneous input,
-    which is the only place the engine uses one.
-
-    An order never changes after construction, so ``key`` computes each
-    monomial's key once and memoizes it for the life of the order.
+    which is the only place the engine uses one.  ``key`` is the packed
+    monomial of ``packing``, which compares as this order does.
     """
 
-    __slots__ = ("rows", "_keys")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(rows)
-        self._keys = {}
+        self.rows = tuple(map(tuple, rows))
 
-    def key(self, e: Mono):
-        try:
-            return self._keys[e]
-        except KeyError:
-            pass
-        k = [sum(map(mul, r, e)) for r in self.rows]
-        k.append(e)
-        k = self._keys[e] = tuple(k)
-        return k
+    def packing(self, n) -> Packing:
+        """The packing on n variables (lex, with no rows, serves any n)."""
+        return _packing(self.rows, n)
+
+    def key(self, e: Mono) -> int:
+        return sum(map(mul, e, _packing(self.rows, len(e)).weights))
+
+
+@lru_cache(maxsize=256)
+def _packing(rows, n) -> Packing:
+    """One ``Packing`` per layout: every run and every printed polynomial
+    builds its order anew."""
+    return Packing(rows, n)
 
 
 def grlex(nvars) -> TermOrder:

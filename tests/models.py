@@ -1,7 +1,10 @@
 """Shared model fixtures and independent oracles for the test suite."""
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, product
+from math import gcd
+from operator import add, le, mul, sub
 
 from hypothesis import strategies as st
 
@@ -13,12 +16,13 @@ from tropcrit.groebner import (
     Job,
     _buchberger,
     _dehomogenize,
+    _primitive,
     _saturate_single,
     groebner_basis,
 )
 from tropcrit.linalg import nullspace
 from tropcrit.mle import VarietySpec
-from tropcrit.rings import Polynomial, TermOrder, mono_divides, poly_parse
+from tropcrit.rings import Polynomial, TermOrder, _integral, mono_divides, poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
 
 COIN_VARS = ("t0", "t1", "t2")
@@ -547,3 +551,198 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+# -- the tuple-keyed Groebner kernel, an oracle for the packed one ----------
+
+
+def reference_key(order):
+    """The key of ``order`` as a tuple: the dot product with each row,
+    then the exponent tuple itself."""
+    return lambda e: tuple(sum(map(mul, r, e)) for r in order.rows) + (e,)
+
+
+def _support(m):
+    """Bitmask of the positions of a monomial's positive exponents: a
+    monomial whose mask has a bit outside m's support cannot divide m."""
+    s = 0
+    for x in m:
+        s = 2 * s + (x > 0)
+    return s
+
+
+def _reference_reduce(terms, reducers, lts, lcs, sugars, key, budget, sugar=None):
+    """Division over Z by pseudo-division on exponent tuples: each term
+    goes to the first reducer whose leading monomial divides it."""
+    masks = [_support(lt) for lt in lts]
+    p = dict(terms)
+    r = {}
+    mult = 1
+    while p:
+        m = max(p, key=key)
+        c = p.pop(m)
+        absent = ~_support(m)
+        for i, lt in enumerate(lts):
+            if not masks[i] & absent and all(map(le, lt, m)):
+                budget.tick()
+                a = lcs[i]
+                h = gcd(a, c)
+                if h != a:
+                    k = a // h
+                    mult *= k
+                    p = {e: x * k for e, x in p.items()}
+                    if r:
+                        r = {e: x * k for e, x in r.items()}
+                f = c // h
+                q = tuple(map(sub, m, lt))
+                if sugar is not None:
+                    sugar = max(sugar, sugars[i] + sum(q))
+                for e, gc in reducers[i].items():
+                    if e == lt:
+                        continue
+                    me = tuple(map(add, e, q))
+                    s = p.get(me, 0) - f * gc
+                    if s:
+                        p[me] = s
+                    else:
+                        p.pop(me, None)
+                break
+        else:
+            r[m] = c
+    return r, sugar, mult
+
+
+def _reference_interreduce(polys, vars, key, budget):
+    """Minimal then tail-reduced basis of primitive integer term dicts, as
+    monic Fraction polynomials sorted by leading monomial."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    polys.sort(key=lambda p: key(max(p, key=key)))
+    all_lts = [max(p, key=key) for p in polys]
+    minimal = []
+    lts = []
+    for i, p in enumerate(polys):
+        dominated = False
+        for j, lt_other in enumerate(all_lts):
+            if i == j:
+                continue
+            if mono_divides(lt_other, all_lts[i]) and (
+                lt_other != all_lts[i] or j < i
+            ):
+                dominated = True
+                break
+        if not dominated:
+            minimal.append(p)
+            lts.append(all_lts[i])
+    lcs = [p[lt] for p, lt in zip(minimal, lts)]
+    result = []
+    for i, p in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        olts = lts[:i] + lts[i + 1 :]
+        olcs = lcs[:i] + lcs[i + 1 :]
+        r, _, _ = _reference_reduce(p, others, olts, olcs, None, key, budget)
+        a = r[lts[i]]
+        out = Polynomial.__new__(Polynomial)
+        out.terms = {e: Fraction(c, a) for e, c in r.items()}
+        out.vars = vars
+        result.append(out)
+    result.sort(key=lambda p: key(max(p.terms, key=key)))
+    return result
+
+
+def reference_interreduce(gens, order, budget):
+    """``groebner.interreduce`` on exponent tuples."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    polys = [_integral(g.terms)[0] for g in gens]
+    return _reference_interreduce(polys, gens[0].vars, reference_key(order), budget)
+
+
+def reference_buchberger(gens, order, budget):
+    """``groebner._buchberger`` on exponent tuples: sugar selection from a
+    heap of pairs keyed by (sugar, key of the lcm, i, j), both
+    Buchberger criteria, the first dividing reducer, primitive integer
+    polynomials."""
+    key = reference_key(order)
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    vars = gens[0].vars
+    for g in gens:
+        if g.is_constant():
+            return [Polynomial.constant(1, vars)]
+    one = (0,) * len(vars)
+    G = []
+    lts = []
+    lcs = []
+    sugars = []
+    pending = set()
+    queue = []
+
+    def join(r, sugar):
+        if len(r) == 1 and one in r:
+            return False
+        lt = max(r, key=key)
+        f = _primitive(r, lt)
+        i = len(G)
+        for j in range(i):
+            lcm_ = tuple(map(max, lts[j], lt))
+            pair_sugar = max(
+                sugars[j] + sum(map(sub, lcm_, lts[j])),
+                sugar + sum(map(sub, lcm_, lt)),
+            )
+            heappush(queue, (pair_sugar, key(lcm_), j, i, lcm_))
+            pending.add((j, i))
+        G.append(f)
+        lts.append(lt)
+        lcs.append(f[lt])
+        sugars.append(sugar)
+        return True
+
+    for g in sorted(gens, key=lambda p: key(max(p.terms, key=key))):
+        r, s, _ = _reference_reduce(
+            _integral(g.terms)[0], G, lts, lcs, sugars, key, budget,
+            sugar=g.total_degree(),
+        )
+        if r and not join(r, s):
+            return [Polynomial.constant(1, vars)]
+
+    while queue:
+        sugar, _, i, j, lcm_ = heappop(queue)
+        pending.discard((i, j))
+        if lcm_ == tuple(map(add, lts[i], lts[j])):
+            continue
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if mono_divides(lts[k], lcm_):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a not in pending and b not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        h = gcd(lcs[i], lcs[j])
+        ci = lcs[j] // h
+        cj = lcs[i] // h
+        qi = tuple(map(sub, lcm_, lts[i]))
+        qj = tuple(map(sub, lcm_, lts[j]))
+        s_terms = {tuple(map(add, e, qi)): c * ci for e, c in G[i].items()}
+        for e, c in G[j].items():
+            me = tuple(map(add, e, qj))
+            s = s_terms.get(me, 0) - c * cj
+            if s:
+                s_terms[me] = s
+            else:
+                s_terms.pop(me, None)
+        budget.tick()
+        r, s_sugar, _ = _reference_reduce(
+            s_terms, G, lts, lcs, sugars, key, budget, sugar=sugar
+        )
+        if r and not join(r, s_sugar):
+            return [Polynomial.constant(1, vars)]
+    return _reference_interreduce(G, vars, key, budget)

@@ -14,6 +14,8 @@ from models import (
     four_lines_ideal,
     homogeneity_space,
     initial_by_fresh_run,
+    reference_buchberger,
+    reference_interreduce,
     symbolic_data,
 )
 from tropcrit import groebner
@@ -28,10 +30,13 @@ from tropcrit.groebner import (
     InitialIdealEngine,
     Job,
     eliminate,
+    _homogenize,
+    _weight_order,
     groebner_basis,
     ideal_dimension,
     ideal_equal,
     initial_ideal,
+    interreduce,
     minimal_polynomial,
     multiplication_matrix,
     normal_form,
@@ -43,7 +48,14 @@ from tropcrit.groebner import (
     zero_dim_degree,
 )
 from tropcrit.mle import critical_system
-from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
+from tropcrit.rings import (
+    EXPONENT_LIMIT,
+    Polynomial,
+    TermOrder,
+    block_order,
+    grlex,
+    poly_parse,
+)
 
 COIN = ("t0", "t1", "t2")
 
@@ -467,13 +479,13 @@ def test_pair_selection_data_computed_once_per_pair(monkeypatch):
     spec = conic_spec()
     system = critical_system(spec, symbolic_data(spec))
     calls = []
-    real = groebner.mono_lcm
+    real = groebner._lcm
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return real(a, b)
+        return real(*args)
 
-    monkeypatch.setattr(groebner, "mono_lcm", counting)
+    monkeypatch.setattr(groebner, "_lcm", counting)
     with Job() as job:
         I = Ideal(system.equations, system.ring)
         for f in system.saturators:
@@ -521,7 +533,8 @@ _XYZ = ("x", "y", "z")
 )
 def test_kernel_basis_is_primitive_over_z(gens):
     # every polynomial the kernel keeps, generators with a common factor
-    # included, has coprime integer coefficients and a positive leading one
+    # included, has coprime integer coefficients and a positive leading
+    # one; its keys are packed monomials, so the leading one is the max
     kept = []
     real = groebner._interreduce
 
@@ -535,7 +548,8 @@ def test_kernel_basis_is_primitive_over_z(gens):
     for p in kept:
         assert all(type(c) is int for c in p.values())
         assert math.gcd(*p.values()) == 1
-        assert p[max(p, key=order.key)] > 0
+        assert all(type(e) is int for e in p)
+        assert p[max(p)] > 0
 
 
 _factor_exponents = st.tuples(*(st.integers(0, 2) for _ in _XYZ))
@@ -581,3 +595,126 @@ def test_one_generator_monomial_saturation_is_the_stripped_generator(gen, expone
     with patch.object(groebner, "_buchberger", None), Job() as job:
         got = saturate(ideal, Polynomial({exponents: 1}, _XYZ))
     assert got.gens == want and job.steps == 0
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(generators, order) for the kernel oracle: 1-4 generators over 2-4
+    variables with exponents 0-3 and coefficients +-7, some with a common
+    integer or monomial factor, some the constant 1; the order is grlex,
+    the weight order of a drawn w on the homogenized generators, a block
+    order or lex."""
+    n = draw(st.integers(2, 4))
+    vars = tuple(f"x{i}" for i in range(n))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            gens.append(Polynomial.constant(1, vars))
+            continue
+        terms = draw(
+            st.dictionaries(
+                exponents, st.integers(-7, 7).filter(bool), min_size=1, max_size=4
+            )
+        )
+        factor = draw(st.sampled_from([1, 1, 2, 6]))
+        shift = draw(st.sampled_from([(0,) * n, (0,) * n, draw(exponents)]))
+        gens.append(
+            Polynomial(
+                {tuple(map(sum, zip(e, shift))): factor * c for e, c in terms.items()},
+                vars,
+            )
+        )
+    kind = draw(st.sampled_from(["grlex", "weight", "blocks", "lex"]))
+    if kind == "grlex":
+        return gens, grlex(n)
+    if kind == "lex":
+        return gens, TermOrder([])
+    if kind == "weight":
+        w = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        hvars = vars + ("_h",)
+        return [_homogenize(g, hvars) for g in gens], _weight_order(w)
+    perm = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n - 1))
+    return gens, block_order(n, (tuple(perm[:cut]), tuple(sorted(perm[cut:]))))
+
+
+def _run(kernel, gens, order):
+    """(basis as (vars, term list) pairs, or the exception type; steps)."""
+    with Job(400) as job:
+        try:
+            out = [(g.vars, list(g.terms.items())) for g in kernel(gens, order, job)]
+        except ResourceBudgetExceeded as exc:
+            out = type(exc)
+    return out, job.steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_inputs())
+def test_packed_kernel_matches_tuple_kernel(inputs):
+    # the packed kernel takes the same steps and returns the same basis,
+    # term for term in dict order, as the tuple-keyed reference; a run
+    # that exceeds the budget does so at the same step on both
+    gens, order = inputs
+    assert _run(groebner._buchberger, gens, order) == _run(
+        reference_buchberger, gens, order
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_inputs())
+def test_packed_interreduce_matches_tuple_interreduce(inputs):
+    gens, _ = inputs
+    lex = TermOrder([])
+
+    def packed(gens, order, job):
+        return interreduce(gens, order)
+
+    assert _run(packed, gens, lex) == _run(reference_interreduce, gens, lex)
+
+
+def test_exponent_limit_raises_instead_of_misordering():
+    # x^2 reduces to x y^k, then to y^2k, which reaches the limit L for
+    # k = L/2 and stays just below it for k = L/2 - 1
+    lex = TermOrder([])
+    x, y = Polynomial.variable("x", ("x", "y")), Polynomial.variable("y", ("x", "y"))
+    k = EXPONENT_LIMIT // 2
+    with pytest.raises(ResourceBudgetExceeded):
+        normal_form(x**2, groebner_basis([x - y**k], lex))
+    got = normal_form(x**2, groebner_basis([x - y ** (k - 1)], lex))
+    assert got == y ** (2 * k - 2)
+
+
+def test_degree_field_holds_every_exponent_just_below_the_limit():
+    # four exponents of L - 1 and a fifth of 5 sum past 4L: the degree
+    # field is wide enough that no exponent field reads a carry
+    vars = ("a", "b", "c", "d", "e")
+    f = Polynomial({(5,) + (EXPONENT_LIMIT - 1,) * 4: 1, (0, 0, 0, 0, 1): 1}, vars)
+    G = groebner_basis([poly_parse("a^6 - 1", vars)], TermOrder([]))
+    assert normal_form(f, G) == f
+
+
+def test_kernel_rejects_exponents_out_of_its_fields_on_entry():
+    vars = ("x", "y")
+    big = Polynomial({(EXPONENT_LIMIT, 0): 1, (0, 1): 1}, vars)
+    with pytest.raises(ResourceBudgetExceeded):
+        groebner_basis([big])
+    with pytest.raises(ResourceBudgetExceeded):
+        normal_form(big, groebner_basis([poly_parse("x*y - 1", vars)]))
+    # an Ideal normalizes Laurent generators; a bare list is not
+    laurent = poly_parse("x^-1 + y", vars)
+    with pytest.raises(ValueError):
+        groebner_basis([laurent, poly_parse("y - 1", vars)])
+    assert groebner_basis(Ideal([laurent], vars)).gens == (poly_parse("x*y + 1", vars),)
+
+
+def test_laurent_terms_pass_normal_form_unchanged():
+    # no leading monomial divides a term with a negative exponent, so
+    # x^-1 stays and x^2*y = x*(x*y - 1) + x leaves x
+    vars = ("x", "y")
+    G = groebner_basis([poly_parse("x*y - 1", vars)])
+    got = normal_form(poly_parse("x^-1 + x^2*y", vars), G)
+    assert got == poly_parse("x + x^-1", vars)
+    assert list(got.terms) == [(1, 0), (-1, 0)]
+    got = normal_form(poly_parse("1/3*x^-1*y^2 + 2*x^3*y^2", vars), G)
+    assert got == poly_parse("1/3*x^-1*y^2 + 2*x", vars)

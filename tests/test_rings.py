@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcrit.errors import PolyParseError
-from tropcrit.rings import Polynomial, TermOrder, block_order, grlex, poly_parse
+from tropcrit.rings import (
+    EXPONENT_LIMIT,
+    Polynomial,
+    TermOrder,
+    block_order,
+    grlex,
+    poly_parse,
+)
 
 COIN = ("t0", "t1", "t2")
 
@@ -140,14 +147,24 @@ def _draw_order(data, kind):
     return block_order(n, blocks), {"blocks": blocks}
 
 
+_L = EXPONENT_LIMIT
+_EXPONENTS = {
+    # small exponents make ties in degree and weight common
+    "small": st.integers(0, 2),
+    "laurent": st.integers(-3, 3),
+    # up to the largest exponent the Groebner kernel compares, 2L - 1
+    "near_limit": st.sampled_from([0, 1, _L - 2, _L - 1, _L, _L + 1, 2 * _L - 1]),
+}
+
+
 @pytest.mark.parametrize("kind", ["grlex", "weight", "lex", "blocks"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_matrix_order_matches_weight_blocks_key(kind, data):
     order, options = _draw_order(data, kind)
     n = len(order.rows[0])
-    # small exponents make ties in degree and weight common
-    mono = st.tuples(*[st.integers(0, 2)] * n)
+    exponents = _EXPONENTS[data.draw(st.sampled_from(sorted(_EXPONENTS)))]
+    mono = st.tuples(*[exponents] * n)
     monos = data.draw(st.lists(mono, min_size=2, max_size=10))
     for a in monos:
         for b in monos:
@@ -157,8 +174,25 @@ def test_matrix_order_matches_weight_blocks_key(kind, data):
             assert (ka > kb) - (ka < kb) == (ra > rb) - (ra < rb)
 
 
+def test_key_compares_a_close_row_above_a_far_one():
+    # b trails a by 1 in the weight row and leads it by 6L - 3 in the
+    # degree row below: the degree row's field is wide enough not to
+    # reach into the weight row's
+    L = EXPONENT_LIMIT
+    order = TermOrder([(1, -1, 0, 0), (1, 1, 1, 1)])
+    a, b = (0, 0, 0, 0), (L - 1, L, 2 * L - 1, 2 * L - 1)
+    assert order.key(a) > order.key(b)
+
+
 def test_block_order_rejects_non_partition():
     with pytest.raises(ValueError):
         block_order(3, ((0,), (1,)))
     with pytest.raises(ValueError):
         block_order(2, ((0, 1), (1,)))
+
+
+def test_laurent_terms_print_in_grlex_order():
+    # degree first, then the exponent tuple, negative entries included
+    f = poly_parse("x^-1 + x^-2*y^3 + x - 2*y^-1*x^-1", ("x", "y"))
+    assert str(f) == "x + x^-2*y^3 + x^-1 - 2*x^-1*y^-1"
+    assert poly_parse(str(f), ("x", "y")) == f
