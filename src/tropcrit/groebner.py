@@ -301,19 +301,6 @@ def _interreduce(polys, vars, order, budget):
     return [g for _, g in result]
 
 
-def interreduce(gens, order) -> list:
-    """The reduced basis under ``order`` of the ideal that the polynomials
-    ``gens`` are a Groebner basis of: ``_interreduce`` alone, with no
-    S-pair, its reductions ticking the current job."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
-    vars = gens[0].vars
-    packing = order.packing(len(vars))
-    polys = [_pack(_integral(g.terms)[0], packing) for g in gens]
-    return _interreduce(polys, vars, order, current_job())
-
-
 def _buchberger(gens, order, budget):
     """Reduced Groebner basis of the generator list (sugar selection, both
     Buchberger criteria, global step budget).

@@ -1,10 +1,11 @@
 """Tropical membership, rigid rays, critical slopes, boundary strata.
 
 A weight w lies in the tropical variety of I iff the saturated initial
-ideal init_w(I) : (t_1...t_p)^infty is proper.  A ray is rigid iff the
-homogeneity space of its initial ideal is one-dimensional; the rigid rays
-are in bijection with the codimension-one critical slopes, realized here
-as the hyperplanes orthogonal to the rays.
+ideal init_w(I) : (t_1...t_p)^infty, whose variety is the initial variety
+in the torus, is proper.  A ray is rigid iff the homogeneity space of that
+saturation is one-dimensional; the rigid rays are in bijection with the
+codimension-one critical slopes, realized here as the hyperplanes
+orthogonal to the rays.
 
 trop(I) lies in the tropical prevariety of every finite subset of I
 (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.2), so a weight
@@ -19,14 +20,11 @@ the exact answer.
 
 Every term of an initial form at w is the leading monomial m or a term
 whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
-the tied differences of w's Groebner face grades init_w(I), and a face
-they leave two or more dimensions holds no rigid ray.  Dehomogenized, the
-initial forms of the face's basis are a lex Groebner basis of init_w(I)
-with the same leading monomials.  On a face the tied differences leave
-one line, interreducing the initial forms under lex, with no S-pair,
-gives the reduced lex basis, and the homogeneity space is the space
-orthogonal to its term differences; that basis differs from the initial
-forms where in_(w,0)(I^h) has a component at h = 0.
+the tied differences of w's Groebner face grades init_w(I), and also its
+saturation, since saturating by a monomial keeps every grading.  A face
+they leave two or more dimensions holds no rigid ray.  On the other faces
+the homogeneity space is the space orthogonal to the term differences of
+the saturation's reduced basis, which membership has already computed.
 
 Both answers are kept per face record of the initial-ideal engine
 (``InitialIdealEngine.face``), which also keeps init_w(I).  A job has one
@@ -44,10 +42,10 @@ from operator import mul
 
 from .errors import NotInTropicalVariety
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     InitialIdealEngine,
     current_job,
-    interreduce,
     saturate,
 )
 from .linalg import (
@@ -56,7 +54,7 @@ from .linalg import (
     unimodular_completion,
     vec_gcd,
 )
-from .rings import Polynomial, TermOrder
+from .rings import Polynomial, grlex
 
 
 class ConnectednessAssumed(UserWarning):
@@ -201,18 +199,20 @@ class TropicalEngine:
     each face of the Groebner fan.  A weight is looked up once, by the
     engine's ``face``, and both are answered once per face record.
     Rigidity is read first from the rank of the face's tied weak
-    differences.  init_w(I) is built, once per face, only when membership
-    asks for it.  Membership is also keyed by the generator set of
-    init_w(I), so two faces with the same initial ideal share one
-    saturation.
+    differences.  init_w(I) is built, and saturated by the torus monomial,
+    once per face, only when membership asks for it; the saturation
+    answers both membership and, on the faces the tied rank leaves open,
+    rigidity.  It is also keyed by the generator set of init_w(I), so two
+    faces with the same initial ideal share one saturation.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
     as the exponent differences of its terms to its first term.  If one
     witness has a unique minimal value of w.e over its terms, init_w(I)
-    holds a monomial and w is outside trop(I), as ``_member`` would also
-    answer.  Only the weights that pass pay for a lookup.  ``candidates``
-    lists the box weights that pass without trying the others.
+    holds a monomial and w is outside trop(I), as ``_saturation`` would
+    also answer.  Only the weights that pass pay for a lookup.
+    ``candidates`` lists the box weights that pass without trying the
+    others.
     """
 
     def __init__(self, ideal: Ideal):
@@ -225,8 +225,8 @@ class TropicalEngine:
             _term_differences(g) for g in (*self.engine.base.gens, *ideal.gens)
         }
         self._rigidity = {}
-        self._members = {}
-        self._contains = {}
+        self._face_saturations = {}
+        self._saturations = {}
 
     @classmethod
     def of(cls, ideal: Ideal) -> "TropicalEngine":
@@ -244,42 +244,42 @@ class TropicalEngine:
             self.engine.initial(w)
         return face.ideal
 
-    def _member(self, w, face) -> bool:
-        member = self._members.get(face)
-        if member is None:
+    def _saturation(self, w, face) -> GroebnerBasis:
+        """init_w(I) : (t_1...t_p)^infty as its reduced grlex basis, made
+        once per generator set of init_w(I); the face is in trop(I) iff it
+        is not the unit ideal.  The zero ideal is its own saturation, and
+        one with a monomial generator saturates to the unit ideal, with no
+        Groebner run."""
+        sat = self._face_saturations.get(face)
+        if sat is None:
             J = self.engine.initial(w)
             gens = frozenset(J.gens)
-            member = self._contains.get(gens)
-            if member is None:
-                if J.is_zero:
-                    member = True  # the full torus
-                elif any(g.is_term() for g in J.gens):
-                    member = False
+            sat = self._saturations.get(gens)
+            if sat is None:
+                if J.is_zero or any(g.is_term() for g in J.gens):
+                    one = [Polynomial.constant(1, J.vars)] if J.gens else []
+                    sat = GroebnerBasis(one, grlex(self.nvars), J.vars)
                 else:
-                    member = not saturate(J, self.torus_monomial).is_unit
-                self._contains[gens] = member
-            self._members[face] = member
-        return member
+                    sat = saturate(J, self.torus_monomial)
+                self._saturations[gens] = sat
+            self._face_saturations[face] = sat
+        return sat
 
     def _rigid(self, w, face) -> bool:
         """True iff w's face lies in trop(I) and is rigid, answered once
-        per face.  The face's tied differences settle it, with no
-        membership check, where they leave two or more dimensions; on the
-        face without a cone, where init_w(I) = I, they are the term
-        differences of a reduced basis.  Where they leave one dimension,
-        a face in trop(I) is rigid iff init_w(I) is not zero and the term
-        differences of its reduced lex basis, the initial forms
-        interreduced, leave one dimension."""
+        per face: the face's tied differences leave one dimension (on the
+        face without a cone, where init_w(I) = I, this test is skipped),
+        and the torus saturation of init_w(I) is neither zero nor the unit
+        ideal and the term differences of its reduced basis leave one
+        dimension.  A face the tied differences leave two or more
+        dimensions is settled with no saturation."""
         rigid = self._rigidity.get(face)
         if rigid is None:
-            if face.cone is None:
-                rigid = not self.ideal.is_zero and _one_line(self.engine.base.gens, self.nvars)
-            else:
-                rigid = self.nvars - rank([face.cone.weak[i] for i in face.ties]) == 1
-            rigid = rigid and self._member(w, face)
-            if rigid and face.cone is not None:
-                J = face.ideal
-                rigid = not J.is_zero and _one_line(interreduce(J.gens, TermOrder([])), self.nvars)
+            cone = face.cone
+            rigid = cone is None or self.nvars - rank([cone.weak[i] for i in face.ties]) == 1
+            if rigid:
+                sat = self._saturation(w, face)
+                rigid = bool(sat.gens) and not sat.is_unit and _one_line(sat.gens, self.nvars)
             self._rigidity[face] = rigid
         return rigid
 
@@ -336,21 +336,22 @@ class TropicalEngine:
             raise ValueError("weight length does not match the ring")
         if self._screened_out(w):
             return False
-        return self._member(w, self.engine.face(w))
+        return not self._saturation(w, self.engine.face(w)).is_unit
 
     def is_rigid(self, w) -> bool:
-        """True iff the homogeneity space of init_w(I) is exactly one line,
-        answered once per face; raises NotInTropicalVariety for a w
-        outside trop(I)."""
+        """True iff the homogeneity space of init_w(I) : (t_1...t_p)^infty
+        is exactly one line, answered once per face; raises
+        NotInTropicalVariety for a w outside trop(I)."""
         face = self.engine.face(w)
-        if not self._member(w, face):
+        if self._saturation(w, face).is_unit:
             w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
         return self._rigid(w, face)
 
 
 def is_rigid(ideal: Ideal, w) -> bool:
-    """True iff the homogeneity space of init_w is exactly one line."""
+    """True iff the homogeneity space of the torus-saturated init_w(I) is
+    exactly one line."""
     return TropicalEngine.of(ideal).is_rigid(w)
 
 

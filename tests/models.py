@@ -19,11 +19,13 @@ from tropcrit.groebner import (
     _primitive,
     _saturate_single,
     groebner_basis,
+    saturate,
 )
 from tropcrit.linalg import nullspace
 from tropcrit.mle import VarietySpec
 from tropcrit.rings import Polynomial, TermOrder, _integral, mono_divides, poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
+from tropcrit.tropical import find_rigid_rays, stratum_euler_char
 
 COIN_VARS = ("t0", "t1", "t2")
 FOUR_VARS = ("t1", "t2", "t3", "t4")
@@ -161,6 +163,54 @@ FOUR_LINES_RAYS = {
     (-1, -1, -1, -1),
 }
 CONIC_RAYS = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -2)}
+
+
+def saturation_surface_spec() -> dict:
+    """A parametrized surface with ML degree 1 at which the torus decides
+    rigidity: at nine weights of the bound-3 box the raw initial ideal
+    init_w(I) is graded by one line only, and its saturation by
+    t1*t2*t3*t4 by a plane.  Its rigid rays are SATURATION_SURFACE_RAYS,
+    each with a stratum of Euler characteristic -1."""
+    return {
+        "kind": "parametrization",
+        "parameters": ["s", "u"],
+        "functions": [
+            "s*(s+2*u)^2*(2*s-2)^2",
+            "2*s^2*(2*s-2)",
+            "-3*s^2*(s+2*u)*(s+2*u+2)*(2*s-2)",
+            "s^2*(s+2*u)^2*(s+2*u+2)",
+        ],
+    }
+
+
+SATURATION_SURFACE_RAYS = [
+    (-3, -3, -3, -2),
+    (-2, 0, -2, -3),
+    (0, 0, 1, 1),
+    (1, 2, 2, 2),
+    (2, 0, 1, 2),
+    (2, 1, 1, 0),
+]
+
+
+def shear(p, i, j, c):
+    """The p x p elementary shear: the identity with c at row i, column j."""
+    rows = [[int(r == k) for k in range(p)] for r in range(p)]
+    rows[i][j] = c
+    return rows
+
+
+def exponent_image(ideal, U) -> Ideal:
+    """The ideal of the f(x^U), f in I: a weight v of its torus is the
+    weight U.v of I's, so U maps its rays onto I's."""
+    return Ideal([g.apply_exponent_map(U) for g in ideal.gens], ideal.vars)
+
+
+def ray_euler_chars(ideal, bound) -> dict:
+    """Each rigid ray of [-bound, bound]^p with its stratum's Euler
+    characteristic, in one job."""
+    with Job():
+        return {r.v: stratum_euler_char(ideal, r) for r in find_rigid_rays(ideal, bound)}
 
 
 # -- generated essential line arrangements -----------------------------------------
@@ -419,7 +469,8 @@ def check_tied_ranks(eng, bound) -> int:
       Groebner basis of J: each leading monomial of the reduced lex basis
       is divisible by the lexicographically largest monomial of one of
       them;
-    * ``is_rigid`` is true iff that space is one line and J is not zero.
+    * ``is_rigid`` is true iff J is not zero and the homogeneity space of
+      its torus saturation J : (t_1...t_p)^infty is one line.
 
     Returns the number of weights checked."""
     checked = 0
@@ -433,7 +484,8 @@ def check_tied_ranks(eng, bound) -> int:
                 leads = [max(g.terms) for g in eng.initial(w).gens]
                 for g in _buchberger(list(J.gens), lex, Job()):
                     assert any(mono_divides(m, g.leading(lex)[0]) for m in leads), w
-            assert eng.is_rigid(w) == (not J.is_zero and len(space) == 1), w
+            torus = () if J.is_zero else homogeneity_space(saturate(J, eng.torus_monomial))
+            assert eng.is_rigid(w) == (len(torus) == 1), w
             checked += 1
     return checked
 
@@ -649,15 +701,6 @@ def _reference_interreduce(polys, vars, key, budget):
         result.append(out)
     result.sort(key=lambda p: key(max(p.terms, key=key)))
     return result
-
-
-def reference_interreduce(gens, order, budget):
-    """``groebner.interreduce`` on exponent tuples."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
-    polys = [_integral(g.terms)[0] for g in gens]
-    return _reference_interreduce(polys, gens[0].vars, reference_key(order), budget)
 
 
 def reference_buchberger(gens, order, budget):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from models import SATURATION_SURFACE_RAYS, saturation_surface_spec
 import tropcrit
 from tropcrit import cli, groebner, mle, tropical
 from tropcrit.asymptotics import branches
@@ -632,6 +633,28 @@ def test_rigid_rays_on_arrangement_spec_implicitizes(capsys):
     assert [r["v"] for r in report["rays"]] == golden("four_lines_golden.json")[
         "rays"
     ]
+
+
+def test_rigidity_is_read_on_the_torus_saturation(capsys):
+    # at nine weights of the bound-3 box the surface's raw initial ideal is
+    # graded by one line and its torus saturation by a plane; those
+    # weights are not rigid, so the six rays with chi = -1 balance and
+    # give the six slopes of the closed-form estimator
+    spec = json.dumps(saturation_surface_spec())
+    args = ["--spec", spec, "--bound", "3"]
+    assert main(["euler", *args]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [(tuple(r["v"]), r["euler_char"]) for r in report["rays"]] == [
+        (v, -1) for v in SATURATION_SURFACE_RAYS
+    ]
+    assert report["weighted_ray_sum"] == [0, 0, 0, 0]
+    assert main(["slopes", *args]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["slopes"]) == 6
+    assert main(["mle", *args]) == EXIT_OK
+    assert "coordinates" in json.loads(capsys.readouterr().out)["mle"]
+    assert main(["rigid-rays", "--spec", spec, "--bound", "2"]) == EXIT_OK
+    rays = [r["v"] for r in json.loads(capsys.readouterr().out)["rays"]]
+    assert [2, 1, 2, 1] not in rays
 
 
 def test_mle_command_reports_degree_three(capsys):

@@ -28,6 +28,7 @@ from models import (
     conic_spec,
     embedded_at_infinity_ideals,
     essential_arrangements,
+    exponent_image,
     five_lines_arrangement,
     five_lines_ideal,
     four_lines_arrangement,
@@ -35,7 +36,11 @@ from models import (
     four_lines_ideal_spec,
     four_lines_spec,
     initial_by_fresh_run,
+    mat_mul,
+    ray_euler_chars,
     rescaled_system,
+    saturation_surface_spec,
+    shear,
     substitute,
     symbolic_data,
 )
@@ -51,6 +56,7 @@ from tropcrit.asymptotics import (
     _saturated_equations,
     _unknown_valuations,
 )
+from tropcrit.cli import load_spec
 from tropcrit.groebner import (
     GroebnerBasis,
     Ideal,
@@ -63,7 +69,7 @@ from tropcrit.groebner import (
     solve_zero_dim_numeric,
     squarefree_check,
 )
-from tropcrit.linalg import vec_gcd
+from tropcrit.linalg import mat_vec, vec_gcd
 from tropcrit.mle import VarietySpec, critical_system, ml_degree
 from tropcrit.rings import Polynomial, block_order, grlex, poly_parse
 from tropcrit.tropical import TropicalEngine, find_rigid_rays
@@ -773,6 +779,44 @@ def test_rigid_rays_equal_the_box_search(ideal):
         eng = TropicalEngine(ideal)
         box = [w for w in _box(eng.nvars, 2) if eng.contains(w) and eng.is_rigid(w)]
     assert found == box
+
+
+# an elementary shear as (i, k, c): c at row i and column i + 1 + k, mod p
+_shears = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3), st.sampled_from([-1, 1])),
+    min_size=2,
+    max_size=2,
+)
+
+
+def _shear_product(p, shears):
+    """(U, U^-1) for the product of the drawn shears in p variables."""
+    U = V = shear(p, 0, 0, 1)
+    for i, k, c in shears:
+        i, j = i % p, (i + 1 + k % (p - 1)) % p
+        U, V = mat_mul(U, shear(p, i, j, c)), mat_mul(shear(p, i, j, -c), V)
+    return U, V
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+@settings(max_examples=100, deadline=None)
+@given(ideal=search_ideals(), shears=_shears)
+@example(ideal=load_spec(saturation_surface_spec()).to_ideal(), shears=[(0, 1, 1), (1, 1, -1)])
+def test_torus_automorphisms_map_rigid_rays_onto_rigid_rays(ideal, shears):
+    # x -> x^U, U in GL_p(Z), is an automorphism of the torus: U maps the
+    # image's rigid rays onto I's, each with the same stratum Euler
+    # characteristic.  Only the rays whose images stay in the box compare
+    bound = 3
+    U, V = _shear_product(ideal.nvars, shears)
+
+    def inbox(v):
+        return max(map(abs, v)) <= bound
+
+    want = ray_euler_chars(ideal, bound)
+    want = {r: chi for r, chi in want.items() if inbox(mat_vec(V, r))}
+    got = ray_euler_chars(exponent_image(ideal, U), bound)
+    got = {tuple(mat_vec(U, v)): chi for v, chi in got.items() if inbox(mat_vec(U, v))}
+    assert got == want
 
 
 @pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")

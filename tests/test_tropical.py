@@ -15,11 +15,13 @@ from models import (
     coin_ideal,
     conic_ideal,
     embedded_at_infinity_ideals,
+    exponent_image,
     five_lines_ideal,
     four_lines_ideal,
     homogeneity_space,
     initial_by_fresh_run,
     mat_mul,
+    ray_euler_chars,
     tied_space,
 )
 from tropcrit import groebner, tropical
@@ -32,7 +34,7 @@ from tropcrit.groebner import (
     ideal_dimension,
     saturate,
 )
-from tropcrit.linalg import unimodular_completion, vec_gcd
+from tropcrit.linalg import mat_vec, unimodular_completion, vec_gcd
 from tropcrit.mle import torus_euler_characteristic
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.tropical import (
@@ -277,6 +279,26 @@ def test_a_grading_the_tied_differences_miss_breaks_rigidity(index):
         assert len(homogeneity_space(eng.initial(w))) == 2
         assert not eng.is_rigid(w)
         assert w not in [r.v for r in find_rigid_rays(eng.ideal, bound=1)]
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+def test_torus_automorphism_maps_rays_onto_rays():
+    # x -> x^U is an automorphism of the torus, so U maps the image's
+    # rigid rays onto I's, with the same strata.  At (0, -1, -1, -1) the
+    # image's raw initial ideal is graded by one line, its torus
+    # saturation by a plane: that weight is not rigid
+    U = [[1, 0, 0, 1], [-1, 1, 0, -1], [0, 0, 1, 0], [0, 0, 0, 1]]
+    ideal = four_lines_ideal()
+    want = ray_euler_chars(ideal, 3)
+    got = ray_euler_chars(exponent_image(ideal, U), 3)
+    assert set(want) == FOUR_LINES_RAYS
+    assert {tuple(mat_vec(U, v)): chi for v, chi in got.items()} == want
+    with Job():
+        eng = TropicalEngine(exponent_image(ideal, U))
+        w = (0, -1, -1, -1)
+        assert eng.contains(w) and not eng.is_rigid(w)
+        assert len(homogeneity_space(eng.initial(w))) == 1
+        assert len(homogeneity_space(saturate(eng.initial(w), eng.torus_monomial))) == 2
 
 
 def test_ray_search_saturates_only_one_dimensional_faces(monkeypatch):
