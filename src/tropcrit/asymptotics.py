@@ -49,6 +49,7 @@ from .groebner import (
     saturate,
     solve_degree_one,
     solve_zero_dim_numeric,
+    torus_saturation,
 )
 from .linalg import complex_gauss_jordan, inverse
 from .mle import CriticalSystem, VarietySpec, critical_system
@@ -367,7 +368,7 @@ def _ansatz(system, valuations=None):
     if key not in memo:
         memo[key] = _saturated_equations(system.equations, ring, system.saturators)
     if (key, valuations) not in memo:
-        engine = TropicalEngine.of(memo[key]).engine
+        engine = TropicalEngine.of(memo[key])
         lift = tuple(_rescale(engine.basis(valuations + (1,)), ring, valuations))
         layer = [
             Polynomial({e[:-1]: c for e, c in g.terms.items() if not e[-1]}, ring[:-1])
@@ -389,9 +390,7 @@ def branch_seeds(system: CriticalSystem, valuations=None):
     _, layer, _ = _ansatz(system, valuations)
     if not layer:
         raise NotZeroDimensional("saturated system is trivial")
-    unknown_ring = system.unknowns
-    torus = Polynomial({(1,) * len(unknown_ring): Fraction(1)}, unknown_ring)
-    G = saturate(Ideal(layer, unknown_ring), torus)
+    G = torus_saturation(Ideal(layer, system.unknowns))
     if G.is_zero:
         raise NotZeroDimensional("t=0 layer is not zero-dimensional")
     if G.is_unit:

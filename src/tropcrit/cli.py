@@ -389,6 +389,10 @@ class JobConfig:
             raise errors.SpecValidationError(
                 "budget must be >= 0", "/options/budget"
             )
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise errors.SpecValidationError(
+                f"no directory to write {self.out!r} into", "/options/out"
+            )
 
     def options_dict(self):
         return {

@@ -26,9 +26,10 @@ Weighted initial ideals look up the Groebner cones computed so far first
 reduced homogeneous basis, so Buchberger runs only for a weight outside
 every stored cone.  The lookup also finds the face of the cone that holds
 the weight, named by the basis terms the weight ties with their leading
-monomials, and returns one record per face; init_w(I) is the same on the
-relative interior of a face, so the record keeps it, and callers key
-per-weight answers by the record.
+monomials, and returns one record per face (``Face``); init_w(I) is the
+same on the relative interior of a face, so the record keeps it and every
+answer that depends on it alone, such as its ``torus_saturation``, which
+the job memoizes for every engine and layer that meets the same ideal.
 
 ``with Job(limit, seed):`` makes one step budget, one set of memo tables
 and one random stream hold for everything run inside it.  Outside any
@@ -513,7 +514,11 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 # -- weighted initial ideals ------------------------------------------------------
 
 
-_HOMOG_VAR = "_h"
+def _fresh_var(name, vars) -> str:
+    """``name`` behind as many underscores as keep it out of ``vars``."""
+    while name in vars:
+        name = "_" + name
+    return name
 
 
 def _homogenize(g: Polynomial, hvars) -> Polynomial:
@@ -534,15 +539,18 @@ def _dehomogenize(g: Polynomial, vars) -> Polynomial:
 
 class Face:
     """A face of the Groebner fan of an ideal, as ``InitialIdealEngine.face``
-    returns it: the Groebner cone holding it (None where init_w(I) = I),
-    the tie pattern of its weights in that cone, and init_w(I), the same
-    for all of them, as ``initial`` first builds it for one of them (None
-    until then)."""
+    returns it: the Groebner cone holding it (None where init_w(I) = I) and
+    the tie pattern of its weights in that cone.  It keeps the answers that
+    depend on init_w(I) alone, each None until first asked for: ``ideal``,
+    init_w(I) as ``initial`` first builds it for one of its weights,
+    ``saturation``, its ``torus_saturation``, and ``rigid``, whether the
+    face is a rigid ray (``tropical.TropicalEngine``)."""
 
-    __slots__ = ("cone", "ties", "ideal")
+    __slots__ = ("cone", "ties", "ideal", "saturation", "rigid")
 
     def __init__(self, cone, ties):
-        self.cone, self.ties, self.ideal = cone, ties, None
+        self.cone, self.ties = cone, ties
+        self.ideal = self.saturation = self.rigid = None
 
 
 class InitialIdealEngine:
@@ -555,7 +563,8 @@ class InitialIdealEngine:
     Groebner run under the negated-weight refinement happens only on a
     miss, storing a new cone.  init_w(I) is the same for every weight of
     one face; ``initial(w)`` takes it from the initial forms of the cone's
-    basis.
+    basis.  ``basis`` and ``initial`` take w's record by the keyword
+    ``face`` when the caller has already looked it up.
     """
 
     def __init__(self, ideal: Ideal):
@@ -563,11 +572,10 @@ class InitialIdealEngine:
         self.nvars = ideal.nvars
         self._cones = []
         self._faces = {}
-        self._last = (None, None)
         self.base = groebner_basis(ideal, grlex(self.nvars))
         # init_w(I) = I for every w when I is the zero or the unit ideal
         self._fixed = ideal.is_zero or self.base.is_unit
-        hvars = ideal.vars + (_HOMOG_VAR,)
+        hvars = ideal.vars + (_fresh_var("_h", ideal.vars),)
         self.hgens = [_homogenize(g, hvars) for g in self.base.gens]
 
     def face(self, w) -> Face:
@@ -580,7 +588,6 @@ class InitialIdealEngine:
         record = self._faces.get(key)
         if record is None:
             record = self._faces[key] = Face(*key)
-        self._last = tuple(w), record
         return record
 
     def _lookup(self, w):
@@ -597,25 +604,22 @@ class InitialIdealEngine:
         cones.insert(0, cone)
         return cone, cone.ties(w)
 
-    def basis(self, w):
+    def basis(self, w, face=None):
         """The dehomogenized basis of the cone that holds w, in the order
         ``_interreduce`` gives the basis under this weight; the base basis
-        where init_w(I) = I.  w is not looked up again when ``face`` was
-        last called with it."""
-        last, face = self._last
-        if last != tuple(w):
-            face = self.face(w)
+        where init_w(I) = I."""
+        face = face or self.face(w)
         if face.cone is None:
             return list(self.base.gens)
         order = _weight_order(w)
         return [g for _, g in sorted(face.cone.basis, key=lambda item: order.key(item[0]))]
 
-    def initial(self, w) -> Ideal:
+    def initial(self, w, face=None) -> Ideal:
         """init_w(I), from the initial forms of ``basis(w)``, in that
         order; the first built on a face is kept as its record's
         ``ideal``."""
-        J = Ideal([g.weight_initial(w) for g in self.basis(w)], self.ideal.vars)
-        face = self._last[1]  # w's, which ``basis`` looked up or found
+        face = face or self.face(w)
+        J = Ideal([g.weight_initial(w) for g in self.basis(w, face=face)], self.ideal.vars)
         if face.ideal is None:
             face.ideal = J
         return J
@@ -685,15 +689,13 @@ def initial_ideal(ideal: Ideal, w) -> Ideal:
 # -- saturation and elimination -----------------------------------------------------
 
 
-_SAT_VAR = "_y"
-
-
 def _saturate_single(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
     if ideal.is_zero or f.is_constant():
         return groebner_basis(ideal)
-    vars2 = (_SAT_VAR,) + ideal.vars
+    name = _fresh_var("_y", ideal.vars)
+    vars2 = (name,) + ideal.vars
     gens2 = [g.extend_ring(vars2) for g in ideal.gens]
-    y = Polynomial.variable(_SAT_VAR, vars2)
+    y = Polynomial.variable(name, vars2)
     gens2.append(Polynomial.constant(1, vars2) - y * f.extend_ring(vars2))
     return _elimination_basis(gens2, vars2, (0,))
 
@@ -784,6 +786,27 @@ def saturate(ideal: Ideal, f: Polynomial) -> GroebnerBasis:
         return _linear_saturation(ideal.gens, ideal.vars, support)
     m = Polynomial({tuple(int(x != 0) for x in low): Fraction(1)}, ideal.vars)
     return _saturate_single(ideal, m)
+
+
+def torus_saturation(ideal: Ideal) -> GroebnerBasis:
+    """I : (x_1...x_n)^infty as its reduced grlex basis, made once per
+    ring and generator set in the current job; the result is recorded as
+    its own saturation.  The zero ideal is its own saturation, and an
+    ideal with a monomial generator saturates to the unit ideal, with no
+    Groebner run; any other ideal is saturated by the torus monomial
+    (``saturate``)."""
+    memo = current_job().memo
+    key = (torus_saturation, ideal.vars, frozenset(ideal.gens))
+    sat = memo.get(key)
+    if sat is None:
+        if ideal.is_zero or any(g.is_term() for g in ideal.gens):
+            one = [Polynomial.constant(1, ideal.vars)] if ideal.gens else []
+            sat = GroebnerBasis(one, grlex(ideal.nvars), ideal.vars)
+        else:
+            torus = Polynomial({(1,) * ideal.nvars: Fraction(1)}, ideal.vars)
+            sat = saturate(ideal, torus)
+        memo[key] = memo[torus_saturation, sat.vars, frozenset(sat.gens)] = sat
+    return sat
 
 
 def _strip(ideal: Ideal, support) -> Ideal:

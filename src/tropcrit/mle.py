@@ -37,6 +37,7 @@ from .groebner import (
     saturate,
     solve_degree_one,
     squarefree_check,
+    torus_saturation,
 )
 from .rings import Polynomial, dot
 from .tropical import SlopeHyperplane
@@ -176,22 +177,16 @@ def _dlog_system(spec, data):
 
 
 def _torus_saturation(ideal: Ideal):
-    """(G, d): the reduced grlex basis of the saturation of the ideal by
-    the torus monomial, as ``saturate`` returns it, and its dimension (the
-    number of variables for the zero ideal, -1 for the unit ideal),
-    memoized in the current job.
-
-    The entry is also recorded for G itself, which is its own
-    saturation, so the critical system of a stratum's saturated ideal
-    reuses it instead of saturating again.
-    """
+    """(G, d): the ideal's ``torus_saturation`` G and its dimension (the
+    number of variables for the zero ideal, -1 for the unit ideal), counted
+    once per G in the current job, so the critical system of a stratum's
+    saturated ideal G reuses both."""
+    G = torus_saturation(ideal)
     memo = current_job().memo
-    key = (_torus_saturation, ideal.gens, ideal.vars)
+    key = (_torus_saturation, G.vars, G.gens)
     if key not in memo:
-        e = tuple(1 for _ in ideal.vars)
-        G = saturate(ideal, Polynomial({e: Fraction(1)}, ideal.vars))
-        memo[key] = memo[_torus_saturation, G.gens, G.vars] = (G, ideal_dimension(G))
-    return memo[key]
+        memo[key] = ideal_dimension(G)
+    return G, memo[key]
 
 
 def _ideal_system(spec, data):

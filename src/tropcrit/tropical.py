@@ -26,17 +26,21 @@ they leave two or more dimensions holds no rigid ray.  On the other faces
 the homogeneity space is the space orthogonal to the term differences of
 the saturation's reduced basis, which membership has already computed.
 
-Both answers are kept per face record of the initial-ideal engine
-(``InitialIdealEngine.face``), which also keeps init_w(I).  A job has one
-``TropicalEngine.of(I)`` per ideal; the series lifts of ``asymptotics``
-read their cone bases from the engine of the curve's critical ideal.
+A ``TropicalEngine`` is the initial-ideal engine of I
+(``groebner.InitialIdealEngine``), and keeps init_w(I), its torus
+saturation and both answers on the record of w's face
+(``groebner.Face``).  The saturation is ``groebner.torus_saturation``,
+memoized in the job, so every engine and every layer of a job that meets
+one initial ideal shares one.  A job has one ``TropicalEngine.of(I)`` per
+ideal; the series lifts of ``asymptotics`` read their cone bases from the
+engine of the curve's critical ideal, and ``stratum_model`` reads
+init_w(I) from the face record.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
@@ -46,7 +50,7 @@ from .groebner import (
     Ideal,
     InitialIdealEngine,
     current_job,
-    saturate,
+    torus_saturation,
 )
 from .linalg import (
     make_primitive,
@@ -54,7 +58,7 @@ from .linalg import (
     unimodular_completion,
     vec_gcd,
 )
-from .rings import Polynomial, grlex
+from .rings import Polynomial
 
 
 class ConnectednessAssumed(UserWarning):
@@ -190,20 +194,19 @@ def _lattice_points(space, nvars, bound):
             yield tuple(w)
 
 
-class TropicalEngine:
-    """Membership and rigidity on top of the initial-ideal engine's face
-    records, with the base Groebner basis and the Groebner cones in that
-    engine.
+class TropicalEngine(InitialIdealEngine):
+    """Membership and rigidity on the initial-ideal engine's face records.
 
     Membership and rigidity depend only on init_w(I), which is constant on
-    each face of the Groebner fan.  A weight is looked up once, by the
-    engine's ``face``, and both are answered once per face record.
-    Rigidity is read first from the rank of the face's tied weak
-    differences.  init_w(I) is built, and saturated by the torus monomial,
-    once per face, only when membership asks for it; the saturation
-    answers both membership and, on the faces the tied rank leaves open,
-    rigidity.  It is also keyed by the generator set of init_w(I), so two
-    faces with the same initial ideal share one saturation.
+    each face of the Groebner fan.  A weight is looked up once, by
+    ``face``, and both are answered once per face record, which keeps
+    them.  Rigidity is read first from the rank of the face's tied weak
+    differences.  init_w(I) is built, and saturated by the torus monomial
+    (``torus_saturation``), once per face, only when membership asks for
+    it; the saturation answers both membership and, on the faces the tied
+    rank leaves open, rigidity.  The saturation is memoized in the job by
+    the generator set of init_w(I), so faces, and engines, with the same
+    initial ideal share one.
 
     Before the lookup, ``contains`` screens w with witnesses: the elements
     of the base Groebner basis and the generators of I, each stored once
@@ -216,17 +219,8 @@ class TropicalEngine:
     """
 
     def __init__(self, ideal: Ideal):
-        self.ideal = ideal
-        self.engine = InitialIdealEngine(ideal)
-        self.nvars = ideal.nvars
-        e = tuple(1 for _ in range(self.nvars))
-        self.torus_monomial = Polynomial({e: Fraction(1)}, ideal.vars)
-        self._witnesses = {
-            _term_differences(g) for g in (*self.engine.base.gens, *ideal.gens)
-        }
-        self._rigidity = {}
-        self._face_saturations = {}
-        self._saturations = {}
+        super().__init__(ideal)
+        self._witnesses = {_term_differences(g) for g in (*self.base.gens, *ideal.gens)}
 
     @classmethod
     def of(cls, ideal: Ideal) -> "TropicalEngine":
@@ -237,51 +231,29 @@ class TropicalEngine:
             memo[key] = cls(ideal)
         return memo[key]
 
-    def initial(self, w) -> Ideal:
-        """init_w(I) as w's face record keeps it."""
-        face = self.engine.face(w)
-        if face.ideal is None:
-            self.engine.initial(w)
-        return face.ideal
-
     def _saturation(self, w, face) -> GroebnerBasis:
-        """init_w(I) : (t_1...t_p)^infty as its reduced grlex basis, made
-        once per generator set of init_w(I); the face is in trop(I) iff it
-        is not the unit ideal.  The zero ideal is its own saturation, and
-        one with a monomial generator saturates to the unit ideal, with no
-        Groebner run."""
-        sat = self._face_saturations.get(face)
-        if sat is None:
-            J = self.engine.initial(w)
-            gens = frozenset(J.gens)
-            sat = self._saturations.get(gens)
-            if sat is None:
-                if J.is_zero or any(g.is_term() for g in J.gens):
-                    one = [Polynomial.constant(1, J.vars)] if J.gens else []
-                    sat = GroebnerBasis(one, grlex(self.nvars), J.vars)
-                else:
-                    sat = saturate(J, self.torus_monomial)
-                self._saturations[gens] = sat
-            self._face_saturations[face] = sat
-        return sat
+        """The torus saturation of init_w(I), kept on w's face record; the
+        face is in trop(I) iff it is not the unit ideal."""
+        if face.saturation is None:
+            face.saturation = torus_saturation(self.initial(w, face=face))
+        return face.saturation
 
     def _rigid(self, w, face) -> bool:
-        """True iff w's face lies in trop(I) and is rigid, answered once
-        per face: the face's tied differences leave one dimension (on the
+        """True iff w's face lies in trop(I) and is rigid, kept on the face
+        record: the face's tied differences leave one dimension (on the
         face without a cone, where init_w(I) = I, this test is skipped),
         and the torus saturation of init_w(I) is neither zero nor the unit
         ideal and the term differences of its reduced basis leave one
         dimension.  A face the tied differences leave two or more
         dimensions is settled with no saturation."""
-        rigid = self._rigidity.get(face)
-        if rigid is None:
+        if face.rigid is None:
             cone = face.cone
             rigid = cone is None or self.nvars - rank([cone.weak[i] for i in face.ties]) == 1
             if rigid:
                 sat = self._saturation(w, face)
                 rigid = bool(sat.gens) and not sat.is_unit and _one_line(sat.gens, self.nvars)
-            self._rigidity[face] = rigid
-        return rigid
+            face.rigid = rigid
+        return face.rigid
 
     def _screened_out(self, w) -> bool:
         """True if some witness has a unique w-minimal term."""
@@ -336,13 +308,13 @@ class TropicalEngine:
             raise ValueError("weight length does not match the ring")
         if self._screened_out(w):
             return False
-        return not self._saturation(w, self.engine.face(w)).is_unit
+        return not self._saturation(w, self.face(w)).is_unit
 
     def is_rigid(self, w) -> bool:
         """True iff the homogeneity space of init_w(I) : (t_1...t_p)^infty
         is exactly one line, answered once per face; raises
         NotInTropicalVariety for a w outside trop(I)."""
-        face = self.engine.face(w)
+        face = self.face(w)
         if self._saturation(w, face).is_unit:
             w = tuple(int(x) for x in w)
             raise NotInTropicalVariety(f"{w} is not in the tropical variety")
@@ -381,7 +353,7 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     warn_connectedness_assumed()
     rays = []
     for w in eng.candidates(bound):
-        if eng._rigid(w, eng.engine.face(w)):
+        if eng._rigid(w, eng.face(w)):
             rays.append(Ray(v=w, rigid=True, source="searched"))
     return rays
 
@@ -414,7 +386,7 @@ def stratum_model(ideal: Ideal, ray: Ray) -> Ideal:
     eng = TropicalEngine.of(ideal)
     if not eng.contains(ray.v):
         raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
-    J = eng.initial(ray.v)
+    J = eng.face(ray.v).ideal
     p = ideal.nvars
     B = unimodular_completion(ray.v)
     new_vars = _stratum_vars(p)

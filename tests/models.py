@@ -425,6 +425,11 @@ def oracle_flacets(vectors):
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
 
 
+def torus_monomial(vars) -> Polynomial:
+    """The product of all the variables of the ring."""
+    return Polynomial({(1,) * len(vars): Fraction(1)}, vars)
+
+
 def initial_by_fresh_run(eng, w) -> Ideal:
     """init_w(I) for an InitialIdealEngine from a Buchberger run of its
     own, bypassing the engine's Groebner cones."""
@@ -449,12 +454,12 @@ def tied_space(eng, w):
     """The weights orthogonal to the tied weak differences of w's face in
     a TropicalEngine; on the face without a cone, where init_w(I) = I, to
     the term differences of the base basis."""
-    face = eng.engine.face(w)
+    face = eng.face(w)
     if face.cone is not None:
         rows = [face.cone.weak[i] for i in face.ties]
     else:
         rows = []
-        for g in eng.engine.base.gens:
+        for g in eng.base.gens:
             first, *rest = g.terms
             rows += [[x - y for x, y in zip(e, first)] for e in rest]
     return nullspace(rows, ncols=eng.nvars)
@@ -477,14 +482,14 @@ def check_tied_ranks(eng, bound) -> int:
     lex = TermOrder([])
     for w in product(range(-bound, bound + 1), repeat=eng.nvars):
         if eng.contains(w):
-            J = initial_by_fresh_run(eng.engine, w)
+            J = initial_by_fresh_run(eng, w)
             space = homogeneity_space(J)
             assert _rank([*space, *tied_space(eng, w)]) == len(space), w
-            if eng.engine.face(w).cone is not None:
+            if eng.face(w).cone is not None:
                 leads = [max(g.terms) for g in eng.initial(w).gens]
                 for g in _buchberger(list(J.gens), lex, Job()):
                     assert any(mono_divides(m, g.leading(lex)[0]) for m in leads), w
-            torus = () if J.is_zero else homogeneity_space(saturate(J, eng.torus_monomial))
+            torus = () if J.is_zero else homogeneity_space(saturate(J, torus_monomial(J.vars)))
             assert eng.is_rigid(w) == (len(torus) == 1), w
             checked += 1
     return checked

@@ -268,11 +268,13 @@ def test_branches_saturates_once_in_the_curve_ring(monkeypatch):
         return real(ideal, f)
 
     monkeypatch.setattr(asymptotics, "saturate", recording)
+    monkeypatch.setattr(groebner, "saturate", recording)
     rays = [Ray(v) for v in sorted(CONIC_RAYS)]
     with Job():
         found, _ = branches(conic_spec(), conic_curve(), rays)
     assert len(found) == 3
     assert rings.count(("x", "y", CURVE_VAR)) == 1
+    assert set(rings) == {("x", "y", CURVE_VAR), ("x", "y")}
 
 
 def test_branches_share_the_tropical_engine_of_the_critical_ideal(monkeypatch):
@@ -292,7 +294,7 @@ def test_branches_share_the_tropical_engine_of_the_critical_ideal(monkeypatch):
         found, _ = branches(conic_spec(), conic_curve(), rays)
         [engine] = [e for e in engines if e.ideal.vars == ("x", "y", CURVE_VAR)]
         assert engine._cones
-        assert TropicalEngine.of(engine.ideal).engine is engine
+        assert TropicalEngine.of(engine.ideal) is engine
     assert len(found) == 3
 
 

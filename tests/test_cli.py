@@ -162,6 +162,26 @@ def test_out_file(tmp_path, capsys):
     assert [r["v"] for r in data["rays"]] == golden("coin_golden.json")["rays"]
 
 
+def test_out_into_a_missing_directory_fails_before_the_job(capsys):
+    # --budget 0 would exit 3 from the first Groebner run; the --out path
+    # is checked when the options are read
+    args = ["rigid-rays", "--spec", fixture("coin_model.json"), "--budget", "0"]
+    assert main([*args, "--out", "/missing/dir/r.json"]) == EXIT_VALIDATION
+    assert "[at /options/out]" in capsys.readouterr().err
+
+
+def test_variable_names_do_not_clash_with_the_kernel_variables():
+    # saturation and homogenization add a variable of their own to the
+    # ring; a spec variable of the same name must not be mistaken for it
+    def report(name):
+        spec = {"kind": "ideal", "variables": [name, "x"], "generators": [f"{name}*x-{name}-1"]}
+        return run_report(JobConfig(command="report", spec_source=json.dumps(spec)))[0]
+
+    renamed = json.loads(json.dumps(report("_y")).replace("_y", "y"))
+    assert renamed == report("y")
+    assert renamed["ml_degree"] == 1
+
+
 def test_exit_code_validation(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "ideal", "variables": ["x"]}')

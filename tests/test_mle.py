@@ -267,10 +267,12 @@ def test_torus_euler_characteristic_direct_cases():
 
 def _record_saturations(monkeypatch):
     """(saturations, dimensions): every (ideal gens, saturator, result gens)
-    of mle.saturate and every ideal mle.ideal_dimension is asked about."""
+    of groebner.saturate, called by the torus saturation and by mle's
+    critical ideals alike, and every ideal mle.ideal_dimension is asked
+    about."""
     saturations = []
     dimensions = []
-    real_saturate = mle.saturate
+    real_saturate = groebner.saturate
     real_dimension = mle.ideal_dimension
 
     def counting_saturate(I, f):
@@ -282,6 +284,7 @@ def _record_saturations(monkeypatch):
         dimensions.append(G)
         return real_dimension(G)
 
+    monkeypatch.setattr(groebner, "saturate", counting_saturate)
     monkeypatch.setattr(mle, "saturate", counting_saturate)
     monkeypatch.setattr(mle, "ideal_dimension", counting_dimension)
     return saturations, dimensions

@@ -43,6 +43,7 @@ from models import (
     shear,
     substitute,
     symbolic_data,
+    torus_monomial,
 )
 from tropcrit.arrangement import (
     Arrangement,
@@ -708,8 +709,8 @@ def test_screened_membership_matches_fresh_route(ideal, data):
         screened = [w for w in weights if eng._screened_out(w)]
         assume(screened)
         for w in weights:
-            J = initial_by_fresh_run(eng.engine, w)
-            assert eng.contains(w) == (not saturate(J, eng.torus_monomial).is_unit)
+            J = initial_by_fresh_run(eng, w)
+            assert eng.contains(w) == (not saturate(J, torus_monomial(J.vars)).is_unit)
 
 
 def search_ideals():

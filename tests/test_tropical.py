@@ -23,8 +23,9 @@ from models import (
     mat_mul,
     ray_euler_chars,
     tied_space,
+    torus_monomial,
 )
-from tropcrit import groebner, tropical
+from tropcrit import groebner
 from tropcrit.errors import NotInTropicalVariety
 from tropcrit.groebner import (
     Ideal,
@@ -153,20 +154,42 @@ def test_ray_search_runs_buchberger_once_per_cone(monkeypatch):
     assert counts == [4, 4, 4]
 
 
-def test_contains_saturates_once_per_initial_ideal(monkeypatch):
-    # the same initial ideal can come with its generators listed in
-    # another order (the order follows the weight); it is saturated once
+def _record_saturations(monkeypatch):
+    """The generator set of every ideal groebner.saturate is called on."""
     saturated = []
-    real = tropical.saturate
+    real = groebner.saturate
 
     def recording(ideal, f):
         saturated.append(frozenset(ideal.gens))
         return real(ideal, f)
 
-    monkeypatch.setattr(tropical, "saturate", recording)
+    monkeypatch.setattr(groebner, "saturate", recording)
+    return saturated
+
+
+def test_contains_saturates_once_per_initial_ideal(monkeypatch):
+    # the same initial ideal can come with its generators listed in
+    # another order (the order follows the weight); it is saturated once
+    saturated = _record_saturations(monkeypatch)
     with Job():
         find_rigid_rays(four_lines_ideal(), bound=3)
     assert saturated and len(saturated) == len(set(saturated))
+
+
+def test_engines_of_one_job_share_each_torus_saturation(monkeypatch):
+    # the ideal with its generators reversed gets an engine of its own,
+    # with the same faces and initial ideals; the job saturates each
+    # initial ideal once for both searches
+    saturated = _record_saturations(monkeypatch)
+    ideal = four_lines_ideal()
+    reversed_ideal = Ideal(ideal.gens[::-1], ideal.vars)
+    with Job():
+        first = find_rigid_rays(ideal, bound=3)
+        once = len(saturated)
+        second = find_rigid_rays(reversed_ideal, bound=3)
+        assert TropicalEngine.of(ideal) is not TropicalEngine.of(reversed_ideal)
+    assert {r.v for r in first} == {r.v for r in second} == FOUR_LINES_RAYS
+    assert saturated and len(saturated) == len(set(saturated)) == once
 
 
 def test_conic_ray_search_runs_no_saturation_by_elimination(monkeypatch):
@@ -236,8 +259,8 @@ def shared_engine(request):
 def _fresh_answers(eng, w):
     """(membership, rigidity) of w from a Buchberger run of its own, a
     saturation by the torus monomial and the homogeneity space."""
-    J = initial_by_fresh_run(eng.engine, w)
-    S = saturate(J, eng.torus_monomial)
+    J = initial_by_fresh_run(eng, w)
+    S = saturate(J, torus_monomial(J.vars))
     member = S.is_zero or not groebner_basis(S).is_unit
     return member, member and len(homogeneity_space(J)) == 1
 
@@ -298,21 +321,15 @@ def test_torus_automorphism_maps_rays_onto_rays():
         w = (0, -1, -1, -1)
         assert eng.contains(w) and not eng.is_rigid(w)
         assert len(homogeneity_space(eng.initial(w))) == 1
-        assert len(homogeneity_space(saturate(eng.initial(w), eng.torus_monomial))) == 2
+        J = eng.initial(w)
+        assert len(homogeneity_space(saturate(J, torus_monomial(J.vars)))) == 2
 
 
 def test_ray_search_saturates_only_one_dimensional_faces(monkeypatch):
     # a face whose tied differences leave two or more dimensions holds no
     # rigid ray, so its initial ideal is never saturated; every other face
     # met is, once per initial ideal without a monomial generator
-    saturated = []
-    real = tropical.saturate
-
-    def recording(ideal, f):
-        saturated.append(frozenset(ideal.gens))
-        return real(ideal, f)
-
-    monkeypatch.setattr(tropical, "saturate", recording)
+    saturated = _record_saturations(monkeypatch)
     with Job():
         eng = TropicalEngine.of(four_lines_ideal())
         find_rigid_rays(eng.ideal, bound=4)
