@@ -1,11 +1,16 @@
 """Hyperplane-arrangement combinatorics.
 
-Matroid queries are answered from reduced echelon forms: flats and ranks
-from residues modulo a flat's span, connectivity from the fundamental
-circuits of one basis (Krogdahl 1977; Oxley, Matroid Theory, ch. 4).
-Flacets (flats whose restriction and contraction matroids are both
-connected) index the rays of the tropical variety of the complement; the
-ray recipe and the Moebius-function Euler characteristic live here too.
+Matroid queries are answered in integers, on the vectors made primitive
+integer tuples once per arrangement.  The lattice of flats is built rank
+by rank from residues modulo a flat's span; each flat keeps the reduced
+echelon rows of its span, its parent's extended by the residue of its
+cover, and the job memoizes the lattice, so ``flat_rank`` is a lookup.
+Connectivity comes from the fundamental circuits of one basis, read from
+one fraction-free echelon form (Krogdahl 1977; Oxley, Matroid Theory,
+ch. 4).  Flacets (flats whose restriction and contraction matroids are
+both connected) index the rays of the tropical variety of the complement;
+the ray recipe and the Moebius-function Euler characteristic live here
+too.
 
 ``matroid_invariants`` answers what the pipeline asks of an arrangement
 from one lattice of flats of the homogenized functionals, with no
@@ -21,11 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import NotCentral
 from .groebner import current_job
-from .linalg import rref
+from .linalg import (
+    echelon_residue,
+    extend_echelon,
+    integer_row,
+    integer_rref,
+    make_primitive,
+    sign_normalize,
+)
 from .rings import Polynomial
 from .tropical import Ray
 
@@ -130,72 +143,64 @@ class Arrangement:
 # -- matroid of a vector list ------------------------------------------------------
 
 
-def _echelon(vectors, members):
-    """Reduced echelon rows (row, pivot) of the vectors at ``members``."""
-    rows = [vectors[i] for i in sorted(members)]
-    return list(zip(*rref(rows))) if rows else []
-
-
-def _reduce_by(echelon, v):
-    """v minus its multiples of the reduced echelon rows (row, pivot): zero
-    exactly when v lies in their span, and the same vector for every v of
-    one coset of the span."""
-    for row, c in echelon:
-        x = v[c]
-        if x:
-            v = [a - x * b for a, b in zip(v, row)]
-    return v
+def _integer_vectors(vectors):
+    """Each vector as the primitive integer tuple on its line (a loop stays
+    zero): the same linear matroid, and the key of its lattice in the
+    job's memo."""
+    return tuple(tuple(integer_row(v)) for v in vectors)
 
 
 def _lattice(vectors, avoid=None):
-    """{flat: (rank, echelon)} for every flat of ``matroid_flats``, with
-    the reduced echelon rows of its vectors for each flat expanded.
+    """{flat: (rank, echelon)} for every flat of ``matroid_flats`` of the
+    integer vectors, with the echelon rows of its span
+    (``linalg.extend_echelon``); made once per (vectors, avoid) in the
+    current job.
 
-    Rank by rank from the loops up: each flat F takes one reduced echelon
-    form of its vectors (one step of the current job), reduces every
-    vector outside F modulo their span, and the vectors whose residues
-    are parallel form, with F, one flat covering F.  Every flat above one
-    that holds ``avoid`` holds it too, and every flat that does not is
-    reached from a flat below it that does not, so a cover holding
-    ``avoid`` is dropped unexpanded, with no echelon rows.
+    Rank by rank from the loops up: each flat F, one step of the current
+    job, reduces every vector outside F modulo its span, and the vectors
+    whose residues are parallel form, with F, one flat covering F; the
+    cover's rows are F's extended by that residue, made primitive with a
+    positive first entry, which also keys it.  Every flat above one that
+    holds ``avoid`` holds it too, and every flat that does not is reached
+    from a flat below it that does not, so a cover holding ``avoid`` is
+    dropped.
     """
     job = current_job()
+    key = (_lattice, vectors, avoid)
+    lattice = job.memo.get(key)
+    if lattice is not None:
+        return lattice
     bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
-    lattice = {bottom: (0, None)}
+    lattice = {bottom: (0, ())}
     frontier = [bottom]
     r = 0
     while frontier:
         nxt = []
         for F in frontier:
             job.tick()
-            echelon = _echelon(vectors, F)
-            lattice[F] = (r, echelon)
+            echelon = lattice[F][1]
             covers = {}
             for i, v in enumerate(vectors):
                 if i not in F:
-                    res = _reduce_by(echelon, v)
-                    lead = next(x for x in res if x)
-                    covers.setdefault(tuple(x / lead for x in res), set()).add(i)
-            for extra in covers.values():
+                    res = sign_normalize(make_primitive(echelon_residue(echelon, v)))
+                    covers.setdefault(res, set()).add(i)
+            for res, extra in covers.items():
                 G = F | extra
                 if avoid not in G and G not in lattice:
-                    lattice[G] = (r + 1, None)
+                    lattice[G] = (r + 1, extend_echelon(echelon, res))
                     nxt.append(G)
         frontier = nxt
         r += 1
+    job.memo[key] = lattice
     return lattice
-
-
-def _fractions(vectors):
-    return [[Fraction(x) for x in v] for v in vectors]
 
 
 def matroid_flats(vectors, avoid=None):
     """All flats of the linear matroid, as Flat records sorted by rank;
     with ``avoid``, the index of a nonzero vector, only those that do not
-    hold it.  One echelon form, one step of the current job, per flat
+    hold it.  One echelon extension, one step of the current job, per flat
     (``_lattice``)."""
-    lattice = _lattice(_fractions(vectors), avoid)
+    lattice = _lattice(_integer_vectors(vectors), avoid)
     return sorted(
         (Flat(members=F, rank=r) for F, (r, _) in lattice.items()),
         key=lambda f: f.key(),
@@ -204,40 +209,38 @@ def matroid_flats(vectors, avoid=None):
 
 def flat_rank(vectors, members):
     """Rank of ``members`` in the linear matroid if it is a flat, else
-    None: the pivots of one echelon form of its vectors, closed when no
-    vector outside has a zero residue modulo their span."""
-    echelon = _echelon(vectors, members)
-    for i, v in enumerate(vectors):
-        if i not in members and not any(_reduce_by(echelon, v)):
-            return None
-    return len(echelon)
+    None: a lookup in the job's lattice of flats of the vectors."""
+    found = _lattice(_integer_vectors(vectors)).get(frozenset(members))
+    return None if found is None else found[0]
 
 
 def matroid_connected(vectors, ground=None, contract=None) -> bool:
     """Connectivity of the (minor of the) linear matroid.
 
     ``ground`` restricts, ``contract`` contracts; matroids with at most one
-    element count as connected.  One echelon form, with the ground vectors
-    reduced modulo the span of ``contract`` as columns, picks a basis (its
-    pivots); a non-pivot column j gives the fundamental circuit of j and
-    the pivots of its nonzero entries.  The minor is connected iff these
-    circuits chain over every element (Krogdahl, Discrete Math. 1977;
-    Oxley, Matroid Theory, ch. 4): loops and coloops stay apart.
+    element count as connected.  One integer echelon form, with the ground
+    vectors reduced modulo the span of ``contract`` as columns, picks a
+    basis (its pivots); a non-pivot column j gives the fundamental circuit
+    of j and the pivots of its nonzero entries.  The minor is connected
+    iff these circuits chain over every element (Krogdahl, Discrete Math.
+    1977; Oxley, Matroid Theory, ch. 4): loops and coloops stay apart.
     """
+    vectors = _integer_vectors(vectors)
     contract = frozenset(contract or [])
     if ground is None:
         ground = range(len(vectors))
-    return _circuits_connect(vectors, set(ground) - contract, _echelon(vectors, contract))
+    modulo = reduce(extend_echelon, (vectors[i] for i in sorted(contract)), ())
+    return _circuits_connect(vectors, set(ground) - contract, modulo)
 
 
 def _circuits_connect(vectors, ground, modulo) -> bool:
-    """``matroid_connected`` on the ground set, the contracted span given
-    by its reduced echelon rows ``modulo``."""
+    """``matroid_connected`` on the ground set of the integer vectors, the
+    contracted span given by its echelon rows ``modulo``."""
     ground = sorted(ground)
     if len(ground) <= 1:
         return True
-    columns = [_reduce_by(modulo, vectors[i]) for i in ground]
-    red, pivots = rref(list(zip(*columns)))
+    columns = [echelon_residue(modulo, vectors[i]) for i in ground]
+    red, pivots = integer_rref(list(zip(*columns)))
     parts = []
     for j in range(len(ground)):
         if j not in pivots:
@@ -263,14 +266,14 @@ def intersection_lattice(arr: Arrangement):
 def _flacets(vectors, lattice):
     """The flacets among the flats of ``lattice = _lattice(vectors)``,
     each flat's contraction tested modulo the echelon rows the lattice
-    built for that flat."""
+    keeps for that flat."""
     top = max(r for r, _ in lattice.values())
     everything = set(range(len(vectors)))
     return [
         Flat(members=F, rank=r)
         for F, (r, echelon) in lattice.items()
         if 0 < r < top
-        and _circuits_connect(vectors, F, [])
+        and _circuits_connect(vectors, F, ())
         and _circuits_connect(vectors, everything - F, echelon)
     ]
 
@@ -279,7 +282,7 @@ def flacets(arr: Arrangement):
     """Proper flats of the centralized arrangement, below the top flat,
     whose restriction and contraction are both connected by their
     fundamental circuits (Krogdahl 1977)."""
-    vectors = _fractions(arr.central_vectors())
+    vectors = _integer_vectors(arr.central_vectors())
     return sorted(_flacets(vectors, _lattice(vectors)), key=lambda f: f.key())
 
 
@@ -297,7 +300,7 @@ def flacet_rays(arr: Arrangement):
     """Ray per flacet of the homogenized functionals, sorted.  The torus
     ideal of the complement does not depend on ``projective_closure``,
     and neither do its rays."""
-    vectors = _fractions(arr.homogenized_vectors())
+    vectors = _integer_vectors(arr.homogenized_vectors())
     flats = _flacets(vectors, _lattice(vectors))
     rays = [_flacet_ray(f.members, len(vectors)) for f in flats]
     return sorted(rays, key=lambda r: r.v)
@@ -350,7 +353,7 @@ def matroid_invariants(arr: Arrangement) -> MatroidInvariants:
       hyperplane at infinity|, the Euler characteristic of the affine
       complement (Huh 2013).
     """
-    vectors = _fractions(arr.homogenized_vectors())
+    vectors = _integer_vectors(arr.homogenized_vectors())
     q = len(vectors)
     lattice = _lattice(vectors)
     flats = sorted(lattice, key=lambda F: (lattice[F][0], sorted(F)))

@@ -150,8 +150,9 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
 
 def _support_flat_rank(arr: Arrangement, ray_vec):
     """Rank of the ray's support in the centralized matroid when it is the
-    incidence set of a flat, else None: ``flat_rank`` reads both from one
-    echelon form (no vector outside has a zero residue modulo its span)."""
+    incidence set of a flat, else None: ``flat_rank`` looks both up in the
+    job's lattice of flats, which ``matroid_invariants`` has built for
+    the same vectors when the arrangement has its projective closure."""
     if any(x not in (0, 1) for x in ray_vec):
         return None
     vectors = arr.central_vectors()

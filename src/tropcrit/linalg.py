@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and integer lattice utilities.
 
 ``rref``, and with it rank, nullspace, solve and inverse, eliminates
-fraction-free on primitive integer rows and returns Fractions.
-``complex_gauss_jordan`` is the one floating routine: pivoted elimination
-for the inverses and null vectors of floating branch seeds.
+fraction-free on primitive integer rows (``integer_rref``) and returns
+Fractions.  A span kept as its echelon rows grows one vector at a time
+(``extend_echelon``) and reduces vectors modulo itself
+(``echelon_residue``) in integers.  ``complex_gauss_jordan`` is the one
+floating routine: pivoted elimination for the inverses and null vectors of
+floating branch seeds.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from math import gcd, lcm
 _ZERO = Fraction(0)
 
 
-def _integer_row(row):
-    """A row of exact numbers (ints, Fractions, floats) times the lcm of
-    its denominators."""
+def integer_row(row):
+    """A row of exact numbers (ints, Fractions, floats) as the primitive
+    integer row on its line: times the lcm of its denominators, divided by
+    the gcd of its entries.  A zero row stays zero."""
     ratios = [x.as_integer_ratio() for x in row]
     d = lcm(*(q for _, q in ratios))
-    return [n * (d // q) for n, q in ratios]
+    return _primitive([n * (d // q) for n, q in ratios])
 
 
 def _primitive(row):
@@ -29,23 +33,19 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+def integer_rref(rows):
+    """Reduced row echelon form of integer rows up to row scaling; returns
+    (rows, pivot_columns), each row a primitive integer multiple of the
+    row of the reduced form, and the rows past the last pivot row zero.
 
-    Fraction-free: the rows (ints, Fractions or floats, taken exactly) are
-    scaled to primitive integer rows first.  Clearing entry x of row i
-    against pivot a of row r replaces row i by (a/h) row_i - (x/h) row_r,
-    h = gcd(a, x), and divides out its content.  Each pivot row is divided
-    by its pivot once, at the end, into Fractions; the result is the unique
-    reduced form.
+    Fraction-free on integer rows, each divided by its content first.
+    Clearing entry x of row i against pivot a of row r replaces row i by
+    (a/h) row_i - (x/h) row_r, h = gcd(a, x), and divides out its content.
     """
-    m = [_primitive(_integer_row(row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    m = [_primitive(row) for row in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -62,12 +62,27 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    The rows (ints, Fractions or floats, taken exactly) are scaled to
+    integer rows (``integer_row``) and eliminated by ``integer_rref``;
+    each pivot row is divided by its pivot once, at the end, into
+    Fractions, and the result is the unique reduced form.
+    """
+    m, pivots = integer_rref([integer_row(row) for row in rows])
+    if not m:
+        return [], []
+    ncols = len(m[0])
     # rows past the last pivot row are zero
     out = [
         [Fraction(x, row[c]) if x else _ZERO for x in row]
         for row, c in zip(m, pivots)
     ]
-    out += [[_ZERO] * ncols for _ in range(len(m) - r)]
+    out += [[_ZERO] * ncols for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
@@ -174,6 +189,53 @@ def make_primitive(v):
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
+
+
+def sign_normalize(v):
+    """A nonzero vector as a tuple, negated if its first nonzero entry is
+    negative."""
+    for x in v:
+        if x > 0:
+            return tuple(v)
+        if x < 0:
+            return tuple(-y for y in v)
+    raise ValueError("zero normal vector")
+
+
+def echelon_residue(space, v):
+    """v reduced modulo the span of the echelon rows ``space`` (as
+    ``extend_echelon`` keeps them): zero exactly when v lies in the span,
+    else a positive integer multiple of the one vector of v + span that
+    vanishes at every pivot."""
+    for c, row in space:
+        if v[c]:
+            v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+    return v
+
+
+def extend_echelon(space, v):
+    """The echelon rows of the span of ``space`` and the integer vector v;
+    ``space`` itself when v lies in it.
+
+    A span is a tuple of (pivot, row) pairs sorted by pivot: its reduced
+    echelon rows, each a primitive integer row with a positive pivot,
+    which the span determines.  The residue of v, made primitive and
+    sign-normalized, is the new row, and its pivot is cleared from the
+    others.  Read as the equations of a subspace, the result is the
+    subspace on the hyperplane v.w = 0.
+    """
+    v = echelon_residue(space, v)
+    if not any(v):
+        return space
+    v = sign_normalize(make_primitive(v))
+    lead = next(i for i, x in enumerate(v) if x)
+    a = v[lead]
+    out = [(lead, v)]
+    for c, row in space:
+        if row[lead]:
+            row = make_primitive([a * x - row[lead] * y for x, y in zip(row, v)])
+        out.append((c, row))
+    return tuple(sorted(out))
 
 
 def unimodular_completion(v):

@@ -50,10 +50,15 @@ class SquarefreeCheckFailed(UserWarning):
     """The sampled critical system is not radical."""
 
 
-def _svar_name(coord: str) -> str:
-    if coord[:1].isalpha() and coord[1:].isdigit():
-        return "s" + coord[1:]
-    return "s_" + coord
+def _svar_names(coords) -> tuple:
+    """One distinct data variable per coordinate: s1 for a coordinate t1 (a
+    letter and digits), else s_ and the name, which the coordinates whose
+    short names coincide (t1 and s1, or x1 and y1) take too."""
+    short = [
+        "s" + c[1:] if c[:1].isalpha() and c[1:].isdigit() else "s_" + c
+        for c in coords
+    ]
+    return tuple(s if short.count(s) == 1 else "s_" + c for s, c in zip(short, coords))
 
 
 def default_coordinates(n: int) -> tuple:
@@ -103,7 +108,7 @@ class VarietySpec:
 
     @property
     def svars(self) -> tuple:
-        return tuple(_svar_name(c) for c in self.coordinates)
+        return _svar_names(self.coordinates)
 
     def tuple_polys(self):
         """The coordinate functions as polynomials in the unknowns."""

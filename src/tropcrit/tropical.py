@@ -53,8 +53,10 @@ from .groebner import (
     torus_saturation,
 )
 from .linalg import (
+    extend_echelon,
     make_primitive,
     rank,
+    sign_normalize,
     unimodular_completion,
     vec_gcd,
 )
@@ -85,15 +87,6 @@ class Ray:
         object.__setattr__(self, "v", tuple(int(x) for x in self.v))
 
 
-def _sign_normalize(normal):
-    for x in normal:
-        if x > 0:
-            return tuple(normal)
-        if x < 0:
-            return tuple(-y for y in normal)
-    raise ValueError("zero normal vector")
-
-
 @dataclass(frozen=True)
 class SlopeHyperplane:
     """Hyperplane through the origin in data space, with a primitive
@@ -102,7 +95,7 @@ class SlopeHyperplane:
     normal: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _sign_normalize(make_primitive(self.normal)))
+        object.__setattr__(self, "normal", sign_normalize(make_primitive(self.normal)))
 
     def form_string(self, svars=None) -> str:
         names = svars or [f"s{i}" for i in range(len(self.normal))]
@@ -144,40 +137,15 @@ def _pair_normals(diffs) -> tuple:
     sign-normalized, without repeats."""
     normals = set(diffs)
     normals.update(tuple(x - y for x, y in zip(a, b)) for a, b in combinations(diffs, 2))
-    return tuple(sorted({_sign_normalize(make_primitive(n)) for n in normals}))
-
-
-def _meet(space, normal) -> tuple:
-    """The subspace of ``space`` on the hyperplane normal.w = 0; ``space``
-    itself when it lies in that hyperplane.
-
-    A subspace is a tuple of (pivot, row) pairs sorted by pivot: its
-    reduced echelon rows, each a primitive integer row with a positive
-    pivot, which the subspace determines.  The normal is reduced modulo
-    the rows; what is left, if anything, is the new row, and its pivot is
-    cleared from the others.
-    """
-    for c, row in space:
-        if normal[c]:
-            normal = [row[c] * x - normal[c] * y for x, y in zip(normal, row)]
-    if not any(normal):
-        return space
-    normal = _sign_normalize(make_primitive(normal))
-    lead = next(i for i, x in enumerate(normal) if x)
-    a = normal[lead]
-    out = [(lead, normal)]
-    for c, row in space:
-        if row[lead]:
-            row = make_primitive([a * x - row[lead] * y for x, y in zip(row, normal)])
-        out.append((c, row))
-    return tuple(sorted(out))
+    return tuple(sorted({sign_normalize(make_primitive(n)) for n in normals}))
 
 
 def _lattice_points(space, nvars, bound):
-    """The integer points of [-bound, bound]^nvars in a subspace as
-    ``_meet`` stores it.  The free coordinates range over the box; each
-    pivot coordinate follows by integer back-substitution, which must
-    divide out and stay in the box."""
+    """The integer points of [-bound, bound]^nvars in a subspace, given
+    by the echelon rows of its equations (``extend_echelon``).  The free
+    coordinates range over the box; each pivot coordinate follows by
+    integer back-substitution, which must divide out and stay in the
+    box."""
     pivots = {c for c, _ in space}
     free = [i for i in range(nvars) if i not in pivots]
     solved = [(c, row[c], [(f, -row[f]) for f in free if row[f]]) for c, row in space]
@@ -269,8 +237,10 @@ class TropicalEngine(InitialIdealEngine):
 
         A witness passes w only if w lies on one of its pair hyperplanes,
         so every weight that passes lies on a subspace that meets one such
-        hyperplane of each chosen witness.  The subspaces are kept as
-        ``_meet`` stores them; one that already lies in a hyperplane of the
+        hyperplane of each chosen witness.  The subspaces are kept as the
+        echelon rows of their equations (``extend_echelon``), which one
+        more normal meets with its hyperplane; one that already lies in a
+        hyperplane of the
         witness stays whole.  A witness is chosen, those with fewer pairs
         first, when it lowers the number of lattice points to enumerate,
         the box side to the power of each subspace's dimension.  With no
@@ -285,7 +255,7 @@ class TropicalEngine(InitialIdealEngine):
             trial = {}
             trial_cost = 0
             for space in spaces:
-                meets = [_meet(space, n) for n in normals]
+                meets = [extend_echelon(space, n) for n in normals]
                 for m in [space] if space in meets else meets:
                     if m not in trial and len(m) < p:
                         trial[m] = None

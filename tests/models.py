@@ -221,18 +221,7 @@ def ray_euler_chars(ideal, bound) -> dict:
 
 def _rank(rows) -> int:
     """Rank of a small rational matrix by fraction-exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, len(m)):
-            f = m[i][c] / m[r][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+    return len(reference_rref(rows)[1])
 
 
 def _essential(matrix) -> bool:
@@ -423,6 +412,119 @@ def oracle_flacets(vectors):
         ):
             out.append(f)
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+# -- the Fraction route of the matroid kernel, an oracle for the integer one --------
+
+
+def reference_rref(rows):
+    """(rows, pivots) of the reduced row echelon form, eliminated in
+    Fractions; the zero rows are dropped."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _reference_echelon(vectors, members):
+    """Reduced echelon rows (row, pivot) of the vectors at ``members``."""
+    return list(zip(*reference_rref([vectors[i] for i in sorted(members)])))
+
+
+def _reference_reduce_by(echelon, v):
+    """v minus its multiples of the reduced echelon rows (row, pivot)."""
+    for row, c in echelon:
+        x = v[c]
+        if x:
+            v = [a - x * b for a, b in zip(v, row)]
+    return v
+
+
+def reference_lattice(vectors, avoid=None):
+    """{flat: rank} of the linear matroid, rank by rank from the loops up:
+    each flat takes a fresh echelon form of its vectors and reduces every
+    vector outside it in Fractions; the vectors whose residues are
+    parallel form, with it, one covering flat.  With ``avoid``, only the
+    flats that do not hold that index."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
+    lattice = {bottom: 0}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for F in frontier:
+            echelon = _reference_echelon(vectors, F)
+            covers = {}
+            for i, v in enumerate(vectors):
+                if i not in F:
+                    res = _reference_reduce_by(echelon, v)
+                    lead = next(x for x in res if x)
+                    covers.setdefault(tuple(x / lead for x in res), set()).add(i)
+            for extra in covers.values():
+                G = F | extra
+                if avoid not in G and G not in lattice:
+                    lattice[G] = lattice[F] + 1
+                    nxt.append(G)
+        frontier = nxt
+    return lattice
+
+
+def reference_flat_rank(vectors, members):
+    """Rank of ``members`` if it is a flat, else None, from one echelon form
+    of its vectors: closed when no vector outside has a zero residue."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    echelon = _reference_echelon(vectors, members)
+    for i, v in enumerate(vectors):
+        if i not in members and not any(_reference_reduce_by(echelon, v)):
+            return None
+    return len(echelon)
+
+
+def reference_matroid_connected(vectors, ground=None, contract=None) -> bool:
+    """Connectivity of the minor by the fundamental circuits of the basis
+    that one Fraction echelon form of the reduced ground vectors picks."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    contract = frozenset(contract or [])
+    if ground is None:
+        ground = range(len(vectors))
+    ground = sorted(set(ground) - contract)
+    if len(ground) <= 1:
+        return True
+    modulo = _reference_echelon(vectors, contract)
+    columns = [_reference_reduce_by(modulo, vectors[i]) for i in ground]
+    red, pivots = reference_rref(list(zip(*columns)))
+    parts = []
+    for j in range(len(ground)):
+        if j not in pivots:
+            circuit = {j} | {c for row, c in zip(red, pivots) if row[j]}
+            joined = [p for p in parts if p & circuit]
+            parts = [p for p in parts if not p & circuit] + [circuit.union(*joined)]
+    return len(parts) == 1 and len(parts[0]) == len(ground)
+
+
+def reference_flacets(vectors):
+    """The flats strictly between the bottom and the top rank whose
+    restriction and contraction are connected, as sorted index tuples."""
+    lattice = reference_lattice(vectors)
+    top = max(lattice.values())
+    everything = set(range(len(vectors)))
+    return sorted(
+        tuple(sorted(F))
+        for F, r in lattice.items()
+        if 0 < r < top
+        and reference_matroid_connected(vectors, ground=F)
+        and reference_matroid_connected(vectors, contract=F, ground=everything)
+    )
 
 
 def torus_monomial(vars) -> Polynomial:

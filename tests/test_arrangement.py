@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,13 +15,21 @@ from models import (
     four_lines_arrangement,
     four_lines_ideal,
     oracle_flacets,
+    reference_flacets,
+    reference_flat_rank,
+    reference_lattice,
+    reference_matroid_connected,
 )
 from tropcrit import arrangement
 from tropcrit.arrangement import (
     Arrangement,
+    _flacets,
+    _integer_vectors,
+    _lattice,
     chi_complement,
     flacet_rays,
     flacets,
+    flat_rank,
     intersection_lattice,
     matroid_connected,
     matroid_flats,
@@ -212,64 +222,180 @@ def test_matroid_connected_matches_split_enumeration(vectors, ground, contract):
     )
 
 
+SIX_LINES = Arrangement(
+    # x, y, x-y, x-1, y-1, x+y-1 and the line at infinity
+    rows=[
+        ((1, 0), 0),
+        ((0, 1), 0),
+        ((1, -1), 0),
+        ((1, 0), -1),
+        ((0, 1), -1),
+        ((1, 1), -1),
+    ],
+    projective_closure=True,
+)
+
+
+def _count_kernel(monkeypatch):
+    """Record the echelon extensions (span, vector) and the integer
+    eliminations (the matrix) that the matroid kernel makes."""
+    calls = {"extend": [], "eliminate": []}
+    extend, eliminate = arrangement.extend_echelon, arrangement.integer_rref
+
+    def extending(space, v):
+        calls["extend"].append((space, tuple(v)))
+        return extend(space, v)
+
+    def eliminating(rows):
+        calls["eliminate"].append(tuple(map(tuple, rows)))
+        return eliminate(rows)
+
+    monkeypatch.setattr(arrangement, "extend_echelon", extending)
+    monkeypatch.setattr(arrangement, "integer_rref", eliminating)
+    return calls
+
+
 def test_matroid_connected_takes_one_echelon_form(monkeypatch):
-    # the six lines x, y, x-y, x-1, y-1, x+y-1 and the line at infinity
-    six_lines = Arrangement(
-        rows=[
-            ((1, 0), 0),
-            ((0, 1), 0),
-            ((1, -1), 0),
-            ((1, 0), -1),
-            ((0, 1), -1),
-            ((1, 1), -1),
-        ],
-        projective_closure=True,
-    )
-    vectors = six_lines.central_vectors()
-    real = arrangement.rref
-    calls = []
-
-    def counting(rows):
-        calls.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(arrangement, "rref", counting)
+    vectors = SIX_LINES.central_vectors()
+    calls = _count_kernel(monkeypatch)
     assert matroid_connected(vectors)
-    assert len(calls) == 1  # split enumeration ran 127 ranks
-    for flat in matroid_flats(vectors):
-        calls.clear()
+    # split enumeration ran 127 ranks
+    assert (len(calls["extend"]), len(calls["eliminate"])) == (0, 1)
+    calls["eliminate"].clear()
+    flats = matroid_flats(vectors)
+    # each flat's rows are its parent's extended once, by the cover's
+    # residue: 17 extensions for 18 flats, and no elimination
+    assert len(flats) == 18
+    assert len(calls["extend"]) == len(set(calls["extend"])) == 17
+    assert not calls["eliminate"]
+    for flat in flats:
+        calls["extend"].clear()
+        calls["eliminate"].clear()
         matroid_connected(vectors, contract=flat.members)
-        assert len(calls) <= 2
+        # one extension per contracted vector, one elimination of the rest
+        assert len(calls["extend"]) == len(flat.members)
+        assert len(calls["eliminate"]) <= 1
 
 
 def test_flacet_connectivity_reuses_the_lattice_echelon_forms(monkeypatch):
-    # the six lines x, y, x-y, x-1, y-1, x+y-1 and the line at infinity:
     # each contraction is tested modulo the echelon rows the lattice built
-    # for its flat, so no matrix is brought to echelon form twice
-    six_lines = Arrangement(
+    # for its flat, and each flat's rows are built once, from its parent's:
+    # no span is extended twice and no matrix is eliminated twice
+    calls = _count_kernel(monkeypatch)
+    for route in (flacet_rays, lambda arr: matroid_invariants(arr).rays):
+        calls["extend"].clear()
+        calls["eliminate"].clear()
+        assert len(route(SIX_LINES)) == 13
+        # 17 flats above the bottom; rebuilding each flat's span from its
+        # vectors takes 38 extensions
+        assert len(calls["extend"]) == len(set(calls["extend"])) == 17
+        # the restrictions of the 9 proper flats with two or more elements,
+        # and the contractions of the 13 flacet candidates whose
+        # restriction is connected
+        assert len(calls["eliminate"]) == len(set(calls["eliminate"])) == 22
+
+
+nonzero_rationals = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def matroid_vectors(draw):
+    """Strategy: 2-6 vectors in 2-4 dimensions with rational entries in
+    [-2, 2] of denominator at most 3, among them loops and nonzero
+    rational multiples of earlier vectors."""
+    d = draw(st.integers(2, 4))
+    entry = st.fractions(-2, 2, max_denominator=3)
+    vectors = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "loop", "parallel"]))
+        if kind == "loop":
+            vectors.append([Fraction(0)] * d)
+        elif kind == "parallel" and vectors:
+            c = draw(nonzero_rationals)
+            vectors.append([c * x for x in draw(st.sampled_from(vectors))])
+        else:
+            vectors.append(draw(st.lists(entry, min_size=d, max_size=d)))
+    return vectors
+
+
+def _kernel_flacets(vectors):
+    ints = _integer_vectors(vectors)
+    return sorted(tuple(sorted(f.members)) for f in _flacets(ints, _lattice(ints)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vectors=matroid_vectors(), ground=st.integers(0, 63), contract=st.integers(0, 63)
+)
+@example(
+    # a loop, a vector and half of it, and a rational vector
+    vectors=[[0, 0, 0], [1, 2, 0], [Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 1]],
+    ground=0b1111,
+    contract=0b0100,
+)
+def test_matroid_kernel_matches_the_fraction_route(vectors, ground, contract):
+    q = len(vectors)
+    with Job():
+        flats = matroid_flats(vectors)
+        assert {f.members: f.rank for f in flats} == reference_lattice(vectors)
+        for bits in range(2**q):
+            members = _mask(bits, q)
+            assert flat_rank(vectors, members) == reference_flat_rank(vectors, members)
+    avoid = next((i for i, v in enumerate(vectors) if any(v)), None)
+    if avoid is not None:
+        got = {f.members: f.rank for f in matroid_flats(vectors, avoid=avoid)}
+        assert got == reference_lattice(vectors, avoid=avoid)
+    assert _kernel_flacets(vectors) == reference_flacets(vectors)
+    ground, contract = _mask(ground, q), _mask(contract, q)
+    assert matroid_connected(vectors) == reference_matroid_connected(vectors)
+    assert matroid_connected(
+        vectors, ground=ground, contract=contract
+    ) == reference_matroid_connected(vectors, ground=ground, contract=contract)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=matroid_vectors(), data=st.data())
+def test_matroid_kernel_commutes_with_scaling_and_permutation(vectors, data):
+    # vector j of the moved list is vector perm[j] scaled: every flat,
+    # rank and flacet maps back along the permutation
+    q = len(vectors)
+    perm = data.draw(st.permutations(range(q)))
+    scales = data.draw(st.lists(nonzero_rationals, min_size=q, max_size=q))
+    moved = [[c * x for x in vectors[k]] for c, k in zip(scales, perm)]
+
+    def back(members):
+        return frozenset(perm[j] for j in members)
+
+    flats = {f.members: f.rank for f in matroid_flats(vectors)}
+    assert {back(f.members): f.rank for f in matroid_flats(moved)} == flats
+    flacets_back = sorted(tuple(sorted(back(f))) for f in _kernel_flacets(moved))
+    assert flacets_back == _kernel_flacets(vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=essential_arrangements(4, 6), data=st.data())
+def test_matroid_invariants_commute_with_scaling_and_permutation(arr, data):
+    # functional j of the moved arrangement is functional perm[j] scaled,
+    # the hyperplane at infinity staying last: ray coordinate j reads old
+    # coordinate perm[j], and the Euler characteristics and the ML degree
+    # stay
+    q = arr.size
+    perm = data.draw(st.permutations(range(q)))
+    scales = data.draw(st.lists(nonzero_rationals, min_size=q, max_size=q))
+    rows = [arr.rows[k] for k in perm]
+    moved = Arrangement(
         rows=[
-            ((1, 0), 0),
-            ((0, 1), 0),
-            ((1, -1), 0),
-            ((1, 0), -1),
-            ((0, 1), -1),
-            ((1, 1), -1),
+            (tuple(c * a for a in coeffs), c * b)
+            for c, (coeffs, b) in zip(scales, rows)
         ],
         projective_closure=True,
     )
-    real = arrangement.rref
-    calls = []
-
-    def counting(rows):
-        calls.append(tuple(map(tuple, rows)))
-        return real(rows)
-
-    monkeypatch.setattr(arrangement, "rref", counting)
-    for route in (flacet_rays, lambda arr: matroid_invariants(arr).rays):
-        calls.clear()
-        assert len(route(six_lines)) == 13
-        # 52 with a new echelon form per contraction
-        assert len(calls) == len(set(calls)) == 39
+    old, new = matroid_invariants(arr), matroid_invariants(moved)
+    expected = {
+        tuple(r.v[k] for k in perm): chi for r, chi in zip(old.rays, old.euler_chars)
+    }
+    assert dict(zip((r.v for r in new.rays), new.euler_chars)) == expected
+    assert new.ml_degree == old.ml_degree
 
 
 @settings(max_examples=15, deadline=None)
@@ -356,3 +482,17 @@ def test_arrangement_rays_are_complete_at_bound_2(spec):
         rays = find_rigid_rays(load_spec(spec).to_ideal(), bound=2)
     got = _report("rigid-rays", spec, bound=2)["rays"]
     assert [r["v"] for r in got] == [list(r.v) for r in rays]
+
+
+@pytest.mark.filterwarnings("ignore::tropcrit.tropical.ConnectednessAssumed")
+def test_report_builds_one_lattice_per_job(monkeypatch):
+    # four_lines has 13 flats, each extended once from its parent's rows;
+    # conjecture_check reads the ranks of its rays' supports from the
+    # job's lattice, where a second lattice would double the extensions
+    fixtures = Path(arrangement.__file__).parent / "fixtures"
+    spec = json.loads((fixtures / "four_lines.json").read_text())
+    calls = _count_kernel(monkeypatch)
+    report = _report("report", spec)
+    assert len(calls["extend"]) == len(set(calls["extend"])) == 12
+    assert [e["k"] for e in report["lct"]] == ["1", "1", "1", "2"]
+    assert {e["k_provenance"] for e in report["lct"]} == {"arrangement-rank"}

@@ -677,6 +677,28 @@ def test_rigidity_is_read_on_the_torus_saturation(capsys):
     assert [2, 1, 2, 1] not in rays
 
 
+@pytest.mark.parametrize(
+    "coords, names",
+    [
+        # both short names would be s1: each coordinate takes the s_ form
+        (("t1", "s1"), ("s_t1", "s_s1")),
+        (("x1", "y1"), ("s_x1", "s_y1")),
+        # distinct short names stay
+        (("t1", "t2"), ("s1", "s2")),
+    ],
+)
+def test_mle_gives_each_coordinate_its_own_data_variable(capsys, coords, names):
+    a, b = coords
+    spec = {"kind": "ideal", "variables": [a, b], "generators": [f"{a}+2*{b}-1"]}
+    assert main(["mle", "--spec", json.dumps(spec)]) == EXIT_OK
+    out = capsys.readouterr()
+    s, t = names
+    coordinates = [f"{s}/({s} + {t})", f"1/2*{t}/({s} + {t})"]
+    assert json.loads(out.out)["mle"]["coordinates"] == coordinates
+    assert f"psi_1 = {coordinates[0]}" in out.err
+    assert f"psi_2 = {coordinates[1]}" in out.err
+
+
 def test_mle_command_reports_degree_three(capsys):
     assert (
         main(["mle", "--spec", fixture("conic_model.json"), "--bound", "2"])
