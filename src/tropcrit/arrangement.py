@@ -236,18 +236,35 @@ def matroid_connected(vectors, ground=None, contract=None) -> bool:
 def _circuits_connect(vectors, ground, modulo) -> bool:
     """``matroid_connected`` on the ground set of the integer vectors, the
     contracted span given by its echelon rows ``modulo``."""
+    return len(_components(vectors, ground, modulo)) <= 1
+
+
+def _components(vectors, ground, modulo):
+    """The connected components of the minor on ``ground``, as sets of
+    its elements.  The columns of one integer echelon form are the ground
+    vectors reduced modulo ``modulo``; its pivots pick a basis, a
+    non-pivot column j gives the fundamental circuit of j and the pivots
+    of its nonzero entries, and the components are the classes of the
+    chained circuits.  A loop is a circuit of its own, and a coloop lies
+    on none."""
     ground = sorted(ground)
     if len(ground) <= 1:
-        return True
+        return [set(ground)] if ground else []
     columns = [echelon_residue(modulo, vectors[i]) for i in ground]
     red, pivots = integer_rref(list(zip(*columns)))
-    parts = []
+    parts = [{c} for c in pivots]
     for j in range(len(ground)):
         if j not in pivots:
             circuit = {j} | {c for row, c in zip(red, pivots) if row[j]}
             joined = [p for p in parts if p & circuit]
             parts = [p for p in parts if not p & circuit] + [circuit.union(*joined)]
-    return len(parts) == 1 and len(parts[0]) == len(ground)
+    return [{ground[j] for j in part} for part in parts]
+
+
+def matroid_components(vectors):
+    """The connected components of the linear matroid of the vectors, as
+    sets of indices (``_components``)."""
+    return _components(_integer_vectors(vectors), range(len(vectors)), ())
 
 
 # -- affine intersection lattice -------------------------------------------------------
@@ -342,7 +359,8 @@ class MatroidInvariants(NamedTuple):
 def matroid_invariants(arr: Arrangement) -> MatroidInvariants:
     """Rays, stratum Euler characteristics and ML degree of the complement,
     read from one lattice of flats of the homogenized functionals (the
-    hyperplane at infinity last; one step of the current job per flat).
+    hyperplane at infinity last; one step of the current job per flat),
+    made once per arrangement in the current job.
 
     With mu(X) = mu(0, X) over the whole lattice and r its rank:
     - each flacet F (``_flacets``) gives the ray ``_flacet_ray``, and its
@@ -354,6 +372,15 @@ def matroid_invariants(arr: Arrangement) -> MatroidInvariants:
       complement (Huh 2013).
     """
     vectors = _integer_vectors(arr.homogenized_vectors())
+    memo = current_job().memo
+    key = (matroid_invariants, vectors)
+    if key not in memo:
+        memo[key] = _invariants(vectors)
+    return memo[key]
+
+
+def _invariants(vectors) -> MatroidInvariants:
+    """``matroid_invariants`` of the integer homogenized functionals."""
     q = len(vectors)
     lattice = _lattice(vectors)
     flats = sorted(lattice, key=lambda F: (lattice[F][0], sorted(F)))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .arrangement import Arrangement, flat_rank, matroid_connected
 from .errors import MissingDiscrepancy, NotIndecomposable
 from .groebner import current_job
+from .linalg import integer_row
 from .tropical import SlopeHyperplane
 
 
@@ -85,6 +86,9 @@ class LCTPolytope:
 
     inequalities: list  # (normal tuple of ints, k Fraction)
     dimension: int
+    # the primitive integer row on each (a, k): equal exactly for
+    # inequalities that are positive multiples of one another
+    directions: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, k in self.inequalities:
@@ -92,6 +96,7 @@ class LCTPolytope:
                 raise ValueError("inequality normals must be nonnegative")
             if k <= 0:
                 raise ValueError("discrepancy values must be positive")
+        self.directions = [tuple(integer_row([*a, k])) for a, k in self.inequalities]
 
 
 def facet_defining(poly: LCTPolytope, which: int) -> bool:
@@ -113,11 +118,12 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
     """
     a, k = poly.inequalities[which]
     p = poly.dimension
+    direction = poly.directions[which]
     # row r says: basic variable basis[r] = rhs - row . (nonbasic variables)
     rows = [
         [Fraction(x) for x in b] + [Fraction(kb)]
-        for b, kb in poly.inequalities
-        if any(x * kb != y * k for x, y in zip(a, b))
+        for (b, kb), other in zip(poly.inequalities, poly.directions)
+        if other != direction
     ]
     cost = [Fraction(-x) for x in a] + [Fraction(0)]  # last entry: a.s
     nonbasic = list(range(p))

@@ -489,9 +489,10 @@ def run_report(cfg: JobConfig):
     steps of all its Groebner calls together, and ``cfg.seed`` seeds its
     one random stream.  An arrangement spec takes its rays, their
     stratum Euler characteristics and its ML degree from the lattice of
-    flats (``matroid_invariants``), complete with no bound; other specs
-    search the rays within the bound and compute the rest on the torus
-    ideal.
+    flats (``matroid_invariants``), complete with no bound, and its
+    estimator's constants from linear algebra, so its report runs no
+    Groebner basis; other specs search the rays within the bound and
+    compute the rest on the torus ideal.
     """
     report = {
         "tool": "tropcrit",

@@ -19,7 +19,13 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from .arrangement import Arrangement, chi_complement, hyperplane_key
+from .arrangement import (
+    Arrangement,
+    chi_complement,
+    hyperplane_key,
+    matroid_components,
+    matroid_invariants,
+)
 from .errors import (
     DegenerateSample,
     MLDegreeNotOne,
@@ -39,6 +45,7 @@ from .groebner import (
     squarefree_check,
     torus_saturation,
 )
+from .linalg import integer_row, nullspace, rref
 from .rings import Polynomial, dot
 from .tropical import SlopeHyperplane
 
@@ -401,15 +408,18 @@ class MLEFormula:
         return num, den
 
     def evaluate(self, alpha):
-        alpha = [Fraction(a) for a in alpha]
+        """psi at a data vector of exact numbers, each linear form g_tau
+        evaluated once; integer data keep the products in integers."""
+        forms = [dot(n, alpha) for n in self.normals]
         out = []
-        for i in range(len(self.constants)):
-            val = self.constants[i]
-            for tau, v in enumerate(self.rays):
-                if v[i]:
-                    g = dot(self.normals[tau], alpha)
-                    val = val * Fraction(g) ** v[i]
-            out.append(val)
+        for i, c in enumerate(self.constants):
+            num = den = 1
+            for g, v in zip(forms, self.rays):
+                if v[i] > 0:
+                    num *= g ** v[i]
+                elif v[i] < 0:
+                    den *= g ** -v[i]
+            out.append(c * Fraction(num) / den)
         return tuple(out)
 
     def coordinate_str(self, i: int) -> str:
@@ -456,24 +466,64 @@ class MLEFormula:
 def mle_closed_form(spec: VarietySpec, rays) -> MLEFormula:
     """Closed-form estimator for ML-degree-one models.
 
-    Exponents come from the ray coordinates; constants are fitted exactly
-    at one random rational data vector and verified at a second.  Each
-    sample is one critical-point count, whose basis also gives the
-    critical point; a count other than one raises ``MLDegreeNotOne``, and
-    the first sample decides that before the rays are checked.
+    Exponents come from the ray coordinates and the constants are fitted
+    exactly: for an arrangement by linear algebra on the critical
+    equations (``_arrangement_constants``), with no Groebner run;
+    otherwise at the critical points of two random data vectors
+    (``_sampled_constants``).  A model whose ML degree is not one raises
+    ``MLDegreeNotOne``, and that is decided before the rays are checked.
     """
-    rng = current_job().rng
     vecs = [tuple(r.v) for r in rays]
-    p = spec.p
-    total = tuple(sum(v[i] for v in vecs) for i in range(p))
-    normals = [SlopeHyperplane(normal=v).normal for v in vecs]
-    samples = []
-    attempts = 0
-    while len(samples) < 2 and attempts < 5 * MAX_RESAMPLE:
-        attempts += 1
-        alpha = sample_alpha(p, rng)
-        if any(dot(v, alpha) == 0 for v in vecs) or alpha in [a for a, _ in samples]:
-            continue
+    formula = MLEFormula(
+        svars=spec.svars,
+        constants=[Fraction(1)] * spec.p,
+        rays=vecs,
+        normals=[SlopeHyperplane(normal=v).normal for v in vecs],
+    )
+    if spec.kind == "arrangement":
+        formula.constants = _arrangement_constants(spec, formula)
+    else:
+        formula.constants = _sampled_constants(spec, formula)
+    return formula
+
+
+def _check_balanced(formula):
+    """Raise ``UnbalancedRays`` unless the formula's rays sum to zero."""
+    p = len(formula.constants)
+    total = tuple(sum(v[i] for v in formula.rays) for i in range(p))
+    if any(total):
+        raise UnbalancedRays(
+            f"rigid rays must sum to zero for a degree-one model, got "
+            f"{total}; rays outside the search bound (--bound) are missing"
+        )
+
+
+def _generic_samples(formula):
+    """Distinct data vectors at which no factor of ``formula`` vanishes,
+    from at most 5 * MAX_RESAMPLE draws of the job's random stream; past
+    them, ``DegenerateSample``."""
+    rng = current_job().rng
+    seen = []
+    for _ in range(5 * MAX_RESAMPLE):
+        alpha = sample_alpha(len(formula.constants), rng)
+        scaled = integer_row(alpha)
+        if alpha not in seen and all(dot(v, scaled) for v in formula.rays):
+            seen.append(alpha)
+            yield alpha
+    raise DegenerateSample(
+        f"could not fit constants in {5 * MAX_RESAMPLE} draws of generic data"
+    )
+
+
+def _sampled_constants(spec, formula):
+    """Constants of a formula with unit constants, fitted at one random
+    data vector and verified at a second.  Each sample is one
+    critical-point count, whose basis also gives the critical point; the
+    first count decides the ML degree."""
+    samples = _generic_samples(formula)
+    fits = []
+    while len(fits) < 2:
+        alpha = next(samples)
         try:
             count, G = _critical_count(spec, alpha)
         except NotZeroDimensional:
@@ -482,29 +532,95 @@ def mle_closed_form(spec: VarietySpec, rays) -> MLEFormula:
             raise MLDegreeNotOne(
                 "the model does not have maximum likelihood degree one"
             )
-        if any(total):
-            raise UnbalancedRays(
-                f"rigid rays must sum to zero for a degree-one model, got "
-                f"{total}; rays outside the search bound (--bound) are missing"
-            )
+        _check_balanced(formula)
         point = dict(zip(G.vars, solve_degree_one(G)))
         values = [
             f.evaluate({v: point[v] for v in spec.unknowns})
             for f in spec.tuple_polys()
         ]
-        consts = []
-        for i in range(p):
-            denom = Fraction(1)
-            for tau, v in enumerate(vecs):
-                if v[i]:
-                    denom *= Fraction(dot(normals[tau], alpha)) ** v[i]
-            consts.append(values[i] / denom)
-        samples.append((alpha, consts))
-    if len(samples) < 2:
-        raise DegenerateSample("could not fit constants at two generic samples")
-    (_, c1), (_, c2) = samples
+        fits.append([x / m for x, m in zip(values, formula.evaluate(alpha))])
+    c1, c2 = fits
     if c1 != c2:
         raise VerificationFailed(
             f"constants disagree between samples: {c1} vs {c2}"
         )
-    return MLEFormula(svars=spec.svars, constants=c1, rays=vecs, normals=normals)
+    return c1
+
+
+def _arrangement_constants(spec, formula):
+    """Constants of an arrangement's formula with unit constants, by exact
+    linear algebra on the critical equations, with no Groebner run.
+
+    With l_i = a_i.x + b_i and the estimate psi = c m(alpha), m the
+    monomials of ``formula``, the critical equations A^T (alpha / psi) = 0
+    are linear in z = 1/c: sum_i alpha_i a_ij z_i / m_i(alpha) = 0 for
+    j = 1..d.  Once the rays are balanced each m_i has degree 0, so the
+    data vectors are scaled to integers.  Stacked over samples until
+    their rank is p minus the number of components of the matroid of the
+    a_i, these rows leave one kernel vector per component, supported on
+    it, and c_i = lambda_k / z_i there.  At a fresh sample the scales
+    lambda_k solve N (c m(alpha) - b) = 0, N the left kernel of A: psi
+    lies on the arrangement's linear space.  One more fresh sample checks
+    exactly that psi lies on it, has no zero coordinate and is critical;
+    otherwise ``VerificationFailed``.  Each echelon form ticks the
+    current job once per pivot.
+    """
+    arr = spec.arrangement
+    if matroid_invariants(arr).ml_degree != 1:
+        raise MLDegreeNotOne("the model does not have maximum likelihood degree one")
+    _check_balanced(formula)
+    job = current_job()
+    linear = [a for a, _ in arr.rows]
+    offsets = [b for _, b in arr.rows]
+    p, d = arr.size, arr.nvars
+    samples = _generic_samples(formula)
+
+    def monomials():
+        alpha = integer_row(next(samples))
+        return alpha, formula.evaluate(alpha)
+
+    components = len(matroid_components(linear))
+    rows = []
+    kernel = None
+    while kernel is None or len(kernel) > components:
+        alpha, m = monomials()
+        rows += [[x * a[j] / y for x, a, y in zip(alpha, linear, m)] for j in range(d)]
+        kernel = nullspace(rows)
+        job.tick(p - len(kernel))
+    supports = [{i for i, x in enumerate(z) if x} for z in kernel]
+    if sum(map(len, supports)) != p or set().union(*supports) != set(range(p)):
+        raise VerificationFailed(
+            "the critical equations fit no constants of the estimator's form"
+        )
+    cokernel = nullspace([list(column) for column in zip(*linear)])
+    job.tick(p - len(cokernel))
+    k = len(kernel)
+    pivots = ()
+    while len(pivots) < k:
+        _, m = monomials()
+        parts = [[y / x if x else 0 for x, y in zip(z, m)] for z in kernel]
+        system = [[dot(n, u) for u in parts] + [dot(n, offsets)] for n in cokernel]
+        red, pivots = rref(system)
+        job.tick(len(pivots))
+        if k in pivots:
+            raise VerificationFailed(
+                "no scaling of the estimator's monomials lies on the arrangement"
+            )
+    constants = [None] * p
+    for z, row in zip(kernel, red):
+        for i, x in enumerate(z):
+            if x:
+                constants[i] = row[k] / x
+    alpha, m = monomials()
+    psi = [c * y for c, y in zip(constants, m)]
+    if (
+        not all(psi)
+        or any(dot(n, psi) != dot(n, offsets) for n in cokernel)
+        or any(
+            sum(x * a[j] / y for x, a, y in zip(alpha, linear, psi)) for j in range(d)
+        )
+    ):
+        raise VerificationFailed(
+            f"the constants {constants} fail the critical equations at a fresh sample"
+        )
+    return constants

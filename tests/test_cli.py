@@ -288,20 +288,37 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):
-    # the four_lines report takes exactly 95 steps: one per flat of the
+    # the four_lines report takes exactly 23 steps: one per flat of the
     # one lattice of its homogenized functionals (13), which gives its
     # rays, their Euler characteristics and its ML degree with no Groebner
-    # run; the reductions of the two critical-point counts that fit and
-    # verify the closed-form estimator (80); and the LCT simplex pivots (2).
-    # A second lattice, a ray search, a stratum or an ML-degree count, or
-    # a count that skips a tick, moves the boundary
+    # run; the echelon pivots of the closed-form fit (8): ranks 2 and 3 of
+    # the critical rows of two samples, rank 2 of the linear parts, one
+    # pivot of the scales; and the LCT simplex pivots (2).  A second
+    # lattice, a ray search, a stratum or an ML-degree count, a Groebner
+    # fit, or an echelon form that skips a tick, moves the boundary
     args = ["report", "--spec", fixture("four_lines.json")]
-    assert main(args + ["--budget", "95"]) == EXIT_OK
-    assert main(args + ["--budget", "94"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "23"]) == EXIT_OK
+    assert main(args + ["--budget", "22"]) == EXIT_RESOURCE
     # the lattice alone bounds rigid-rays
     args = ["rigid-rays", "--spec", fixture("four_lines.json")]
     assert main(args + ["--budget", "13"]) == EXIT_OK
     assert main(args + ["--budget", "12"]) == EXIT_RESOURCE
+
+
+def test_arrangement_report_runs_no_buchberger(monkeypatch, capsys):
+    # the lattice of flats gives the rays, Euler characteristics and ML
+    # degree, and linear algebra the estimator's constants
+    runs = []
+    real = groebner._buchberger
+
+    def counting(gens, order, budget):
+        runs.append(gens)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    assert main(["report", "--spec", fixture("four_lines.json")]) == EXIT_OK
+    assert "mle" in json.loads(capsys.readouterr().out)
+    assert runs == []
 
 
 def test_mle_rays_not_summing_to_zero_within_bound(capsys):

@@ -4,12 +4,13 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
     FOUR_LINES_RAYS,
+    arrangement_specs,
     coin_spec,
     conic_ideal,
     conic_spec,
@@ -21,9 +22,14 @@ from models import (
     linear_ideals,
     symbolic_data,
 )
-from tropcrit.arrangement import chi_complement
+from tropcrit.arrangement import chi_complement, matroid_invariants
 from tropcrit.cli import EXIT_OK, load_spec, main
-from tropcrit.errors import MLDegreeNotOne, UnbalancedRays
+from tropcrit.errors import (
+    DegenerateSample,
+    MLDegreeNotOne,
+    UnbalancedRays,
+    VerificationFailed,
+)
 from tropcrit import groebner, mle
 from tropcrit.groebner import Ideal, Job, _saturate_single, groebner_basis
 from tropcrit.mle import (
@@ -453,10 +459,74 @@ def test_mle_closed_form_rejects_higher_degree():
 
 def test_mle_closed_form_rejects_unbalanced_rays():
     # rays of a degree-one model must sum to zero for the estimator to be
-    # homogeneous; a truncated ray list is refused
+    # homogeneous; a truncated ray list is refused, by the linear-algebra
+    # fit of the arrangement as by the Groebner fit before it
     rays = [Ray(v) for v in sorted(FOUR_LINES_RAYS) if v != (0, 1, 0, 0)]
     with pytest.raises(UnbalancedRays, match=r"got \(0, -1, 0, 0\)"):
         mle_closed_form(four_lines_spec(), rays)
+
+
+def test_arrangement_closed_form_rejects_higher_degree_before_the_rays():
+    # five_lines has ML degree 2, which the lattice of flats gives; a ray
+    # list that does not sum to zero does not change the error
+    spec = VarietySpec(kind="arrangement", arrangement=five_lines_arrangement())
+    with pytest.raises(MLDegreeNotOne):
+        mle_closed_form(spec, [Ray((1, 0, 0, 0, 0))])
+
+
+@pytest.mark.parametrize("spec", [four_lines_spec(), four_lines_ideal_spec()])
+def test_mle_closed_form_gives_up_after_the_draw_limit(monkeypatch, spec):
+    # one data vector drawn over and over fits at most one sample: both
+    # fits stop after 5 * MAX_RESAMPLE draws
+    draws = []
+
+    def same(p, rng):
+        draws.append(p)
+        return (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+
+    monkeypatch.setattr(mle, "sample_alpha", same)
+    with pytest.raises(DegenerateSample), Job():
+        mle_closed_form(spec, four_lines_rays())
+    assert len(draws) == 5 * mle.MAX_RESAMPLE
+
+
+def _grid(n):
+    """x1 (x1 - 1) ... xn (xn - 1): one component of the matroid of the
+    linear parts per variable."""
+    rows = []
+    for j in range(n):
+        e = [int(i == j) for i in range(n)]
+        rows += [e + [0], e + [-1]]
+    return {"kind": "arrangement", "variables": ["x", "y", "z"][:n], "matrix": rows}
+
+
+def _fitted(spec, rays):
+    with Job():
+        try:
+            return mle_closed_form(spec, rays).constants
+        except (MLDegreeNotOne, UnbalancedRays, VerificationFailed) as exc:
+            return type(exc)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(spec=arrangement_specs())
+@example(spec=_grid(2))
+@example(spec=_grid(3))
+def test_arrangement_constants_match_the_groebner_fit(spec):
+    # the linear-algebra fit against the Groebner fit of the same
+    # functionals given as a parametrization, on the flacet rays
+    variety = load_spec(spec)
+    with Job():
+        invariants = matroid_invariants(variety.arrangement)
+    assume(invariants.ml_degree == 1)
+    functions = VarietySpec(kind="parametrization", functions=variety.tuple_polys())
+    constants = _fitted(variety, invariants.rays)
+    assert isinstance(constants, list)
+    assert constants == _fitted(functions, invariants.rays)
 
 
 def test_mle_closed_form_counts_once_per_sample(monkeypatch):
@@ -470,7 +540,7 @@ def test_mle_closed_form_counts_once_per_sample(monkeypatch):
         return real(system)
 
     monkeypatch.setattr(mle, "saturated_critical_ideal", counting)
-    formula = mle_closed_form(four_lines_spec(), four_lines_rays())
+    formula = mle_closed_form(four_lines_ideal_spec(), four_lines_rays())
     assert formula.constants == [1, 1, 1, -1]
     assert len(systems) == 2
 
