@@ -207,10 +207,17 @@ def matroid_flats(vectors, avoid=None):
     )
 
 
+def flat_lattice(vectors) -> dict:
+    """The job's lattice of flats of the linear matroid (``_lattice``):
+    {flat: (rank, echelon rows)}, the vectors made integer once per call,
+    so that a caller asking about many sets looks each up directly."""
+    return _lattice(_integer_vectors(vectors))
+
+
 def flat_rank(vectors, members):
     """Rank of ``members`` in the linear matroid if it is a flat, else
     None: a lookup in the job's lattice of flats of the vectors."""
-    found = _lattice(_integer_vectors(vectors)).get(frozenset(members))
+    found = flat_lattice(vectors).get(frozenset(members))
     return None if found is None else found[0]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Arrangement, flat_rank, matroid_connected
+from .arrangement import Arrangement, flat_lattice, matroid_connected
 from .errors import MissingDiscrepancy, NotIndecomposable
 from .groebner import current_job
 from .linalg import integer_row
@@ -154,16 +154,17 @@ def facet_defining(poly: LCTPolytope, which: int) -> bool:
             return True
 
 
-def _support_flat_rank(arr: Arrangement, ray_vec):
+def _support_flat_rank(lattice, ray_vec):
     """Rank of the ray's support in the centralized matroid when it is the
-    incidence set of a flat, else None: ``flat_rank`` looks both up in the
-    job's lattice of flats, which ``matroid_invariants`` has built for
-    the same vectors when the arrangement has its projective closure."""
+    incidence set of a flat, else None: one lookup in its lattice of flats
+    (``flat_lattice`` of the central vectors), which ``matroid_invariants``
+    has built for the same vectors when the arrangement has its projective
+    closure."""
     if any(x not in (0, 1) for x in ray_vec):
         return None
-    vectors = arr.central_vectors()
-    support = {i for i, x in enumerate(ray_vec) if x}
-    return flat_rank(vectors, support) if support else None
+    support = frozenset(i for i, x in enumerate(ray_vec) if x)
+    found = lattice.get(support) if support else None
+    return None if found is None else found[0]
 
 
 def lct_polytope(rays, k=None, arrangement: Arrangement | None = None) -> LCTPolytope:
@@ -186,13 +187,16 @@ def lct_polytope(rays, k=None, arrangement: Arrangement | None = None) -> LCTPol
         return LCTPolytope(inequalities=[], dimension=p)
     p = dims.pop()
     ineqs = []
+    lattice = None
     for r in rays:
         if any(x < 0 for x in r.v):
             raise ValueError(f"ray {r.v} leaves the nonnegative orthant")
         if tuple(r.v) in k:
             kv = Fraction(k[tuple(r.v)])
         elif arrangement is not None:
-            kv = _support_flat_rank(arrangement, r.v)
+            if lattice is None:
+                lattice = flat_lattice(arrangement.central_vectors())
+            kv = _support_flat_rank(lattice, r.v)
             if kv is None:
                 raise MissingDiscrepancy(
                     f"ray {r.v} is not a flat incidence vector; supply k"

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and integer lattice utilities.
 
-``rref``, and with it rank, nullspace, solve and inverse, eliminates
+``rref``, and with it nullspace, solve and inverse, eliminates
 fraction-free on primitive integer rows (``integer_rref``) and returns
-Fractions.  A span kept as its echelon rows grows one vector at a time
+Fractions; ``rank`` counts the pivots of ``integer_rref`` directly.  A
+span kept as its echelon rows grows one vector at a time
 (``extend_echelon``) and reduces vectors modulo itself
 (``echelon_residue``) in integers.  ``complex_gauss_jordan`` is the one
 floating routine: pivoted elimination for the inverses and null vectors of
@@ -87,7 +88,9 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots of ``integer_rref`` on the rows as
+    ``integer_row``s."""
+    return len(integer_rref([integer_row(row) for row in rows])[1])
 
 
 def nullspace(rows, ncols=None):

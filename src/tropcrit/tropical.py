@@ -11,12 +11,17 @@ trop(I) lies in the tropical prevariety of every finite subset of I
 (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.2), so a weight
 at which one known element of I has a unique w-minimal term is outside
 trop(I): that term's monomial is in init_w(I).  Such an element, a
-witness, takes its minimum twice only on the hyperplanes w.(a - b) = 0,
-one per pair of its terms a, b.  The ray search therefore enumerates the
-box's lattice points on intersections of these hyperplanes, one pair per
-chosen witness, and screens only them against every witness; no Groebner
-run is involved.  The screen is one-sided: a weight it passes still gets
-the exact answer.
+witness, takes its minimum at a pair of its terms a, b only on the cell
+w.(a - b) = 0, w.(c - a) >= 0 for its other terms c, strictly for the
+terms c before b, so that a and b are the first two minimal terms and
+the cells of one witness are disjoint.  The ray search therefore
+enumerates the box's lattice points in intersections of these cells, one
+pair per chosen witness, each point once: on each intersection of their
+hyperplanes, all free coordinates but the last range over the box, and
+the last over the integer interval that the cells' inequalities allow.
+It screens them against the witnesses not chosen; no Groebner run is
+involved.  The screen is one-sided: a weight it passes still gets the
+exact answer.
 
 Every term of an initial form at w is the leading monomial m or a term
 whose difference to m is tied, w.(e - m) = 0, so every u orthogonal to
@@ -42,7 +47,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import mul
+from math import lcm
+from operator import mul, sub
 
 from .errors import NotInTropicalVariety
 from .groebner import (
@@ -131,35 +137,100 @@ def _one_line(basis, nvars) -> bool:
     return nvars - rank([d for g in basis for d in _term_differences(g)]) == 1
 
 
-def _pair_normals(diffs) -> tuple:
-    """The normals of the hyperplanes w.(a - b) = 0, one per pair of terms
-    a, b of a witness stored as ``_term_differences``, each primitive and
-    sign-normalized, without repeats."""
-    normals = set(diffs)
-    normals.update(tuple(x - y for x, y in zip(a, b)) for a, b in combinations(diffs, 2))
-    return tuple(sorted({sign_normalize(make_primitive(n)) for n in normals}))
+def _cone(terms, i, j) -> tuple:
+    """The inequalities of the cell of the pair of terms a, b at indices
+    i < j of a witness, one (c - a, least value of w.(c - a)) per other
+    term c: 1 for the terms before b, 0 after it.  With w.(a - b) = 0
+    they say that a and b are the first two terms at which the witness
+    takes its minimum, so the cells of a witness's pairs are disjoint."""
+    return tuple(
+        (tuple(map(sub, c, terms[i])), int(k < j))
+        for k, c in enumerate(terms)
+        if k not in (i, j)
+    )
 
 
-def _lattice_points(space, nvars, bound):
+def _work(side, dim, ninequalities) -> float:
+    """The estimated work of enumerating one cone of a subspace of the
+    box: side^(dim - 1) intervals, one per value of the free coordinates
+    but the last, and side^dim / (ninequalities + 1) weights; a witness
+    of k terms takes its minimum at a given pair on about 1/(k - 1) of
+    that pair's hyperplane, and each pair's cone has k - 2 inequalities."""
+    return side ** (dim - 1) * (1 + side / (ninequalities + 1))
+
+
+def _narrow(lo, hi, s, a, low):
+    """The integers x of [lo, hi] with s + a*x >= low; an empty interval
+    has lo > hi."""
+    if a > 0:
+        lo = max(lo, -((s - low) // a))
+    elif a < 0:
+        hi = min(hi, (s - low) // -a)
+    elif s < low:
+        return 1, 0
+    return lo, hi
+
+
+def _cell_points(space, cones, nvars, bound):
     """The integer points of [-bound, bound]^nvars in a subspace, given
-    by the echelon rows of its equations (``extend_echelon``).  The free
-    coordinates range over the box; each pivot coordinate follows by
-    integer back-substitution, which must divide out and stay in the
-    box."""
-    pivots = {c for c, _ in space}
+    by the echelon rows of its equations (``extend_echelon``), that
+    satisfy every inequality g.w >= least of one of its disjoint cones
+    (``_cone``), each point once.
+
+    Every coordinate is kept as an integer form in the free coordinates,
+    scaled by the lcm of the pivots, and so is every inequality.  The
+    free coordinates but the last range over the box; the last covers,
+    for each cone, the integer interval that the cone's inequalities and
+    the pivot coordinates' box bounds allow, and the current job is
+    ticked once per weight in these intervals before any is made.  Each
+    pivot coordinate then follows by integer back-substitution, which
+    must divide out."""
+    job = current_job()
+    pivots = [c for c, _ in space]
     free = [i for i in range(nvars) if i not in pivots]
-    solved = [(c, row[c], [(f, -row[f]) for f in free if row[f]]) for c, row in space]
-    for values in product(range(-bound, bound + 1), repeat=len(free)):
-        w = [0] * nvars
-        for f, x in zip(free, values):
+    scale = lcm(*(row[c] for c, row in space))
+    forms = [[scale * (i == f) for f in free] for i in range(nvars)]
+    for c, row in space:
+        forms[c] = [-row[f] * (scale // row[c]) for f in free]
+    solved = [(c, forms[c][:-1], forms[c][-1]) for c in pivots]
+    limit = bound * scale
+    conditions = []
+    for cone in cones:
+        ineqs = {
+            (tuple(sum(map(mul, g, col)) for col in zip(*forms)), least * scale)
+            for g, least in cone
+        }
+        if all(any(h) or not low for h, low in ineqs):
+            conditions.append([(h[:-1], h[-1], low) for h, low in ineqs if any(h)])
+    last = free[-1]
+    w = [0] * nvars
+    for head in product(range(-bound, bound + 1), repeat=len(free) - 1):
+        sums = [(c, sum(map(mul, head, form)), a) for c, form, a in solved]
+        lo, hi = -bound, bound
+        for _, s, a in sums:
+            lo, hi = _narrow(lo, hi, s, a, -limit)
+            lo, hi = _narrow(lo, hi, -s, -a, -limit)
+        xs = []
+        if lo <= hi:
+            for ineqs in conditions:
+                clo, chi = lo, hi
+                for form, a, low in ineqs:
+                    clo, chi = _narrow(clo, chi, sum(map(mul, head, form)), a, low)
+                xs.extend(range(clo, chi + 1))
+        if not xs:
+            continue
+        job.tick(len(xs))
+        for f, x in zip(free, head):
             w[f] = x
-        for c, den, terms in solved:
-            q, r = divmod(sum(a * w[f] for f, a in terms), den)
-            if r or not -bound <= q <= bound:
-                break
-            w[c] = q
-        else:
-            yield tuple(w)
+        for x in xs:
+            w[last] = x
+            for c, s, a in sums:
+                q, r = divmod(s + a * x, scale)
+                if r:
+                    break
+                w[c] = q
+            else:
+                yield tuple(w)
 
 
 class TropicalEngine(InitialIdealEngine):
@@ -223,9 +294,10 @@ class TropicalEngine(InitialIdealEngine):
             face.rigid = rigid
         return face.rigid
 
-    def _screened_out(self, w) -> bool:
-        """True if some witness has a unique w-minimal term."""
-        for diffs in self._witnesses:
+    def _screened_out(self, w, witnesses=None) -> bool:
+        """True if some witness (of ``witnesses``, by default all) has a
+        unique w-minimal term."""
+        for diffs in self._witnesses if witnesses is None else witnesses:
             values = [0, *(sum(map(mul, w, d)) for d in diffs)]
             if values.count(min(values)) == 1:
                 return True
@@ -235,42 +307,56 @@ class TropicalEngine(InitialIdealEngine):
         """The primitive weights of the box [-bound, bound]^p that no
         witness screens out, in the box's product order.
 
-        A witness passes w only if w lies on one of its pair hyperplanes,
-        so every weight that passes lies on a subspace that meets one such
-        hyperplane of each chosen witness.  The subspaces are kept as the
-        echelon rows of their equations (``extend_echelon``), which one
-        more normal meets with its hyperplane; one that already lies in a
-        hyperplane of the
-        witness stays whole.  A witness is chosen, those with fewer pairs
-        first, when it lowers the number of lattice points to enumerate,
-        the box side to the power of each subspace's dimension.  With no
-        witness chosen the one subspace is the whole box.  The points are
-        deduplicated, sorted and screened against every witness.
+        A witness passes w only if w lies in the cell of one pair of its
+        terms (``_cone``), so every weight that passes lies in a cell
+        that meets one such cell of each chosen witness: a subspace, kept
+        as the echelon rows of its equations (``extend_echelon``), with a
+        cone of inequalities.  A witness is chosen, those with fewer terms
+        first, when its cells lower the estimated work of the enumeration
+        (``_work``); with no witness chosen the one cell is the whole
+        box.  Only a chosen witness's cells are built.  The cells of one
+        witness are disjoint, so the cones on each subspace are too, and
+        its weights are enumerated cone by cone (``_cell_points``), one
+        step of the current job each, and no weight twice.  They are
+        sorted and screened against the witnesses not chosen; a chosen
+        one passes them by construction.
         """
         p = self.nvars
         side = 2 * bound + 1
-        spaces = [()]
-        cost = side**p
-        for normals in sorted(map(_pair_normals, self._witnesses), key=lambda n: (len(n), n)):
+        cells = {(): [()]}
+        cost = _work(side, p, 0)
+        rest = []
+        for diffs in sorted(self._witnesses, key=lambda d: (len(d), d)):
+            terms = ((0,) * p, *diffs)
+            pairs = [
+                (i, j, tuple(map(sub, terms[i], terms[j])))
+                for i, j in combinations(range(len(terms)), 2)
+            ]
             trial = {}
             trial_cost = 0
-            for space in spaces:
-                meets = [extend_echelon(space, n) for n in normals]
-                for m in [space] if space in meets else meets:
-                    if m not in trial and len(m) < p:
-                        trial[m] = None
-                        trial_cost += side ** (p - len(m))
+            for space, cones in cells.items():
+                for i, j, normal in pairs:
+                    m = extend_echelon(space, normal)
+                    if len(m) < p:
+                        trial.setdefault(m, []).append((space, i, j))
+                        for cone in cones:
+                            trial_cost += _work(side, p - len(m), len(cone) + len(terms) - 2)
                 if trial_cost >= cost:
                     break
             if trial_cost < cost:
-                spaces, cost = list(trial), trial_cost
-        points = set()
-        for space in spaces:
-            points.update(_lattice_points(space, p, bound))
+                cost = trial_cost
+                cone_of = {(i, j): _cone(terms, i, j) for i, j, _ in pairs}
+                cells = {
+                    m: [cone + cone_of[i, j] for space, i, j in meets for cone in cells[space]]
+                    for m, meets in trial.items()
+                }
+            else:
+                rest.append(diffs)
+        points = [w for space, cones in cells.items() for w in _cell_points(space, cones, p, bound)]
         return [
             w
             for w in sorted(points)
-            if any(w) and vec_gcd(w) == 1 and not self._screened_out(w)
+            if any(w) and vec_gcd(w) == 1 and not self._screened_out(w, rest)
         ]
 
     def contains(self, w) -> bool:

@@ -92,6 +92,21 @@ def five_lines_ideal() -> Ideal:
     return VarietySpec(kind="arrangement", arrangement=five_lines_arrangement()).to_ideal()
 
 
+# ``to_ideal`` of the lines x, y, x - y, x - 1, y - 1, x + y - 2 without
+# projective closure
+SIX_LINES_IDEAL_SPEC = {
+    "kind": "ideal",
+    "variables": ["t1", "t2", "t3", "t4", "t5", "t6"],
+    "generators": ["t4 + t5 - t6", "t3 + 2*t5 - t6", "t2 - t5 - 1", "t1 + t5 - t6 - 1"],
+}
+
+
+def six_lines_ideal() -> Ideal:
+    """Torus ideal of the affine arrangement x*y*(x-y)*(x-1)*(y-1)*(x+y-2)."""
+    vars = tuple(SIX_LINES_IDEAL_SPEC["variables"])
+    return Ideal([poly_parse(g, vars) for g in SIX_LINES_IDEAL_SPEC["generators"]])
+
+
 def embedded_at_infinity_ideals():
     """(I, w) pairs at which in_(w,0)(I^h) has a component at h = 0 that
     breaks a grading init_w(I) keeps: the tied differences leave one

@@ -29,6 +29,7 @@ from tropcrit.arrangement import (
     chi_complement,
     flacet_rays,
     flacets,
+    flat_lattice,
     flat_rank,
     intersection_lattice,
     matroid_connected,
@@ -421,7 +422,7 @@ def test_support_flat_rank_is_the_rank_of_closed_supports(arr, data):
 
     closure = {i for i in range(q) if r(support | {i}) == r(support)}
     expected = r(support) if support and closure == support else None
-    assert _support_flat_rank(arr, bits) == expected
+    assert _support_flat_rank(flat_lattice(vectors), bits) == expected
 
 
 # -- the matroid route of arrangement reports against the Groebner route ----------

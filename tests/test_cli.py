@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from models import SATURATION_SURFACE_RAYS, saturation_surface_spec
+from models import SATURATION_SURFACE_RAYS, SIX_LINES_IDEAL_SPEC, saturation_surface_spec
 import tropcrit
 from tropcrit import cli, groebner, mle, tropical
 from tropcrit.asymptotics import branches
@@ -266,7 +266,9 @@ def test_arrangement_report_runs_no_groebner_route(monkeypatch, capsys):
 
 
 def test_budget_boundary_is_the_exact_step_total(capsys):
-    # the run takes exactly 262 reduction steps; reducing other pairs, or
+    # the run takes exactly 387 steps: 262 reduction steps, and one step
+    # per weight of the ray search's whole 5^3 box (125), which the
+    # conic's one six-term witness keeps at bound 2; reducing other pairs, or
     # the same pairs in another order, or saturating by another chain of
     # runs or without first dividing out monomial factors, or saturating
     # the curve's critical system more than once, moves the boundary; so
@@ -283,8 +285,36 @@ def test_budget_boundary_is_the_exact_step_total(capsys):
         "--bound",
         "2",
     ]
-    assert main(args + ["--budget", "262"]) == EXIT_OK
-    assert main(args + ["--budget", "261"]) == EXIT_RESOURCE
+    assert main(args + ["--budget", "387"]) == EXIT_OK
+    assert main(args + ["--budget", "386"]) == EXIT_RESOURCE
+
+
+def test_ray_search_budget_boundary_is_the_exact_step_total(capsys):
+    # rigid-rays on four_lines_ideal at bound 2 takes exactly 64 steps:
+    # one reduction step for the base basis, one step per weight that the
+    # candidate enumeration makes (49), and the reductions of the face
+    # lookups and saturations (14); enumerating whole tie hyperplanes or
+    # overlapping cells, or skipping a tick, moves the boundary
+    args = ["rigid-rays", "--spec", fixture("four_lines_ideal.json"), "--bound", "2"]
+    assert main(args + ["--budget", "64"]) == EXIT_OK
+    assert main(args + ["--budget", "63"]) == EXIT_RESOURCE
+
+
+def test_budget_bounds_the_candidate_search_before_any_lookup(monkeypatch, capsys):
+    # the six-line ideal at bound 5 enumerates over 9,000 weights; the
+    # budget fires inside the enumeration, before any face is looked up
+    entered, lookups = [], []
+    real = tropical.TropicalEngine.candidates
+
+    def entering(self, bound):
+        entered.append(bound)
+        return real(self, bound)
+
+    monkeypatch.setattr(tropical.TropicalEngine, "candidates", entering)
+    monkeypatch.setattr(groebner.InitialIdealEngine, "_lookup", lambda *a: lookups.append(a))
+    args = ["rigid-rays", "--spec", json.dumps(SIX_LINES_IDEAL_SPEC), "--bound", "5"]
+    assert main(args + ["--budget", "5"]) == EXIT_RESOURCE
+    assert entered == [5] and lookups == []
 
 
 def test_arrangement_budget_boundary_is_the_exact_step_total(capsys):

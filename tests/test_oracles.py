@@ -41,6 +41,7 @@ from models import (
     rescaled_system,
     saturation_surface_spec,
     shear,
+    six_lines_ideal,
     substitute,
     symbolic_data,
     torus_monomial,
@@ -738,14 +739,16 @@ def _box(nvars, bound):
             yield w
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(ideal=search_ideals(), bound=st.integers(1, 3))
 @example(ideal=ZERO_IDEAL, bound=2)
 @example(ideal=UNIT_IDEAL, bound=2)
+@example(ideal=four_lines_ideal(), bound=4)
+@example(ideal=six_lines_ideal(), bound=2)
 def test_prevariety_candidates_equal_the_box_screen(ideal, bound):
-    # the lattice points on the witnesses' pair hyperplanes hold every box
-    # weight that no witness screens out, so after the screen the
-    # candidates are the box screen's survivors, in the box's order
+    # the cells of the witnesses' term pairs hold every box weight that no
+    # witness screens out, so after the screen of the witnesses not chosen
+    # the candidates are the box screen's survivors, in the box's order
     with Job():
         eng = TropicalEngine(ideal)
         screen = [w for w in _box(eng.nvars, bound) if not eng._screened_out(w)]

@@ -22,6 +22,7 @@ from models import (
     initial_by_fresh_run,
     mat_mul,
     ray_euler_chars,
+    six_lines_ideal,
     tied_space,
     torus_monomial,
 )
@@ -243,6 +244,23 @@ def test_ray_search_looks_each_candidate_up_once(monkeypatch):
         rays = find_rigid_rays(four_lines_ideal(), bound=2)
     assert {r.v for r in rays} == FOUR_LINES_RAYS
     assert lookups == candidates
+
+
+def test_candidates_enumerate_only_the_cells_of_chosen_pairs():
+    # one job step per weight enumerated: whole tie hyperplanes gave 729
+    # weights on four_lines at bound 4 and 11,466 on the six-line
+    # arrangement at bound 3; each chosen pair's cone, bounded by the
+    # witness's other terms, leaves 225 and 3,052 for the same candidates,
+    # and making the cells of one witness disjoint leaves each weight once
+    for ideal, bound, enumerated, found in [
+        (four_lines_ideal(), 4, 169, 105),
+        (six_lines_ideal(), 3, 1736, 950),
+    ]:
+        with Job() as job:
+            eng = TropicalEngine(ideal)
+            before = job.steps
+            assert len(eng.candidates(bound)) == found
+        assert job.steps - before == enumerated
 
 
 @pytest.fixture(
