@@ -43,10 +43,7 @@ from .groebner import (
     eliminate,
     groebner_basis,
     ideal_dimension,
-    initial_ideal,
-    normal_form,
     saturate,
-    zero_dim_degree,
 )
 from .mle import (
     CriticalSystem,
@@ -65,10 +62,8 @@ from .tropical import (
     TropicalEngine,
     critical_slopes,
     find_rigid_rays,
-    is_rigid,
     stratum_euler_char,
     stratum_model,
-    weighted_ray_sum,
 )
 
 __version__ = "0.1.0"

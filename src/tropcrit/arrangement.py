@@ -4,7 +4,8 @@ Matroid queries are answered in integers, on the vectors made primitive
 integer tuples once per arrangement.  The lattice of flats is built rank
 by rank from residues modulo a flat's span; each flat keeps the reduced
 echelon rows of its span, its parent's extended by the residue of its
-cover, and the job memoizes the lattice, so ``flat_rank`` is a lookup.
+cover, and the job memoizes the lattice, so a flat's rank is a lookup
+(``flat_lattice``).
 Connectivity comes from the fundamental circuits of one basis, read from
 one fraction-free echelon form (Krogdahl 1977; Oxley, Matroid Theory,
 ch. 4).  Flacets (flats whose restriction and contraction matroids are
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple
 
 from .errors import NotCentral
@@ -55,14 +55,6 @@ class Flat:
         return (self.rank, tuple(sorted(self.members)))
 
 
-def hyperplane_key(coeffs, const):
-    """The functional a.x + c scaled so that its first nonzero coefficient
-    is 1: proportional functionals, which cut out one hyperplane, share
-    it."""
-    lead = Fraction(next(a for a in coeffs if a))
-    return tuple(a / lead for a in coeffs) + (const / lead,)
-
-
 class Arrangement:
     """List of affine functionals a.x + c in n variables.
 
@@ -85,7 +77,8 @@ class Arrangement:
                 raise ValueError("functional length does not match nvars")
             if not any(coeffs):
                 raise ValueError(f"functional {i} must involve the variables")
-            hyperplanes.setdefault(hyperplane_key(coeffs, const), []).append(i)
+            key = sign_normalize(integer_row([*coeffs, const]))
+            hyperplanes.setdefault(key, []).append(i)
         repeats = [tuple(ix[:2]) for ix in hyperplanes.values() if len(ix) > 1]
         if repeats:
             i, j = min(repeats)
@@ -214,36 +207,11 @@ def flat_lattice(vectors) -> dict:
     return _lattice(_integer_vectors(vectors))
 
 
-def flat_rank(vectors, members):
-    """Rank of ``members`` in the linear matroid if it is a flat, else
-    None: a lookup in the job's lattice of flats of the vectors."""
-    found = flat_lattice(vectors).get(frozenset(members))
-    return None if found is None else found[0]
-
-
-def matroid_connected(vectors, ground=None, contract=None) -> bool:
-    """Connectivity of the (minor of the) linear matroid.
-
-    ``ground`` restricts, ``contract`` contracts; matroids with at most one
-    element count as connected.  One integer echelon form, with the ground
-    vectors reduced modulo the span of ``contract`` as columns, picks a
-    basis (its pivots); a non-pivot column j gives the fundamental circuit
-    of j and the pivots of its nonzero entries.  The minor is connected
-    iff these circuits chain over every element (Krogdahl, Discrete Math.
-    1977; Oxley, Matroid Theory, ch. 4): loops and coloops stay apart.
-    """
-    vectors = _integer_vectors(vectors)
-    contract = frozenset(contract or [])
-    if ground is None:
-        ground = range(len(vectors))
-    modulo = reduce(extend_echelon, (vectors[i] for i in sorted(contract)), ())
-    return _circuits_connect(vectors, set(ground) - contract, modulo)
-
-
-def _circuits_connect(vectors, ground, modulo) -> bool:
-    """``matroid_connected`` on the ground set of the integer vectors, the
-    contracted span given by its echelon rows ``modulo``."""
-    return len(_components(vectors, ground, modulo)) <= 1
+def matroid_connected(vectors) -> bool:
+    """Connectivity of the linear matroid of the vectors (one component,
+    ``_components``); matroids with at most one element count as
+    connected."""
+    return len(_components(_integer_vectors(vectors), range(len(vectors)), ())) <= 1
 
 
 def _components(vectors, ground, modulo):
@@ -297,8 +265,8 @@ def _flacets(vectors, lattice):
         Flat(members=F, rank=r)
         for F, (r, echelon) in lattice.items()
         if 0 < r < top
-        and _circuits_connect(vectors, F, ())
-        and _circuits_connect(vectors, everything - F, echelon)
+        and len(_components(vectors, F, ())) <= 1
+        and len(_components(vectors, everything - F, echelon)) <= 1
     ]
 
 

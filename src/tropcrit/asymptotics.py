@@ -66,6 +66,8 @@ NUMERIC_ZERO = 1e-8
 class ApproximateBranch(UserWarning):
     """Branch coefficients are floating approximations."""
 
+    code = "approximate_coefficients"
+
 
 @dataclass(frozen=True)
 class DataCurve:

@@ -51,7 +51,6 @@ DEFAULT_BOUND = 3
 DEFAULT_PRECISION = 53
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_DEGENERATE = 4
@@ -367,16 +366,6 @@ class JobConfig:
     k_path: str | None = None
 
     def __post_init__(self):
-        if self.budget is None:
-            env = os.environ.get("TROPCRIT_BUDGET")
-            if env is not None:
-                try:
-                    self.budget = int(env)
-                except ValueError:
-                    raise errors.SpecValidationError(
-                        f"TROPCRIT_BUDGET must be an integer, got {env!r}",
-                        "/options/budget",
-                    )
         if self.bound < 1:
             raise errors.SpecValidationError("bound must be >= 1", "/options/bound")
         if self.order < 1:
@@ -393,6 +382,10 @@ class JobConfig:
             raise errors.SpecValidationError(
                 f"no directory to write {self.out!r} into", "/options/out"
             )
+        if self.out and os.path.isdir(self.out):
+            raise errors.SpecValidationError(
+                f"{self.out!r} is a directory, not a file", "/options/out"
+            )
 
     def options_dict(self):
         return {
@@ -402,13 +395,6 @@ class JobConfig:
             "budget": self.budget,
             "precision": self.precision,
         }
-
-
-WARNING_CODES = {
-    "ConnectednessAssumed": "connectedness_unverified",
-    "ApproximateBranch": "approximate_coefficients",
-    "SquarefreeCheckFailed": "squarefree_check_failed",
-}
 
 
 def _frac_str(x) -> str:
@@ -604,7 +590,7 @@ def run_report(cfg: JobConfig):
 
     seen = set()
     for w in caught:
-        code = WARNING_CODES.get(type(w.message).__name__, "warning")
+        code = getattr(w.message, "code", "warning")
         msg = str(w.message)
         if (code, msg) not in seen:
             seen.add((code, msg))

@@ -449,9 +449,7 @@ class GroebnerBasis(Ideal):
         f is cleared of denominators and divided over Z by the integer
         reducers; the remainder is then divided by that denominator and by
         the division's multiplier.  A Laurent term of f, with a negative
-        exponent, is divisible by no leading monomial and no product term
-        meets it, so it goes to the remainder as it is, in its place in
-        the descending order of the remainder's terms.
+        exponent, raises ValueError (``_pack``).
         """
         packing = self.order.packing(len(self.vars))
         if self._reducers is None:
@@ -459,19 +457,12 @@ class GroebnerBasis(Ideal):
             lts = [max(g) for g in reducers]
             self._reducers = reducers, lts, [g[lt] for g, lt in zip(reducers, lts)]
         terms, d = _integral(f.terms)
-        laurent = {e: Fraction(c, d) for e, c in terms.items() if e and min(e) < 0}
-        if laurent:
-            terms = {e: c for e, c in terms.items() if e not in laurent}
         r, _, mult = _reduce_terms(
             _pack(terms, packing), *self._reducers, None, packing, current_job()
         )
         d *= mult
         out = Polynomial.__new__(Polynomial)
         out.terms = {packing.unpack(e): Fraction(c, d) for e, c in r.items()}
-        if laurent:
-            out.terms.update(laurent)
-            key = self.order.key
-            out.terms = dict(sorted(out.terms.items(), key=lambda t: key(t[0]), reverse=True))
         out.vars = f.vars
         return out
 
@@ -482,33 +473,16 @@ class GroebnerBasis(Ideal):
         return f"GroebnerBasis([{', '.join(map(str, self.gens))}])"
 
 
-def groebner_basis(ideal, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of an Ideal (or list of polynomials) under
-    ``order``, grlex by default; a GroebnerBasis under that order is
-    returned as it is, and an ideal without generators needs no run."""
-    if isinstance(ideal, Ideal):
-        gens, vars = ideal.gens, ideal.vars
-    else:
-        gens = list(ideal)
-        if not gens:
-            raise ValueError("need at least one generator (or pass an Ideal)")
-        vars = gens[0].vars
+def groebner_basis(ideal: Ideal, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis of an Ideal under ``order``, grlex by
+    default; a GroebnerBasis under that order is returned as it is, and
+    an ideal without generators needs no run."""
     if order is None:
-        order = grlex(len(vars))
+        order = grlex(ideal.nvars)
     if isinstance(ideal, GroebnerBasis) and ideal.order.rows == order.rows:
         return ideal
-    elements = _buchberger(gens, order, current_job()) if gens else []
-    return GroebnerBasis(elements, order, vars)
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of f on division by a reduced basis."""
-    return G.normal_form(f)
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Decide equality via the uniqueness of reduced Groebner bases."""
-    return groebner_basis(I).gens == groebner_basis(J).gens
+    elements = _buchberger(ideal.gens, order, current_job()) if ideal.gens else []
+    return GroebnerBasis(elements, order, ideal.vars)
 
 
 # -- weighted initial ideals ------------------------------------------------------
@@ -679,11 +653,6 @@ class _GroebnerCone:
             if not x:
                 tied.append(i)
         return tuple(tied)
-
-
-def initial_ideal(ideal: Ideal, w) -> Ideal:
-    """Ideal of w-minimal initial forms (min convention), any w in Z^p."""
-    return InitialIdealEngine(ideal).initial(w)
 
 
 # -- saturation and elimination -----------------------------------------------------
@@ -873,12 +842,6 @@ def quotient_basis(G: GroebnerBasis):
 
     rec(())
     return basis
-
-
-def zero_dim_degree(ideal) -> int:
-    """Vector-space dimension of the quotient = solution count with
-    multiplicity; raises NotZeroDimensional when infinite."""
-    return len(quotient_basis(groebner_basis(ideal)))
 
 
 def multiplication_matrix(G: GroebnerBasis, basis, var_index):

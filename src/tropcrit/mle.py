@@ -22,7 +22,6 @@ from random import Random
 from .arrangement import (
     Arrangement,
     chi_complement,
-    hyperplane_key,
     matroid_components,
     matroid_invariants,
 )
@@ -45,7 +44,7 @@ from .groebner import (
     squarefree_check,
     torus_saturation,
 )
-from .linalg import integer_row, nullspace, rref
+from .linalg import integer_row, nullspace, rref, sign_normalize
 from .rings import Polynomial, dot
 from .tropical import SlopeHyperplane
 
@@ -55,6 +54,8 @@ MAX_RESAMPLE = 5
 
 class SquarefreeCheckFailed(UserWarning):
     """The sampled critical system is not radical."""
+
+    code = "squarefree_check_failed"
 
 
 def _svar_names(coords) -> tuple:
@@ -343,7 +344,8 @@ def _linear_arrangement(G: GroebnerBasis) -> Arrangement:
         else:
             coeffs[column[i]] = Fraction(1)
         if any(coeffs):
-            rows.setdefault(hyperplane_key(coeffs, const), (coeffs, const))
+            key = sign_normalize(integer_row([*coeffs, const]))
+            rows.setdefault(key, (coeffs, const))
     return Arrangement(list(rows.values()), nvars=len(free))
 
 

@@ -72,6 +72,8 @@ from .rings import Polynomial
 class ConnectednessAssumed(UserWarning):
     """Boundary strata are assumed connected; this is not verified."""
 
+    code = "connectedness_unverified"
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -377,12 +379,6 @@ class TropicalEngine(InitialIdealEngine):
         return self._rigid(w, face)
 
 
-def is_rigid(ideal: Ideal, w) -> bool:
-    """True iff the homogeneity space of the torus-saturated init_w(I) is
-    exactly one line."""
-    return TropicalEngine.of(ideal).is_rigid(w)
-
-
 def warn_connectedness_assumed():
     """Warn, at the caller's caller, that rigidity assumes connected
     boundary strata."""
@@ -463,13 +459,6 @@ def stratum_euler_char(ideal: Ideal, ray: Ray) -> int:
     from .mle import torus_euler_characteristic
 
     return torus_euler_characteristic(stratum_model(ideal, ray))
-
-
-def weighted_ray_sum(ideal: Ideal, rays):
-    """Sum of stratum Euler characteristics times ray vectors (reported,
-    not asserted; vanishes in every worked example)."""
-    chis = [stratum_euler_char(ideal, ray) for ray in rays]
-    return ray_sum(ideal.nvars, rays, chis)
 
 
 def ray_sum(nvars: int, rays, weights):

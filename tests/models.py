@@ -321,6 +321,51 @@ def arrangement_specs(draw):
 
 
 @st.composite
+def ml_degree_one_arrangement_specs(draw):
+    """Strategy: arrangement specs of ML degree one by construction, in
+    2-3 variables with at most 5 functionals.
+
+    Coordinates y_1..y_k are added in blocks over the earlier coordinates
+    b, each block with the k + 1 functionals y_i - f_i(b) and y_1 + .. +
+    y_k - f_0(b), the f affine with coefficients in [-2, 2].  f_0 - (f_1 +
+    .. + f_k) is a nonzero constant or a multiple of an earlier
+    functional, so over the complement of the earlier functionals the
+    block cuts out k + 1 hyperplanes in general position, a complement of
+    Euler characteristic (-1)^k.  The complement fibres, so its Euler
+    characteristic is +-1, whose absolute value is the ML degree (Huh
+    2013).  Blocks with constant f make the products of simplices.  The
+    columns and the functionals are shuffled last."""
+    n = draw(st.integers(2, 3))
+    blocks = ((2,), (1, 1)) if n == 2 else ((3,), (2, 1), (1, 2))
+    blocks = draw(st.sampled_from(blocks))
+    entry, nonzero = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])
+    rows = []  # n coefficients, then the constant
+    done = 0
+    for k in blocks:
+        affine = st.lists(entry, min_size=done + 1, max_size=done + 1)
+        fs = [draw(affine) for _ in range(k)]
+        if rows and draw(st.booleans()):
+            c = draw(nonzero)
+            row = draw(st.sampled_from(rows))
+            d = [c * x for x in row[:done]] + [c * row[-1]]
+        else:
+            d = [0] * done + [draw(nonzero)]
+        f0 = [sum(column) for column in zip(d, *fs)]
+        for i, f in enumerate([f0] + fs):
+            y = [1] * k if i == 0 else [int(j == i - 1) for j in range(k)]
+            rows.append([-x for x in f[:done]] + y + [0] * (n - done - k) + [-f[-1]])
+        done += k
+    columns = draw(st.permutations(range(n)))
+    matrix = draw(st.permutations([[r[j] for j in columns] + [r[-1]] for r in rows]))
+    return {
+        "kind": "arrangement",
+        "variables": ["x", "y", "z"][:n],
+        "matrix": matrix,
+        "projective_closure": draw(st.booleans()),
+    }
+
+
+@st.composite
 def linear_ideals(draw):
     """Strategy: linear ideals in 3-4 torus coordinates t1, t2, .. whose
     linear space has dimension 1-2 and meets the torus.  The first d

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 from pathlib import Path
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from models import (
 from tropcrit import arrangement
 from tropcrit.arrangement import (
     Arrangement,
+    _components,
     _flacets,
     _integer_vectors,
     _lattice,
@@ -30,7 +32,6 @@ from tropcrit.arrangement import (
     flacet_rays,
     flacets,
     flat_lattice,
-    flat_rank,
     intersection_lattice,
     matroid_connected,
     matroid_flats,
@@ -40,7 +41,7 @@ from tropcrit.bs_lct import _support_flat_rank
 from tropcrit.cli import JobConfig, load_spec, run_report
 from tropcrit.errors import NotCentral
 from tropcrit.groebner import Job
-from tropcrit.linalg import rank
+from tropcrit.linalg import extend_echelon, rank
 from tropcrit.mle import ml_degree
 from tropcrit.tropical import find_rigid_rays, stratum_euler_char
 
@@ -147,7 +148,7 @@ def test_every_flacet_is_a_dense_edge():
     arr = four_lines_arrangement(projective=True)
     vectors = arr.central_vectors()
     for f in flacets(arr):
-        assert matroid_connected(vectors, ground=f.members)
+        assert matroid_connected([vectors[i] for i in sorted(f.members)])
 
 
 def test_deletion_invariant_scope():
@@ -213,14 +214,17 @@ vector_lists = st.integers(2, 4).flatmap(
 @example(vectors=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], ground=0b011, contract=0b001)
 def test_matroid_connected_matches_split_enumeration(vectors, ground, contract):
     # the examples: a loop, a coloop, and the boolean arrangement B3
-    ground, contract = _mask(ground, len(vectors)), _mask(contract, len(vectors))
+    q = len(vectors)
+    ground, contract = _mask(ground, q), _mask(contract, q)
     assert matroid_connected(vectors) == connected_by_splits(vectors)
-    assert matroid_connected(vectors, ground=ground) == connected_by_splits(
-        vectors, ground=ground
-    )
-    assert matroid_connected(vectors, contract=contract) == connected_by_splits(
-        vectors, contract=contract
-    )
+    restricted = [vectors[i] for i in sorted(ground)]
+    assert matroid_connected(restricted) == connected_by_splits(vectors, ground=ground)
+    # the contraction's components as ``_flacets`` finds them: the other
+    # vectors reduced modulo the contracted span
+    ints = _integer_vectors(vectors)
+    modulo = reduce(extend_echelon, (ints[i] for i in sorted(contract)), ())
+    parts = _components(ints, set(range(q)) - contract, modulo)
+    assert (len(parts) <= 1) == connected_by_splits(vectors, contract=contract)
 
 
 SIX_LINES = Arrangement(
@@ -269,13 +273,6 @@ def test_matroid_connected_takes_one_echelon_form(monkeypatch):
     assert len(flats) == 18
     assert len(calls["extend"]) == len(set(calls["extend"])) == 17
     assert not calls["eliminate"]
-    for flat in flats:
-        calls["extend"].clear()
-        calls["eliminate"].clear()
-        matroid_connected(vectors, contract=flat.members)
-        # one extension per contracted vector, one elimination of the rest
-        assert len(calls["extend"]) == len(flat.members)
-        assert len(calls["eliminate"]) <= 1
 
 
 def test_flacet_connectivity_reuses_the_lattice_echelon_forms(monkeypatch):
@@ -339,9 +336,11 @@ def test_matroid_kernel_matches_the_fraction_route(vectors, ground, contract):
     with Job():
         flats = matroid_flats(vectors)
         assert {f.members: f.rank for f in flats} == reference_lattice(vectors)
+        lattice = flat_lattice(vectors)
         for bits in range(2**q):
-            members = _mask(bits, q)
-            assert flat_rank(vectors, members) == reference_flat_rank(vectors, members)
+            members = frozenset(_mask(bits, q))
+            got = lattice[members][0] if members in lattice else None
+            assert got == reference_flat_rank(vectors, members)
     avoid = next((i for i, v in enumerate(vectors) if any(v)), None)
     if avoid is not None:
         got = {f.members: f.rank for f in matroid_flats(vectors, avoid=avoid)}
@@ -349,9 +348,12 @@ def test_matroid_kernel_matches_the_fraction_route(vectors, ground, contract):
     assert _kernel_flacets(vectors) == reference_flacets(vectors)
     ground, contract = _mask(ground, q), _mask(contract, q)
     assert matroid_connected(vectors) == reference_matroid_connected(vectors)
-    assert matroid_connected(
+    ints = _integer_vectors(vectors)
+    modulo = reduce(extend_echelon, (ints[i] for i in sorted(contract)), ())
+    parts = _components(ints, ground - contract, modulo)
+    assert (len(parts) <= 1) == reference_matroid_connected(
         vectors, ground=ground, contract=contract
-    ) == reference_matroid_connected(vectors, ground=ground, contract=contract)
+    )
 
 
 @settings(max_examples=100, deadline=None)

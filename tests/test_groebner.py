@@ -33,17 +33,13 @@ from tropcrit.groebner import (
     _weight_order,
     groebner_basis,
     ideal_dimension,
-    ideal_equal,
-    initial_ideal,
     minimal_polynomial,
     multiplication_matrix,
-    normal_form,
     quotient_basis,
     saturate,
     solve_degree_one,
     solve_zero_dim_numeric,
     squarefree_check,
-    zero_dim_degree,
 )
 from tropcrit.mle import critical_system
 from tropcrit.rings import (
@@ -70,7 +66,7 @@ def coin_ideal():
 def test_containment_collapse():
     vars = ("x",)
     order = block_order(1, ((0,),))
-    G = groebner_basis([poly_parse("x^2-1", vars), poly_parse("x-1", vars)], order)
+    G = groebner_basis(Ideal([poly_parse("x^2-1", vars), poly_parse("x-1", vars)]), order)
     assert list(G.gens) == [poly_parse("x-1", vars)]
 
 
@@ -86,7 +82,7 @@ def test_coin_basis_membership_and_s_pairs():
 
 
 def test_unit_ideal():
-    G = groebner_basis([poly_parse("1", COIN)])
+    G = groebner_basis(Ideal([poly_parse("1", COIN)]))
     assert G.is_unit
     assert list(G.gens) == [poly_parse("1", COIN)]
 
@@ -95,20 +91,20 @@ def test_normal_form_member_is_zero():
     I = coin_ideal()
     G = groebner_basis(I)
     f = I.gens[0] * poly_parse("t1+5", COIN) - I.gens[1] * poly_parse("t2^2", COIN)
-    assert normal_form(f, G).is_zero
+    assert G.normal_form(f).is_zero
 
 
 def test_normal_form_one_mod_proper_ideal():
     G = groebner_basis(coin_ideal())
     one = poly_parse("1", COIN)
-    assert normal_form(one, G) == one
+    assert G.normal_form(one) == one
 
 
 def test_normal_form_difference_in_ideal():
     G = groebner_basis(coin_ideal())
     f = poly_parse("t0*t2", COIN)
-    r = normal_form(f, G)
-    assert normal_form(f - r, G).is_zero
+    r = G.normal_form(f)
+    assert G.normal_form(f - r).is_zero
 
 
 def test_normal_form_random_member_absorption():
@@ -132,7 +128,7 @@ def test_normal_form_random_member_absorption():
             },
             vars,
         )
-        assert normal_form(f * g + h, G) == normal_form(h, G)
+        assert G.normal_form(f * g + h) == G.normal_form(h)
 
 
 # -- initial ideals ------------------------------------------------------------
@@ -140,7 +136,7 @@ def test_normal_form_random_member_absorption():
 
 def test_initial_ideal_coin_ray():
     I = coin_ideal()
-    J = initial_ideal(I, (2, 1, 0))
+    J = InitialIdealEngine(I).initial((2, 1, 0))
     G = groebner_basis(J)
     assert G.contains(poly_parse("t0*t2-t1^2", COIN))
     assert G.contains(poly_parse("t2-1", COIN))
@@ -150,12 +146,13 @@ def test_initial_ideal_coin_ray():
 
 def test_initial_ideal_zero_weight_is_identity():
     I = coin_ideal()
-    assert ideal_equal(initial_ideal(I, (0, 0, 0)), I)
+    J = InitialIdealEngine(I).initial((0, 0, 0))
+    assert groebner_basis(J).gens == groebner_basis(I).gens
 
 
 def test_initial_ideal_constant_initial_form():
     I = Ideal([poly_parse("t1-1", ("t1",))])
-    J = initial_ideal(I, (1,))
+    J = InitialIdealEngine(I).initial((1,))
     assert groebner_basis(J).is_unit
 
 
@@ -165,12 +162,12 @@ def test_initial_ideal_positive_rescaling_invariance():
     for w in [(2, 1, 0), (0, 1, 1), (-2, -2, -1), (1, -1, 2)]:
         J1 = eng.initial(w)
         J2 = eng.initial(tuple(3 * x for x in w))
-        assert ideal_equal(J1, J2)
+        assert groebner_basis(J1).gens == groebner_basis(J2).gens
 
 
 def test_initial_ideal_of_nonmember_contains_monomial():
     I = coin_ideal()
-    J = initial_ideal(I, (1, 0, 0))
+    J = InitialIdealEngine(I).initial((1, 0, 0))
     S = saturate(J, poly_parse("t0*t1*t2", COIN))
     assert groebner_basis(S).is_unit if not S.is_zero else False
 
@@ -203,7 +200,7 @@ def test_saturate_monomial():
     vars = ("x", "y")
     I = Ideal([poly_parse("x*y", vars)])
     S = saturate(I, poly_parse("x", vars))
-    assert ideal_equal(S, Ideal([poly_parse("y", vars)]))
+    assert S.gens == groebner_basis(Ideal([poly_parse("y", vars)])).gens
 
 
 def test_saturate_unit():
@@ -215,7 +212,7 @@ def test_saturate_unit():
 
 def test_saturate_coin_initial_ideal_stays_proper():
     I = coin_ideal()
-    J = initial_ideal(I, (2, 1, 0))
+    J = InitialIdealEngine(I).initial((2, 1, 0))
     S = saturate(J, poly_parse("t0*t1*t2", COIN))
     assert not groebner_basis(S).is_unit
 
@@ -226,7 +223,7 @@ def test_saturate_idempotent():
     f = poly_parse("x*y", vars)
     S1 = saturate(I, f)
     S2 = saturate(S1, f)
-    assert ideal_equal(S1, S2)
+    assert S1.gens == S2.gens
 
 
 def test_saturate_by_laurent_monomial_uses_its_support():
@@ -321,7 +318,7 @@ def test_eliminate_parabola():
     vars = ("t", "x", "y")
     I = Ideal([poly_parse("x-t", vars), poly_parse("y-t^2", vars)])
     J = eliminate(I, ["x", "y"])
-    assert ideal_equal(J, Ideal([poly_parse("y-x^2", ("x", "y"))]))
+    assert J.gens == groebner_basis(Ideal([poly_parse("y-x^2", ("x", "y"))])).gens
 
 
 def test_eliminate_keep_all():
@@ -335,12 +332,13 @@ def test_eliminate_keep_all():
 
 
 def test_zero_dim_degree_univariate():
-    assert zero_dim_degree(Ideal([poly_parse("x^2-1", ("x",))])) == 2
+    G = groebner_basis(Ideal([poly_parse("x^2-1", ("x",))]))
+    assert len(quotient_basis(G)) == 2
 
 
 def test_zero_dim_degree_not_zero_dimensional():
     with pytest.raises(NotZeroDimensional):
-        zero_dim_degree(coin_ideal())
+        quotient_basis(groebner_basis(coin_ideal()))
 
 
 def test_zero_dim_degree_linear_change_invariance():
@@ -349,12 +347,13 @@ def test_zero_dim_degree_linear_change_invariance():
     f2 = poly_parse("x*y-1", vars)
     I = Ideal([f1, f2])
     J = Ideal([f1 + 3 * f2, f2 - f1])
-    assert zero_dim_degree(I) == zero_dim_degree(J) == 4
+    assert len(quotient_basis(groebner_basis(I))) == 4
+    assert len(quotient_basis(groebner_basis(J))) == 4
 
 
 def test_quotient_basis_and_multiplication_matrix():
     vars = ("x",)
-    G = groebner_basis([poly_parse("x^2-2", vars)], grlex(1))
+    G = groebner_basis(Ideal([poly_parse("x^2-2", vars)]), grlex(1))
     basis = quotient_basis(G)
     assert basis == [(0,), (1,)]
     m = multiplication_matrix(G, basis, 0)
@@ -365,13 +364,13 @@ def test_quotient_basis_and_multiplication_matrix():
 
 def test_solve_degree_one():
     vars = ("x", "y")
-    G = groebner_basis([poly_parse("x-3", vars), poly_parse("y+2", vars)])
+    G = groebner_basis(Ideal([poly_parse("x-3", vars), poly_parse("y+2", vars)]))
     assert solve_degree_one(G) == (Fraction(3), Fraction(-2))
 
 
 def test_solve_zero_dim_numeric():
     vars = ("x", "y")
-    G = groebner_basis([poly_parse("x^2-1", vars), poly_parse("y-x", vars)])
+    G = groebner_basis(Ideal([poly_parse("x^2-1", vars), poly_parse("y-x", vars)]))
     with Job(seed=4):
         sols = solve_zero_dim_numeric(G)
     assert len(sols) == 2
@@ -385,7 +384,7 @@ def test_solve_zero_dim_numeric_rejects_a_fat_point():
     # on (x^2, xy, y^2) every form has minimal polynomial l^2 on a
     # 3-dimensional algebra: no form has one eigenvector per point
     vars = ("x", "y")
-    G = groebner_basis([poly_parse(f, vars) for f in ("x^2", "x*y", "y^2")])
+    G = groebner_basis(Ideal([poly_parse(f, vars) for f in ("x^2", "x*y", "y^2")]))
     with pytest.raises(DegenerateSample), Job():
         solve_zero_dim_numeric(G)
 
@@ -401,7 +400,7 @@ def test_solve_zero_dim_numeric_rejects_a_fat_point():
 )
 def test_squarefree_check_is_the_radical_test(gens, radical):
     vars = ("x", "y")
-    G = groebner_basis([poly_parse(f, vars) for f in gens])
+    G = groebner_basis(Ideal([poly_parse(f, vars) for f in gens]))
     assert squarefree_check(G, quotient_basis(G)) is radical
 
 
@@ -466,7 +465,7 @@ def test_budget_abort():
         poly_parse("a*b*c-1", vars),
     ]
     with pytest.raises(ResourceBudgetExceeded), Job(3):
-        groebner_basis(gens)
+        groebner_basis(Ideal(gens))
 
 
 def test_pair_selection_data_computed_once_per_pair(monkeypatch):
@@ -502,13 +501,13 @@ def test_job_budget_spans_calls():
         poly_parse("a*b*c-1", vars),
     ]
     with Job() as job:
-        groebner_basis(gens)
+        groebner_basis(Ideal(gens))
     steps = job.steps
     assert steps > 0
     with Job(steps):
-        groebner_basis(gens)
+        groebner_basis(Ideal(gens))
         with pytest.raises(ResourceBudgetExceeded):
-            groebner_basis(gens)
+            groebner_basis(Ideal(gens))
 
 
 _XYZ = ("x", "y", "z")
@@ -543,7 +542,7 @@ def test_kernel_basis_is_primitive_over_z(gens):
 
     order = grlex(3)
     with patch.object(groebner, "_interreduce", spy):
-        groebner_basis(gens, order)
+        groebner_basis(Ideal(gens), order)
     for p in kept:
         assert all(type(c) is int for c in p.values())
         assert math.gcd(*p.values()) == 1
@@ -667,8 +666,8 @@ def test_exponent_limit_raises_instead_of_misordering():
     x, y = Polynomial.variable("x", ("x", "y")), Polynomial.variable("y", ("x", "y"))
     k = EXPONENT_LIMIT // 2
     with pytest.raises(ResourceBudgetExceeded):
-        normal_form(x**2, groebner_basis([x - y**k], lex))
-    got = normal_form(x**2, groebner_basis([x - y ** (k - 1)], lex))
+        groebner_basis(Ideal([x - y**k]), lex).normal_form(x**2)
+    got = groebner_basis(Ideal([x - y ** (k - 1)]), lex).normal_form(x**2)
     assert got == y ** (2 * k - 2)
 
 
@@ -677,31 +676,23 @@ def test_degree_field_holds_every_exponent_just_below_the_limit():
     # field is wide enough that no exponent field reads a carry
     vars = ("a", "b", "c", "d", "e")
     f = Polynomial({(5,) + (EXPONENT_LIMIT - 1,) * 4: 1, (0, 0, 0, 0, 1): 1}, vars)
-    G = groebner_basis([poly_parse("a^6 - 1", vars)], TermOrder([]))
-    assert normal_form(f, G) == f
+    G = groebner_basis(Ideal([poly_parse("a^6 - 1", vars)]), TermOrder([]))
+    assert G.normal_form(f) == f
 
 
 def test_kernel_rejects_exponents_out_of_its_fields_on_entry():
     vars = ("x", "y")
     big = Polynomial({(EXPONENT_LIMIT, 0): 1, (0, 1): 1}, vars)
     with pytest.raises(ResourceBudgetExceeded):
-        groebner_basis([big])
+        groebner_basis(Ideal([big]))
     with pytest.raises(ResourceBudgetExceeded):
-        normal_form(big, groebner_basis([poly_parse("x*y - 1", vars)]))
-    # an Ideal normalizes Laurent generators; a bare list is not
-    laurent = poly_parse("x^-1 + y", vars)
-    with pytest.raises(ValueError):
-        groebner_basis([laurent, poly_parse("y - 1", vars)])
-    assert groebner_basis(Ideal([laurent], vars)).gens == (poly_parse("x*y + 1", vars),)
+        groebner_basis(Ideal([poly_parse("x*y - 1", vars)])).normal_form(big)
 
 
 def test_laurent_terms_pass_normal_form_unchanged():
-    # no leading monomial divides a term with a negative exponent, so
-    # x^-1 stays and x^2*y = x*(x*y - 1) + x leaves x
+    # the kernel takes no negative exponent: a Laurent f is rejected on
+    # entry rather than divided
     vars = ("x", "y")
-    G = groebner_basis([poly_parse("x*y - 1", vars)])
-    got = normal_form(poly_parse("x^-1 + x^2*y", vars), G)
-    assert got == poly_parse("x + x^-1", vars)
-    assert list(got.terms) == [(1, 0), (-1, 0)]
-    got = normal_form(poly_parse("1/3*x^-1*y^2 + 2*x^3*y^2", vars), G)
-    assert got == poly_parse("1/3*x^-1*y^2 + 2*x", vars)
+    G = groebner_basis(Ideal([poly_parse("x*y - 1", vars)]))
+    with pytest.raises(ValueError, match="negative exponent"):
+        G.normal_form(poly_parse("x^-1 + x^2*y", vars))

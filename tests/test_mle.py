@@ -4,13 +4,12 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from models import (
     COIN_RAYS,
     FOUR_LINES_RAYS,
-    arrangement_specs,
     coin_spec,
     conic_ideal,
     conic_spec,
@@ -20,6 +19,7 @@ from models import (
     four_lines_ideal_spec,
     four_lines_spec,
     linear_ideals,
+    ml_degree_one_arrangement_specs,
     symbolic_data,
 )
 from tropcrit.arrangement import chi_complement, matroid_invariants
@@ -508,21 +508,24 @@ def _fitted(spec, rays):
             return type(exc)
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.filter_too_much],
-)
-@given(spec=arrangement_specs())
+@settings(max_examples=100, deadline=None)
+@given(spec=ml_degree_one_arrangement_specs())
 @example(spec=_grid(2))
 @example(spec=_grid(3))
+@example(  # x, y, x + y - 1, x + y: one bounded region, not a product of simplices
+    spec={
+        "kind": "arrangement",
+        "variables": ["x", "y"],
+        "matrix": [[1, 0, 0], [0, 1, 0], [1, 1, -1], [1, 1, 0]],
+    }
+)
 def test_arrangement_constants_match_the_groebner_fit(spec):
     # the linear-algebra fit against the Groebner fit of the same
     # functionals given as a parametrization, on the flacet rays
     variety = load_spec(spec)
     with Job():
         invariants = matroid_invariants(variety.arrangement)
-    assume(invariants.ml_degree == 1)
+    assert invariants.ml_degree == 1
     functions = VarietySpec(kind="parametrization", functions=variety.tuple_polys())
     constants = _fitted(variety, invariants.rays)
     assert isinstance(constants, list)
