@@ -13,8 +13,10 @@ rigid rays it chooses the valuation ansaetze, seeds and lifts each, and
 returns the branches the ``asymptotics`` report renders.
 
 The Hensel lift solves for one coefficient order at a time.  It reads the
-residuals from a ``series.RelaxedEvaluator``, which computes each series
-coefficient of the system once, in one scalar type per lift: ``Fraction``
+residuals from a ``series.RelaxedEvaluator``, which computes the newest
+series coefficient of the system provisionally and once more when it is
+final, and takes t, the ring's last variable, as a shift of the
+coefficient index; it runs in one scalar type per lift: ``Fraction``
 for exact seeds (kept as integer numerator and denominator pairs inside
 the evaluator), ``complex`` for floating ones.  ``valuation_vector`` reads
 each coordinate function's order lazily on the same kind of evaluator,
@@ -192,6 +194,19 @@ def _abs_poly(eq):
     return Polynomial({e: abs(c) for e, c in eq.terms.items()}, eq.vars)
 
 
+def _derived(equations, unknowns):
+    """(Jacobian rows by the unknowns, absolute-value polynomials) of a
+    system, derived once per job for all the seeds that read them."""
+    memo = current_job().memo
+    key = (_derived, tuple(equations), tuple(unknowns))
+    if key not in memo:
+        memo[key] = (
+            _jacobian(equations, unknowns),
+            [_abs_poly(eq) for eq in equations],
+        )
+    return memo[key]
+
+
 def _value(f, point):
     """f at a rational point (a value per variable of f), summed as
     integer numerators over one common denominator."""
@@ -213,15 +228,18 @@ def _hensel(equations, ring, seed, order, exact):
     One ``RelaxedEvaluator`` over the whole system gives residual
     coefficient k of the subsystem at step k, with x_k still 0, and the
     final residuals of every equation; each coefficient of each power and
-    term is computed once it is final.  The lift runs in one scalar type:
+    term is computed once more when it is final, and kept.  The Jacobian
+    rows and the absolute-value polynomials come from ``_derived``, once
+    per job.  The lift runs in one scalar type:
     ``Fraction`` for an exact seed, ``complex`` for a floating one (whose
     inverse ``_num_inverse`` computes), ``float`` for the magnitudes that
     floating residuals are judged against.
     """
     n = len(ring) - 1
+    jacobian, abs_polys = _derived(equations, ring[:-1])
     env = dict(zip(ring, seed))
     env[CURVE_VAR] = Fraction(0) if exact else 0.0
-    rows = [[d.evaluate(env) for d in row] for row in _jacobian(equations, ring[:-1])]
+    rows = [[d.evaluate(env) for d in row] for row in jacobian]
     subset, inv = _square_subsystem(rows, exact)
     if subset is None:
         raise SingularJacobian("no square subsystem with invertible Jacobian")
@@ -229,7 +247,6 @@ def _hensel(equations, ring, seed, order, exact):
     zero = scalar(0)
     coeffs = [[seed[j]] + [zero] * order for j in range(n)]
     inputs = dict(zip(ring, coeffs))
-    inputs[CURVE_VAR] = [zero, scalar(1)] + [zero] * order
     residuals = RelaxedEvaluator(equations, inputs, scalar)
     for k in range(1, order + 1):
         rhs = [r[k] for r in residuals.coefficients(k + 1, subset)]
@@ -244,7 +261,7 @@ def _hensel(equations, ring, seed, order, exact):
         # floating residuals are compared to the magnitude of the terms
         # feeding each coefficient
         magnitudes = RelaxedEvaluator(
-            [_abs_poly(eq) for eq in equations],
+            abs_polys,
             {name: [abs(c) for c in cs] for name, cs in inputs.items()},
             float,
         ).coefficients(order + 1)
@@ -271,17 +288,15 @@ def _layer_solved(equations, ring, seed, exact) -> bool:
     n = len(ring) - 1
     env0 = {ring[j]: seed[j] for j in range(n)}
     env0[CURVE_VAR] = Fraction(0) if exact else 0.0
-    for eq in equations:
+    if exact:
+        return all(eq.evaluate(env0) == 0 for eq in equations)
+    env_abs = {ring[j]: abs(complex(seed[j])) for j in range(n)}
+    env_abs[CURVE_VAR] = 0.0
+    for eq, abs_eq in zip(equations, _derived(equations, ring[:-1])[1]):
         v = eq.evaluate(env0)
-        if exact:
-            if v != 0:
-                return False
-        else:
-            env_abs = {ring[j]: abs(complex(seed[j])) for j in range(n)}
-            env_abs[CURVE_VAR] = 0.0
-            m = _abs_poly(eq).evaluate(env_abs)
-            if abs(complex(v)) > RESIDUAL_RTOL * max(1.0, abs(complex(m))):
-                return False
+        m = abs_eq.evaluate(env_abs)
+        if abs(complex(v)) > RESIDUAL_RTOL * max(1.0, abs(complex(m))):
+            return False
     return True
 
 
@@ -413,7 +428,7 @@ def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
     if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
         return seed
     _, layer, _ = _ansatz(system, valuations)
-    jacobian = _jacobian(layer, system.unknowns)
+    jacobian, _ = _derived(layer, system.unknowns)
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
     target = Fraction(1, 2**bits)
@@ -479,7 +494,6 @@ def valuation_vector(sol: SeriesSolution, spec: VarietySpec):
         name: list(b.coeffs) + [scalar(0)] * (width - len(b.coeffs))
         for name, b in zip(unknowns, sol.branch)
     }
-    inputs[CURVE_VAR] = [scalar(0), scalar(1)] + [scalar(0)] * width
     values = RelaxedEvaluator(polys, inputs, scalar)
     if not sol.exact:
         magnitudes = RelaxedEvaluator(

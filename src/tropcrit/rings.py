@@ -163,9 +163,13 @@ def _as_fraction(c):
 
 
 class Polynomial:
-    """Finite map from exponent tuples to nonzero rational coefficients."""
+    """Finite map from exponent tuples to nonzero rational coefficients.
 
-    __slots__ = ("terms", "vars")
+    Nothing changes ``terms`` after construction, so the hash is computed
+    on first use and kept: memo keys hash whole systems on every lookup.
+    """
+
+    __slots__ = ("terms", "vars", "_hash")
 
     def __init__(self, terms, vars):
         self.vars = tuple(vars)
@@ -237,7 +241,11 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.vars, tuple(sorted(self.terms.items()))))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)
@@ -350,19 +358,23 @@ class Polynomial:
         return Polynomial(res, self.vars)
 
     def evaluate(self, values: dict):
-        """Evaluate at scalars (Fraction / int / float / complex)."""
+        """Evaluate at scalars (Fraction / int / float / complex); every
+        variable that appears needs a value, and the KeyError names the
+        first missing one of the first term that has one."""
+        unset = [i for i, name in enumerate(self.vars) if name not in values]
+        missing = self.support_vars().intersection(unset) if unset else ()
+        if missing:
+            for e in self.terms:
+                for i, x in enumerate(e):
+                    if x and i in missing:
+                        raise KeyError(f"no value for variable {self.vars[i]}")
+        point = [values.get(name) for name in self.vars]
         total = 0
-        idx = {name: values[name] for name in self.vars if name in values}
-        missing = [name for name in self.vars if name not in values]
         for e, c in self.terms.items():
-            for i, name in enumerate(self.vars):
-                if e[i] != 0 and name in missing:
-                    raise KeyError(f"no value for variable {name}")
-            val = c if isinstance(c, Fraction) else Fraction(c)
-            acc = val
-            for i, name in enumerate(self.vars):
-                if e[i]:
-                    acc = acc * idx[name] ** e[i]
+            acc = c
+            for v, x in zip(point, e):
+                if x:
+                    acc = acc * v**x
             total = total + acc
         return total
 

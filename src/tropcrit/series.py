@@ -7,12 +7,15 @@ coefficients for exponents valuation .. truncation_order-1 and prints as
 ``c_v*t^v + ... + O(t^N)``.
 
 ``poly_eval_series`` evaluates a polynomial at complete series.
-``RelaxedEvaluator`` evaluates a polynomial system at power series whose
-coefficients arrive one at a time, as in a Hensel lift or a lazy read of
-a valuation: it computes each coefficient of each power and term once it
-is final, and keeps it (relaxed evaluation; van der Hoeven, "Relax, but
-don't be too lazy", JSC 2002).  Both do the same floating arithmetic in
-the same order, so their floating results agree bit for bit.  Their
+``RelaxedEvaluator`` evaluates a polynomial system in (X, t), t the
+ring's last variable, at power series for X whose coefficients arrive one
+at a time, as in a Hensel lift or a lazy read of a valuation: it computes
+the newest coefficient of each power and term provisionally, and once
+more when it is final, and keeps it (relaxed evaluation; van der Hoeven,
+"Relax, but don't be too lazy", JSC 2002).  A power of t is a
+shift of the coefficient index, not a product.  Both do the same floating
+arithmetic, up to additions of exact zeros, in the same order, so their
+floating results agree bit for bit.  Their
 exact arithmetic is over the integers: a rational is a (numerator,
 denominator) pair, and each convolution, like each sum of terms in the
 evaluator, is summed as integer numerators over a common denominator
@@ -296,28 +299,34 @@ _CONSTANT, _SCALE, _PRODUCT, _SUM, _PAIRS, _FRACTION = range(6)
 
 
 class RelaxedEvaluator:
-    """Polynomials evaluated at power series whose coefficients arrive one
-    at a time.
+    """Polynomials in (X, t) evaluated at power series for X whose
+    coefficients arrive one at a time.
 
-    ``inputs`` maps each variable of the polynomials to the caller's list
-    of its coefficients c_0, c_1, ...; the evaluator reads the lists in
-    place, so the caller may fill them in as a lift proceeds.  ``scalar``
-    (``Fraction``, ``complex`` or ``float``, the type of the input
-    coefficients) converts the polynomial coefficients once.  Exponents
-    must be nonnegative.
+    t is the last variable of the polynomials' ring and stands for the
+    series parameter itself.  ``inputs`` maps each other variable to the
+    caller's list of its coefficients c_0, c_1, ...; the evaluator reads
+    the lists in place, so the caller may fill them in as a lift
+    proceeds.  ``scalar`` (``Fraction``, ``complex`` or ``float``, the
+    type of the input coefficients) converts the polynomial coefficients
+    once.  Exponents must be nonnegative.
 
-    The arithmetic is that of ``poly_eval_series``.  One node per power
-    x^e is the left fold x^(e-1) * x, shared by all the polynomials; one
-    node per term prefix c * x^a * y^b ... multiplies in the variable
-    order of the ring; a polynomial sums its terms in dict order.  A
-    product's coefficient k is the convolution ``LaurentSeries.__mul__``
-    computes: ascending index of the left factor, zero left factors
-    skipped, summed from zero.  With ``scalar=Fraction`` the nodes hold
-    (numerator, denominator) pairs: one node per variable reads the
-    caller's coefficients as pairs, a product's and a polynomial's
-    coefficients are ``_dot`` and ``_sum`` of pairs, and one node per
-    polynomial turns its pairs into the ``Fraction``s returned.  The
-    ``complex`` and ``float`` paths keep the arithmetic and order above.
+    The arithmetic is that of ``poly_eval_series`` at t's series t.  One
+    node per power x^e is the left fold x^(e-1) * x, shared by all the
+    polynomials; one node per term prefix c * x^a * y^b ... multiplies in
+    the variable order of the ring; a term c * X^a * t^e is the node of
+    c * X^a (or the constant c) read with its index shifted by e, and a
+    polynomial sums its terms in dict order.  A product's coefficient k is
+    the convolution ``LaurentSeries.__mul__`` computes: ascending index of
+    the left factor, zero left factors skipped, summed from zero.  Its
+    product by t^e would add only exact-zero products to that sum besides
+    the shifted coefficient, and a sum that starts from +0 never holds -0,
+    so reading the shifted coefficient gives the same bits.  With
+    ``scalar=Fraction`` the nodes hold (numerator, denominator) pairs: one
+    node per variable reads the caller's coefficients as pairs, a
+    product's and a polynomial's coefficients are ``_dot`` and ``_sum`` of
+    pairs, and one node per polynomial turns its pairs into the
+    ``Fraction``s returned.  The ``complex`` and ``float`` paths keep the
+    arithmetic and order above.
 
     Every node keeps the coefficients it computed.  The last of them is
     provisional, because the caller may still change that coefficient of
@@ -332,15 +341,16 @@ class RelaxedEvaluator:
         self._inputs = list(inputs.values())
         self._nodes = []  # (kind, left, right, out), in dependency order
         self._polys = []  # (out, indices of the nodes it needs)
+        self._schedules = {}  # which -> sorted indices of the nodes it needs
         powers = {}  # (variable, e) -> (out, indices of the nodes it needs)
         for f in polys:
             needs = set()
-            terms = []
+            terms = []  # (out of c * X^a, shift e)
             for e, c in f.terms.items():
                 if any(x < 0 for x in e):
                     raise ValueError("relaxed evaluation needs nonnegative exponents")
                 chain = None
-                for name, x in zip(f.vars, e):
+                for name, x in zip(f.vars[:-1], e):
                     if x:
                         power = self._power(name, inputs[name], x, powers, needs)
                         if chain is None:
@@ -349,7 +359,7 @@ class RelaxedEvaluator:
                             chain = self._node(_PRODUCT, chain, power, needs)
                 if chain is None:
                     chain = self._node(_CONSTANT, convert(c), None, needs)
-                terms.append(chain)
+                terms.append((chain, e[-1]))
             out = self._node(_SUM, terms, None, needs)
             if self._exact:
                 out = self._node(_FRACTION, out, None, needs)
@@ -389,11 +399,14 @@ class RelaxedEvaluator:
         """
         if any(len(c) < n for c in self._inputs):
             raise ValueError(f"every input needs {n} coefficients")
-        which = range(len(self._polys)) if which is None else which
-        needs = set().union(*(self._polys[i][1] for i in which))
+        which = range(len(self._polys)) if which is None else tuple(which)
+        schedule = self._schedules.get(which)
+        if schedule is None:
+            needs = set().union(*(self._polys[i][1] for i in which))
+            schedule = self._schedules[which] = sorted(needs)
         zero = self._zero
         exact = self._exact
-        for index in sorted(needs):
+        for index in schedule:
             kind, left, right, out = self._nodes[index]
             start = max(min(len(out), n) - 1, 0)
             del out[start:]
@@ -419,12 +432,14 @@ class RelaxedEvaluator:
                     out.extend([zero + left * right[k] for k in span])
             elif kind == _SUM:
                 if exact:
-                    out.extend([_sum([term[k] for term in left]) for k in span])
+                    for k in span:
+                        out.append(_sum([term[k - e] for term, e in left if k >= e]))
                     continue
                 for k in span:
                     s = zero
-                    for term in left:
-                        s = s + term[k]
+                    for term, e in left:
+                        if k >= e:
+                            s = s + term[k - e]
                     out.append(s)
             elif kind == _PAIRS:
                 out.extend(_pairs(left[start:n]))

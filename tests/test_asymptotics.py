@@ -628,7 +628,7 @@ def lift_outcome(lift, seed, valuations, order):
         return str(exc)
 
 
-@pytest.mark.parametrize("order", [5, 12])
+@pytest.mark.parametrize("order", [5, 12, 24])
 def test_hensel_equals_reference_loop(order):
     for seed, valuations in conic_lift_cases():
         got = lift_outcome(_hensel, seed, valuations, order)

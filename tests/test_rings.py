@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcrit.errors import PolyParseError
+from tropcrit.groebner import Ideal, Job, groebner_basis
 from tropcrit.rings import (
     EXPONENT_LIMIT,
     Polynomial,
@@ -14,6 +15,7 @@ from tropcrit.rings import (
     grlex,
     poly_parse,
 )
+from tropcrit.tropical import TropicalEngine
 
 COIN = ("t0", "t1", "t2")
 
@@ -113,6 +115,43 @@ def test_evaluate_exact():
     f = poly_parse("t0*t2-(t0+t1)*t1", COIN)
     v = f.evaluate({"t0": Fraction(1), "t1": Fraction(2), "t2": Fraction(3)})
     assert v == Fraction(1 * 3 - 3 * 2)
+
+
+def test_evaluate_needs_only_the_variables_that_appear():
+    f = poly_parse("y + x + 1", ("x", "y", "z"))
+    assert f.evaluate({"x": Fraction(2), "y": Fraction(3)}) == 6
+    assert f.evaluate({"x": 0.5, "y": 2j}) == 1.5 + 2j
+    # the first term with a missing variable names it
+    with pytest.raises(KeyError, match="no value for variable y"):
+        f.evaluate({"z": Fraction(1)})
+
+
+def test_equal_polynomials_hash_once_and_share_one_memo_entry(monkeypatch):
+    vars = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(v, vars) for v in vars)
+    built = Polynomial({(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 0): 1}, vars)
+    polys = [
+        built,
+        ((x * x - y * y) * 2 + 2) * Fraction(1, 2),  # the arithmetic paths
+        groebner_basis(Ideal([z - 1], vars)).normal_form(x * x - y * y + z),
+        groebner_basis(Ideal([built * 3], vars)).gens[0],  # _interreduce
+    ]
+    assert all(p == built for p in polys)
+    assert len({hash(p) for p in polys}) == 1
+    with Job() as job:
+        engines = {id(TropicalEngine.of(Ideal([p], vars))) for p in polys}
+        keys = [k for k in job.memo if isinstance(k, tuple) and k[0] is TropicalEngine]
+    assert len(engines) == len(keys) == 1
+
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda c: calls.append(c) or real(c))
+    hash(Polynomial(built.terms, vars))  # a new object hashes its terms
+    assert calls
+    calls.clear()
+    for p in polys:
+        hash(p)
+    assert calls == []
 
 
 def _weight_blocks_key(e, weight=None, blocks=None):

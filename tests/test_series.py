@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from models import naive_poly_eval
+from tropcrit import series
 from tropcrit.errors import SeriesInversionError
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.series import (
@@ -125,11 +126,12 @@ SCALARS = {
 
 @st.composite
 def relaxed_cases(draw):
-    """Polynomials in 2-3 variables plus t, nonnegative exponents, and
-    series for the variables; zero coefficients are drawn on purpose."""
+    """Polynomials in 2-3 variables plus t, nonnegative exponents (t's up
+    to 8, past the largest order), and series for the variables; zero
+    coefficients are drawn on purpose."""
     scalar = draw(st.sampled_from(sorted(SCALARS, key=str)))
     names = ("x", "y", "z")[: draw(st.integers(2, 3))] + ("t",)
-    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    exponents = st.tuples(*[st.integers(0, 3)] * (len(names) - 1), st.integers(0, 8))
     coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     polys = draw(
         st.lists(
@@ -157,12 +159,13 @@ def test_relaxed_evaluator_matches_poly_eval_series(case):
     scalar, polys, series, order = case
     zero = scalar(0)
     inputs = {name: [zero] * order for name in series}
-    inputs["t"] = [zero, scalar(1)] + [zero] * order
     evaluator = RelaxedEvaluator(polys, inputs, scalar)
+    t = [zero, scalar(1)] + [zero] * order
     for k in range(order + 1):
         n = min(k + 1, order)
         got = evaluator.coefficients(n)
         env = {name: LaurentSeries(0, c[:n], n) for name, c in inputs.items()}
+        env["t"] = LaurentSeries(0, t[:n], n)
         for f, coeffs in zip(polys, got):
             want = poly_eval_series(f, env, n)
             assert len(coeffs) == n
@@ -185,9 +188,10 @@ def exact_cases(draw):
     """Rational polynomials in 2-3 variables plus t, rational series with
     denominators up to 60 and with odd ones, and a provisional value of
     each coefficient that the evaluator sees before the final one; zero
-    coefficients are drawn on purpose."""
+    coefficients are drawn on purpose; t's exponents reach 8, past the
+    largest order."""
     names = ("x", "y", "z")[: draw(st.integers(2, 3))] + ("t",)
-    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    exponents = st.tuples(*[st.integers(0, 3)] * (len(names) - 1), st.integers(0, 8))
     polys = draw(
         st.lists(
             st.dictionaries(exponents, _rationals, min_size=1, max_size=5).map(
@@ -220,9 +224,9 @@ def test_exact_evaluation_matches_schoolbook_fractions(case):
     one before the next call, which recomputes it."""
     polys, series, provisional, order = case
     wants = [naive_poly_eval(f, series, order) for f in polys]
-    inputs = {name: [Fraction(0)] * (order + 2) for name in series}
-    inputs["t"] = list(series["t"])
+    inputs = {name: [Fraction(0)] * (order + 2) for name in provisional}
     evaluator = RelaxedEvaluator(polys, inputs, Fraction)
+    inputs["t"] = list(series["t"])
     for n in range(1, order + 1):
         for name, c in provisional.items():
             inputs[name][n - 1] = c[n - 1]
@@ -264,4 +268,25 @@ def test_exact_product_matches_schoolbook_convolution(a, b, va, vb):
 def test_relaxed_evaluator_rejects_negative_exponents():
     f = poly_parse("x^-1*t + 1", ("x", "t"))
     with pytest.raises(ValueError):
-        RelaxedEvaluator([f], {"x": [Fraction(1)], "t": [Fraction(0)]}, Fraction)
+        RelaxedEvaluator([f], {"x": [Fraction(1)]}, Fraction)
+
+
+def test_powers_of_t_are_shifts_not_products(monkeypatch):
+    # x*t^5 + 3*t^6 needs no convolution: x enters by a scaling, and the
+    # powers of t only move coefficients
+    calls = []
+    real = series._dot
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_dot", counting)
+    f = poly_parse("x*t^5 + 3*t^6", ("x", "t"))
+    x = [Fraction(k + 1, 2) for k in range(8)]
+    evaluator = RelaxedEvaluator([f], {"x": x}, Fraction)
+    for n in range(1, 6):
+        assert evaluator.coefficients(n) == [[Fraction(0)] * n]
+    assert calls == []
+    (got,) = evaluator.coefficients(8)
+    assert got == [0] * 5 + [x[0], x[1] + 3, x[2]]
