@@ -159,33 +159,32 @@ def _lattice(vectors, avoid=None):
     dropped.
     """
     job = current_job()
-    key = (_lattice, vectors, avoid)
-    lattice = job.memo.get(key)
-    if lattice is not None:
+
+    def make():
+        bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
+        lattice = {bottom: (0, ())}
+        frontier = [bottom]
+        r = 0
+        while frontier:
+            nxt = []
+            for F in frontier:
+                job.tick()
+                echelon = lattice[F][1]
+                covers = {}
+                for i, v in enumerate(vectors):
+                    if i not in F:
+                        res = sign_normalize(make_primitive(echelon_residue(echelon, v)))
+                        covers.setdefault(res, set()).add(i)
+                for res, extra in covers.items():
+                    G = F | extra
+                    if avoid not in G and G not in lattice:
+                        lattice[G] = (r + 1, extend_echelon(echelon, res))
+                        nxt.append(G)
+            frontier = nxt
+            r += 1
         return lattice
-    bottom = frozenset(i for i, v in enumerate(vectors) if not any(v))
-    lattice = {bottom: (0, ())}
-    frontier = [bottom]
-    r = 0
-    while frontier:
-        nxt = []
-        for F in frontier:
-            job.tick()
-            echelon = lattice[F][1]
-            covers = {}
-            for i, v in enumerate(vectors):
-                if i not in F:
-                    res = sign_normalize(make_primitive(echelon_residue(echelon, v)))
-                    covers.setdefault(res, set()).add(i)
-            for res, extra in covers.items():
-                G = F | extra
-                if avoid not in G and G not in lattice:
-                    lattice[G] = (r + 1, extend_echelon(echelon, res))
-                    nxt.append(G)
-        frontier = nxt
-        r += 1
-    job.memo[key] = lattice
-    return lattice
+
+    return job.once((_lattice, vectors, avoid), make)
 
 
 def matroid_flats(vectors, avoid=None):
@@ -285,7 +284,7 @@ def _flacet_ray(members, q) -> Ray:
     dropped."""
     shift = 1 if q - 1 in members else 0
     v = tuple((1 if i in members else 0) - shift for i in range(q - 1))
-    return Ray(v=v, rigid=True, source="flacet")
+    return Ray(v=v, source="flacet")
 
 
 def flacet_rays(arr: Arrangement):
@@ -295,7 +294,7 @@ def flacet_rays(arr: Arrangement):
     vectors = _integer_vectors(arr.homogenized_vectors())
     flats = _flacets(vectors, _lattice(vectors))
     rays = [_flacet_ray(f.members, len(vectors)) for f in flats]
-    return sorted(rays, key=lambda r: r.v)
+    return sorted(rays)
 
 
 def chi_complement(arr: Arrangement) -> int:
@@ -347,11 +346,7 @@ def matroid_invariants(arr: Arrangement) -> MatroidInvariants:
       complement (Huh 2013).
     """
     vectors = _integer_vectors(arr.homogenized_vectors())
-    memo = current_job().memo
-    key = (matroid_invariants, vectors)
-    if key not in memo:
-        memo[key] = _invariants(vectors)
-    return memo[key]
+    return current_job().once((matroid_invariants, vectors), lambda: _invariants(vectors))
 
 
 def _invariants(vectors) -> MatroidInvariants:
@@ -368,7 +363,7 @@ def _invariants(vectors) -> MatroidInvariants:
         below = _beta({X: m for X, m in mu.items() if X <= F}, rank, bottom, F)
         above = _beta(_moebius([X for X in flats if F <= X]), rank, F, top)
         found.append((_flacet_ray(F, q), (-1) ** (rank[top] - 2) * below * above))
-    found.sort(key=lambda item: item[0].v)
+    found.sort()
     return MatroidInvariants(
         rays=[ray for ray, _ in found],
         euler_chars=[chi for _, chi in found],

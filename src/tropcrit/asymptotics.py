@@ -18,14 +18,16 @@ series coefficient of the system provisionally and once more when it is
 final, and takes t, the ring's last variable, as a shift of the
 coefficient index; it runs in one scalar type per lift: ``Fraction``
 for exact seeds (kept as integer numerator and denominator pairs inside
-the evaluator), ``complex`` for floating ones.  ``valuation_vector`` reads
-each coordinate function's order lazily on the same kind of evaluator,
-rescaled by the branch valuations, up to its first certified-nonzero
-coefficient.  Floating seeds and their lifts are computed in pure Python:
-the t = 0 layer by ``groebner.solve_zero_dim_numeric``, the Jacobian
-inverse by pivoted Gauss-Jordan elimination; ``refine_seed_exact``
-Newton-refines a real floating seed on the exact layer, evaluating each
-polynomial over the integers.
+the evaluator), ``complex`` for floating ones.  Its final check of every
+residual coefficient, the t = 0 layer at the seed included, is the only
+test that accepts a lift.  ``valuation_vector`` reads each coordinate
+function's order lazily on the same kind of evaluator, rescaled by the
+branch valuations, up to its first certified-nonzero coefficient.
+Floating seeds and their lifts are computed in pure Python: the t = 0
+layer by ``groebner.solve_zero_dim_numeric``, the Jacobian inverse by
+pivoted Gauss-Jordan elimination; ``refine_seed_exact`` Newton-refines a
+real floating seed on the exact layer, evaluating each polynomial over
+the integers.
 """
 
 from __future__ import annotations
@@ -80,10 +82,6 @@ class DataCurve:
     @classmethod
     def parse(cls, texts):
         return cls(tuple(Polynomial.parse(s, (CURVE_VAR,)) for s in texts))
-
-    @property
-    def p(self) -> int:
-        return len(self.components)
 
     def value_at_zero(self):
         return tuple(c.constant_coeff() for c in self.components)
@@ -197,14 +195,18 @@ def _abs_poly(eq):
 def _derived(equations, unknowns):
     """(Jacobian rows by the unknowns, absolute-value polynomials) of a
     system, derived once per job for all the seeds that read them."""
-    memo = current_job().memo
-    key = (_derived, tuple(equations), tuple(unknowns))
-    if key not in memo:
-        memo[key] = (
-            _jacobian(equations, unknowns),
-            [_abs_poly(eq) for eq in equations],
-        )
-    return memo[key]
+    return current_job().once(
+        (_derived, tuple(equations), tuple(unknowns)),
+        lambda: (_jacobian(equations, unknowns), [_abs_poly(eq) for eq in equations]),
+    )
+
+
+def _magnitudes(abs_polys, inputs):
+    """The float ``RelaxedEvaluator`` of the absolute-value polynomials on
+    the inputs' absolute values, the magnitude of each coefficient's terms."""
+    return RelaxedEvaluator(
+        abs_polys, {name: [abs(c) for c in cs] for name, cs in inputs.items()}, float
+    )
 
 
 def _value(f, point):
@@ -258,13 +260,7 @@ def _hensel(equations, ring, seed, order, exact):
     if exact:
         bad = [[c != 0 for c in r] for r in final]
     else:
-        # floating residuals are compared to the magnitude of the terms
-        # feeding each coefficient
-        magnitudes = RelaxedEvaluator(
-            abs_polys,
-            {name: [abs(c) for c in cs] for name, cs in inputs.items()},
-            float,
-        ).coefficients(order + 1)
+        magnitudes = _magnitudes(abs_polys, inputs).coefficients(order + 1)
         bad = [
             [abs(c) > RESIDUAL_RTOL * max(1.0, m) for c, m in zip(r, mag)]
             for r, mag in zip(final, magnitudes)
@@ -275,29 +271,6 @@ def _hensel(equations, ring, seed, order, exact):
             f"residual of order {min(failures)} does not vanish"
         )
     return coeffs
-
-
-def _scale(seed):
-    vals = [abs(complex(x)) for x in seed] + [1.0]
-    return max(vals)
-
-
-def _layer_solved(equations, ring, seed, exact) -> bool:
-    """Does the seed solve the t = 0 layer (magnitude-weighted in floating
-    arithmetic)?"""
-    n = len(ring) - 1
-    env0 = {ring[j]: seed[j] for j in range(n)}
-    env0[CURVE_VAR] = Fraction(0) if exact else 0.0
-    if exact:
-        return all(eq.evaluate(env0) == 0 for eq in equations)
-    env_abs = {ring[j]: abs(complex(seed[j])) for j in range(n)}
-    env_abs[CURVE_VAR] = 0.0
-    for eq, abs_eq in zip(equations, _derived(equations, ring[:-1])[1]):
-        v = eq.evaluate(env0)
-        m = abs_eq.evaluate(env_abs)
-        if abs(complex(v)) > RESIDUAL_RTOL * max(1.0, abs(complex(m))):
-            return False
-    return True
 
 
 def series_newton_lift(
@@ -312,9 +285,10 @@ def series_newton_lift(
     ``seed`` holds the leading coefficients of the unknowns; escaping
     branches supply the valuation vector of the unknowns.  The lift runs
     on the ansatz's rescaled cone basis of the curve's critical ideal
-    (``_ansatz``), after checking that the seed solves its t = 0 layer.
-    Rational seeds produce exact branches; floating seeds produce floating
-    branches with a residual-based acceptance test.
+    (``_ansatz``).  Rational seeds produce exact branches, floating seeds
+    floating ones.  The lift's residual check is the only acceptance: a
+    seed off the t = 0 layer fails at order 0 (``NoConvergence``), or on a
+    singular Jacobian (``SingularJacobian``).
     """
     lift, _, valuations = _ansatz(system, valuations)
     ring = system.ring
@@ -332,8 +306,6 @@ def series_newton_lift(
             ApproximateBranch,
             stacklevel=2,
         )
-    if not _layer_solved(lift, ring, seed, exact):
-        raise NoConvergence("seed does not solve the initial layer")
     coeffs = _hensel(lift, ring, seed, order, exact)
     branch = tuple(
         LaurentSeries(valuations[j], coeffs[j], valuations[j] + order + 1)
@@ -380,19 +352,22 @@ def _ansatz(system, valuations=None):
     valuations = tuple(valuations) if valuations else (0,) * n
     if len(valuations) != n:
         raise ValueError(f"valuations must cover all {n} unknowns")
-    memo = current_job().memo
+    job = current_job()
     key = (_ansatz, tuple(system.equations), tuple(system.saturators), ring)
-    if key not in memo:
-        memo[key] = _saturated_equations(system.equations, ring, system.saturators)
-    if (key, valuations) not in memo:
-        engine = TropicalEngine.of(memo[key])
+
+    def make():
+        J = job.once(
+            key, lambda: _saturated_equations(system.equations, ring, system.saturators)
+        )
+        engine = TropicalEngine.of(J)
         lift = tuple(_rescale(engine.basis(valuations + (1,)), ring, valuations))
         layer = [
             Polynomial({e[:-1]: c for e, c in g.terms.items() if not e[-1]}, ring[:-1])
             for g in lift
         ]
-        memo[key, valuations] = (lift, [g for g in layer if not g.is_zero])
-    return (*memo[key, valuations], valuations)
+        return lift, [g for g in layer if not g.is_zero]
+
+    return (*job.once((key, valuations), make), valuations)
 
 
 def branch_seeds(system: CriticalSystem, valuations=None):
@@ -425,7 +400,8 @@ def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
 
     Only real seeds are refined; complex seeds are returned unchanged.
     """
-    if any(abs(complex(x).imag) > 1e-9 * _scale(seed) for x in seed):
+    size = max([abs(complex(x)) for x in seed] + [1.0])
+    if any(abs(complex(x).imag) > 1e-9 * size for x in seed):
         return seed
     _, layer, _ = _ansatz(system, valuations)
     jacobian, _ = _derived(layer, system.unknowns)
@@ -496,11 +472,7 @@ def valuation_vector(sol: SeriesSolution, spec: VarietySpec):
     }
     values = RelaxedEvaluator(polys, inputs, scalar)
     if not sol.exact:
-        magnitudes = RelaxedEvaluator(
-            [_abs_poly(g) for g in polys],
-            {name: [abs(c) for c in cs] for name, cs in inputs.items()},
-            float,
-        )
+        magnitudes = _magnitudes([_abs_poly(g) for g in polys], inputs)
     out = []
     for i, (m0, window) in enumerate(windows):
         for k in range(window):

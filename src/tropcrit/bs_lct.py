@@ -19,7 +19,7 @@ from .arrangement import Arrangement, flat_lattice, matroid_connected
 from .errors import MissingDiscrepancy, NotIndecomposable
 from .groebner import current_job
 from .linalg import integer_row
-from .tropical import SlopeHyperplane
+from .tropical import SlopeHyperplane, critical_slopes
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class BSFixture:
     factors: list
 
     def slopes(self):
-        return sorted(
-            {SlopeHyperplane(normal=f.normal) for f in self.factors},
-            key=lambda h: h.normal,
-        )
+        return sorted({SlopeHyperplane(normal=f.normal) for f in self.factors})
 
 
 @dataclass
@@ -59,17 +56,14 @@ class BSReport:
 def bs_slope_intersection(rays, fixture: BSFixture | None = None) -> BSReport:
     """Hyperplanes of the rigid rays contained in the nonnegative orthant;
     with a fixture, also the two one-sided discrepancy lists."""
-    nonneg = [r for r in rays if all(x >= 0 for x in r.v)]
-    predicted = sorted(
-        {SlopeHyperplane(normal=r.v) for r in nonneg}, key=lambda h: h.normal
-    )
+    predicted = critical_slopes(r for r in rays if all(x >= 0 for x in r.v))
     report = BSReport(intersection_with_sf=predicted)
     if fixture is not None:
-        all_slopes = {SlopeHyperplane(normal=r.v) for r in rays}
+        all_slopes = set(critical_slopes(rays))
         fslopes = set(fixture.slopes())
-        report.fixture_slopes = sorted(fslopes, key=lambda h: h.normal)
-        report.bs_only = sorted(fslopes - all_slopes, key=lambda h: h.normal)
-        report.sf_only = sorted(all_slopes - fslopes, key=lambda h: h.normal)
+        report.fixture_slopes = sorted(fslopes)
+        report.bs_only = sorted(fslopes - all_slopes)
+        report.sf_only = sorted(all_slopes - fslopes)
         report.consistent_with_fixture = set(predicted) == (fslopes & all_slopes)
     return report
 

@@ -121,15 +121,19 @@ def _parse_json(text, what, pointer):
         raise errors.SpecValidationError(f"{what} is not valid JSON: {exc}", pointer)
 
 
-def _load_json(path, pointer):
-    """The JSON document in a file; an unreadable file or invalid JSON is
-    a validation error at ``pointer``."""
+def _load_json(path, pointer, what, root):
+    """The JSON object in a file, the document ``what``: an unreadable
+    file or invalid JSON is a validation error at ``pointer``, and any
+    other JSON value one at ``root``, the pointer of the document."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise errors.SpecValidationError(f"cannot read {path}: {exc.strerror}", pointer)
-    return _parse_json(text, path, pointer)
+    obj = _parse_json(text, path, pointer)
+    if not isinstance(obj, dict):
+        raise errors.SpecValidationError(f"{what} must be a JSON object", root)
+    return obj
 
 
 def _rational(x, pointer):
@@ -180,7 +184,7 @@ def load_spec(source) -> VarietySpec:
         if source.lstrip().startswith("{"):
             obj = _parse_json(source, "inline spec", "/spec")
         else:
-            obj = _load_json(source, "/spec")
+            obj = _load_json(source, "/spec", "spec", "")
     else:
         obj = source
     if not isinstance(obj, dict):
@@ -275,9 +279,7 @@ def load_curve(path, size) -> DataCurve:
     """The data curve of a --curve file, checked against ``CURVE_SCHEMA``
     with pointers under /curve: ``size`` polynomials in t, one per
     coordinate."""
-    obj = _load_json(path, "/curve")
-    if not isinstance(obj, dict):
-        raise errors.SpecValidationError("curve must be a JSON object", "/curve")
+    obj = _load_json(path, "/curve", "curve", "/curve")
     comps = _expect(obj, "components", "/curve", list)
     if len(comps) != size:
         raise errors.SpecValidationError(
@@ -291,11 +293,7 @@ def load_bs_fixture(path, size) -> BSFixture:
     """The Bernstein-Sato factors of a fixture file, checked against
     ``BS_FIXTURE_SCHEMA`` with pointers under /bs_fixture; every normal
     has ``size`` entries, one per coordinate."""
-    obj = _load_json(path, "/bs_fixture")
-    if not isinstance(obj, dict):
-        raise errors.SpecValidationError(
-            "BS fixture must be a JSON object", "/bs_fixture"
-        )
+    obj = _load_json(path, "/bs_fixture", "BS fixture", "/bs_fixture")
     factors = []
     for i, item in enumerate(_expect(obj, "factors", "/bs_fixture", list)):
         at = f"/bs_fixture/factors/{i}"
@@ -328,9 +326,7 @@ def load_k_map(path, size):
     ``K_SCHEMA`` with pointers under /k; every ray is an integer vector of
     ``size`` entries, one per coordinate, and every k a positive
     rational."""
-    obj = _load_json(path, "/k")
-    if not isinstance(obj, dict):
-        raise errors.SpecValidationError("k map must be a JSON object", "/k")
+    obj = _load_json(path, "/k", "k map", "/k")
     out = {}
     for i, item in enumerate(_expect(obj, "rays", "/k", list)):
         at = f"/k/rays/{i}"
@@ -420,7 +416,7 @@ def _series_json(series):
 
 
 def _ray_json(ray, chi=None):
-    out = {"v": list(ray.v), "rigid": ray.rigid, "source": ray.source}
+    out = {"v": list(ray.v), "rigid": True, "source": ray.source}
     if chi is not None:
         out["euler_char"] = chi
     return out

@@ -1,6 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Each public error maps to a distinct CLI exit code (see cli.EXIT_CODES).
+``cli.EXIT_CODES`` maps most errors to a CLI exit code, several errors
+sharing one code.  ``VerificationFailed``, ``DimensionMismatch`` and
+``SeriesInversionError`` map to none: they leave ``cli.main`` as a
+traceback, with exit status 1.
 """
 
 

@@ -101,8 +101,9 @@ class Ideal:
 
 class Job:
     """One run: a reduction-step budget shared by every Groebner call made
-    while the job is current, memo tables that live as long as it, and the
-    random stream ``rng`` that all its random choices are drawn from.
+    while the job is current, memo tables that live as long as it, read
+    and written by ``once`` alone, and the random stream ``rng`` that all
+    its random choices are drawn from.
 
     ``with Job(limit, seed):`` makes the job current; ``current_job()``
     returns it, or a fresh default job outside any ``with``, so an entry
@@ -126,6 +127,13 @@ class Job:
         if self._rng is None:
             self._rng = Random(self.seed)
         return self._rng
+
+    def once(self, key, make):
+        """The value kept under ``key`` in this job, made by ``make()`` on
+        first use; a ``make`` that raises keeps nothing."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
     def tick(self, n=1):
         self.steps += n
@@ -764,18 +772,18 @@ def torus_saturation(ideal: Ideal) -> GroebnerBasis:
     ideal with a monomial generator saturates to the unit ideal, with no
     Groebner run; any other ideal is saturated by the torus monomial
     (``saturate``)."""
-    memo = current_job().memo
-    key = (torus_saturation, ideal.vars, frozenset(ideal.gens))
-    sat = memo.get(key)
-    if sat is None:
+    job = current_job()
+
+    def make():
         if ideal.is_zero or any(g.is_term() for g in ideal.gens):
             one = [Polynomial.constant(1, ideal.vars)] if ideal.gens else []
             sat = GroebnerBasis(one, grlex(ideal.nvars), ideal.vars)
         else:
             torus = Polynomial({(1,) * ideal.nvars: Fraction(1)}, ideal.vars)
             sat = saturate(ideal, torus)
-        memo[key] = memo[torus_saturation, sat.vars, frozenset(sat.gens)] = sat
-    return sat
+        return job.once((torus_saturation, sat.vars, frozenset(sat.gens)), lambda: sat)
+
+    return job.once((torus_saturation, ideal.vars, frozenset(ideal.gens)), make)
 
 
 def _strip(ideal: Ideal, support) -> Ideal:

@@ -195,11 +195,9 @@ def _torus_saturation(ideal: Ideal):
     once per G in the current job, so the critical system of a stratum's
     saturated ideal G reuses both."""
     G = torus_saturation(ideal)
-    memo = current_job().memo
-    key = (_torus_saturation, G.vars, G.gens)
-    if key not in memo:
-        memo[key] = ideal_dimension(G)
-    return G, memo[key]
+    return G, current_job().once(
+        (_torus_saturation, G.vars, G.gens), lambda: ideal_dimension(G)
+    )
 
 
 def _ideal_system(spec, data):

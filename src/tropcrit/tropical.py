@@ -75,16 +75,15 @@ class ConnectednessAssumed(UserWarning):
     code = "connectedness_unverified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ray:
     """Primitive integer direction in the tropical variety.
 
     Direction is meaningful: v and -v are different rays (they give the
-    same slope hyperplane).
+    same slope hyperplane).  Rays sort by v, then source.
     """
 
     v: tuple
-    rigid: bool = True
     source: str = "searched"  # searched | flacet | user
 
     def __post_init__(self):
@@ -95,10 +94,10 @@ class Ray:
         object.__setattr__(self, "v", tuple(int(x) for x in self.v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SlopeHyperplane:
     """Hyperplane through the origin in data space, with a primitive
-    integer normal normalized up to sign."""
+    integer normal normalized up to sign; hyperplanes sort by normal."""
 
     normal: tuple
 
@@ -266,11 +265,7 @@ class TropicalEngine(InitialIdealEngine):
     @classmethod
     def of(cls, ideal: Ideal) -> "TropicalEngine":
         """The current job's engine for this ideal, made on first use."""
-        memo = current_job().memo
-        key = (cls, ideal.vars, ideal.gens)
-        if key not in memo:
-            memo[key] = cls(ideal)
-        return memo[key]
+        return current_job().once((cls, ideal.vars, ideal.gens), lambda: cls(ideal))
 
     def _saturation(self, w, face) -> GroebnerBasis:
         """The torus saturation of init_w(I), kept on w's face record; the
@@ -406,21 +401,14 @@ def find_rigid_rays(ideal: Ideal, bound: int = 3):
     rays = []
     for w in eng.candidates(bound):
         if eng._rigid(w, eng.face(w)):
-            rays.append(Ray(v=w, rigid=True, source="searched"))
+            rays.append(Ray(v=w, source="searched"))
     return rays
 
 
 def critical_slopes(rays) -> list:
     """Projective hyperplanes orthogonal to the rays, deduplicated up to
-    sign of the normal."""
-    out = []
-    seen = set()
-    for ray in rays:
-        h = SlopeHyperplane(normal=ray.v)
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return sorted(out, key=lambda h: h.normal)
+    sign of the normal, sorted."""
+    return sorted({SlopeHyperplane(normal=ray.v) for ray in rays})
 
 
 def _stratum_vars(p):

@@ -29,7 +29,6 @@ from tropcrit.asymptotics import (
     _ansatz,
     _hensel,
     _jacobian,
-    _layer_solved,
     _num_inverse,
     _saturated_equations,
     _square_subsystem,
@@ -621,7 +620,6 @@ def lift_outcome(lift, seed, valuations, order):
     system = conic_system()
     equations, _, _ = _ansatz(system, valuations)
     exact = all(isinstance(x, Fraction) for x in seed)
-    assert _layer_solved(equations, system.ring, seed, exact)
     try:
         return lift(equations, system.ring, seed, order, exact)
     except NoConvergence as exc:
@@ -635,6 +633,25 @@ def test_hensel_equals_reference_loop(order):
         want = lift_outcome(reference_hensel, seed, valuations, order)
         assert got == want
         assert not isinstance(got, str)  # every conic branch lifts
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        (Fraction(3), Fraction(-2)),
+        (3 + 0j, -2 + 0j),
+        (3 + 0j, -3 + 1e-6 + 0j),
+    ],
+    ids=["exact", "float", "float-near"],
+)
+def test_hensel_rejects_a_seed_off_its_layer(seed):
+    # the conic's interior seed (3, -3) moved off its t = 0 layer, where
+    # the Jacobian is still regular: the lift's final check, the only
+    # acceptance, fails at coefficient 0, the layer at the seed
+    message = "residual of order 0 does not vanish"
+    assert lift_outcome(_hensel, seed, (0, 0), 5) == message
+    with pytest.raises(NoConvergence, match=message):
+        series_newton_lift(conic_system(), seed=seed, order=5, valuations=(0, 0))
 
 
 def test_lift_makes_no_poly_eval_series_call(monkeypatch):

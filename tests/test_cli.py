@@ -9,7 +9,7 @@ import pytest
 
 from models import SATURATION_SURFACE_RAYS, SIX_LINES_IDEAL_SPEC, saturation_surface_spec
 import tropcrit
-from tropcrit import cli, groebner, mle, tropical
+from tropcrit import cli, errors, groebner, mle, tropical
 from tropcrit.asymptotics import branches
 from tropcrit.cli import (
     EXIT_NUMERIC,
@@ -454,6 +454,25 @@ def test_bad_bs_fixture_rejected(capsys, tmp_path, document, pointer):
 
 
 @pytest.mark.parametrize(
+    "load, args, what, pointer",
+    [
+        (load_spec, (), "spec", ""),
+        (cli.load_curve, (3,), "curve", "/curve"),
+        (cli.load_bs_fixture, (3,), "BS fixture", "/bs_fixture"),
+        (cli.load_k_map, (3,), "k map", "/k"),
+    ],
+    ids=["spec", "curve", "bs-fixture", "k"],
+)
+def test_a_json_array_file_is_rejected(tmp_path, load, args, what, pointer):
+    path = tmp_path / "doc.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SpecValidationError) as info:
+        load(str(path), *args)
+    assert str(info.value) == f"{what} must be a JSON object [at {pointer or '/'}]"
+    assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize(
     "spec, pointer",
     [
         ({"kind": "ideal", "variables": ["x"], "generators": [3]}, "/generators/0"),
@@ -622,6 +641,31 @@ def test_exit_code_precondition(capsys, tmp_path):
         ]
     )
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("cls", list(cli.EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_main_exits_with_each_mapped_error_code(monkeypatch, capsys, cls):
+    def failing(cfg):
+        raise cls("boom", 0) if cls is errors.PolyParseError else cls("boom")
+
+    monkeypatch.setattr(cli, "run_report", failing)
+    code = main(["rigid-rays", "--spec", fixture("coin_model.json")])
+    assert code == cli.EXIT_CODES[cls]
+    assert capsys.readouterr().err.startswith("error: boom")
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [errors.VerificationFailed, errors.DimensionMismatch, errors.SeriesInversionError],
+    ids=lambda cls: cls.__name__,
+)
+def test_main_lets_an_unmapped_error_propagate(monkeypatch, cls):
+    def failing(cfg):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "run_report", failing)
+    with pytest.raises(cls, match="boom"):
+        main(["rigid-rays", "--spec", fixture("coin_model.json")])
 
 
 def test_exit_codes_disjoint():

@@ -510,6 +510,54 @@ def test_job_budget_spans_calls():
             groebner_basis(Ideal(gens))
 
 
+def test_job_once_makes_each_key_once_per_job():
+    made = []
+
+    def make(key):
+        made.append(key)
+        return [key]
+
+    with Job() as job:
+        first = job.once("a", lambda: make("a"))
+        assert job.once("a", lambda: make("again")) is first
+        assert job.once("b", lambda: make("b")) == ["b"]
+    assert made == ["a", "b"]
+    with Job() as fresh:
+        assert fresh.once("a", lambda: make("a")) is not first
+    assert made == ["a", "b", "a"]
+
+
+def test_job_once_make_may_call_once():
+    # as _ansatz and torus_saturation do: the inner value is kept under
+    # its own key, and the outer make's value under the outer key
+    job = Job()
+    calls = []
+
+    def inner():
+        calls.append("inner")
+        return 2
+
+    def outer():
+        calls.append("outer")
+        return job.once("inner", inner) + 1
+
+    assert job.once("outer", outer) == 3
+    assert job.once("outer", outer) == 3
+    assert job.once("inner", inner) == 2
+    assert calls == ["outer", "inner"]
+
+
+def test_job_once_keeps_nothing_when_make_raises():
+    job = Job()
+
+    def failing():
+        raise ResourceBudgetExceeded("no")
+
+    with pytest.raises(ResourceBudgetExceeded):
+        job.once("k", failing)
+    assert job.once("k", lambda: "made") == "made"
+
+
 _XYZ = ("x", "y", "z")
 
 

@@ -498,7 +498,7 @@ def test_stratum_euler_char_four_lines_e1_zero():
     I = four_lines_ideal()
     with Job():
         assert TropicalEngine.of(I).contains((1, 0, 0, 0))
-        ray = Ray((1, 0, 0, 0), rigid=False)
+        ray = Ray((1, 0, 0, 0))
         assert stratum_euler_char(I, ray) == 0
 
 
