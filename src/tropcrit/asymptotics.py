@@ -26,8 +26,9 @@ branch valuations, up to its first certified-nonzero coefficient.
 Floating seeds and their lifts are computed in pure Python: the t = 0
 layer by ``groebner.solve_zero_dim_numeric``, the Jacobian inverse by
 pivoted Gauss-Jordan elimination; ``refine_seed_exact`` Newton-refines a
-real floating seed on the exact layer, evaluating each polynomial over
-the integers.
+real floating seed on the exact layer, evaluating each polynomial by
+``Polynomial.evaluate``, which sums a rational point's terms over the
+integers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import (
     AlphaNotOnHyperplane,
@@ -55,10 +57,10 @@ from .groebner import (
     solve_zero_dim_numeric,
     torus_saturation,
 )
-from .linalg import complex_gauss_jordan, inverse
-from .mle import CriticalSystem, VarietySpec, critical_system
+from .linalg import complex_gauss_jordan, inverse, mat_vec
+from .mle import CriticalSystem, VarietySpec, _jacobian, critical_system
 from .rings import Polynomial, dot
-from .series import LaurentSeries, RelaxedEvaluator, _sum
+from .series import LaurentSeries, RelaxedEvaluator
 from .tropical import Ray, TropicalEngine, critical_slopes
 
 CURVE_VAR = "t"
@@ -95,9 +97,8 @@ class DataCurve:
                 raise AlphaNotOnHyperplane(
                     f"curve value {a0} at t=0 is not on the hyperplane of {ray.v}"
                 )
-            pairing = Polynomial.zero((CURVE_VAR,))
-            for c, v in zip(self.components, ray.v):
-                pairing = pairing + c * v
+            terms = (c * v for c, v in zip(self.components, ray.v))
+            pairing = sum(terms, Polynomial.zero((CURVE_VAR,)))
             slope = pairing.derivative(CURVE_VAR).constant_coeff()
             if slope == 0:
                 raise CurveNotGeneric(
@@ -145,11 +146,6 @@ def _rescale(equations, ring, valuations):
             ).laurent_normalize()
         )
     return out
-
-
-def _jacobian(equations, unknowns):
-    """Rows of the partial derivatives of the equations by the unknowns."""
-    return [[eq.derivative(x) for x in unknowns] for eq in equations]
 
 
 def _num_inverse(rows):
@@ -209,20 +205,6 @@ def _magnitudes(abs_polys, inputs):
     )
 
 
-def _value(f, point):
-    """f at a rational point (a value per variable of f), summed as
-    integer numerators over one common denominator."""
-    pairs = []
-    for e, c in f.terms.items():
-        n, d = c.numerator, c.denominator
-        for x, k in zip(point, e):
-            if k:
-                n *= x.numerator**k
-                d *= x.denominator**k
-        pairs.append((n, d))
-    return Fraction(*_sum(pairs))
-
-
 def _hensel(equations, ring, seed, order, exact):
     """Order-by-order linear lift; the Jacobian at the seed must be
     invertible for some square subsystem.
@@ -252,9 +234,8 @@ def _hensel(equations, ring, seed, order, exact):
     residuals = RelaxedEvaluator(equations, inputs, scalar)
     for k in range(1, order + 1):
         rhs = [r[k] for r in residuals.coefficients(k + 1, subset)]
-        delta = [-sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n)]
-        for j in range(n):
-            coeffs[j][k] = delta[j]
+        for j, d in enumerate(mat_vec(inv, rhs)):
+            coeffs[j][k] = -d
     # final residual check against the FULL system
     final = residuals.coefficients(order + 1)
     if exact:
@@ -325,10 +306,8 @@ def _saturated_equations(equations, ring, extra=()):
     product.  ``_ansatz`` calls it once per curve, on the critical system
     and its saturators.
     """
-    product = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
-    for f in extra:
-        product = product * f
-    return saturate(Ideal(equations, ring), product)
+    torus = Polynomial({(1,) * len(ring): Fraction(1)}, ring)
+    return saturate(Ideal(equations, ring), prod(extra, start=torus))
 
 
 def _ansatz(system, valuations=None):
@@ -398,26 +377,26 @@ def refine_seed_exact(system, seed, valuations=None, bits: int = 192):
     ansatz (``_ansatz``), in rational arithmetic, to roughly 2^-bits
     accuracy.
 
-    Only real seeds are refined; complex seeds are returned unchanged.
+    Only real seeds are refined: a complex seed gives None.
     """
     size = max([abs(complex(x)) for x in seed] + [1.0])
     if any(abs(complex(x).imag) > 1e-9 * size for x in seed):
-        return seed
+        return None
     _, layer, _ = _ansatz(system, valuations)
     jacobian, _ = _derived(layer, system.unknowns)
     x = [Fraction(complex(v).real).limit_denominator(10**12) for v in seed]
     scale = Fraction(2) ** (2 * bits)
     target = Fraction(1, 2**bits)
     for _ in range(64):
-        vals = [_value(eq, x) for eq in layer]
+        point = dict(zip(system.unknowns, x))
+        vals = [eq.evaluate(point) for eq in layer]
         if all(abs(v) < target for v in vals):
             return tuple(x)
-        rows = [[_value(d, x) for d in row] for row in jacobian]
+        rows = [[d.evaluate(point) for d in row] for row in jacobian]
         subset, inv = _square_subsystem(rows, True)
         if subset is None:
             raise SingularJacobian("refinement Jacobian is singular")
-        rhs = [vals[i] for i in subset]
-        delta = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
+        delta = mat_vec(inv, [vals[i] for i in subset])
         x = [
             Fraction(round((xi - di) * scale), scale)
             for xi, di in zip(x, delta)
@@ -578,7 +557,5 @@ def branches(spec, curve, rays, order=DEFAULT_ORDER, bits=53):
                 refined = None
                 if not sol.exact and bits > 53:
                     refined = refine_seed_exact(system, seed, vals, bits)
-                    if not all(isinstance(r, Fraction) for r in refined):
-                        refined = None
                 out.append(Branch(vals, ray, sol, vv, refined))
         return out, notes

@@ -53,10 +53,15 @@ class BSReport:
     consistent_with_fixture: bool | None = None
 
 
+def _nonnegative(rays):
+    """The rays inside the nonnegative orthant, in their order."""
+    return [r for r in rays if all(x >= 0 for x in r.v)]
+
+
 def bs_slope_intersection(rays, fixture: BSFixture | None = None) -> BSReport:
     """Hyperplanes of the rigid rays contained in the nonnegative orthant;
     with a fixture, also the two one-sided discrepancy lists."""
-    predicted = critical_slopes(r for r in rays if all(x >= 0 for x in r.v))
+    predicted = critical_slopes(_nonnegative(rays))
     report = BSReport(intersection_with_sf=predicted)
     if fixture is not None:
         all_slopes = set(critical_slopes(rays))
@@ -205,12 +210,15 @@ def lct_polytope(rays, k=None, arrangement: Arrangement | None = None) -> LCTPol
 
 
 def conjecture_check(rays, k=None, arrangement: Arrangement | None = None):
-    """Facet test per nonnegative rigid ray.
+    """Facet test per nonnegative rigid ray; the other rays are left out,
+    and with no nonnegative ray the result is empty.
 
     Arrangement inputs must be indecomposable (connected matroid); other
     inputs require user discrepancies and are flagged unverified.
     """
-    nonneg = [r for r in rays if all(x >= 0 for x in r.v)]
+    nonneg = _nonnegative(rays)
+    if not nonneg:
+        return []
     if arrangement is not None:
         vectors = arrangement.central_vectors()
         if not matroid_connected(vectors):

@@ -179,9 +179,10 @@ def _names(obj, key, taken=(), size=None):
 
 
 def load_spec(source) -> VarietySpec:
-    """Parse a variety spec from a JSON object, string or file path."""
+    """Parse a variety spec from a JSON object, inline JSON (a string
+    starting with ``{`` or ``[``) or a file path."""
     if isinstance(source, str):
-        if source.lstrip().startswith("{"):
+        if source.lstrip().startswith(("{", "[")):
             obj = _parse_json(source, "inline spec", "/spec")
         else:
             obj = _load_json(source, "/spec", "spec", "")
@@ -572,17 +573,16 @@ def run_report(cfg: JobConfig):
             arrangement = (
                 spec.arrangement if spec.kind == "arrangement" else None
             )
-            nonneg = [r for r in rays if all(x >= 0 for x in r.v)]
             if arrangement is None and not kmap:
                 if cfg.command == "lct":
                     raise errors.MissingDiscrepancy(
                         "lct needs an arrangement spec or --k with discrepancies"
                     )
                 notes.append("lct skipped: no discrepancy data for this spec kind")
-            elif nonneg:
-                report["lct"] = conjecture_check(
-                    nonneg, k=kmap, arrangement=arrangement
-                )
+            else:
+                lct = conjecture_check(rays, k=kmap, arrangement=arrangement)
+                if lct:
+                    report["lct"] = lct
 
     seen = set()
     for w in caught:

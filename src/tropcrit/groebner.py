@@ -27,7 +27,7 @@ reduced homogeneous basis, so Buchberger runs only for a weight outside
 every stored cone.  The lookup also finds the face of the cone that holds
 the weight, named by the basis terms the weight ties with their leading
 monomials, and returns one record per face (``Face``); init_w(I) is the
-same on the relative interior of a face, so the record keeps it and every
+same on the relative interior of a face, so the record keeps every
 answer that depends on it alone, such as its ``torus_saturation``, which
 the job memoizes for every engine and layer that meets the same ideal.
 
@@ -302,10 +302,8 @@ def _interreduce(polys, vars, order, budget):
         r, _, _ = _reduce_terms(p, others, olts, olcs, None, packing, budget)
         # no other leading monomial divides lts[i], so it leads r too
         a = r[lts[i]]
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {unpack(e): Fraction(c, a) for e, c in r.items()}
-        out.vars = vars
-        result.append((lts[i], out))
+        terms = {unpack(e): Fraction(c, a) for e, c in r.items()}
+        result.append((lts[i], Polynomial._from_clean(terms, vars)))
     result.sort(key=lambda item: item[0])
     return [g for _, g in result]
 
@@ -469,10 +467,8 @@ class GroebnerBasis(Ideal):
             _pack(terms, packing), *self._reducers, None, packing, current_job()
         )
         d *= mult
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {packing.unpack(e): Fraction(c, d) for e, c in r.items()}
-        out.vars = f.vars
-        return out
+        terms = {packing.unpack(e): Fraction(c, d) for e, c in r.items()}
+        return Polynomial._from_clean(terms, f.vars)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -523,16 +519,16 @@ class Face:
     """A face of the Groebner fan of an ideal, as ``InitialIdealEngine.face``
     returns it: the Groebner cone holding it (None where init_w(I) = I) and
     the tie pattern of its weights in that cone.  It keeps the answers that
-    depend on init_w(I) alone, each None until first asked for: ``ideal``,
-    init_w(I) as ``initial`` first builds it for one of its weights,
-    ``saturation``, its ``torus_saturation``, and ``rigid``, whether the
-    face is a rigid ray (``tropical.TropicalEngine``)."""
+    depend on init_w(I) alone, each None until first asked for:
+    ``saturation``, the ``torus_saturation`` of init_w(I), which
+    ``InitialIdealEngine.initial`` builds, and ``rigid``, whether the face
+    is a rigid ray (``tropical.TropicalEngine``)."""
 
-    __slots__ = ("cone", "ties", "ideal", "saturation", "rigid")
+    __slots__ = ("cone", "ties", "saturation", "rigid")
 
     def __init__(self, cone, ties):
         self.cone, self.ties = cone, ties
-        self.ideal = self.saturation = self.rigid = None
+        self.saturation = self.rigid = None
 
 
 class InitialIdealEngine:
@@ -597,14 +593,9 @@ class InitialIdealEngine:
         return [g for _, g in sorted(face.cone.basis, key=lambda item: order.key(item[0]))]
 
     def initial(self, w, face=None) -> Ideal:
-        """init_w(I), from the initial forms of ``basis(w)``, in that
-        order; the first built on a face is kept as its record's
-        ``ideal``."""
+        """init_w(I), from the initial forms of ``basis(w)``, in that order."""
         face = face or self.face(w)
-        J = Ideal([g.weight_initial(w) for g in self.basis(w, face=face)], self.ideal.vars)
-        if face.ideal is None:
-            face.ideal = J
-        return J
+        return Ideal([g.weight_initial(w) for g in self.basis(w, face=face)], self.ideal.vars)
 
 
 def _weight_order(w):

@@ -16,7 +16,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import prod
+from operator import mul
 from random import Random
 
 from .arrangement import (
@@ -167,20 +169,15 @@ def _dlog_system(spec, data):
     ring, alphas = _data_entries(data, unknowns)
     fs = [f.extend_ring(ring) for f in spec.tuple_polys()]
     # prefix/suffix products of the f_l to clear denominators
-    prefix = [Polynomial.constant(1, ring)]
-    for f in fs:
-        prefix.append(prefix[-1] * f)
-    suffix = [Polynomial.constant(1, ring)]
-    for f in reversed(fs):
-        suffix.append(suffix[-1] * f)
-    suffix.reverse()
+    one = Polynomial.constant(1, ring)
+    prefix = list(accumulate(fs, mul, initial=one))
+    suffix = list(accumulate(reversed(fs), mul, initial=one))[::-1]
     others = [prefix[i] * suffix[i + 1] for i in range(len(fs))]
-    equations = []
-    for x in unknowns:
-        eq = Polynomial.zero(ring)
-        for i, f in enumerate(fs):
-            eq = eq + alphas[i] * f.derivative(x) * others[i]
-        equations.append(eq)
+    jac = _jacobian(fs, unknowns)
+    equations = [
+        sum((a * row[j] * g for a, row, g in zip(alphas, jac, others)), Polynomial.zero(ring))
+        for j in range(len(unknowns))
+    ]
     return CriticalSystem(
         equations=equations,
         ring=ring,
@@ -218,9 +215,8 @@ def _ideal_system(spec, data):
     for i in range(p):
         e = tuple(1 if j != i else 0 for j in range(p)) + pad
         u_row.append(alphas[i] * Polynomial({e: Fraction(1)}, ring))
-    jac = [[g.derivative(x) for x in coords] for g in gens]
     equations = list(gens)
-    for rows in combinations(jac, codim):
+    for rows in combinations(_jacobian(gens, coords), codim):
         for csel in combinations(range(p), codim + 1):
             equations.append(_poly_det([[row[c] for c in csel] for row in (u_row, *rows)]))
     torus = Polynomial({(1,) * p + pad: Fraction(1)}, ring)
@@ -230,6 +226,11 @@ def _ideal_system(spec, data):
         unknowns=coords,
         saturators=[torus],
     )
+
+
+def _jacobian(equations, unknowns):
+    """Rows of the partial derivatives of the equations by the unknowns."""
+    return [[eq.derivative(x) for x in unknowns] for eq in equations]
 
 
 def _poly_det(m):
@@ -279,9 +280,7 @@ def saturated_critical_ideal(system: CriticalSystem) -> GroebnerBasis:
     unknowns; the likelihood correspondence passes the s-variables, which
     stay free.
     """
-    product = Polynomial.constant(1, system.ring)
-    for f in system.saturators:
-        product = product * f
+    product = prod(system.saturators, start=Polynomial.constant(1, system.ring))
     return saturate(Ideal(system.equations, system.ring), product)
 
 

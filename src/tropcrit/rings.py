@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 
 from .errors import DimensionMismatch, PolyParseError
@@ -154,6 +154,20 @@ def _integral(terms):
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
+def _sum(pairs):
+    """Sum of (numerator, denominator) pairs as one normalised pair."""
+    n, d = 0, 1
+    for a, e in pairs:
+        if e == d:
+            n += a
+        else:
+            m = lcm(d, e)
+            n = n * (m // d) + a * (m // e)
+            d = m
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _as_fraction(c):
     if isinstance(c, Fraction):
         return c
@@ -186,6 +200,15 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, terms, vars):
+        """The polynomial of clean terms (exponent tuples of the ring's
+        length, nonzero Fractions) over the tuple of names ``vars``."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.vars = vars
+        return out
 
     @classmethod
     def zero(cls, vars):
@@ -269,18 +292,12 @@ class Polynomial:
                 res[e] = s
             else:
                 res.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = res
-        out.vars = self.vars
-        return out
+        return Polynomial._from_clean(res, self.vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out.vars = self.vars
-        return out
+        return Polynomial._from_clean({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -295,10 +312,7 @@ class Polynomial:
             c = _as_fraction(other)
             if not c:
                 return Polynomial.zero(self.vars)
-            out = Polynomial.__new__(Polynomial)
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            out.vars = self.vars
-            return out
+            return Polynomial._from_clean({e: k * c for e, k in self.terms.items()}, self.vars)
         self._check(other)
         # convolve integer numerators over one common denominator per
         # operand; a running sum vanishes exactly when the rational one does
@@ -314,10 +328,7 @@ class Polynomial:
                 else:
                     res.pop(e, None)
         d = d1 * d2
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {e: Fraction(c, d) for e, c in res.items()}
-        out.vars = self.vars
-        return out
+        return Polynomial._from_clean({e: Fraction(c, d) for e, c in res.items()}, self.vars)
 
     __rmul__ = __mul__
 
@@ -358,20 +369,32 @@ class Polynomial:
         return Polynomial(res, self.vars)
 
     def evaluate(self, values: dict):
-        """Evaluate at scalars (Fraction / int / float / complex); every
-        variable that appears needs a value, and the KeyError names the
-        first missing one of the first term that has one."""
-        unset = [i for i, name in enumerate(self.vars) if name not in values]
-        missing = self.support_vars().intersection(unset) if unset else ()
-        if missing:
-            for e in self.terms:
-                for i, x in enumerate(e):
-                    if x and i in missing:
-                        raise KeyError(f"no value for variable {self.vars[i]}")
+        """Evaluate at scalars; every variable that appears needs a value,
+        and the KeyError names the first missing one of the first term that
+        has one.  At a rational point (int and Fraction values) the terms
+        are summed as integer numerators over one common denominator; at a
+        float or complex point each coefficient is converted once by
+        ``float``, as Fraction arithmetic with such an operand does."""
         point = [values.get(name) for name in self.vars]
+        if any(v is None for v in point):
+            for e in self.terms:
+                for name, v, x in zip(self.vars, point, e):
+                    if x and v is None:
+                        raise KeyError(f"no value for variable {name}")
+        if all(isinstance(v, (int, Fraction)) for v in point if v is not None):
+            pairs = []
+            for e, c in self.terms.items():
+                n, d = c.numerator, c.denominator
+                for v, x in zip(point, e):
+                    if x > 0:
+                        n, d = n * v.numerator**x, d * v.denominator**x
+                    elif x < 0:
+                        n, d = n * v.denominator**-x, d * v.numerator**-x
+                pairs.append((n, d))
+            return Fraction(*_sum(pairs))
         total = 0
         for e, c in self.terms.items():
-            acc = c
+            acc = float(c)
             for v, x in zip(point, e):
                 if x:
                     acc = acc * v**x

@@ -19,7 +19,7 @@ floating results agree bit for bit.  Their
 exact arithmetic is over the integers: a rational is a (numerator,
 denominator) pair, and each convolution, like each sum of terms in the
 evaluator, is summed as integer numerators over a common denominator
-and normalised once per coefficient (``_dot``, ``_sum``).  ``Fraction``
+and normalised once per coefficient (``_dot``, ``rings._sum``).  ``Fraction``
 arithmetic would normalise after every product and every partial sum,
 which is most of the cost of an exact lift; the evaluator keeps pairs in
 its nodes and builds a ``Fraction`` only for the coefficients it
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SeriesInversionError
-from .rings import Polynomial
+from .rings import Polynomial, _sum
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -40,20 +40,6 @@ _EXACT_TYPES = (int, Fraction)
 def _pairs(values):
     """(numerator, denominator) pairs of rational values."""
     return [(v.numerator, v.denominator) for v in values]
-
-
-def _sum(pairs):
-    """Sum of (numerator, denominator) pairs as one normalised pair."""
-    n, d = 0, 1
-    for a, e in pairs:
-        if e == d:
-            n += a
-        else:
-            m = lcm(d, e)
-            n = n * (m // d) + a * (m // e)
-            d = m
-    g = gcd(n, d)
-    return n // g, d // g
 
 
 def _dot(left, right):
@@ -107,20 +93,6 @@ class LaurentSeries:
         if truncation_order <= k:
             return cls.zero(truncation_order)
         return cls(k, [1] + [0] * (truncation_order - k - 1), truncation_order)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, truncation_order: int) -> "LaurentSeries":
-        """Univariate (Laurent) polynomial in one variable, typically t."""
-        if len(p.vars) != 1:
-            raise ValueError("series conversion needs a univariate polynomial")
-        if p.is_zero:
-            return cls.zero(truncation_order)
-        val = min(e[0] for e in p.terms)
-        coeffs = [Fraction(0)] * (truncation_order - val)
-        for (k,), c in p.terms.items():
-            if k < truncation_order:
-                coeffs[k - val] = c
-        return cls(val, coeffs, truncation_order)
 
     # -- queries ----------------------------------------------------------------
 

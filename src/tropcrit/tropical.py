@@ -32,14 +32,14 @@ the homogeneity space is the space orthogonal to the term differences of
 the saturation's reduced basis, which membership has already computed.
 
 A ``TropicalEngine`` is the initial-ideal engine of I
-(``groebner.InitialIdealEngine``), and keeps init_w(I), its torus
-saturation and both answers on the record of w's face
+(``groebner.InitialIdealEngine``), and keeps the torus saturation of
+init_w(I) and both answers on the record of w's face
 (``groebner.Face``).  The saturation is ``groebner.torus_saturation``,
 memoized in the job, so every engine and every layer of a job that meets
 one initial ideal shares one.  A job has one ``TropicalEngine.of(I)`` per
 ideal; the series lifts of ``asymptotics`` read their cone bases from the
-engine of the curve's critical ideal, and ``stratum_model`` reads
-init_w(I) from the face record.
+engine of the curve's critical ideal, and ``stratum_model`` asks the
+engine's ``initial`` for init_w(I).
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ def stratum_model(ideal: Ideal, ray: Ray) -> Ideal:
     eng = TropicalEngine.of(ideal)
     if not eng.contains(ray.v):
         raise NotInTropicalVariety(f"{ray.v} is not in the tropical variety")
-    J = eng.face(ray.v).ideal
+    J = eng.initial(ray.v)
     p = ideal.nvars
     B = unimodular_completion(ray.v)
     new_vars = _stratum_vars(p)

@@ -28,7 +28,6 @@ from tropcrit.asymptotics import (
     _abs_poly,
     _ansatz,
     _hensel,
-    _jacobian,
     _num_inverse,
     _saturated_equations,
     _square_subsystem,
@@ -40,7 +39,7 @@ from tropcrit.asymptotics import (
 )
 from tropcrit.errors import DegenerateSample, NoConvergence, TruncationTooShort
 from tropcrit.groebner import InitialIdealEngine, Job
-from tropcrit.mle import CriticalSystem, VarietySpec, critical_system
+from tropcrit.mle import CriticalSystem, VarietySpec, _jacobian, critical_system
 from tropcrit.rings import Polynomial, poly_parse
 from tropcrit.series import LaurentSeries, poly_eval_series
 from tropcrit.tropical import Ray, TropicalEngine
@@ -338,6 +337,15 @@ def test_refine_seed_exact_reaches_target():
     )
     assert abs(refined[0] - A_EXACT) < Fraction(1, 2**120)
     assert abs(refined[1] - B_EXACT) < Fraction(1, 2**120)
+
+
+def test_refine_seed_exact_gives_none_for_a_complex_seed():
+    # only real seeds are refined: each escaping seed of the conic moved
+    # off the real line gives None
+    _, numeric = branch_seeds(conic_system(), valuations=(-1, -1))
+    for seed in numeric:
+        off = tuple(x + 1e-3j for x in seed)
+        assert refine_seed_exact(conic_system(), off, valuations=(-1, -1)) is None
 
 
 def test_four_lines_lift_toward_triple_point_is_nonnegative():

@@ -201,6 +201,15 @@ def test_conjecture_check_refuses_decomposable():
         conjecture_check([Ray((1, 0))], arrangement=boolean)
 
 
+def test_conjecture_check_without_a_nonnegative_ray_is_empty():
+    # mixed-sign rays give no inequality, and the empty result comes
+    # before the indecomposability check: a decomposable arrangement too
+    three_lines = central([(1, 0), (0, 1), (1, -1)], 2)
+    assert conjecture_check([Ray((1, -1, 0)), Ray((-1, 0, 2))], arrangement=three_lines) == []
+    boolean = central([(1, 0), (0, 1)], 2)
+    assert conjecture_check([Ray((1, -1)), Ray((-2, 1))], arrangement=boolean) == []
+
+
 def test_conjecture_check_user_k_flagged():
     rays = [Ray(v) for v in sorted(COIN_RAYS) if all(x >= 0 for x in v)]
     results = conjecture_check(

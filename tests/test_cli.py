@@ -472,6 +472,12 @@ def test_a_json_array_file_is_rejected(tmp_path, load, args, what, pointer):
     assert info.value.pointer == pointer
 
 
+@pytest.mark.parametrize("value", ["[1, 2]", "  [1, 2]"])
+def test_an_inline_json_array_is_not_read_as_a_path(capsys, value):
+    assert main(["rigid-rays", "--spec", value]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip() == "error: spec must be a JSON object [at /]"
+
+
 @pytest.mark.parametrize(
     "spec, pointer",
     [

@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,106 @@ def test_evaluate_needs_only_the_variables_that_appear():
     # the first term with a missing variable names it
     with pytest.raises(KeyError, match="no value for variable y"):
         f.evaluate({"z": Fraction(1)})
+
+
+def plain_loop(f, values):
+    """The plain evaluation loop at every point: each Fraction coefficient
+    times the values' powers, the terms summed from the integer 0; at float
+    and complex points ``evaluate`` gives its bits."""
+    point = [values.get(name) for name in f.vars]
+    total = 0
+    for e, c in f.terms.items():
+        acc = c
+        for v, x in zip(point, e):
+            if x:
+                acc = acc * v**x
+        total = total + acc
+    return total
+
+
+def exact_sum(f, point):
+    """f at a rational point, each term as an integer numerator and
+    denominator, summed exactly."""
+    pairs = []
+    for e, c in f.terms.items():
+        n, d = c.numerator, c.denominator
+        for x, k in zip(point, e):
+            if k:
+                n *= x.numerator**k
+                d *= x.denominator**k
+        pairs.append((n, d))
+    return sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
+def same_float(a, b) -> bool:
+    """Both complex or neither, and equal bit for bit as complex numbers
+    (a float or Fraction has imaginary part +0.0)."""
+    if isinstance(a, complex) != isinstance(b, complex):
+        return False
+    a, b = complex(a), complex(b)
+    return struct.pack("<dd", a.real, a.imag) == struct.pack("<dd", b.real, b.imag)
+
+
+EVAL_VARS = ("x", "y", "z", "t")
+COEFFICIENTS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def polynomials(low):
+    """Polynomials in x, y, z, t with exponents from ``low`` to 3 for x, y,
+    z and 0 to 3 for t; constant terms are drawn on purpose."""
+    exponent = st.integers(low, 3)
+    monomial = st.tuples(exponent, exponent, exponent, st.integers(0, 3))
+    terms = st.dictionaries(
+        st.one_of(st.just((0, 0, 0, 0)), monomial), COEFFICIENTS, max_size=6
+    )
+    return terms.map(lambda t: Polynomial(t, EVAL_VARS))
+
+
+FLOATS = st.floats(min_value=-50, max_value=50)
+COMPLEX = st.one_of(
+    st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False),
+    st.builds(complex, FLOATS, st.sampled_from([0.0, -0.0])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    f=polynomials(0),
+    kinds=st.tuples(*[st.sampled_from(["float", "complex"])] * 3),
+    data=st.data(),
+    t=st.one_of(st.just(0.0), FLOATS),
+)
+def test_evaluate_keeps_the_bits_of_the_plain_loop(f, kinds, data, t):
+    # float, complex and mixed points, t = 0.0 beside complex values and
+    # imaginary parts of -0.0 included
+    values = {"t": t}
+    for name, kind in zip(EVAL_VARS, kinds):
+        values[name] = data.draw(FLOATS if kind == "float" else COMPLEX)
+    assert same_float(f.evaluate(values), plain_loop(f, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=polynomials(0),
+    point=st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=9)] * 4),
+)
+def test_evaluate_at_a_rational_point_is_the_exact_sum(f, point):
+    got = f.evaluate(dict(zip(EVAL_VARS, point)))
+    assert isinstance(got, Fraction) and got == exact_sum(f, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=polynomials(-2),
+    point=st.tuples(
+        *[st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)] * 3,
+        st.integers(-9, 9),
+    ),
+)
+def test_evaluate_laurent_at_a_rational_point(f, point):
+    values = dict(zip(EVAL_VARS, point))
+    got = f.evaluate(values)
+    assert isinstance(got, Fraction) and got == plain_loop(f, values)
 
 
 def test_equal_polynomials_hash_once_and_share_one_memo_entry(monkeypatch):

@@ -103,12 +103,6 @@ def test_poly_eval_series_laurent_exponents():
     assert v.is_zero
 
 
-def test_from_polynomial_in_t():
-    p = poly_parse("2+t-3*t^2", ("t",))
-    s = LaurentSeries.from_polynomial(p, 5)
-    assert [s.coeff(k) for k in range(5)] == [2, 1, -3, 0, 0]
-
-
 def same_scalar(a, b) -> bool:
     """Exact values equal; floating values equal bit for bit."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
